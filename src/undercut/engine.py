@@ -13,7 +13,6 @@ Runs are deterministic per seed; independent runs share nothing mutable.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -146,20 +145,49 @@ class RunResult:
         return {mid: self.share(mid) for mid in self.earnings}
 
 
-class Chain:
-    """One live chain: blocks since genesis plus its own pool view.
+class RankTable:
+    """Every transaction of a run's trace, numbered once in selection order.
 
-    The pool is kept as a fee-rate-sorted list (plus an id set) so block
-    templates never re-sort; a chain's pending set is always the global
-    arrivals minus what this chain has confirmed.
+    A transaction's rank is its position in ``selection_key`` order, so a
+    set of ranks read in increasing order is a presorted pool.
+    """
+
+    __slots__ = ("txs", "rank", "size_floor")
+
+    def __init__(self, trace: Iterable[Transaction]):
+        ordered = sorted(trace, key=selection_key)
+        self.txs = np.fromiter(ordered, dtype=object, count=len(ordered))
+        self.rank = dict(zip([tx.id for tx in ordered], range(len(ordered))))
+        if len(self.rank) != len(ordered):
+            raise ValueError("duplicate transaction ids in trace")
+        self.size_floor = min([tx.size for tx in ordered], default=1)
+
+    def ranks_of(self, tx_ids: Iterable[str]) -> list[int]:
+        rank = self.rank
+        return [rank[i] for i in tx_ids]
+
+    def lookup(self, tx_ids: Iterable[str]) -> list[Transaction]:
+        return self.txs[self.ranks_of(tx_ids)].tolist()
+
+
+class Chain:
+    """One live chain: blocks since genesis plus its own pool.
+
+    The pool is a boolean mask over the run's ranks: ``pending[r]`` is
+    set while the transaction of rank ``r`` has arrived and this chain
+    has not confirmed it.  Adding or removing a transaction flips one
+    flag, a fork copies the mask, and a view reads the set ranks in
+    increasing order, which is selection order, so templates never
+    re-sort.  Each transaction is added once, on arrival, to the chains
+    live then; a fork starts from a copy of its parent's mask, so no
+    chain sees a transaction it confirmed come back.
     """
 
     __slots__ = (
         "seq",
         "blocks",
-        "sorted_txs",
-        "pending_ids",
-        "consumed",
+        "ranks",
+        "pending",
         "workers",
         "next_time",
         "committed",
@@ -167,12 +195,11 @@ class Chain:
         "target_fee",
     )
 
-    def __init__(self, seq: int, blocks: list[Block], workers: set[str]):
+    def __init__(self, seq: int, blocks: list[Block], workers: set[str], ranks: RankTable):
         self.seq = seq
         self.blocks = blocks
-        self.sorted_txs: list[Transaction] = []
-        self.pending_ids: set[str] = set()
-        self.consumed: set[str] = set()
+        self.ranks = ranks
+        self.pending = np.zeros(len(ranks.txs), dtype=bool)
         self.workers = workers
         self.next_time = math.inf
         self.committed: BandwidthSetResult | None = None
@@ -184,21 +211,17 @@ class Chain:
         return self.blocks[-1]
 
     def add_pending(self, tx: Transaction) -> None:
-        if tx.id in self.pending_ids or tx.id in self.consumed:
-            return
-        bisect.insort(self.sorted_txs, tx, key=selection_key)
-        self.pending_ids.add(tx.id)
+        self.pending[self.ranks.rank[tx.id]] = True
 
     def remove_pending(self, tx_ids: Iterable[str]) -> None:
-        gone = set(tx_ids)
-        if not gone:
-            return
-        self.sorted_txs = [tx for tx in self.sorted_txs if tx.id not in gone]
-        self.pending_ids -= gone
-        self.consumed |= gone
+        self.pending[self.ranks.ranks_of(tx_ids)] = False
+
+    def holds(self, tx_id: str) -> bool:
+        return bool(self.pending[self.ranks.rank[tx_id]])
 
     def view(self) -> MempoolView:
-        return MempoolView(pending=tuple(self.sorted_txs), presorted=True)
+        txs = self.ranks.txs[np.flatnonzero(self.pending)]
+        return MempoolView(pending=tuple(txs.tolist()), presorted=True, size_floor=self.ranks.size_floor)
 
     def worker_power(self, powers: dict[str, float]) -> float:
         return sum(powers[w] for w in self.workers)
@@ -306,16 +329,14 @@ class Simulation:
         honest = sum(m.power for m in miners if m.kind == "honest")
         beta_u = undercutters[0].power if undercutters else 0.0
         self.split = PowerSplit.of(beta_u, honest)
-        self.by_id = {tx.id: tx for tx in trace}
-        if len(self.by_id) != len(trace):
-            raise ValueError("duplicate transaction ids in trace")
+        self.ranks = RankTable(trace)
         self.trace = sorted(trace, key=lambda tx: (tx.arrival_time, tx.id))
         self.total_trace_fee = sum(tx.fee for tx in self.trace)
         self.next_arrival = 0
 
         t0 = self.trace[0].arrival_time if self.trace else 0.0
         genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=t0, height=0)
-        main = Chain(seq=0, blocks=[genesis], workers={m.id for m in miners})
+        main = Chain(seq=0, blocks=[genesis], workers={m.id for m in miners}, ranks=self.ranks)
         self.chains: list[Chain] = [main]
         self.chain_seq = 1
         self.fork: Chain | None = None
@@ -387,9 +408,9 @@ class Simulation:
         if chain is self.fork and chain.committed is not None:
             template = chain.committed
             chain.committed = None
-            kept = tuple(i for i in template.tx_ids if i in chain.pending_ids)
+            kept = [i for i in template.tx_ids if chain.holds(i)]
             if len(kept) != len(template.tx_ids):
-                template = BandwidthSetResult.from_transactions([self.by_id[i] for i in kept])
+                template = BandwidthSetResult.from_transactions(self.ranks.lookup(kept))
         elif self.avoidance is not None:
             template = craft_avoidance_block(
                 chain.view(),
@@ -477,7 +498,7 @@ class Simulation:
     def _consider_attack(self, ext: Chain, block: Block) -> None:
         pool = ext.view()
         gamma = gamma_ratio(pool, block.fee_total, self.params)
-        head_txs = [self.by_id[i] for i in block.tx_ids]
+        head_txs = self.ranks.lookup(block.tx_ids)
         if self.depth == 1:
             decision = undercut_decision_d1(self.split, gamma, self.params, pool, head_txs)
         else:
@@ -486,15 +507,15 @@ class Simulation:
             return
         self.attacks += 1
         self.attack_branches[decision.rationale] += 1
-        fork = Chain(seq=self.chain_seq, blocks=ext.blocks[:-1].copy(), workers={self.undercutter_id})
+        fork = Chain(
+            seq=self.chain_seq, blocks=ext.blocks[:-1].copy(), workers={self.undercutter_id}, ranks=self.ranks
+        )
         self.chain_seq += 1
         fork.base_height = block.height - 1
         fork.target_fee = block.fee_total
-        fork.consumed = ext.consumed - set(block.tx_ids)
-        fork.sorted_txs = ext.sorted_txs.copy()
-        fork.pending_ids = ext.pending_ids.copy()
-        for tx_id in block.tx_ids:
-            fork.add_pending(self.by_id[tx_id])
+        fork.pending = ext.pending.copy()
+        for tx in head_txs:
+            fork.add_pending(tx)
         fork.committed = decision.template
         ext.workers.discard(self.undercutter_id)
         self.fork = fork

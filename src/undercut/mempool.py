@@ -87,17 +87,28 @@ class MempoolView:
     Pending transactions are held in selection order.  ``presorted``
     skips the normalization pass for callers (the simulation engine)
     that maintain that order themselves.
+
+    ``size_floor`` is a lower bound on the size of every pending
+    transaction; greedy packing stops once the room left is below it.
+    It must never exceed any pending size.  A view built from a list
+    computes it exactly, ``without`` keeps its parent's bound (removing
+    transactions cannot lower the minimum), and presorted callers
+    supply one; the default of 1 holds for any pool, as sizes are
+    positive.
     """
 
     pending: tuple[Transaction, ...] = ()
     consumed_ids: frozenset[str] = field(default_factory=frozenset)
     presorted: InitVar[bool] = False
+    size_floor: int = field(default=1, compare=False)
 
     def __post_init__(self, presorted: bool) -> None:
         if presorted:
             return
         pending = tuple(sorted(self.pending, key=selection_key))
         object.__setattr__(self, "pending", pending)
+        if pending:
+            object.__setattr__(self, "size_floor", min(tx.size for tx in pending))
         ids = [tx.id for tx in pending]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate transaction ids in pending set")
@@ -119,6 +130,7 @@ class MempoolView:
             pending=tuple(tx for tx in self.pending if tx.id not in gone),
             consumed_ids=self.consumed_ids | gone,
             presorted=True,
+            size_floor=self.size_floor,
         )
 
 
@@ -148,18 +160,45 @@ class BandwidthSetResult:
 EMPTY_TEMPLATE = BandwidthSetResult(tx_ids=(), total_fee=0, total_size=0)
 
 
-def _greedy_pack(txs: Sequence[Transaction], size_budget: int) -> list[Transaction]:
+def _greedy_pack(txs: Sequence[Transaction], size_budget: int, size_floor: int = 1) -> list[Transaction]:
     # txs must already be in selection order; first-fit, skipping what
-    # does not fit the remaining budget.
+    # does not fit the remaining budget.  No transaction is smaller than
+    # size_floor, so the scan ends once the room left is below it.
     chosen: list[Transaction] = []
     room = size_budget
     for tx in txs:
         if tx.size <= room:
             chosen.append(tx)
             room -= tx.size
-            if room == 0:
+            if room < size_floor:
                 break
     return chosen
+
+
+def first_two_sets(pool: MempoolView, params: ChainParams) -> tuple[list[Transaction], list[Transaction]]:
+    """The greedy bandwidth set and the one greedy packs from what it
+    leaves, in one pass over the pool.
+
+    Equal to ``bandwidth_set(pool)`` followed by ``bandwidth_set`` of
+    ``pool.without`` that set: a transaction the first template skips
+    is offered to the second in the same selection order.
+    """
+    first: list[Transaction] = []
+    second: list[Transaction] = []
+    room_first = room_second = params.block_size_limit
+    floor = pool.size_floor
+    for tx in pool.pending:
+        if tx.size <= room_first:
+            first.append(tx)
+            room_first -= tx.size
+        elif tx.size <= room_second:
+            second.append(tx)
+            room_second -= tx.size
+        else:
+            continue
+        if room_first < floor and room_second < floor:
+            break
+    return first, second
 
 
 def _exact_best_subset(txs: Sequence[Transaction], limit: int) -> list[Transaction]:
@@ -218,7 +257,7 @@ def bandwidth_set(pool: MempoolView, params: ChainParams, mode: str = "greedy") 
     above EXACT_SELECTION_LIMIT transactions.
     """
     if mode == "greedy":
-        chosen = _greedy_pack(pool.pending, params.block_size_limit)
+        chosen = _greedy_pack(pool.pending, params.block_size_limit, pool.size_floor)
         return BandwidthSetResult.from_transactions(chosen, exact=False)
     if mode == "exact":
         if len(pool.pending) > EXACT_SELECTION_LIMIT:
@@ -347,5 +386,5 @@ def claimable_fees(pool: MempoolView, params: ChainParams, blocks: int) -> int:
     """
     if blocks <= 0:
         return 0
-    chosen = _greedy_pack(pool.pending, blocks * params.block_size_limit)
+    chosen = _greedy_pack(pool.pending, blocks * params.block_size_limit, pool.size_floor)
     return sum(tx.fee for tx in chosen)

@@ -25,7 +25,7 @@ from .mempool import (
     MempoolView,
     Transaction,
     bandwidth_set,
-    claim_partial,
+    first_two_sets,
     gamma_ratio,
     split_equal_fee,
 )
@@ -208,15 +208,20 @@ def undercut_branches_d2(
 
 def one_set_left(pool: MempoolView, params: ChainParams) -> bool:
     """True when removing one bandwidth set leaves only negligible fees."""
-    first = bandwidth_set(pool, params)
-    if first.total_fee == 0:
-        return False
-    residual = bandwidth_set(pool.without(first.tx_ids), params).total_fee
-    return residual <= params.negligible_fee_threshold * first.total_fee
+    first, second = first_two_sets(pool, params)
+    return _lone_set(_fee(first), _fee(second), params)
+
+
+def _lone_set(first_fee: int, second_fee: int, params: ChainParams) -> bool:
+    return first_fee > 0 and second_fee <= params.negligible_fee_threshold * first_fee
+
+
+def _fee(txs: Sequence[Transaction]) -> int:
+    return sum(t.fee for t in txs)
 
 
 def _lightest_part(parts: list[list[Transaction]]) -> list[Transaction]:
-    return min(parts, key=lambda p: sum(t.fee for t in p))
+    return min(parts, key=_fee)
 
 
 def undercut_decision_d1(
@@ -263,9 +268,7 @@ def undercut_decision_d2(
             _lightest_part(split_equal_fee(head, 3, params))
         )
     elif branch == 2:
-        by_id = {tx.id: tx for tx in pool.pending}
-        first = bandwidth_set(pool, params)
-        first_txs = [by_id[i] for i in first.tx_ids]
+        first_txs, _ = first_two_sets(pool, params)
         template = BandwidthSetResult.from_transactions(
             _lightest_part(split_equal_fee(first_txs, 2, params))
         )
@@ -380,7 +383,7 @@ def _claim_defeats_attack(
 
 def _claim_up_to(txs: Sequence[Transaction], target: float, params: ChainParams) -> list[Transaction]:
     # greedy by rate, skipping anything that would burst the fee target
-    # or the size limit; unlike claim_partial this walks past an
+    # or the size limit; unlike mempool.claim_partial this walks past an
     # indivisible over-target transaction instead of stopping.
     chosen: list[Transaction] = []
     fee = 0
@@ -427,12 +430,11 @@ def craft_avoidance_block(
     # the assumed adversary plus assumed honest mass cannot exceed 1
     honest = min(assumed_honest_power, 1.0 - assumed_undercutter_power)
     split = PowerSplit.of(assumed_undercutter_power, honest)
-    first = bandwidth_set(pool, params)
-    if first.total_fee == 0:
+    first_txs, second_txs = first_two_sets(pool, params)
+    first_fee, residual = _fee(first_txs), _fee(second_txs)
+    if first_fee == 0:
         return EMPTY_TEMPLATE
-    by_id = {tx.id: tx for tx in pool.pending}
-    first_txs = [by_id[i] for i in first.tx_ids]
-    lone = one_set_left(pool, params)
+    lone = _lone_set(first_fee, residual, params)
 
     if mode == "exact":
         candidates: list[list[Transaction]] = []
@@ -443,7 +445,7 @@ def craft_avoidance_block(
         # assumed adversary would not fork.
         candidates.extend(first_txs[:k] for k in range(len(first_txs), 0, -1))
         candidates.extend(first_txs[j:] for j in range(1, len(first_txs)))
-        candidates.sort(key=lambda c: -sum(t.fee for t in c))
+        candidates.sort(key=lambda c: -_fee(c))
         for claim in candidates:
             template = BandwidthSetResult.from_transactions(claim)
             if _claim_defeats_attack(template, claim, pool, split, params):
@@ -451,12 +453,11 @@ def craft_avoidance_block(
         return EMPTY_TEMPLATE
 
     if depth == 2 and lone:
-        target = first.total_fee / 2.0
+        target = first_fee / 2.0
     else:
-        residual = bandwidth_set(pool.without(first.tx_ids), params).total_fee
-        visible = first.total_fee + residual
+        visible = first_fee + residual
         target = visible / (1.0 + required_gamma(split, depth, params.negligible_fee_threshold))
     if mode == "strict":
         target *= strict_factor
-    target = min(target, float(first.total_fee))
+    target = min(target, float(first_fee))
     return BandwidthSetResult.from_transactions(_claim_up_to(first_txs, int(target), params))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -102,6 +103,8 @@ def _record(line_no: int, id_: str, timestamp, size, fee) -> Transaction:
         fee = int(fee)
     except (TypeError, ValueError) as exc:
         raise TraceError(f"line {line_no}: malformed row: {exc}") from None
+    if not math.isfinite(timestamp):
+        raise TraceError(f"line {line_no}: timestamp must be finite, got {timestamp}")
     if size <= 0:
         raise TraceError(f"line {line_no}: size must be positive, got {size}")
     if fee < 0:
@@ -113,8 +116,9 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
     """Load, validate and time-sort a transaction trace.
 
     CSV files need the header ``id,timestamp,size,fee``; json-lines
-    files carry one object with those keys per line.  Duplicate ids and
-    non-positive sizes are rejected with the offending line number.
+    files carry one object with those keys per line.  Duplicate ids,
+    non-finite timestamps and non-positive sizes are rejected with the
+    offending line number.
     """
     path = Path(path)
     records: list[Transaction] = []

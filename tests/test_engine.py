@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from undercut.engine import (
     AvoidancePolicy,
     Block,
     Chain,
     MinerProfile,
+    RankTable,
     Simulation,
     StalledSimulationError,
     next_chain_to_extend,
@@ -17,7 +20,7 @@ from undercut.engine import (
     sample_next_block_time,
     select_next_block_miner,
 )
-from undercut.mempool import ChainParams, bandwidth_set
+from undercut.mempool import ChainParams, bandwidth_set, selection_key
 from undercut.trace import preset, synthesize_trace
 
 from conftest import tx, whale_trace
@@ -31,7 +34,7 @@ def two_miners():
 
 def make_chain(seq, height, workers, t=math.inf):
     genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=0.0, height=0)
-    chain = Chain(seq=seq, blocks=[genesis], workers=set(workers))
+    chain = Chain(seq=seq, blocks=[genesis], workers=set(workers), ranks=RankTable(()))
     for h in range(1, height + 1):
         chain.blocks.append(
             Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=float(h), height=h)
@@ -149,14 +152,58 @@ def test_honest_miners_follow_longest_chain_first_seen_ties():
     assert "h" in fork.workers and "h" not in main.workers
 
 
+@st.composite
+def pool_histories(draw):
+    """A small trace (frequent fee-rate ties) and a list of pool operations."""
+    n = draw(st.integers(0, 24))
+    txs = [tx(f"t{i:02d}", draw(st.integers(1, 6)), draw(st.integers(0, 12))) for i in range(n)]
+    ops = st.tuples(st.sampled_from(("arrive", "remove", "fork")), st.integers(0, 2**24))
+    return txs, draw(st.lists(ops, max_size=60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool_histories())
+def test_chain_pool_matches_a_sorted_model(history):
+    # Arrivals reach every live chain, removals confirm a subset on one
+    # chain, and a fork copies a chain's pool and takes back some of the
+    # transactions it confirmed (the head block it undercuts).
+    txs, ops = history
+    ranks = RankTable(txs)
+    chains = [Chain(seq=0, blocks=[], workers=set(), ranks=ranks)]
+    pending, confirmed = [set()], [set()]
+    arrived = 0
+    for op, pick in ops:
+        k = pick % len(chains)
+        if op == "arrive" and arrived < len(txs):
+            for chain, model in zip(chains, pending):
+                chain.add_pending(txs[arrived])
+                model.add(txs[arrived])
+            arrived += 1
+        elif op == "remove":
+            gone = [t for i, t in enumerate(sorted(pending[k], key=selection_key)) if pick >> i & 1]
+            chains[k].remove_pending(tuple(t.id for t in gone))
+            pending[k] -= set(gone)
+            confirmed[k] |= set(gone)
+        elif op == "fork":
+            head = [t for i, t in enumerate(sorted(confirmed[k], key=selection_key)) if pick >> i & 1]
+            fork = Chain(seq=len(chains), blocks=[], workers=set(), ranks=ranks)
+            fork.pending = chains[k].pending.copy()
+            for t in head:
+                fork.add_pending(t)
+            chains.append(fork)
+            pending.append(pending[k] | set(head))
+            confirmed.append(confirmed[k] - set(head))
+        for chain, model in zip(chains, pending):
+            assert chain.view().pending == tuple(sorted(model, key=selection_key))
+
+
 def test_update_mempool_boundary_inclusive():
     records = [tx("a", 1, 1, t=5.0), tx("b", 1, 1, t=6.0)]
     sim = Simulation(records, two_miners(), PARAMS, depth=1)
     sim.update_mempool(5.0)
-    assert "a" in sim.chains[0].pending_ids
-    assert "b" not in sim.chains[0].pending_ids
+    assert sim.chains[0].view().ids() == {"a"}
     sim.update_mempool(6.0)
-    assert "b" in sim.chains[0].pending_ids
+    assert sim.chains[0].view().ids() == {"a", "b"}
 
 
 def test_publish_block_empty_pool_and_whole_pool():

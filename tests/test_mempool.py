@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from undercut.mempool import (
+    BandwidthSetResult,
     ChainParams,
     InstanceTooLargeError,
     InvalidCandidateError,
@@ -10,6 +11,7 @@ from undercut.mempool import (
     bandwidth_set,
     claim_partial,
     claimable_fees,
+    first_two_sets,
     gamma_ratio,
     is_near_bandwidth_set,
     split_equal_fee,
@@ -189,6 +191,50 @@ def test_claim_partial_never_exceeds_target():
         claim = claim_partial(pool, target, params)
         assert claim.total_fee <= target
         assert claim.total_size <= params.block_size_limit
+
+
+def full_scan_pack(txs, budget):
+    """Reference first-fit packing: walks the whole pool, no early exit."""
+    chosen, room = [], budget
+    for t in txs:
+        if t.size <= room:
+            chosen.append(t)
+            room -= t.size
+    return chosen
+
+
+def test_size_floor_is_exact_for_lists_and_inherited_by_without():
+    pool = pool_of(tx("a", 5, 1), tx("b", 3, 9), tx("c", 7, 2))
+    assert pool.size_floor == 3
+    assert pool.without(["b"]).size_floor == 3
+    assert pool_of().size_floor == 1
+    assert MempoolView(pending=pool.pending, presorted=True).size_floor == 1
+
+
+def test_early_exit_packing_equals_full_scan():
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        pool, params = random_pool(rng)
+        limit = params.block_size_limit
+        # the exact floor, and every looser one a presorted caller may supply
+        for floor in range(1, pool.size_floor + 1):
+            view = MempoolView(pending=pool.pending, presorted=True, size_floor=floor)
+            expected = full_scan_pack(pool.pending, limit)
+            assert bandwidth_set(view, params) == BandwidthSetResult.from_transactions(expected)
+            for blocks in (1, 2, 3):
+                reference = full_scan_pack(pool.pending, blocks * limit)
+                assert claimable_fees(view, params, blocks) == sum(t.fee for t in reference)
+
+
+def test_first_two_sets_equal_two_greedy_packs():
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        pool, params = random_pool(rng, n_max=25)
+        first, second = first_two_sets(pool, params)
+        expected_first = bandwidth_set(pool, params)
+        expected_second = bandwidth_set(pool.without(expected_first.tx_ids), params)
+        assert BandwidthSetResult.from_transactions(first) == expected_first
+        assert BandwidthSetResult.from_transactions(second) == expected_second
 
 
 def test_claimable_fees_budget(params):

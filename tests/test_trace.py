@@ -59,6 +59,26 @@ def test_load_trace_errors_carry_line_numbers(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_load_trace_rejects_non_finite_timestamps_csv(tmp_path, stamp):
+    # such a row used to load, and a run over it never returned
+    path = tmp_path / "bad.csv"
+    path.write_text(f"id,timestamp,size,fee\na,1,10,5\nb,{stamp},10,5\n")
+    with pytest.raises(TraceError, match="line 3: timestamp must be finite"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("stamp", ["NaN", "Infinity", "-Infinity"])
+def test_load_trace_rejects_non_finite_timestamps_jsonl(tmp_path, stamp):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"id": "a", "timestamp": 1, "size": 10, "fee": 5}\n'
+        f'{{"id": "b", "timestamp": {stamp}, "size": 10, "fee": 5}}\n'
+    )
+    with pytest.raises(TraceError, match="line 2: timestamp must be finite"):
+        load_trace(path, fmt="json-lines")
+
+
 def test_synthesize_trace_properties():
     assert synthesize_trace(rate=0.0, duration=100.0, seed=1) == []
     a = synthesize_trace(rate=0.5, duration=5000.0, seed=9)
