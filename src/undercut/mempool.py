@@ -160,7 +160,7 @@ class BandwidthSetResult:
 EMPTY_TEMPLATE = BandwidthSetResult(tx_ids=(), total_fee=0, total_size=0)
 
 
-def _greedy_pack(txs: Sequence[Transaction], size_budget: int, size_floor: int = 1) -> list[Transaction]:
+def _greedy_pack(txs: Sequence[Transaction], size_budget: int, size_floor: int) -> list[Transaction]:
     # txs must already be in selection order; first-fit, skipping what
     # does not fit the remaining budget.  No transaction is smaller than
     # size_floor, so the scan ends once the room left is below it.
