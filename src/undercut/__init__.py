@@ -4,7 +4,6 @@ from .engine import (
     AvoidancePolicy,
     Block,
     Chain,
-    ForkState,
     MinerProfile,
     RunResult,
     Simulation,
@@ -40,7 +39,6 @@ from .mempool import (
 from .probability import (
     InvalidShiftError,
     RacePoint,
-    chain_rates,
     deep_catchup_bound,
     win_prob_d1,
     win_prob_series,
@@ -54,8 +52,6 @@ from .strategy import (
     craft_avoidance_block,
     expected_returns_d1,
     expected_returns_d2,
-    rational_join_d1,
-    rational_shift_d2_tie,
     rational_shift_general,
     undercut_decision_d1,
     undercut_decision_d2,

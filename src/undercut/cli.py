@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chain_opts(p_run)
     p_run.add_argument("--trace", required=True, help="transaction trace file (CSV)")
     p_run.add_argument("--trace-format", default="csv", choices=("csv", "json-lines"))
-    p_run.add_argument("--depth", type=int, default=1, choices=(1, 2), help="give-up depth D")
+    p_run.add_argument("--depth", type=int, default=1, choices=tuple(strategy.DEPTHS), help="give-up depth D")
     p_run.add_argument("--honest", default="0.0", help="honest power fraction")
     p_run.add_argument("--avoidance", default="off", help="off|experimental|exact|strict=<f>")
     p_run.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--bu", type=float, required=True, help="undercutter power fraction")
     p_check.add_argument("--bh", type=float, required=True, help="honest power fraction")
     p_check.add_argument("--gamma", type=float, required=True, help="bandwidth-set / head fee ratio")
-    p_check.add_argument("--depth", type=int, default=1, choices=(1, 2), help="give-up depth D")
+    p_check.add_argument("--depth", type=int, default=1, choices=tuple(strategy.DEPTHS), help="give-up depth D")
     p_check.add_argument("--negligible", type=float, default=0.01, help="negligible gamma bound")
     p_check.add_argument("--grid", type=int, default=100, help="shift-objective grid resolution")
 
@@ -82,22 +83,12 @@ def _population(args) -> tuple[trace.PowerDistribution, ChainParams]:
         params = trace.BITCOIN_PARAMS
     else:
         dist, params = trace.preset(args.preset or "bitcoin16")
-    overrides = {}
-    if args.interval is not None:
-        overrides["block_interval"] = args.interval
-    if args.block_limit is not None:
-        overrides["block_size_limit"] = args.block_limit
-    if args.negligible is not None:
-        overrides["negligible_fee_threshold"] = args.negligible
-    if overrides:
-        params = ChainParams(
-            block_size_limit=overrides.get("block_size_limit", params.block_size_limit),
-            block_interval=overrides.get("block_interval", params.block_interval),
-            negligible_fee_threshold=overrides.get(
-                "negligible_fee_threshold", params.negligible_fee_threshold
-            ),
-        )
-    return dist, params
+    overrides = dict(
+        block_interval=args.interval,
+        block_size_limit=args.block_limit,
+        negligible_fee_threshold=args.negligible,
+    )
+    return dist, dataclasses.replace(params, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _load_trace(args) -> list:
@@ -116,12 +107,15 @@ def _cmd_run(args) -> int:
     honest = float(args.honest)
     population = dist.with_honest_fraction(honest)
     miners = engine.profiles(population.entries)
-    records = _load_trace(args)
     avoidance = engine.parse_avoidance(args.avoidance)
+    records = _load_trace(args)
     result = engine.run(
         records, miners, params, depth=args.depth, avoidance=avoidance, seed=args.seed
     )
-    print(f"blocks={result.blocks} confirmed_fee={result.confirmed_fee} attacks={result.attacks}")
+    print(
+        f"blocks={result.blocks} confirmed_fee={result.confirmed_fee} attacks={result.attacks}"
+        f" fork_wins={result.fork_wins} fork_losses={result.fork_losses}"
+    )
     if result.attack_branches:
         tags = ", ".join(f"{k}={v}" for k, v in sorted(result.attack_branches.items()))
         print(f"attack branches: {tags}")
@@ -170,24 +164,24 @@ def _cmd_synth(args) -> int:
 def _cmd_check(args) -> int:
     split = strategy.PowerSplit.of(args.bu, args.bh)
     gamma = args.gamma
+    model = strategy.DEPTHS[args.depth]
+    action, branch, tag = model.branches(split, gamma, args.negligible)
+    threshold = model.join_threshold(split)
+    join = 1.0 if gamma < threshold else 0.0
     if args.depth == 1:
-        action, branch, tag = strategy.undercut_branches_d1(split, gamma, args.negligible)
-        returns = strategy.expected_returns_d1(
-            split, gamma, delta=split.rational * strategy.rational_join_d1(split, gamma)
-        )
-        print(f"depth=1 bu={args.bu} bh={args.bh} gamma={gamma}")
-        print(f"decision: {action}" + (f" (branch {branch}) [{tag}]" if branch else ""))
-        print(
-            "thresholds: limited=%.6g sufficient=%.6g join=%.6g"
-            % (
-                strategy.limited_bound_d1(split),
-                strategy.sufficient_bound_d1(split),
-                strategy.join_threshold_d1(split),
-            )
-        )
-        join = strategy.rational_join_d1(split, gamma)
+        returns = strategy.expected_returns_d1(split, gamma, delta=split.rational * join)
+    else:
+        returns = strategy.expected_returns_d2(split, gamma)
+    print(f"depth={args.depth} bu={args.bu} bh={args.bh} gamma={gamma}")
+    print(f"decision: {action}" + (f" (branch {branch}) [{tag}]" if branch else ""))
+    print(
+        f"thresholds: limited={model.limited_bound(split):.6g} sufficient={model.sufficient_bound(split):.6g}"
+        f" {model.join_label}={threshold:.6g}"
+    )
+    if args.depth == 1:
         canonical = strategy.rational_shift_general(
-            engine.ForkState(1, 1, (), (), split.undercutter, 0.0, 0.0, 0.0),
+            0,
+            split.undercutter,
             split,
             depth=1,
             claimable_main=gamma,
@@ -199,19 +193,6 @@ def _cmd_check(args) -> int:
         print(f"rational join at tie: x={join:g} (grid scan: x={canonical:g})")
         print(f"fork win probability at tie: {win_prob_d1(split.undercutter, split.rational * join):.6g}")
     else:
-        action, branch, tag = strategy.undercut_branches_d2(split, gamma, args.negligible)
-        returns = strategy.expected_returns_d2(split, gamma)
-        print(f"depth=2 bu={args.bu} bh={args.bh} gamma={gamma}")
-        print(f"decision: {action}" + (f" (branch {branch}) [{tag}]" if branch else ""))
-        print(
-            "thresholds: limited=%.6g sufficient=%.6g tie=%.6g"
-            % (
-                strategy.limited_bound_d2(split),
-                strategy.sufficient_bound_d2(split),
-                strategy.tie_threshold_d2(split),
-            )
-        )
-        join = strategy.rational_shift_d2_tie(split, gamma)
         effective = min(split.undercutter + split.rational * join, 1.0)
         point = RacePoint(fork_power=effective, safe_depth=2, lead=0)
         print(f"rational join at tie: x={join:g}")

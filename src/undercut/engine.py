@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,12 +30,10 @@ from .mempool import (
     gamma_ratio,
     selection_key,
 )
-from .probability import chain_rates
 from .strategy import (
+    DEPTHS,
     PowerSplit,
     craft_avoidance_block,
-    rational_join_d1,
-    rational_shift_d2_tie,
     rational_shift_general,
     undercut_decision_d1,
     undercut_decision_d2,
@@ -78,30 +76,21 @@ class MinerProfile:
 
 
 @dataclass(frozen=True)
-class ForkState:
-    """Race snapshot: relative heights, block fees, power and rates."""
-
-    m: int
-    n: int
-    fees_main: tuple[int, ...]
-    fees_fork: tuple[int, ...]
-    fork_power: float
-    shift_delta: float
-    rate_main: float
-    rate_fork: float
-
-
-@dataclass(frozen=True)
 class AvoidancePolicy:
     """How block builders restrain their fee claims.
 
     ``assumed_undercutter`` is the adversary power the defense is sized
-    against; one half is the conservative ceiling.
+    against; one half is the conservative ceiling.  ``factor`` scales the
+    strict mode's claim down and must lie in (0, 1].
     """
 
     mode: str  # "experimental" | "exact" | "strict"
     factor: float = 0.8
     assumed_undercutter: float = 0.5
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.factor <= 1.0:
+            raise ValueError(f"strict factor must lie in (0, 1], got {self.factor}")
 
     def label(self) -> str:
         return f"strict:{self.factor:g}" if self.mode == "strict" else self.mode
@@ -277,23 +266,6 @@ def sample_next_block_time(
     return now + rng.exponential(params.block_interval / worker_power)
 
 
-def fork_state(main: Chain, fork: Chain, powers: dict[str, float], params: ChainParams) -> ForkState:
-    """Assemble the race snapshot the strategy layer reasons over."""
-    base = fork.base_height
-    fork_power = fork.worker_power(powers)
-    rate_main, rate_fork = chain_rates(fork_power, params)
-    return ForkState(
-        m=main.tip.height - base,
-        n=fork.tip.height - base,
-        fees_main=tuple(b.fee_total for b in main.blocks if b.height > base),
-        fees_fork=tuple(b.fee_total for b in fork.blocks if b.height > base),
-        fork_power=fork_power,
-        shift_delta=0.0,
-        rate_main=rate_main,
-        rate_fork=rate_fork,
-    )
-
-
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
@@ -309,7 +281,7 @@ class Simulation:
         avoidance: AvoidancePolicy | None = None,
         seed: int = 0,
     ):
-        if depth not in (1, 2):
+        if depth not in DEPTHS:
             raise ValueError("depth must be 1 or 2")
         total_power = sum(m.power for m in miners)
         if abs(total_power - 1.0) > 1e-9:
@@ -499,10 +471,9 @@ class Simulation:
         pool = ext.view()
         gamma = gamma_ratio(pool, block.fee_total, self.params)
         head_txs = self.ranks.lookup(block.tx_ids)
-        if self.depth == 1:
-            decision = undercut_decision_d1(self.split, gamma, self.params, pool, head_txs)
-        else:
-            decision = undercut_decision_d2(self.split, gamma, self.params, pool, head_txs)
+        # Chosen per call, so a wrapped module global (a profiler's) applies.
+        decide = undercut_decision_d1 if self.depth == 1 else undercut_decision_d2
+        decision = decide(self.split, gamma, self.params, pool, head_txs)
         if decision.action != "undercut":
             return
         self.attacks += 1
@@ -524,45 +495,30 @@ class Simulation:
     def _rational_joins(self, miner_id: str, ext: Chain, mine: Chain, main: Chain, fork: Chain) -> bool:
         """Would this miner move its whole power onto the extended chain?"""
         base = fork.base_height
-        tie_at_one = main.tip.height - base == 1 and fork.tip.height - base == 1
-        if self.depth == 1:
-            if ext is not fork or not tie_at_one:
-                return False
+        if ext is fork and main.tip.height - base == 1 and fork.tip.height - base == 1:
             gamma = gamma_ratio(main.view(), fork.target_fee, self.params)
-            return rational_join_d1(self.split, gamma) == 1.0
-        if ext is fork and tie_at_one:
-            gamma = gamma_ratio(main.view(), fork.target_fee, self.params)
-            return rational_shift_d2_tie(self.split, gamma) == 1.0
+            return gamma < DEPTHS[self.depth].join_threshold(self.split)
         # General state: endpoint evaluation of the shift objective with
         # this miner's own power as the movable mass (all-or-nothing).
+        # At depth 1 every other state has |lead| >= 1.
         lead = ext.tip.height - mine.tip.height
         if abs(lead) >= self.depth:
             return False
-        state = ForkState(
-            m=mine.tip.height - base,
-            n=ext.tip.height - base,
-            fees_main=(),
-            fees_fork=(),
-            fork_power=ext.worker_power(self.powers),
-            shift_delta=0.0,
-            rate_main=0.0,
-            rate_fork=0.0,
-        )
         x = rational_shift_general(
-            state,
+            lead,
+            ext.worker_power(self.powers),
             self.split,
             self.depth,
             claimable_main=claimable_fees(mine.view(), self.params, self.depth + lead),
             claimable_fork=claimable_fees(ext.view(), self.params, self.depth - lead),
-            owned_main=self._owned_after_fork(miner_id, mine),
-            owned_fork=self._owned_after_fork(miner_id, ext),
+            owned_main=self._owned_after_fork(miner_id, mine, base),
+            owned_fork=self._owned_after_fork(miner_id, ext, base),
             grid=1,
             movable=self.powers[miner_id],
         )
         return x >= 1.0
 
-    def _owned_after_fork(self, miner_id: str, chain: Chain) -> int:
-        base = self.fork.base_height if self.fork is not None else chain.base_height
+    def _owned_after_fork(self, miner_id: str, chain: Chain, base: int) -> int:
         return sum(b.fee_total for b in chain.blocks if b.height > base and b.owner == miner_id)
 
     def update_mempool(self, now: float) -> None:

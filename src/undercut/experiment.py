@@ -19,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import AvoidancePolicy, RunResult, profiles, run
+from .engine import AvoidancePolicy, profiles, run
 from .mempool import ChainParams, Transaction
+from .strategy import DEPTHS
 from .trace import PowerDistribution
 
 # Normal-approximation 95% interval; swap the constant for a t quantile
@@ -47,7 +48,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
-        if not self.depths or any(d not in (1, 2) for d in self.depths):
+        if not self.depths or any(d not in DEPTHS for d in self.depths):
             raise ValueError("depths must be drawn from {1, 2}")
         beta_u = self.powers.undercutter_power
         for hf in self.honest_fractions:

@@ -355,26 +355,23 @@ def split_equal_fee(
     raise UnsplittableError(f"cannot split {len(txs)} transactions into {k} parts under the size limit")
 
 
-def claim_partial(pool: MempoolView, target_fee: int, params: ChainParams) -> BandwidthSetResult:
-    """Claim the top of the fee-rate order without exceeding ``target_fee``.
+def claim_partial(txs: Sequence[Transaction], target_fee: int, params: ChainParams) -> BandwidthSetResult:
+    """Claim from ``txs``, in order, without exceeding ``target_fee``.
 
-    Walks transactions best-rate first and stops at the first one whose
-    fee would push the claim past the target; transactions that do not
-    fit the size budget are skipped rather than stopping the walk.
+    A transaction that would burst the fee target or the size budget is
+    skipped and the walk goes on, so a claim can reach around an
+    indivisible wealthy transaction.
     """
     if target_fee < 0:
         raise ValueError("target_fee must be non-negative")
     chosen: list[Transaction] = []
     fee = 0
     room = params.block_size_limit
-    for tx in pool.pending:
-        if tx.size > room:
-            continue
-        if fee + tx.fee > target_fee:
-            break
-        chosen.append(tx)
-        fee += tx.fee
-        room -= tx.size
+    for tx in txs:
+        if tx.size <= room and fee + tx.fee <= target_fee:
+            chosen.append(tx)
+            fee += tx.fee
+            room -= tx.size
     return BandwidthSetResult.from_transactions(chosen)
 
 

@@ -2,16 +2,14 @@
 
 Block discovery is a Poisson process; splitting mining power across
 competing chains thins it into independent Poisson sub-processes whose
-rates are proportional to the power on each chain.  From those rates the
-functions below give the probability that the trailing or leading side
-of a race finishes first.
+rates are proportional to the power on each chain.  The functions below
+give the probability that the trailing or leading side of a race
+finishes first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .mempool import ChainParams
 
 
 class InvalidShiftError(ValueError):
@@ -42,14 +40,6 @@ class RacePoint:
             raise ValueError("safe_depth must be at least 1")
         if abs(self.lead) >= self.safe_depth:
             raise ValueError("|lead| must be smaller than safe_depth")
-
-
-def chain_rates(fork_power: float, params: ChainParams) -> tuple[float, float]:
-    """Per-second block rates (main, fork) given the power on the fork."""
-    if not 0.0 <= fork_power <= 1.0:
-        raise ValueError("fork_power must lie in [0, 1]")
-    interval = params.block_interval
-    return (1.0 - fork_power) / interval, fork_power / interval
 
 
 def win_prob_d1(fork_power: float, shift_delta: float) -> float:

@@ -5,6 +5,8 @@ Three groups of functions:
 * expected-return formulas and the thresholds on the wealth ratio gamma
   (next claimable template vs. the chain head) that make forking the
   head pay better than extending it, for give-up depths 1 and 2;
+  ``DEPTHS`` maps each depth to its limited and sufficient bounds, its
+  rational join threshold and its decision ladder;
 * rational-miner shifting rules: when to move power onto a fork;
 * avoidance crafting: how a miner claims fees so that its own block
   fails every attack condition a conservative adversary could check.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .mempool import (
     EMPTY_TEMPLATE,
@@ -25,6 +27,7 @@ from .mempool import (
     MempoolView,
     Transaction,
     bandwidth_set,
+    claim_partial,
     first_two_sets,
     gamma_ratio,
     split_equal_fee,
@@ -79,12 +82,10 @@ class Decision:
     ``rationale`` tag.
     """
 
-    action: str  # "stay" | "undercut" | "shift"
+    action: str  # "stay" | "undercut"
     branch: int
     rationale: str
     template: BandwidthSetResult | None = None
-    target_chain: int | None = None
-    fraction: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +118,8 @@ def limited_bound_d2(split: PowerSplit) -> float:
 def tie_threshold_d2(split: PowerSplit) -> float:
     """Rational endpoint rule for joining a depth-2 fork in a tie.
 
+    The expected return is a convex quadratic in the shifted fraction, so
+    the optimum is an endpoint; comparing the two reduces to this gamma.
     At one-half attacker power the comparison holds for every gamma, so
     the threshold degenerates to infinity.
     """
@@ -206,6 +209,34 @@ def undercut_branches_d2(
     return "stay", 0, "stay"
 
 
+@dataclass(frozen=True)
+class DepthModel:
+    """The gamma thresholds and the decision ladder of one give-up depth.
+
+    ``join_threshold`` is the tie rule: rational miners join a fork tied
+    at one block when gamma is below it.  ``join_label`` names it in
+    ``undercut-sim check`` output.  ``lone_set_split`` marks a ladder
+    whose attack on a pool of one bandwidth set splits that set in two.
+    """
+
+    limited_bound: Callable[[PowerSplit], float]
+    sufficient_bound: Callable[[PowerSplit], float]
+    join_threshold: Callable[[PowerSplit], float]
+    join_label: str
+    branches: Callable[..., tuple[str, int, str]]
+    lone_set_split: bool
+
+
+DEPTHS = {
+    1: DepthModel(
+        limited_bound_d1, sufficient_bound_d1, join_threshold_d1, "join", undercut_branches_d1, False
+    ),
+    2: DepthModel(
+        limited_bound_d2, sufficient_bound_d2, tie_threshold_d2, "tie", undercut_branches_d2, True
+    ),
+}
+
+
 def one_set_left(pool: MempoolView, params: ChainParams) -> bool:
     """True when removing one bandwidth set leaves only negligible fees."""
     first, second = first_two_sets(pool, params)
@@ -282,23 +313,9 @@ def undercut_decision_d2(
 # ---------------------------------------------------------------------------
 
 
-def rational_join_d1(split: PowerSplit, gamma: float) -> float:
-    """All-or-nothing join rule at a depth-1 tie: 1.0 to join, 0.0 to stay."""
-    return 1.0 if gamma < join_threshold_d1(split) else 0.0
-
-
-def rational_shift_d2_tie(split: PowerSplit, gamma: float) -> float:
-    """All-or-nothing join rule at a depth-2 tie.
-
-    The expected-return curve in the shifted fraction is a quadratic
-    with positive leading coefficient, so the optimum sits at an
-    endpoint; comparing the endpoints reduces to a gamma threshold.
-    """
-    return 1.0 if gamma < tie_threshold_d2(split) else 0.0
-
-
 def rational_shift_general(
-    state,
+    lead: int,
+    fork_power: float,
     split: PowerSplit,
     depth: int,
     claimable_main: float,
@@ -310,8 +327,9 @@ def rational_shift_general(
 ) -> float:
     """Optimal fraction of movable rational power to shift onto the fork.
 
-    ``state`` is any object with ``m``, ``n`` and ``fork_power``
-    attributes, oriented so the deciding miner sits on the main side.
+    ``lead`` is fork height minus main height and ``fork_power`` the
+    power mining the fork, oriented so the deciding miner sits on the
+    main side.
     Claimable fees must already be capped at what fits in the blocks
     each side still needs to win.  The objective weighs fees already
     owned and fees still claimable on each side by rough win
@@ -321,10 +339,8 @@ def rational_shift_general(
     """
     if grid < 1:
         raise ValueError("grid must be positive")
-    lead = state.n - state.m
     if abs(lead) >= depth:
         raise ValueError("race already decided: |lead| >= depth")
-    fork_power = state.fork_power
     if movable is None:
         movable = max(0.0, 1.0 - fork_power - split.honest)
     movable = min(movable, 1.0 - fork_power)
@@ -360,11 +376,8 @@ def rational_shift_general(
 
 def required_gamma(split: PowerSplit, depth: int, negligible: float) -> float:
     """Smallest post-claim gamma that defeats every attack condition."""
-    if depth == 1:
-        bound = max(limited_bound_d1(split), sufficient_bound_d1(split))
-    else:
-        bound = max(limited_bound_d2(split), sufficient_bound_d2(split))
-    return max(bound, negligible)
+    model = DEPTHS[depth]
+    return max(model.limited_bound(split), model.sufficient_bound(split), negligible)
 
 
 def _claim_defeats_attack(
@@ -379,21 +392,6 @@ def _claim_defeats_attack(
     if undercut_decision_d1(split, gamma_after, params, remaining, claim_txs).action != "stay":
         return False
     return undercut_decision_d2(split, gamma_after, params, remaining, claim_txs).action == "stay"
-
-
-def _claim_up_to(txs: Sequence[Transaction], target: float, params: ChainParams) -> list[Transaction]:
-    # greedy by rate, skipping anything that would burst the fee target
-    # or the size limit; unlike mempool.claim_partial this walks past an
-    # indivisible over-target transaction instead of stopping.
-    chosen: list[Transaction] = []
-    fee = 0
-    room = params.block_size_limit
-    for t in txs:
-        if t.size <= room and fee + t.fee <= target:
-            chosen.append(t)
-            fee += t.fee
-            room -= t.size
-    return chosen
 
 
 def craft_avoidance_block(
@@ -423,7 +421,7 @@ def craft_avoidance_block(
     Whatever the mode, the claim never exceeds the bandwidth-set fee,
     and a pool with nothing claimable yields the empty template (wait).
     """
-    if depth not in (1, 2):
+    if depth not in DEPTHS:
         raise ValueError("depth must be 1 or 2")
     if mode not in ("exact", "experimental", "strict"):
         raise ValueError(f"unknown avoidance mode {mode!r}")
@@ -434,11 +432,11 @@ def craft_avoidance_block(
     first_fee, residual = _fee(first_txs), _fee(second_txs)
     if first_fee == 0:
         return EMPTY_TEMPLATE
-    lone = _lone_set(first_fee, residual, params)
+    lone = DEPTHS[depth].lone_set_split and _lone_set(first_fee, residual, params)
 
     if mode == "exact":
         candidates: list[list[Transaction]] = []
-        if depth == 2 and lone:
+        if lone:
             candidates.append(_lightest_part(split_equal_fee(first_txs, 2, params)))
         # prefixes keep the densest transactions, suffixes claim around
         # an indivisible wealthy one; take the richest claim that the
@@ -452,7 +450,7 @@ def craft_avoidance_block(
                 return template
         return EMPTY_TEMPLATE
 
-    if depth == 2 and lone:
+    if lone:
         target = first_fee / 2.0
     else:
         visible = first_fee + residual
@@ -460,4 +458,4 @@ def craft_avoidance_block(
     if mode == "strict":
         target *= strict_factor
     target = min(target, float(first_fee))
-    return BandwidthSetResult.from_transactions(_claim_up_to(first_txs, int(target), params))
+    return claim_partial(first_txs, int(target), params)

@@ -115,6 +115,10 @@ def test_synth_run_sweep_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "m15" in out and "undercutter" in out
+    line = next(line for line in out.splitlines() if line.startswith("blocks="))
+    summary = dict(field.split("=") for field in line.split())
+    assert set(summary) == {"blocks", "confirmed_fee", "attacks", "fork_wins", "fork_losses"}
+    assert int(summary["fork_wins"]) + int(summary["fork_losses"]) <= int(summary["attacks"])
 
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = [
@@ -181,3 +185,12 @@ def test_run_with_powers_file_and_overrides(tmp_path, capsys):
     )
     assert code == 0
     assert "blocks=" in capsys.readouterr().out
+
+
+def test_run_rejects_bad_strict_factor(tmp_path, capsys):
+    trace_path = tmp_path / "t.csv"
+    main(["synth", "--output", str(trace_path), "--rate", "0.02", "--duration", "600"])
+    capsys.readouterr()
+    code = main(["run", "--trace", str(trace_path), "--avoidance", "strict=nan"])
+    assert code == 1
+    assert "strict factor must lie in (0, 1], got nan" in capsys.readouterr().err

@@ -300,6 +300,40 @@ def test_every_miner_works_exactly_one_chain():
     assert result.attacks > 0
 
 
+@st.composite
+def small_runs(draw):
+    """Dust plus a few whales (<= 200 tx), a population, depth and avoidance."""
+
+    def txs(prefix, max_count, fees):
+        row = st.tuples(st.integers(200, 3000), fees, st.integers(0, 30_000))
+        rows = draw(st.lists(row, max_size=max_count))
+        return [tx(f"{prefix}{i}", size, fee, t=float(t)) for i, (size, fee, t) in enumerate(rows)]
+
+    trace = txs("d", 195, st.integers(0, 60)) + txs("w", 5, st.integers(10_000, 2_000_000))
+    dist, _ = preset("bitcoin16")
+    miners = profiles(dist.with_honest_fraction(draw(st.sampled_from((0.0, 0.2, 0.4)))).entries)
+    depth = draw(st.sampled_from((1, 2)))
+    avoidance = parse_avoidance(draw(st.sampled_from(("off", "experimental", "exact"))))
+    return trace, miners, depth, avoidance, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_runs())
+def test_run_invariants_hold_on_random_traces(case):
+    trace, miners, depth, avoidance, seed = case
+    params = ChainParams(block_size_limit=6_000, block_interval=600.0)
+    sim = PartitionCheckedSimulation(
+        trace, miners, params, depth=depth, avoidance=avoidance, seed=seed
+    )
+    result = sim.run()
+    assert sum(result.earnings.values()) == result.confirmed_fee <= result.total_trace_fee
+    confirmed = [i for b in sim.chains[0].blocks for i in b.tx_ids]
+    assert len(confirmed) == len(set(confirmed))
+    assert set(confirmed) <= {t.id for t in trace}
+    assert result.fork_wins + result.fork_losses <= result.attacks
+    assert run(trace, miners, params, depth=depth, avoidance=avoidance, seed=seed) == result
+
+
 def test_all_honest_population_mines_fair_shares():
     dist, params = preset("bitcoin16")
     records = synthesize_trace(
@@ -322,8 +356,12 @@ def test_profiles_and_policy_parsing():
     assert parse_avoidance("strict:0.7").factor == 0.7
     assert AvoidancePolicy("strict", 0.8).label() == "strict:0.8"
     assert AvoidancePolicy("experimental").label() == "experimental"
+    assert parse_avoidance("strict=1").factor == 1.0
     with pytest.raises(ValueError):
         parse_avoidance("sometimes")
+    for bad in ("-1", "0", "nan", "5", "inf"):
+        with pytest.raises(ValueError, match=f"strict factor must lie in \\(0, 1\\], got {bad}"):
+            parse_avoidance(f"strict={bad}")
     with pytest.raises(ValueError):
         MinerProfile("a", 0.5, "lazy")
     with pytest.raises(ValueError):

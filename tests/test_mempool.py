@@ -177,9 +177,9 @@ def test_claim_partial_examples():
     params = ChainParams(block_size_limit=6, block_interval=600)
     pool = pool_of(tx("a", 2, 10), tx("b", 2, 8), tx("c", 2, 4))
     full = bandwidth_set(pool, params)
-    assert claim_partial(pool, full.total_fee, params).total_fee == full.total_fee
-    assert claim_partial(pool, 0, params).tx_ids == ()
-    partial = claim_partial(pool, 13, params)
+    assert claim_partial(pool.pending, full.total_fee, params).total_fee == full.total_fee
+    assert claim_partial(pool.pending, 0, params).tx_ids == ()
+    partial = claim_partial(pool.pending, 13, params)
     assert partial.tx_ids == ("a",) and partial.total_fee == 10
 
 
@@ -188,7 +188,7 @@ def test_claim_partial_never_exceeds_target():
     for _ in range(100):
         pool, params = random_pool(rng)
         target = int(rng.integers(0, 80))
-        claim = claim_partial(pool, target, params)
+        claim = claim_partial(pool.pending, target, params)
         assert claim.total_fee <= target
         assert claim.total_size <= params.block_size_limit
 

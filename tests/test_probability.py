@@ -3,28 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from undercut.mempool import ChainParams
 from undercut.probability import (
     InvalidShiftError,
     RacePoint,
-    chain_rates,
     deep_catchup_bound,
     win_prob_d1,
     win_prob_series,
     win_prob_series_truncated,
 )
-
-
-def test_chain_rates_formula():
-    params = ChainParams(block_size_limit=1, block_interval=600.0)
-    main, fork = chain_rates(0.3, params)
-    assert main == pytest.approx(0.7 / 600)
-    assert fork == pytest.approx(0.3 / 600)
-    assert main + fork == pytest.approx(1 / 600)
-    assert chain_rates(0.0, params)[1] == 0.0
-    assert chain_rates(1.0, params)[0] == 0.0
-    with pytest.raises(ValueError):
-        chain_rates(1.5, params)
 
 
 def test_win_prob_d1():
@@ -96,10 +82,9 @@ def test_deep_catchup_bound():
 def test_monte_carlo_race_matches_d1_probability():
     rng = np.random.default_rng(123)
     interval = 600.0
-    params = ChainParams(block_size_limit=1, block_interval=interval)
     for fork_power, shift in [(0.2, 0.0), (0.3, 0.1)]:
         effective = fork_power + shift
-        main_rate, fork_rate = chain_rates(effective, params)
+        main_rate, fork_rate = (1 - effective) / interval, effective / interval
         n = 100_000
         fork_times = rng.exponential(1 / fork_rate, n)
         main_times = rng.exponential(1 / main_rate, n)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from undercut.engine import ForkState
 from undercut.mempool import ChainParams, MempoolView, bandwidth_set, gamma_ratio
 from undercut.strategy import (
+    DEPTHS,
     DegenerateRaceError,
     PowerSplit,
     craft_avoidance_block,
@@ -15,9 +15,8 @@ from undercut.strategy import (
     limited_bound_d1,
     limited_bound_d2,
     one_set_left,
-    rational_join_d1,
-    rational_shift_d2_tie,
     rational_shift_general,
+    required_gamma,
     sufficient_bound_d1,
     sufficient_bound_d2,
     tie_threshold_d2,
@@ -118,16 +117,33 @@ def test_undercut_decision_templates():
 
 
 def test_rational_join_d1_examples():
-    assert rational_join_d1(split_of(0.176, 0.5), 0.5) == 1.0
-    assert rational_join_d1(split_of(0.2, 0.3), 0.0) == 1.0
+    assert 0.5 < join_threshold_d1(split_of(0.176, 0.5))
+    assert 0.0 < join_threshold_d1(split_of(0.2, 0.3))
     weak_honest = split_of(0.3, 0.1)
-    assert rational_join_d1(weak_honest, limited_bound_d1(weak_honest)) == 0.0
+    assert not limited_bound_d1(weak_honest) < join_threshold_d1(weak_honest)
 
 
 def test_rational_shift_d2_tie_examples():
-    assert rational_shift_d2_tie(split_of(0.5, 0.2), 100.0) == 1.0
-    assert rational_shift_d2_tie(split_of(0.3, 0.5), 0.9) == 0.0
-    assert rational_shift_d2_tie(split_of(0.3, 0.5), 0.0) == 1.0
+    assert 100.0 < tie_threshold_d2(split_of(0.5, 0.2))
+    assert not 0.9 < tie_threshold_d2(split_of(0.3, 0.5))
+    assert 0.0 < tie_threshold_d2(split_of(0.3, 0.5))
+
+
+def test_depth_table_holds_each_depths_model():
+    split = split_of(0.3, 0.2)
+    for depth, (limited, sufficient, join, label) in {
+        1: (limited_bound_d1, sufficient_bound_d1, join_threshold_d1, "join"),
+        2: (limited_bound_d2, sufficient_bound_d2, tie_threshold_d2, "tie"),
+    }.items():
+        model = DEPTHS[depth]
+        assert model.limited_bound(split) == limited(split)
+        assert model.sufficient_bound(split) == sufficient(split)
+        assert model.join_threshold(split) == join(split)
+        assert model.join_label == label
+        assert required_gamma(split, depth, 0.01) == max(limited(split), sufficient(split), 0.01)
+    assert DEPTHS[1].branches(split, 0.1, 0.01) == undercut_branches_d1(split, 0.1, 0.01)
+    assert DEPTHS[2].branches(split, 0.1, 0.01) == undercut_branches_d2(split, 0.1, 0.01)
+    assert not DEPTHS[1].lone_set_split and DEPTHS[2].lone_set_split
 
 
 def _tie_objective_endpoint(split, gamma, x):
@@ -151,10 +167,10 @@ def test_tie_rule_matches_endpoint_objective():
         bh = float(rng.uniform(0.0, 1.0 - bu - 0.05))
         gamma = float(rng.uniform(0.0, 1.2))
         split = split_of(bu, bh)
-        expected = 1.0 if _tie_objective_endpoint(split, gamma, 0.0) < _tie_objective_endpoint(
+        expected = _tie_objective_endpoint(split, gamma, 0.0) < _tie_objective_endpoint(
             split, gamma, 1.0
-        ) else 0.0
-        assert rational_shift_d2_tie(split, gamma) == expected
+        )
+        assert (gamma < tie_threshold_d2(split)) == expected
 
 
 def test_decision_matches_return_formulas_d1():
@@ -167,17 +183,16 @@ def test_decision_matches_return_formulas_d1():
         gamma = float(rng.uniform(0.0, 1.2))
         split = split_of(bu, bh)
         action, _, _ = undercut_branches_d1(split, gamma, 0.01)
-        delta = split.rational * rational_join_d1(split, gamma)
+        delta = split.rational if gamma < join_threshold_d1(split) else 0.0
         estimate = expected_returns_d1(split, gamma, delta)
         assert (action == "undercut") == (estimate.attack_return > estimate.baseline_return)
 
 
 def test_shift_general_trivial_and_dominant_cases():
-    state = ForkState(1, 1, (), (), 0.3, 0.0, 0.0, 0.0)
     split = split_of(0.3, 0.2)
-    assert rational_shift_general(state, split, 2, 0, 0, 0, 0, grid=3) == 0.0
+    assert rational_shift_general(0, 0.3, split, 2, 0, 0, 0, 0, grid=3) == 0.0
     assert (
-        rational_shift_general(state, split, 2, 10.0, 10.0, 0.0, 500.0, grid=3) == 1.0
+        rational_shift_general(0, 0.3, split, 2, 10.0, 10.0, 0.0, 500.0, grid=3) == 1.0
     )
 
 
@@ -188,9 +203,9 @@ def test_shift_general_reduces_to_join_rule_at_depth_one():
         bh = float(rng.uniform(0.01, 1.0 - bu - 0.02))
         gamma = float(rng.uniform(0.0, 1.2))
         split = split_of(bu, bh)
-        state = ForkState(1, 1, (), (), bu, 0.0, 0.0, 0.0)
         x = rational_shift_general(
-            state,
+            0,
+            bu,
             split,
             1,
             claimable_main=gamma,
@@ -200,7 +215,7 @@ def test_shift_general_reduces_to_join_rule_at_depth_one():
             grid=100,
         )
         assert x in (0.0, 1.0)
-        assert x == rational_join_d1(split, gamma)
+        assert x == (1.0 if gamma < join_threshold_d1(split) else 0.0)
 
 
 def test_one_set_left():
