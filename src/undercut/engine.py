@@ -1,12 +1,12 @@
 """Event-driven simulation of fee-based mining with an undercutting miner.
 
 One run replays a transaction trace through a population of honest,
-rational and undercutting miners.  Each event is a block discovery: the
-chain with the earliest sampled discovery time extends, a worker on it
-is drawn by power, the block template follows the owner's strategy, and
-every miner then re-evaluates which chain to work on.  Competing chains
-die once the leader is the give-up depth ahead of them, and earnings
-settle from the blocks of the single surviving chain.
+rational and undercutting miners on one main chain and at most one fork.
+Each event is a block discovery: the chain with the earlier sampled
+discovery time extends, a worker on it is drawn by power, the block
+template follows the owner's strategy, and every miner then re-evaluates
+which chain to work on.  A race ends once one side leads by the give-up
+depth, and earnings settle from the blocks of the main chain.
 
 Runs are deterministic per seed; independent runs share nothing mutable.
 """
@@ -173,7 +173,6 @@ class Chain:
     """
 
     __slots__ = (
-        "seq",
         "blocks",
         "ranks",
         "pending",
@@ -184,8 +183,7 @@ class Chain:
         "target_fee",
     )
 
-    def __init__(self, seq: int, blocks: list[Block], workers: set[str], ranks: RankTable):
-        self.seq = seq
+    def __init__(self, blocks: list[Block], workers: set[str], ranks: RankTable):
         self.blocks = blocks
         self.ranks = ranks
         self.pending = np.zeros(len(ranks.txs), dtype=bool)
@@ -205,9 +203,6 @@ class Chain:
     def remove_pending(self, tx_ids: Iterable[str]) -> None:
         self.pending[self.ranks.ranks_of(tx_ids)] = False
 
-    def holds(self, tx_id: str) -> bool:
-        return bool(self.pending[self.ranks.rank[tx_id]])
-
     def view(self) -> MempoolView:
         txs = self.ranks.txs[np.flatnonzero(self.pending)]
         return MempoolView(pending=tuple(txs.tolist()), presorted=True, size_floor=self.ranks.size_floor)
@@ -221,19 +216,12 @@ class Chain:
 # ---------------------------------------------------------------------------
 
 
-def next_chain_to_extend(chains: Sequence[Chain]) -> Chain:
-    """The chain whose next block comes first; older chain wins ties."""
-    best = None
-    for chain in chains:
-        if chain.next_time == math.inf:
-            continue
-        if best is None or chain.next_time < best.next_time:
-            best = chain
-        elif chain.next_time == best.next_time and chain.seq < best.seq:
-            best = chain
-    if best is None:
+def next_chain_to_extend(main: Chain, fork: Chain | None) -> Chain:
+    """The chain whose next block comes first; the main chain wins ties."""
+    chain = fork if fork is not None and fork.next_time < main.next_time else main
+    if chain.next_time == math.inf:
         raise StalledSimulationError("no chain with mining power can extend")
-    return best
+    return chain
 
 
 def select_next_block_miner(chain: Chain, powers: dict[str, float], rng: np.random.Generator) -> str:
@@ -272,6 +260,8 @@ def sample_next_block_time(
 
 
 class Simulation:
+    """One seeded run: ``main``, and ``fork`` while a race is live; a winning fork becomes ``main``."""
+
     def __init__(
         self,
         trace: Sequence[Transaction],
@@ -308,11 +298,8 @@ class Simulation:
 
         t0 = self.trace[0].arrival_time if self.trace else 0.0
         genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=t0, height=0)
-        main = Chain(seq=0, blocks=[genesis], workers={m.id for m in miners}, ranks=self.ranks)
-        self.chains: list[Chain] = [main]
-        self.chain_seq = 1
+        self.main = Chain(blocks=[genesis], workers={m.id for m in miners}, ranks=self.ranks)
         self.fork: Chain | None = None
-        self.clock = t0
         self.attacks = 0
         self.attack_branches: Counter[str] = Counter()
         self.fork_wins = 0
@@ -324,7 +311,7 @@ class Simulation:
 
     def run(self) -> RunResult:
         while not self._drained():
-            chain = next_chain_to_extend(self.chains)
+            chain = next_chain_to_extend(self.main, self.fork)
             now = chain.next_time
             miner_id = select_next_block_miner(chain, self.powers, self.rng)
             block = self.publish_block(miner_id, chain, now)
@@ -335,14 +322,13 @@ class Simulation:
             # are cut from the pool of the previous event.
             self.update_mempool(now)
             self.update_miners(chain, block)
-            self.clock = now
             self._resample(now)
         return self._settle()
 
     def _drained(self) -> bool:
-        if self.next_arrival < len(self.trace) or len(self.chains) > 1:
+        if self.next_arrival < len(self.trace) or self.fork is not None:
             return False
-        chain = self.chains[0]
+        chain = self.main
         claimable = bandwidth_set(chain.view(), self.params).total_fee
         if claimable == 0:
             return True
@@ -354,7 +340,7 @@ class Simulation:
         return self.stagnant_blocks >= STAGNATION_LIMIT
 
     def _settle(self) -> RunResult:
-        terminal = self.chains[0]
+        terminal = self.main
         earnings = {mid: 0 for mid in self.miners}
         confirmed = 0
         for block in terminal.blocks:
@@ -373,6 +359,11 @@ class Simulation:
             seed=self.seed,
         )
 
+    @property
+    def chains(self) -> tuple[Chain, ...]:
+        """The live chains, main first."""
+        return (self.main,) if self.fork is None else (self.main, self.fork)
+
     # -- per-event steps ----------------------------------------------------
 
     def publish_block(self, miner_id: str, chain: Chain, now: float) -> Block:
@@ -380,9 +371,6 @@ class Simulation:
         if chain is self.fork and chain.committed is not None:
             template = chain.committed
             chain.committed = None
-            kept = [i for i in template.tx_ids if chain.holds(i)]
-            if len(kept) != len(template.tx_ids):
-                template = BandwidthSetResult.from_transactions(self.ranks.lookup(kept))
         elif self.avoidance is not None:
             template = craft_avoidance_block(
                 chain.view(),
@@ -404,26 +392,26 @@ class Simulation:
             height=chain.tip.height + 1,
         )
         chain.remove_pending(template.tx_ids)
-        if self.next_arrival >= len(self.trace) and len(self.chains) == 1:
+        if self.next_arrival >= len(self.trace) and self.fork is None:
             self.stagnant_blocks = self.stagnant_blocks + 1 if block.fee_total == 0 else 0
         return block
 
     def update_chains(self, ext: Chain, block: Block) -> None:
-        """Append the block and drop chains the leader has outrun."""
+        """Append the block and end the race once one side leads by the depth."""
         ext.blocks.append(block)
-        survivors = []
-        for chain in self.chains:
-            if chain is ext or ext.tip.height - chain.tip.height < self.depth:
-                survivors.append(chain)
-                continue
-            ext.workers |= chain.workers
-            if chain is self.fork:
-                self.fork_losses += 1
-                self.fork = None
-            elif self.fork is ext:
-                self.fork_wins += 1
-                self.fork = None
-        self.chains = survivors
+        fork = self.fork
+        if fork is None:
+            return
+        other = self.main if ext is fork else fork
+        if ext.tip.height - other.tip.height < self.depth:
+            return
+        ext.workers |= other.workers
+        if ext is fork:
+            self.fork_wins += 1
+            self.main = fork
+        else:
+            self.fork_losses += 1
+        self.fork = None
 
     def update_miners(self, ext: Chain, block: Block) -> None:
         """Re-evaluate every miner's working chain after a block event."""
@@ -437,13 +425,12 @@ class Simulation:
         ):
             self._consider_attack(ext, block)
 
-        if self.fork is None or len(self.chains) < 2:
-            return
         fork = self.fork
-        main = next(c for c in self.chains if c is not fork)
+        if fork is None:
+            return
 
         # Honest miners: longest chain, first-seen on ties.
-        other = main if ext is fork else fork
+        other = self.main if ext is fork else fork
         movers = [
             w
             for w in sorted(other.workers)
@@ -463,7 +450,7 @@ class Simulation:
             key=lambda w: (-self.powers[w], w),
         )
         for mid in candidates:
-            if self._rational_joins(mid, ext, other, main, fork):
+            if self._rational_joins(mid, ext, other):
                 other.workers.discard(mid)
                 ext.workers.add(mid)
 
@@ -478,10 +465,7 @@ class Simulation:
             return
         self.attacks += 1
         self.attack_branches[decision.rationale] += 1
-        fork = Chain(
-            seq=self.chain_seq, blocks=ext.blocks[:-1].copy(), workers={self.undercutter_id}, ranks=self.ranks
-        )
-        self.chain_seq += 1
+        fork = Chain(blocks=ext.blocks[:-1].copy(), workers={self.undercutter_id}, ranks=self.ranks)
         fork.base_height = block.height - 1
         fork.target_fee = block.fee_total
         fork.pending = ext.pending.copy()
@@ -490,20 +474,17 @@ class Simulation:
         fork.committed = decision.template
         ext.workers.discard(self.undercutter_id)
         self.fork = fork
-        self.chains.append(fork)
 
-    def _rational_joins(self, miner_id: str, ext: Chain, mine: Chain, main: Chain, fork: Chain) -> bool:
+    def _rational_joins(self, miner_id: str, ext: Chain, mine: Chain) -> bool:
         """Would this miner move its whole power onto the extended chain?"""
+        main, fork = self.main, self.fork
         base = fork.base_height
         if ext is fork and main.tip.height - base == 1 and fork.tip.height - base == 1:
             gamma = gamma_ratio(main.view(), fork.target_fee, self.params)
             return gamma < DEPTHS[self.depth].join_threshold(self.split)
         # General state: endpoint evaluation of the shift objective with
         # this miner's own power as the movable mass (all-or-nothing).
-        # At depth 1 every other state has |lead| >= 1.
         lead = ext.tip.height - mine.tip.height
-        if abs(lead) >= self.depth:
-            return False
         x = rational_shift_general(
             lead,
             ext.worker_power(self.powers),

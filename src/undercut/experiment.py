@@ -95,12 +95,6 @@ class CellResult:
 class ExperimentSummary:
     cells: tuple[CellResult, ...]
 
-    def cell(self, depth: int, honest_fraction: float) -> CellResult:
-        for c in self.cells:
-            if c.depth == depth and abs(c.honest_fraction - honest_fraction) < 1e-12:
-                return c
-        raise KeyError((depth, honest_fraction))
-
 
 def derive_seed(base_seed: int, cell_index: int, repetition: int) -> int:
     """Pure seed derivation; the whole sweep is reproducible from it."""

@@ -98,7 +98,6 @@ class MempoolView:
     """
 
     pending: tuple[Transaction, ...] = ()
-    consumed_ids: frozenset[str] = field(default_factory=frozenset)
     presorted: InitVar[bool] = False
     size_floor: int = field(default=1, compare=False)
 
@@ -112,13 +111,6 @@ class MempoolView:
         ids = [tx.id for tx in pending]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate transaction ids in pending set")
-        overlap = set(ids) & self.consumed_ids
-        if overlap:
-            raise ValueError(f"transactions both pending and consumed: {sorted(overlap)[:3]}")
-
-    @property
-    def fee_total(self) -> int:
-        return sum(tx.fee for tx in self.pending)
 
     def ids(self) -> frozenset[str]:
         return frozenset(tx.id for tx in self.pending)
@@ -128,7 +120,6 @@ class MempoolView:
         gone = frozenset(tx_ids)
         return MempoolView(
             pending=tuple(tx for tx in self.pending if tx.id not in gone),
-            consumed_ids=self.consumed_ids | gone,
             presorted=True,
             size_floor=self.size_floor,
         )

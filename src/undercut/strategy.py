@@ -187,21 +187,14 @@ def undercut_branches_d1(split: PowerSplit, gamma: float, negligible: float) -> 
     return "stay", 0, "stay"
 
 
-def undercut_branches_d2(
-    split: PowerSplit, gamma: float, negligible: float, lone_set: bool = False
-) -> tuple[str, int, str]:
-    """Depth-2 decision ladder: (action, branch, tag).
+def undercut_branches_d2(split: PowerSplit, gamma: float, negligible: float) -> tuple[str, int, str]:
+    """Depth-2 decision ladder on gamma alone: (action, branch, tag).
 
-    ``lone_set`` flags a pool that holds exactly one non-negligible
-    bandwidth set; the attack template then splits that set rather than
-    claiming it whole.  The branch still requires the attack to pay with
-    respect to the head, i.e. gamma below one of the profit bounds.
+    Branch 2 (lone set) is not a gamma condition: ``undercut_decision_d2``
+    relabels an attack at branch 3 or 4 when the pool holds one set.
     """
     if gamma <= negligible:
         return "undercut", 1, "negligible-mempool"
-    profitable = gamma < max(limited_bound_d2(split), sufficient_bound_d2(split))
-    if lone_set and profitable:
-        return "undercut", 2, "lone-set"
     if gamma < limited_bound_d2(split):
         return "undercut", 3, "limited-mempool"
     if gamma < sufficient_bound_d2(split):
@@ -223,7 +216,7 @@ class DepthModel:
     sufficient_bound: Callable[[PowerSplit], float]
     join_threshold: Callable[[PowerSplit], float]
     join_label: str
-    branches: Callable[..., tuple[str, int, str]]
+    branches: Callable[[PowerSplit, float, float], tuple[str, int, str]]
     lone_set_split: bool
 
 
@@ -288,17 +281,20 @@ def undercut_decision_d2(
     pool: MempoolView,
     head: Sequence[Transaction],
 ) -> Decision:
-    """Whether and how to fork the current head at give-up depth 2."""
-    action, branch, tag = undercut_branches_d2(
-        split, gamma, params.negligible_fee_threshold, lone_set=one_set_left(pool, params)
-    )
+    """Whether and how to fork the current head at give-up depth 2.
+
+    On a pool of one non-negligible bandwidth set, an attack past the
+    negligible branch is the lone-set branch and splits that set in two.
+    """
+    action, branch, tag = undercut_branches_d2(split, gamma, params.negligible_fee_threshold)
     if action == "stay":
         return Decision("stay", 0, tag)
     if branch == 1:
         template = BandwidthSetResult.from_transactions(
             _lightest_part(split_equal_fee(head, 3, params))
         )
-    elif branch == 2:
+    elif one_set_left(pool, params):
+        branch, tag = 2, "lone-set"
         first_txs, _ = first_two_sets(pool, params)
         template = BandwidthSetResult.from_transactions(
             _lightest_part(split_equal_fee(first_txs, 2, params))

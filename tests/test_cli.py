@@ -97,6 +97,12 @@ def test_synth_run_sweep_pipeline(tmp_path, capsys):
     records = load_trace(trace_path)
     assert records and all(t.size > 0 for t in records)
 
+    fixed_path = tmp_path / "fixed.csv"
+    fixed = ["--size-dist", "fixed", "--size-args", "900"]
+    assert main(["synth", "--output", str(fixed_path), "--rate", "0.05", "--duration", "2000"] + fixed) == 0
+    fixed_records = load_trace(fixed_path)
+    assert fixed_records and {t.size for t in fixed_records} == {900}
+
     code = main(
         [
             "run",

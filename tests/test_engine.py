@@ -32,9 +32,9 @@ def two_miners():
     return profiles((("u", 0.3, "undercutter"), ("h", 0.7, "honest")))
 
 
-def make_chain(seq, height, workers, t=math.inf):
+def make_chain(height, workers, t=math.inf):
     genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=0.0, height=0)
-    chain = Chain(seq=seq, blocks=[genesis], workers=set(workers), ranks=RankTable(()))
+    chain = Chain(blocks=[genesis], workers=set(workers), ranks=RankTable(()))
     for h in range(1, height + 1):
         chain.blocks.append(
             Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=float(h), height=h)
@@ -47,29 +47,29 @@ def make_chain(seq, height, workers, t=math.inf):
 
 
 def test_next_chain_argmin_and_ties():
-    a = make_chain(0, 1, {"x"}, t=600.0)
-    b = make_chain(1, 1, {"y"}, t=432.1)
-    assert next_chain_to_extend([a, b]) is b
+    a = make_chain(1, {"x"}, t=600.0)
+    b = make_chain(1, {"y"}, t=432.1)
+    assert next_chain_to_extend(a, b) is b
     b.next_time = 600.0
-    assert next_chain_to_extend([a, b]) is a  # older chain wins ties
-    assert next_chain_to_extend([a]) is a
+    assert next_chain_to_extend(a, b) is a  # the main chain wins ties
+    assert next_chain_to_extend(a, None) is a
     a.next_time = b.next_time = math.inf
     with pytest.raises(StalledSimulationError):
-        next_chain_to_extend([a, b])
+        next_chain_to_extend(a, b)
 
 
 def test_select_next_block_miner_weighted():
     rng = np.random.default_rng(42)
-    chain = make_chain(0, 0, {"a", "b"})
+    chain = make_chain(0, {"a", "b"})
     powers = {"a": 0.3, "b": 0.1}
     draws = [select_next_block_miner(chain, powers, rng) for _ in range(100_000)]
     freq = draws.count("a") / len(draws)
     assert abs(freq - 0.75) < 0.005
 
-    solo = make_chain(0, 0, {"a"})
+    solo = make_chain(0, {"a"})
     assert select_next_block_miner(solo, {"a": 1.0}, rng) == "a"
 
-    with_zero = make_chain(0, 0, {"a", "z"})
+    with_zero = make_chain(0, {"a", "z"})
     powers = {"a": 0.4, "z": 0.0}
     assert all(
         select_next_block_miner(with_zero, powers, rng) == "a" for _ in range(2000)
@@ -97,11 +97,10 @@ def test_sample_next_block_time_thinning():
 def drive_update(depth, main_height, fork_height):
     sim = Simulation([], two_miners(), PARAMS, depth=depth)
     main = sim.chains[0]
-    main.blocks = make_chain(0, main_height, set()).blocks[:-1]
-    fork = make_chain(1, fork_height, {"u"})
+    main.blocks = make_chain(main_height, set()).blocks[:-1]
+    fork = make_chain(fork_height, {"u"})
     fork.base_height = 0
     sim.fork = fork
-    sim.chains = [main, fork]
     main.workers = {"h"}
     block = Block(
         owner="h", tx_ids=(), fee_total=0, size_total=0, creation_time=9.0, height=main_height
@@ -123,12 +122,11 @@ def test_update_chains_fork_win():
     sim = Simulation([], two_miners(), PARAMS, depth=1)
     main = sim.chains[0]
     main.workers = {"h"}
-    fork = make_chain(1, 1, {"u"})
+    fork = make_chain(1, {"u"})
     sim.fork = fork
-    sim.chains = [main, fork]
     block = Block(owner="u", tx_ids=(), fee_total=0, size_total=0, creation_time=2.0, height=1)
     sim.update_chains(fork, block)
-    assert sim.chains == [fork] and sim.fork is None and sim.fork_wins == 1
+    assert sim.chains == (fork,) and sim.main is fork and sim.fork is None and sim.fork_wins == 1
     assert fork.workers == {"h", "u"}
 
 
@@ -136,10 +134,9 @@ def test_honest_miners_follow_longest_chain_first_seen_ties():
     sim = Simulation([], two_miners(), PARAMS, depth=2)
     main = sim.chains[0]
     main.workers = {"h"}
-    main.blocks = make_chain(0, 1, set()).blocks
-    fork = make_chain(1, 1, {"u"})
+    main.blocks = make_chain(1, set()).blocks
+    fork = make_chain(1, {"u"})
     sim.fork = fork
-    sim.chains = [main, fork]
 
     tie_block = fork.tip
     sim.update_miners(fork, tie_block)  # tie: honest stays on first-seen chain
@@ -169,7 +166,7 @@ def test_chain_pool_matches_a_sorted_model(history):
     # transactions it confirmed (the head block it undercuts).
     txs, ops = history
     ranks = RankTable(txs)
-    chains = [Chain(seq=0, blocks=[], workers=set(), ranks=ranks)]
+    chains = [Chain(blocks=[], workers=set(), ranks=ranks)]
     pending, confirmed = [set()], [set()]
     arrived = 0
     for op, pick in ops:
@@ -186,7 +183,7 @@ def test_chain_pool_matches_a_sorted_model(history):
             confirmed[k] |= set(gone)
         elif op == "fork":
             head = [t for i, t in enumerate(sorted(confirmed[k], key=selection_key)) if pick >> i & 1]
-            fork = Chain(seq=len(chains), blocks=[], workers=set(), ranks=ranks)
+            fork = Chain(blocks=[], workers=set(), ranks=ranks)
             fork.pending = chains[k].pending.copy()
             for t in head:
                 fork.add_pending(t)
@@ -252,6 +249,8 @@ def test_zero_fee_trace_earns_nothing():
 def test_empty_trace_is_valid():
     result = run([], two_miners(), PARAMS, seed=3)
     assert result.blocks == 0 and result.confirmed_fee == 0
+    with pytest.raises(ValueError, match="duplicate transaction ids"):
+        run([tx("a", 1, 1, t=0.0), tx("a", 2, 2, t=1.0)], two_miners(), PARAMS, seed=3)
 
 
 def test_seed_determinism_and_divergence():
@@ -288,6 +287,14 @@ class PartitionCheckedSimulation(Simulation):
             assert not (chain.workers & seen), "miner on two chains"
             seen |= chain.workers
         assert seen == set(self.miners), "miner lost from every chain"
+        fork = self.fork
+        if fork is not None:
+            assert fork is not self.main
+            # A race ends once one side leads by the depth; only a fork
+            # created at this event, with no block of its own, trails by one.
+            lead = fork.tip.height - self.main.tip.height
+            fresh = fork.tip.height == fork.base_height
+            assert -self.depth < lead < self.depth or (fresh and lead == -1), "race outlived its depth"
         super()._resample(now)
 
 
@@ -357,6 +364,7 @@ def test_profiles_and_policy_parsing():
     assert AvoidancePolicy("strict", 0.8).label() == "strict:0.8"
     assert AvoidancePolicy("experimental").label() == "experimental"
     assert parse_avoidance("strict=1").factor == 1.0
+    assert parse_avoidance("strict") == AvoidancePolicy(mode="strict", factor=0.8)
     with pytest.raises(ValueError):
         parse_avoidance("sometimes")
     for bad in ("-1", "0", "nan", "5", "inf"):

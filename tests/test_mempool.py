@@ -41,8 +41,6 @@ def test_mempool_view_rejects_overlap_and_duplicates():
     a = tx("a", 1, 1)
     with pytest.raises(ValueError):
         MempoolView(pending=(a, tx("a", 2, 2)))
-    with pytest.raises(ValueError):
-        MempoolView(pending=(a,), consumed_ids=frozenset({"a"}))
 
 
 def test_mempool_view_orders_by_fee_rate_then_fee_then_id():

@@ -114,6 +114,20 @@ def test_undercut_decision_templates():
     d = undercut_decision_d2(split_of(0.45, 0.1), gamma, params, lone_pool, head)
     assert d.branch == 2 and d.rationale == "lone-set"
     assert d.template.total_fee == 6  # half of the only set left
+    # gamma 0.6 sits at branch 4 on the ladder; a lone set relabels it too
+    d = undercut_decision_d2(split_of(0.45, 0.1), 0.6, params, lone_pool, head)
+    assert (d.branch, d.rationale, d.template.total_fee) == (2, "lone-set", 6)
+
+    # two non-negligible sets: branches 3 and 4 claim the bandwidth set
+    two_sets = pool_of(*(tx(f"s{i}", 5, 10 - i) for i in range(4)))
+    assert not one_set_left(two_sets, params)
+    for split, gamma, branch, tag in (
+        (split_of(0.3, 0.2), 0.05, 3, "limited-mempool"),
+        (split_of(0.45, 0.1), 0.6, 4, "sufficient-mempool"),
+    ):
+        d = undercut_decision_d2(split, gamma, params, two_sets, head)
+        assert (d.action, d.branch, d.rationale) == ("undercut", branch, tag)
+        assert d.template == bandwidth_set(two_sets, params)
 
 
 def test_rational_join_d1_examples():
@@ -194,6 +208,11 @@ def test_shift_general_trivial_and_dominant_cases():
     assert (
         rational_shift_general(0, 0.3, split, 2, 10.0, 10.0, 0.0, 500.0, grid=3) == 1.0
     )
+    with pytest.raises(ValueError, match="grid"):
+        rational_shift_general(0, 0.3, split, 2, 0, 0, 0, 0, grid=0)
+    for lead, depth in ((1, 1), (-1, 1), (2, 2), (-2, 2)):
+        with pytest.raises(ValueError, match="race already decided"):
+            rational_shift_general(lead, 0.3, split, depth, 0, 0, 0, 0)
 
 
 def test_shift_general_reduces_to_join_rule_at_depth_one():
@@ -229,6 +248,10 @@ def test_craft_avoidance_wait_on_empty_pool(params):
     assert craft_avoidance_block(pool_of(), params).total_fee == 0
     zero = pool_of(tx("a", 1, 0))
     assert craft_avoidance_block(zero, params).total_fee == 0
+    with pytest.raises(ValueError, match="unknown avoidance mode"):
+        craft_avoidance_block(zero, params, mode="bogus")
+    with pytest.raises(ValueError, match="depth"):
+        craft_avoidance_block(zero, params, depth=3)
 
 
 def test_craft_avoidance_lone_set_halves():

@@ -86,6 +86,8 @@ def test_synthesize_trace_properties():
     assert a == b
     assert all(t1.arrival_time <= t2.arrival_time for t1, t2 in zip(a, a[1:]))
     assert all(t.size > 0 and t.fee >= 0 for t in a)
+    fixed = synthesize_trace(rate=0.5, duration=500.0, seed=9, size_dist="fixed", size_args=(750,))
+    assert fixed and {t.size for t in fixed} == {750}
 
 
 def test_synthesized_interarrivals_are_exponential():
