@@ -45,7 +45,6 @@ from .probability import (
     win_prob_series_truncated,
 )
 from .strategy import (
-    Decision,
     DegenerateRaceError,
     PowerSplit,
     ReturnEstimate,

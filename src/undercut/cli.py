@@ -162,6 +162,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.grid < 1:
+        raise ValueError("grid must be positive")
     split = strategy.PowerSplit.of(args.bu, args.bh)
     gamma = args.gamma
     model = strategy.DEPTHS[args.depth]

@@ -37,6 +37,7 @@ from .strategy import (
     rational_shift_general,
     undercut_decision_d1,
     undercut_decision_d2,
+    undercut_template,
 )
 
 # Consecutive zero-fee blocks after the trace is consumed before a run
@@ -79,14 +80,12 @@ class MinerProfile:
 class AvoidancePolicy:
     """How block builders restrain their fee claims.
 
-    ``assumed_undercutter`` is the adversary power the defense is sized
-    against; one half is the conservative ceiling.  ``factor`` scales the
-    strict mode's claim down and must lie in (0, 1].
+    ``factor`` scales the strict mode's claim down and must lie in
+    (0, 1].  The assumed adversary is ``strategy.AVOIDANCE_ADVERSARY_POWER``.
     """
 
     mode: str  # "experimental" | "exact" | "strict"
     factor: float = 0.8
-    assumed_undercutter: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.factor <= 1.0:
@@ -376,7 +375,6 @@ class Simulation:
                 chain.view(),
                 self.params,
                 depth=self.depth,
-                assumed_undercutter_power=self.avoidance.assumed_undercutter,
                 assumed_honest_power=self.split.honest,
                 mode=self.avoidance.mode,
                 strict_factor=self.avoidance.factor,
@@ -457,21 +455,22 @@ class Simulation:
     def _consider_attack(self, ext: Chain, block: Block) -> None:
         pool = ext.view()
         gamma = gamma_ratio(pool, block.fee_total, self.params)
-        head_txs = self.ranks.lookup(block.tx_ids)
         # Chosen per call, so a wrapped module global (a profiler's) applies.
         decide = undercut_decision_d1 if self.depth == 1 else undercut_decision_d2
-        decision = decide(self.split, gamma, self.params, pool, head_txs)
-        if decision.action != "undercut":
+        action, branch, tag = decide(self.split, gamma, self.params.negligible_fee_threshold)
+        if action == "stay":
             return
+        head_txs = self.ranks.lookup(block.tx_ids)
+        tag, template = undercut_template(self.depth, branch, tag, self.params, pool, head_txs)
         self.attacks += 1
-        self.attack_branches[decision.rationale] += 1
+        self.attack_branches[tag] += 1
         fork = Chain(blocks=ext.blocks[:-1].copy(), workers={self.undercutter_id}, ranks=self.ranks)
         fork.base_height = block.height - 1
         fork.target_fee = block.fee_total
         fork.pending = ext.pending.copy()
         for tx in head_txs:
             fork.add_pending(tx)
-        fork.committed = decision.template
+        fork.committed = template
         ext.workers.discard(self.undercutter_id)
         self.fork = fork
 

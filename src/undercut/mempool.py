@@ -136,15 +136,13 @@ class BandwidthSetResult:
     tx_ids: tuple[str, ...]
     total_fee: int
     total_size: int
-    exact: bool = False
 
     @staticmethod
-    def from_transactions(txs: Sequence[Transaction], exact: bool = False) -> "BandwidthSetResult":
+    def from_transactions(txs: Sequence[Transaction]) -> "BandwidthSetResult":
         return BandwidthSetResult(
             tx_ids=tuple(tx.id for tx in txs),
             total_fee=sum(tx.fee for tx in txs),
             total_size=sum(tx.size for tx in txs),
-            exact=exact,
         )
 
 
@@ -249,7 +247,7 @@ def bandwidth_set(pool: MempoolView, params: ChainParams, mode: str = "greedy") 
     """
     if mode == "greedy":
         chosen = _greedy_pack(pool.pending, params.block_size_limit, pool.size_floor)
-        return BandwidthSetResult.from_transactions(chosen, exact=False)
+        return BandwidthSetResult.from_transactions(chosen)
     if mode == "exact":
         if len(pool.pending) > EXACT_SELECTION_LIMIT:
             raise InstanceTooLargeError(
@@ -257,7 +255,7 @@ def bandwidth_set(pool: MempoolView, params: ChainParams, mode: str = "greedy") 
                 f"pool has {len(pool.pending)}"
             )
         chosen = _exact_best_subset(pool.pending, params.block_size_limit)
-        return BandwidthSetResult.from_transactions(chosen, exact=True)
+        return BandwidthSetResult.from_transactions(chosen)
     raise ValueError(f"unknown selection mode {mode!r}")
 
 

@@ -6,7 +6,9 @@ Three groups of functions:
   (next claimable template vs. the chain head) that make forking the
   head pay better than extending it, for give-up depths 1 and 2;
   ``DEPTHS`` maps each depth to its limited and sufficient bounds, its
-  rational join threshold and its decision ladder;
+  rational join threshold and its decision ladder.  A ladder decides on
+  gamma alone; ``undercut_template`` builds the attack block only once a
+  ladder attacks;
 * rational-miner shifting rules: when to move power onto a fork;
 * avoidance crafting: how a miner claims fees so that its own block
   fails every attack condition a conservative adversary could check.
@@ -71,21 +73,6 @@ class ReturnEstimate:
 
     attack_return: float
     baseline_return: float
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of a decision routine, tagged with the branch that fired.
-
-    ``branch`` is the 1-based position in the decision ladder (0 for
-    stay); experiments count attack initiations per branch through the
-    ``rationale`` tag.
-    """
-
-    action: str  # "stay" | "undercut"
-    branch: int
-    rationale: str
-    template: BandwidthSetResult | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +163,12 @@ def expected_returns_d2(split: PowerSplit, gamma: float) -> ReturnEstimate:
 # ---------------------------------------------------------------------------
 
 
-def undercut_branches_d1(split: PowerSplit, gamma: float, negligible: float) -> tuple[str, int, str]:
-    """Depth-1 decision ladder on gamma alone: (action, branch, tag)."""
+def undercut_decision_d1(split: PowerSplit, gamma: float, negligible: float) -> tuple[str, int, str]:
+    """Depth-1 decision ladder on gamma alone: (action, branch, tag).
+
+    ``branch`` is the 1-based position in the ladder (0 for stay); runs
+    count attacks per ``tag``.
+    """
     if gamma <= negligible:
         return "undercut", 1, "negligible-mempool"
     if gamma < limited_bound_d1(split):
@@ -187,10 +178,10 @@ def undercut_branches_d1(split: PowerSplit, gamma: float, negligible: float) -> 
     return "stay", 0, "stay"
 
 
-def undercut_branches_d2(split: PowerSplit, gamma: float, negligible: float) -> tuple[str, int, str]:
+def undercut_decision_d2(split: PowerSplit, gamma: float, negligible: float) -> tuple[str, int, str]:
     """Depth-2 decision ladder on gamma alone: (action, branch, tag).
 
-    Branch 2 (lone set) is not a gamma condition: ``undercut_decision_d2``
+    Branch 2 (lone set) is not a gamma condition: ``undercut_template``
     relabels an attack at branch 3 or 4 when the pool holds one set.
     """
     if gamma <= negligible:
@@ -222,10 +213,10 @@ class DepthModel:
 
 DEPTHS = {
     1: DepthModel(
-        limited_bound_d1, sufficient_bound_d1, join_threshold_d1, "join", undercut_branches_d1, False
+        limited_bound_d1, sufficient_bound_d1, join_threshold_d1, "join", undercut_decision_d1, False
     ),
     2: DepthModel(
-        limited_bound_d2, sufficient_bound_d2, tie_threshold_d2, "tie", undercut_branches_d2, True
+        limited_bound_d2, sufficient_bound_d2, tie_threshold_d2, "tie", undercut_decision_d2, True
     ),
 }
 
@@ -244,64 +235,34 @@ def _fee(txs: Sequence[Transaction]) -> int:
     return sum(t.fee for t in txs)
 
 
-def _lightest_part(parts: list[list[Transaction]]) -> list[Transaction]:
-    return min(parts, key=_fee)
+def _lightest_part(txs: Sequence[Transaction], k: int, params: ChainParams) -> list[Transaction]:
+    return min(split_equal_fee(txs, k, params), key=_fee)
 
 
-def undercut_decision_d1(
-    split: PowerSplit,
-    gamma: float,
+def undercut_template(
+    depth: int,
+    branch: int,
+    tag: str,
     params: ChainParams,
     pool: MempoolView,
     head: Sequence[Transaction],
-) -> Decision:
-    """Whether and how to fork the current head at give-up depth 1.
+) -> tuple[str, BandwidthSetResult]:
+    """The attack block of a ladder that attacked at ``branch``: (tag, block).
 
-    A drained mempool means the attack block takes half of the head
-    (equal-fee split, keeping the lighter part so the fork itself cannot
-    be undercut); otherwise the attack block is the current bandwidth
-    set, leaving the head's fees on the table.
+    A drained mempool (branch 1) means the attack block takes the
+    lightest of ``depth + 1`` equal-fee parts of the head, so the fork
+    itself cannot be undercut.  Otherwise the attack block is the current
+    bandwidth set, leaving the head's fees on the table; at a depth with
+    ``lone_set_split``, a pool of one non-negligible set is the lone-set
+    branch instead, and the block takes the lighter half of that set.
     """
-    action, branch, tag = undercut_branches_d1(split, gamma, params.negligible_fee_threshold)
-    if action == "stay":
-        return Decision("stay", 0, tag)
     if branch == 1:
-        template = BandwidthSetResult.from_transactions(
-            _lightest_part(split_equal_fee(head, 2, params))
-        )
-    else:
-        template = bandwidth_set(pool, params)
-    return Decision("undercut", branch, tag, template=template)
-
-
-def undercut_decision_d2(
-    split: PowerSplit,
-    gamma: float,
-    params: ChainParams,
-    pool: MempoolView,
-    head: Sequence[Transaction],
-) -> Decision:
-    """Whether and how to fork the current head at give-up depth 2.
-
-    On a pool of one non-negligible bandwidth set, an attack past the
-    negligible branch is the lone-set branch and splits that set in two.
-    """
-    action, branch, tag = undercut_branches_d2(split, gamma, params.negligible_fee_threshold)
-    if action == "stay":
-        return Decision("stay", 0, tag)
-    if branch == 1:
-        template = BandwidthSetResult.from_transactions(
-            _lightest_part(split_equal_fee(head, 3, params))
-        )
-    elif one_set_left(pool, params):
-        branch, tag = 2, "lone-set"
-        first_txs, _ = first_two_sets(pool, params)
-        template = BandwidthSetResult.from_transactions(
-            _lightest_part(split_equal_fee(first_txs, 2, params))
-        )
-    else:
-        template = bandwidth_set(pool, params)
-    return Decision("undercut", branch, tag, template=template)
+        return tag, BandwidthSetResult.from_transactions(_lightest_part(head, depth + 1, params))
+    if DEPTHS[depth].lone_set_split:
+        first, second = first_two_sets(pool, params)
+        if _lone_set(_fee(first), _fee(second), params):
+            return "lone-set", BandwidthSetResult.from_transactions(_lightest_part(first, 2, params))
+    return tag, bandwidth_set(pool, params)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +331,11 @@ def rational_shift_general(
 # ---------------------------------------------------------------------------
 
 
+# Adversary power the avoidance defence is sized against: one half is
+# the conservative worst case, the most power an undercutter can hold.
+AVOIDANCE_ADVERSARY_POWER = 0.5
+
+
 def required_gamma(split: PowerSplit, depth: int, negligible: float) -> float:
     """Smallest post-claim gamma that defeats every attack condition."""
     model = DEPTHS[depth]
@@ -377,24 +343,24 @@ def required_gamma(split: PowerSplit, depth: int, negligible: float) -> float:
 
 
 def _claim_defeats_attack(
-    template: BandwidthSetResult,
-    claim_txs: Sequence[Transaction],
+    claim: Sequence[Transaction],
     pool: MempoolView,
     split: PowerSplit,
     params: ChainParams,
 ) -> bool:
-    remaining = pool.without(template.tx_ids)
-    gamma_after = gamma_ratio(remaining, template.total_fee, params)
-    if undercut_decision_d1(split, gamma_after, params, remaining, claim_txs).action != "stay":
-        return False
-    return undercut_decision_d2(split, gamma_after, params, remaining, claim_txs).action == "stay"
+    remaining = pool.without(t.id for t in claim)
+    gamma_after = gamma_ratio(remaining, _fee(claim), params)
+    negligible = params.negligible_fee_threshold
+    return (
+        undercut_decision_d1(split, gamma_after, negligible)[0] == "stay"
+        and undercut_decision_d2(split, gamma_after, negligible)[0] == "stay"
+    )
 
 
 def craft_avoidance_block(
     pool: MempoolView,
     params: ChainParams,
     depth: int = 1,
-    assumed_undercutter_power: float = 0.5,
     assumed_honest_power: float = 0.0,
     mode: str = "exact",
     strict_factor: float = 0.8,
@@ -403,8 +369,8 @@ def craft_avoidance_block(
 
     ``exact`` searches for the largest claim whose post-claim state
     (recomputed residual bandwidth set against the claimed fee) makes
-    both decision ladders stay for the assumed adversary.  The one-half
-    adversary default is the conservative worst case.
+    both decision ladders stay for an adversary of
+    ``AVOIDANCE_ADVERSARY_POWER``.
 
     ``experimental`` reproduces the cheaper procedure used in the profit
     experiments: derive a target fee from the visible fees in the first
@@ -422,8 +388,8 @@ def craft_avoidance_block(
     if mode not in ("exact", "experimental", "strict"):
         raise ValueError(f"unknown avoidance mode {mode!r}")
     # the assumed adversary plus assumed honest mass cannot exceed 1
-    honest = min(assumed_honest_power, 1.0 - assumed_undercutter_power)
-    split = PowerSplit.of(assumed_undercutter_power, honest)
+    honest = min(assumed_honest_power, 1.0 - AVOIDANCE_ADVERSARY_POWER)
+    split = PowerSplit.of(AVOIDANCE_ADVERSARY_POWER, honest)
     first_txs, second_txs = first_two_sets(pool, params)
     first_fee, residual = _fee(first_txs), _fee(second_txs)
     if first_fee == 0:
@@ -433,7 +399,7 @@ def craft_avoidance_block(
     if mode == "exact":
         candidates: list[list[Transaction]] = []
         if lone:
-            candidates.append(_lightest_part(split_equal_fee(first_txs, 2, params)))
+            candidates.append(_lightest_part(first_txs, 2, params))
         # prefixes keep the densest transactions, suffixes claim around
         # an indivisible wealthy one; take the richest claim that the
         # assumed adversary would not fork.
@@ -441,9 +407,8 @@ def craft_avoidance_block(
         candidates.extend(first_txs[j:] for j in range(1, len(first_txs)))
         candidates.sort(key=lambda c: -_fee(c))
         for claim in candidates:
-            template = BandwidthSetResult.from_transactions(claim)
-            if _claim_defeats_attack(template, claim, pool, split, params):
-                return template
+            if _claim_defeats_attack(claim, pool, split, params):
+                return BandwidthSetResult.from_transactions(claim)
         return EMPTY_TEMPLATE
 
     if lone:

@@ -227,7 +227,6 @@ def synthesize_trace(
     fee_args: Sequence[float] = (1_000, 100_000),
     size_dist: str = "uniform",
     size_args: Sequence[float] = (200, 2_000),
-    start_time: float = 0.0,
     id_prefix: str = "s",
 ) -> list[Transaction]:
     """Poisson arrivals with i.i.d. integer fees and sizes.
@@ -243,12 +242,11 @@ def synthesize_trace(
     records: list[Transaction] = []
     if rate == 0 or duration == 0:
         return records
-    t = start_time
+    t = 0.0
     index = 0
-    end = start_time + duration
     while True:
         t += rng.exponential(1.0 / rate)
-        if t > end:
+        if t > duration:
             break
         fee = _draw(rng, fee_dist, fee_args, minimum=0)
         size = _draw(rng, size_dist, size_args, minimum=1)

@@ -19,8 +19,6 @@ from undercut.probability import RacePoint, deep_catchup_bound, win_prob_d1, win
 from undercut.strategy import (
     PowerSplit,
     craft_avoidance_block,
-    undercut_branches_d1,
-    undercut_branches_d2,
     undercut_decision_d1,
     undercut_decision_d2,
 )
@@ -109,14 +107,14 @@ def test_criterion_4_boundary_consistency():
     n = 600_000
 
     split_d1 = PowerSplit.of(0.2, 0.1)  # honest below attacker power
-    below = undercut_branches_d1(split_d1, 0.25 - eps, 0.01)[0]
-    above = undercut_branches_d1(split_d1, 0.25 + eps, 0.01)[0]
+    below = undercut_decision_d1(split_d1, 0.25 - eps, 0.01)[0]
+    above = undercut_decision_d1(split_d1, 0.25 + eps, 0.01)[0]
     attack, baseline = _simulate_rounds_d1(rng, 0.2, 0.25 - eps, n)
     z_d1 = _one_sided_z(attack, baseline)
 
     split_d2 = PowerSplit.of(0.5, 0.3)
-    below2 = undercut_branches_d2(split_d2, 0.5 - eps, 0.01)[0]
-    above2 = undercut_branches_d2(split_d2, 0.5 + eps, 0.01)[0]
+    below2 = undercut_decision_d2(split_d2, 0.5 - eps, 0.01)[0]
+    above2 = undercut_decision_d2(split_d2, 0.5 + eps, 0.01)[0]
     attack2, baseline2 = _simulate_rounds_d2(rng, 0.5, 0.5 - eps, n)
     z_d2 = _one_sided_z(attack2, baseline2)
 
@@ -203,10 +201,9 @@ def test_criterion_8_exact_avoidance_fixpoint():
         )
         remaining = pool.without(claim.tx_ids)
         gamma = gamma_ratio(remaining, claim.total_fee, params)
-        head = [t for t in txs if t.id in claim.tx_ids]
-        d1 = undercut_decision_d1(split, gamma, params, remaining, head)
-        d2 = undercut_decision_d2(split, gamma, params, remaining, head)
-        if d1.action != "stay" or d2.action != "stay":
+        d1 = undercut_decision_d1(split, gamma, params.negligible_fee_threshold)
+        d2 = undercut_decision_d2(split, gamma, params.negligible_fee_threshold)
+        if d1[0] != "stay" or d2[0] != "stay":
             ok = False
             break
     _report(8, ok, "1000 randomized pools, both ladders stay")

@@ -59,6 +59,15 @@ def test_check_stay(capsys):
     assert "decision: stay" in out
 
 
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_check_rejects_nonpositive_grid_before_printing(capsys, depth):
+    code = main(["check", "--bu", "0.3", "--bh", "0.2", "--gamma", "0.05", "--depth", depth, "--grid", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error: grid must be positive" in captured.err
+
+
 def test_run_missing_trace_names_path(capsys):
     code = main(["run", "--trace", "/nonexistent/trace.csv", "--preset", "bitcoin16"])
     err = capsys.readouterr().err

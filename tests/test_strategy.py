@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from undercut.mempool import ChainParams, MempoolView, bandwidth_set, gamma_ratio
+from undercut.mempool import ChainParams, MempoolView, bandwidth_set, first_two_sets, gamma_ratio
 from undercut.strategy import (
     DEPTHS,
     DegenerateRaceError,
@@ -20,10 +20,9 @@ from undercut.strategy import (
     sufficient_bound_d1,
     sufficient_bound_d2,
     tie_threshold_d2,
-    undercut_branches_d1,
-    undercut_branches_d2,
     undercut_decision_d1,
     undercut_decision_d2,
+    undercut_template,
 )
 
 from conftest import pool_of, tx
@@ -77,57 +76,64 @@ def test_thresholds():
 
 
 def test_undercut_branches_d1_examples():
-    assert undercut_branches_d1(split_of(0.2, 0.1), 0.2, 0.01)[0:2] == ("undercut", 2)
-    assert undercut_branches_d1(split_of(0.2, 0.5), 0.3, 0.01)[0:2] == ("undercut", 3)
-    assert undercut_branches_d1(split_of(0.2, 0.5), 0.5, 0.01)[0] == "stay"
-    assert undercut_branches_d1(split_of(0.2, 0.5), 0.005, 0.01)[1] == 1
+    assert undercut_decision_d1(split_of(0.2, 0.1), 0.2, 0.01)[0:2] == ("undercut", 2)
+    assert undercut_decision_d1(split_of(0.2, 0.5), 0.3, 0.01)[0:2] == ("undercut", 3)
+    assert undercut_decision_d1(split_of(0.2, 0.5), 0.5, 0.01)[0] == "stay"
+    assert undercut_decision_d1(split_of(0.2, 0.5), 0.005, 0.01)[1] == 1
 
 
 def test_undercut_branches_d2_examples():
-    assert undercut_branches_d2(split_of(0.3, 0.2), 0.05, 0.01)[0:2] == ("undercut", 3)
-    assert undercut_branches_d2(split_of(0.5, 0.2), 0.4, 0.01)[0:2] == ("undercut", 3)
-    assert undercut_branches_d2(split_of(0.45, 0.1), 0.6, 0.01)[0:2] == ("undercut", 4)
-    assert undercut_branches_d2(split_of(0.2, 0.3), 0.5, 0.01)[0] == "stay"
+    assert undercut_decision_d2(split_of(0.3, 0.2), 0.05, 0.01)[0:2] == ("undercut", 3)
+    assert undercut_decision_d2(split_of(0.5, 0.2), 0.4, 0.01)[0:2] == ("undercut", 3)
+    assert undercut_decision_d2(split_of(0.45, 0.1), 0.6, 0.01)[0:2] == ("undercut", 4)
+    assert undercut_decision_d2(split_of(0.2, 0.3), 0.5, 0.01)[0] == "stay"
     # at one-half power the first sufficient-branch term degenerates and
     # only the second one binds
-    assert undercut_branches_d2(split_of(0.5, 0.1), 0.6, 0.01)[0:2] == ("undercut", 4)
-    assert undercut_branches_d2(split_of(0.5, 0.1), 0.8, 0.01)[0] == "stay"
+    assert undercut_decision_d2(split_of(0.5, 0.1), 0.6, 0.01)[0:2] == ("undercut", 4)
+    assert undercut_decision_d2(split_of(0.5, 0.1), 0.8, 0.01)[0] == "stay"
 
 
 def test_undercut_decision_templates():
     params = ChainParams(block_size_limit=10, block_interval=600)
+
+    def attack(depth, split, gamma, pool, head):
+        decide = undercut_decision_d1 if depth == 1 else undercut_decision_d2
+        action, branch, tag = decide(split, gamma, params.negligible_fee_threshold)
+        assert action == "undercut"
+        return (branch, *undercut_template(depth, branch, tag, params, pool, head))
+
     head = [tx("h1", 1, 6), tx("h2", 1, 4)]
     pool = pool_of(tx("p1", 1, 1))
-    d = undercut_decision_d1(split_of(0.2, 0.3), 0.0, params, pool, head)
-    assert d.action == "undercut" and d.branch == 1
-    assert d.template.total_fee == 4  # lighter half of the head
-    d = undercut_decision_d1(split_of(0.2, 0.3), 0.2, params, pool, head)
-    assert d.branch == 2 and d.template.tx_ids == ("p1",)
+    branch, _, template = attack(1, split_of(0.2, 0.3), 0.0, pool, head)
+    assert branch == 1
+    assert template.total_fee == 4  # lighter half of the head
+    branch, _, template = attack(1, split_of(0.2, 0.3), 0.2, pool, head)
+    assert branch == 2 and template.tx_ids == ("p1",)
 
     head3 = [tx("h1", 1, 5), tx("h2", 1, 4), tx("h3", 1, 3)]
-    d = undercut_decision_d2(split_of(0.3, 0.3), 0.0, params, pool_of(), head3)
-    assert d.branch == 1
-    assert d.template.total_fee == 3  # lightest third of the head
+    branch, _, template = attack(2, split_of(0.3, 0.3), 0.0, pool_of(), head3)
+    assert branch == 1
+    assert template.total_fee == 3  # lightest third of the head
 
     lone_pool = pool_of(tx("a", 1, 6), tx("b", 1, 6))
     gamma = gamma_ratio(lone_pool, 100, params)
-    d = undercut_decision_d2(split_of(0.45, 0.1), gamma, params, lone_pool, head)
-    assert d.branch == 2 and d.rationale == "lone-set"
-    assert d.template.total_fee == 6  # half of the only set left
+    _, tag, template = attack(2, split_of(0.45, 0.1), gamma, lone_pool, head)
+    assert tag == "lone-set"
+    assert template.total_fee == 6  # half of the only set left
     # gamma 0.6 sits at branch 4 on the ladder; a lone set relabels it too
-    d = undercut_decision_d2(split_of(0.45, 0.1), 0.6, params, lone_pool, head)
-    assert (d.branch, d.rationale, d.template.total_fee) == (2, "lone-set", 6)
+    branch, tag, template = attack(2, split_of(0.45, 0.1), 0.6, lone_pool, head)
+    assert (branch, tag, template.total_fee) == (4, "lone-set", 6)
 
     # two non-negligible sets: branches 3 and 4 claim the bandwidth set
     two_sets = pool_of(*(tx(f"s{i}", 5, 10 - i) for i in range(4)))
     assert not one_set_left(two_sets, params)
-    for split, gamma, branch, tag in (
+    for split, gamma, expected_branch, expected_tag in (
         (split_of(0.3, 0.2), 0.05, 3, "limited-mempool"),
         (split_of(0.45, 0.1), 0.6, 4, "sufficient-mempool"),
     ):
-        d = undercut_decision_d2(split, gamma, params, two_sets, head)
-        assert (d.action, d.branch, d.rationale) == ("undercut", branch, tag)
-        assert d.template == bandwidth_set(two_sets, params)
+        branch, tag, template = attack(2, split, gamma, two_sets, head)
+        assert (branch, tag) == (expected_branch, expected_tag)
+        assert template == bandwidth_set(two_sets, params)
 
 
 def test_rational_join_d1_examples():
@@ -155,8 +161,8 @@ def test_depth_table_holds_each_depths_model():
         assert model.join_threshold(split) == join(split)
         assert model.join_label == label
         assert required_gamma(split, depth, 0.01) == max(limited(split), sufficient(split), 0.01)
-    assert DEPTHS[1].branches(split, 0.1, 0.01) == undercut_branches_d1(split, 0.1, 0.01)
-    assert DEPTHS[2].branches(split, 0.1, 0.01) == undercut_branches_d2(split, 0.1, 0.01)
+    assert DEPTHS[1].branches(split, 0.1, 0.01) == undercut_decision_d1(split, 0.1, 0.01)
+    assert DEPTHS[2].branches(split, 0.1, 0.01) == undercut_decision_d2(split, 0.1, 0.01)
     assert not DEPTHS[1].lone_set_split and DEPTHS[2].lone_set_split
 
 
@@ -196,7 +202,7 @@ def test_decision_matches_return_formulas_d1():
         bh = float(rng.uniform(0.0, 1.0 - bu - 0.01))
         gamma = float(rng.uniform(0.0, 1.2))
         split = split_of(bu, bh)
-        action, _, _ = undercut_branches_d1(split, gamma, 0.01)
+        action, _, _ = undercut_decision_d1(split, gamma, 0.01)
         delta = split.rational if gamma < join_threshold_d1(split) else 0.0
         estimate = expected_returns_d1(split, gamma, delta)
         assert (action == "undercut") == (estimate.attack_return > estimate.baseline_return)
@@ -286,6 +292,15 @@ def test_craft_avoidance_strict_scales_experimental_claim():
 def test_craft_avoidance_exact_defeats_both_decision_ladders():
     rng = np.random.default_rng(77)
     params = ChainParams(block_size_limit=20, block_interval=600)
+    split = split_of(0.5, 0.3)
+
+    def both_stay(pool, claim_ids, claim_fee):
+        gamma = gamma_ratio(pool.without(claim_ids), claim_fee, params)
+        return (
+            undercut_decision_d1(split, gamma, params.negligible_fee_threshold)[0] == "stay"
+            and undercut_decision_d2(split, gamma, params.negligible_fee_threshold)[0] == "stay"
+        )
+
     for trial in range(200):
         n = int(rng.integers(1, 13))
         txs = [
@@ -295,12 +310,14 @@ def test_craft_avoidance_exact_defeats_both_decision_ladders():
         pool = pool_of(*txs)
         depth = 1 if trial % 2 else 2
         claim = craft_avoidance_block(pool, params, depth=depth, assumed_honest_power=0.3)
-        remaining = pool.without(claim.tx_ids)
-        gamma = gamma_ratio(remaining, claim.total_fee, params)
-        head = [t for t in txs if t.id in claim.tx_ids]
-        split = split_of(0.5, 0.3)
-        assert undercut_decision_d1(split, gamma, params, remaining, head).action == "stay"
-        assert undercut_decision_d2(split, gamma, params, remaining, head).action == "stay"
+        assert both_stay(pool, claim.tx_ids, claim.total_fee)
+        # the claim is the richest one that passes: no richer prefix or
+        # suffix of the first bandwidth set makes both ladders stay
+        first, _ = first_two_sets(pool, params)
+        for part in [first[:k] for k in range(1, len(first) + 1)] + [first[j:] for j in range(len(first))]:
+            fee = sum(t.fee for t in part)
+            if fee > claim.total_fee:
+                assert not both_stay(pool, [t.id for t in part], fee)
 
 
 def test_craft_avoidance_never_exceeds_bandwidth_set_fee():
