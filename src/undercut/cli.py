@@ -135,7 +135,7 @@ def _cmd_sweep(args) -> int:
         powers=dist,
         params=params,
         honest_fractions=tuple(_floats(args.honest)),
-        depths=tuple(int(d) for d in _floats(args.depth)),
+        depths=tuple(int(d) for d in args.depth.split(",") if d.strip() != ""),
         avoidance=engine.parse_avoidance(args.avoidance),
         repetitions=args.repetitions,
         base_seed=args.seed,

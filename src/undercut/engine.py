@@ -8,7 +8,8 @@ template follows the owner's strategy, and every miner then re-evaluates
 which chain to work on.  A race ends once one side leads by the give-up
 depth, and earnings settle from the blocks of the main chain.
 
-Runs are deterministic per seed; independent runs share nothing mutable.
+Runs are deterministic per seed, also across processes: no result
+depends on ``PYTHONHASHSEED``.  Independent runs share nothing mutable.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .mempool import (
     selection_key,
 )
 from .strategy import (
+    AVOIDANCE_MODES,
     DEPTHS,
     PowerSplit,
     craft_avoidance_block,
@@ -84,10 +86,12 @@ class AvoidancePolicy:
     (0, 1].  The assumed adversary is ``strategy.AVOIDANCE_ADVERSARY_POWER``.
     """
 
-    mode: str  # "experimental" | "exact" | "strict"
+    mode: str  # one of strategy.AVOIDANCE_MODES
     factor: float = 0.8
 
     def __post_init__(self) -> None:
+        if self.mode not in AVOIDANCE_MODES:
+            raise ValueError(f"unknown avoidance mode {self.mode!r}")
         if not 0.0 < self.factor <= 1.0:
             raise ValueError(f"strict factor must lie in (0, 1], got {self.factor}")
 
@@ -128,9 +132,6 @@ class RunResult:
         if self.confirmed_fee == 0:
             return 0.0
         return self.earnings.get(miner_id, 0) / self.confirmed_fee
-
-    def shares(self) -> dict[str, float]:
-        return {mid: self.share(mid) for mid in self.earnings}
 
 
 class RankTable:
@@ -179,7 +180,6 @@ class Chain:
         "next_time",
         "committed",
         "base_height",
-        "target_fee",
     )
 
     def __init__(self, blocks: list[Block], workers: set[str], ranks: RankTable):
@@ -190,7 +190,6 @@ class Chain:
         self.next_time = math.inf
         self.committed: BandwidthSetResult | None = None
         self.base_height = 0  # fork point height; 0 for the original chain
-        self.target_fee = 0  # fee of the block this chain was forked to undercut
 
     @property
     def tip(self) -> Block:
@@ -207,7 +206,8 @@ class Chain:
         return MempoolView(pending=tuple(txs.tolist()), presorted=True, size_floor=self.ranks.size_floor)
 
     def worker_power(self, powers: dict[str, float]) -> float:
-        return sum(powers[w] for w in self.workers)
+        # fsum is exactly rounded: set order (it varies with PYTHONHASHSEED) cannot move it
+        return math.fsum(powers[w] for w in self.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +275,9 @@ class Simulation:
         total_power = sum(m.power for m in miners)
         if abs(total_power - 1.0) > 1e-9:
             raise ValueError(f"miner powers must sum to 1, got {total_power}")
+        for mid, count in Counter(m.id for m in miners).items():
+            if count > 1:
+                raise ValueError(f"duplicate miner id {mid!r}")
         undercutters = [m for m in miners if m.kind == "undercutter"]
         if len(undercutters) > 1:
             raise ValueError("at most one undercutter")
@@ -327,12 +330,9 @@ class Simulation:
     def _drained(self) -> bool:
         if self.next_arrival < len(self.trace) or self.fork is not None:
             return False
-        chain = self.main
-        claimable = bandwidth_set(chain.view(), self.params).total_fee
-        if claimable == 0:
-            return True
-        head_fee = chain.tip.fee_total
-        if head_fee > 0 and claimable <= self.params.negligible_fee_threshold * head_fee:
+        # the ladders' negligible rule; a fee-less head gives inf and falls through
+        gamma = gamma_ratio(self.main.view(), self.main.tip.fee_total, self.params)
+        if gamma <= self.params.negligible_fee_threshold:
             return True
         # Unclaimable dust: deterministic strategies over a static pool
         # keep publishing empty blocks; cut the run after a few.
@@ -429,22 +429,14 @@ class Simulation:
 
         # Honest miners: longest chain, first-seen on ties.
         other = self.main if ext is fork else fork
-        movers = [
-            w
-            for w in sorted(other.workers)
-            if self.miners[w].kind == "honest" and ext.tip.height > other.tip.height
-        ]
-        for mid in movers:
-            other.workers.discard(mid)
-            ext.workers.add(mid)
+        if ext.tip.height > other.tip.height:
+            movers = {w for w in other.workers if self.miners[w].kind == "honest"}
+            other.workers -= movers
+            ext.workers |= movers
 
         # Rational miners not on the extended chain, strongest first.
         candidates = sorted(
-            (
-                w
-                for w in other.workers
-                if self.miners[w].kind == "rational" and w != self.undercutter_id
-            ),
+            (w for w in other.workers if self.miners[w].kind == "rational"),
             key=lambda w: (-self.powers[w], w),
         )
         for mid in candidates:
@@ -466,7 +458,6 @@ class Simulation:
         self.attack_branches[tag] += 1
         fork = Chain(blocks=ext.blocks[:-1].copy(), workers={self.undercutter_id}, ranks=self.ranks)
         fork.base_height = block.height - 1
-        fork.target_fee = block.fee_total
         fork.pending = ext.pending.copy()
         for tx in head_txs:
             fork.add_pending(tx)
@@ -479,7 +470,9 @@ class Simulation:
         main, fork = self.main, self.fork
         base = fork.base_height
         if ext is fork and main.tip.height - base == 1 and fork.tip.height - base == 1:
-            gamma = gamma_ratio(main.view(), fork.target_fee, self.params)
+            # main cannot grow without ending the tie, so its tip is
+            # still the head the fork undercut
+            gamma = gamma_ratio(main.view(), main.tip.fee_total, self.params)
             return gamma < DEPTHS[self.depth].join_threshold(self.split)
         # General state: endpoint evaluation of the shift objective with
         # this miner's own power as the movable mass (all-or-nothing).

@@ -108,7 +108,6 @@ def _run_cell(
     population = config.powers.with_honest_fraction(hf)
     miners = profiles(population.entries)
     undercutter = next(m.id for m in miners if m.kind == "undercutter")
-    shares: list[float] = []
     per_miner: dict[str, list[float]] = {m.id: [] for m in miners}
     attacks = 0
     branches: Counter[str] = Counter()
@@ -121,11 +120,11 @@ def _run_cell(
             avoidance=config.avoidance,
             seed=derive_seed(config.base_seed, index, rep),
         )
-        shares.append(result.share(undercutter))
         for mid in per_miner:
             per_miner[mid].append(result.share(mid))
         attacks += result.attacks
         branches.update(result.attack_branches)
+    shares = per_miner[undercutter]
     mean = float(np.mean(shares))
     half = float(Z95 * np.std(shares, ddof=1) / np.sqrt(len(shares))) if len(shares) > 1 else 0.0
     return CellResult(
@@ -150,6 +149,8 @@ def run_experiment(
     count because every run's seed is a pure function of its cell and
     repetition indices.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     cells = config.cells()
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -98,6 +98,4 @@ def deep_catchup_bound(fork_power: float, gap: int) -> float:
         raise ValueError("fork_power must lie in [0, 0.5]")
     if gap < 5:
         raise ValueError("gap must be at least 5")
-    if fork_power == 0.0:
-        return 0.0
-    return fork_power**gap / (1.0 - fork_power * (1.0 - fork_power))
+    return win_prob_series(RacePoint(fork_power, gap))

@@ -335,26 +335,13 @@ def rational_shift_general(
 # the conservative worst case, the most power an undercutter can hold.
 AVOIDANCE_ADVERSARY_POWER = 0.5
 
+AVOIDANCE_MODES = ("exact", "experimental", "strict")
+
 
 def required_gamma(split: PowerSplit, depth: int, negligible: float) -> float:
     """Smallest post-claim gamma that defeats every attack condition."""
     model = DEPTHS[depth]
     return max(model.limited_bound(split), model.sufficient_bound(split), negligible)
-
-
-def _claim_defeats_attack(
-    claim: Sequence[Transaction],
-    pool: MempoolView,
-    split: PowerSplit,
-    params: ChainParams,
-) -> bool:
-    remaining = pool.without(t.id for t in claim)
-    gamma_after = gamma_ratio(remaining, _fee(claim), params)
-    negligible = params.negligible_fee_threshold
-    return (
-        undercut_decision_d1(split, gamma_after, negligible)[0] == "stay"
-        and undercut_decision_d2(split, gamma_after, negligible)[0] == "stay"
-    )
 
 
 def craft_avoidance_block(
@@ -369,7 +356,7 @@ def craft_avoidance_block(
 
     ``exact`` searches for the largest claim whose post-claim state
     (recomputed residual bandwidth set against the claimed fee) makes
-    both decision ladders stay for an adversary of
+    every decision ladder stay for an adversary of
     ``AVOIDANCE_ADVERSARY_POWER``.
 
     ``experimental`` reproduces the cheaper procedure used in the profit
@@ -385,7 +372,7 @@ def craft_avoidance_block(
     """
     if depth not in DEPTHS:
         raise ValueError("depth must be 1 or 2")
-    if mode not in ("exact", "experimental", "strict"):
+    if mode not in AVOIDANCE_MODES:
         raise ValueError(f"unknown avoidance mode {mode!r}")
     # the assumed adversary plus assumed honest mass cannot exceed 1
     honest = min(assumed_honest_power, 1.0 - AVOIDANCE_ADVERSARY_POWER)
@@ -407,7 +394,11 @@ def craft_avoidance_block(
         candidates.extend(first_txs[j:] for j in range(1, len(first_txs)))
         candidates.sort(key=lambda c: -_fee(c))
         for claim in candidates:
-            if _claim_defeats_attack(claim, pool, split, params):
+            gamma_after = gamma_ratio(pool.without(t.id for t in claim), _fee(claim), params)
+            # One ladder decides for both depths: at adversary power 0.5 the
+            # depth-1 bounds are limited 1 and sufficient at most 1, every
+            # depth-2 bound lies at or below 1, and the negligible test is shared.
+            if undercut_decision_d1(split, gamma_after, params.negligible_fee_threshold)[0] == "stay":
                 return BandwidthSetResult.from_transactions(claim)
         return EMPTY_TEMPLATE
 

@@ -209,3 +209,26 @@ def test_run_rejects_bad_strict_factor(tmp_path, capsys):
     code = main(["run", "--trace", str(trace_path), "--avoidance", "strict=nan"])
     assert code == 1
     assert "strict factor must lie in (0, 1], got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--depth", "1.9"], "'1.9'"),
+        (["--depth", "1,2.5"], "'2.5'"),
+        (["--jobs", "-4"], "jobs must be positive, got -4"),
+        (["--jobs", "0"], "jobs must be positive, got 0"),
+    ],
+    ids=["depth-fraction", "depth-list-fraction", "jobs-negative", "jobs-zero"],
+)
+def test_sweep_rejects_bad_numbers(tmp_path, capsys, extra, message):
+    trace_path = tmp_path / "t.csv"
+    main(["synth", "--output", str(trace_path), "--rate", "0.02", "--duration", "600"])
+    capsys.readouterr()
+    out_path = tmp_path / "out.csv"
+    argv = ["sweep", "--trace", str(trace_path), "--repetitions", "1", "--output", str(out_path)]
+    code = main(argv + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert message in captured.err and captured.out == ""
+    assert not out_path.exists()

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +267,37 @@ def test_seed_determinism_and_divergence():
     assert a.earnings != c.earnings
 
 
+HASH_SEED_CHILD = """
+from conftest import whale_trace
+from undercut.engine import Simulation, profiles
+from undercut.trace import preset
+
+dist, params = preset("bitcoin16")
+miners = profiles(dist.with_honest_fraction(0.3).entries)
+sim = Simulation(whale_trace(707, 600, 6_000), miners, params, seed=1)
+sim.run()
+for block in sim.main.blocks:
+    print(repr(block.creation_time))
+"""
+
+
+def test_block_times_do_not_depend_on_hash_seed():
+    # Miner ids are strings, so set iteration order (and any float sum
+    # over a set of workers) changes with PYTHONHASHSEED between processes.
+    tests_dir = Path(__file__).parent
+    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    times = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        child = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_CHILD], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert child.returncode == 0, child.stderr
+        times.append(child.stdout)
+    assert len(times[0].split()) > 10
+    assert times[0] == times[1]
+
+
 def test_conservation_and_single_confirmation():
     records = whale_trace(9, 600, 120_000, dust_rate=5.0, whale_rate=0.4)
     dist, _ = preset("bitcoin16")
@@ -367,6 +402,8 @@ def test_profiles_and_policy_parsing():
     assert parse_avoidance("strict") == AvoidancePolicy(mode="strict", factor=0.8)
     with pytest.raises(ValueError):
         parse_avoidance("sometimes")
+    with pytest.raises(ValueError, match="unknown avoidance mode 'bogus'"):
+        AvoidancePolicy("bogus")
     for bad in ("-1", "0", "nan", "5", "inf"):
         with pytest.raises(ValueError, match=f"strict factor must lie in \\(0, 1\\], got {bad}"):
             parse_avoidance(f"strict={bad}")
@@ -374,3 +411,5 @@ def test_profiles_and_policy_parsing():
         MinerProfile("a", 0.5, "lazy")
     with pytest.raises(ValueError):
         run([], profiles((("a", 0.7, "honest"),)), PARAMS)
+    with pytest.raises(ValueError, match="duplicate miner id 'a'"):
+        run([], profiles((("a", 0.5, "honest"), ("a", 0.5, "honest"))), PARAMS)

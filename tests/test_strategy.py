@@ -5,6 +5,7 @@ import pytest
 
 from undercut.mempool import ChainParams, MempoolView, bandwidth_set, first_two_sets, gamma_ratio
 from undercut.strategy import (
+    AVOIDANCE_ADVERSARY_POWER,
     DEPTHS,
     DegenerateRaceError,
     PowerSplit,
@@ -318,6 +319,19 @@ def test_craft_avoidance_exact_defeats_both_decision_ladders():
             fee = sum(t.fee for t in part)
             if fee > claim.total_fee:
                 assert not both_stay(pool, [t.id for t in part], fee)
+
+
+def test_depth_one_stay_implies_depth_two_stay_against_the_avoidance_adversary():
+    # exact avoidance asks only the depth-1 ladder; this is why that is enough
+    for honest in np.linspace(0.0, 0.5, 51):
+        split = PowerSplit.of(AVOIDANCE_ADVERSARY_POWER, float(honest))
+        for negligible in (0.0, 0.01, 0.5, 0.99):
+            assert undercut_decision_d1(split, 1.0, negligible)[0] == "stay"
+            grid = [negligible, 0.5, 1.0, math.inf] + [float(g) for g in np.linspace(0.0, 3.0, 301)]
+            for gamma in grid:
+                if undercut_decision_d1(split, gamma, negligible)[0] == "stay":
+                    assert undercut_decision_d2(split, gamma, negligible)[0] == "stay", (honest, gamma)
+                    assert gamma >= 1.0
 
 
 def test_craft_avoidance_never_exceeds_bandwidth_set_fee():
