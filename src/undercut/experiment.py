@@ -50,8 +50,15 @@ class ExperimentConfig:
             raise ValueError("repetitions must be positive")
         if not self.depths or any(d not in DEPTHS for d in self.depths):
             raise ValueError("depths must be drawn from {1, 2}")
+        # a repeated value would run its cells twice, with other seeds
+        for label, values in (("depth", self.depths), ("honest fraction", self.honest_fractions)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{label} {value} is repeated")
         beta_u = self.powers.undercutter_power
         for hf in self.honest_fractions:
+            if not hf >= 0.0:
+                raise ValueError(f"honest fraction {hf} must be non-negative")
             if hf + beta_u > 1.0 + 1e-9:
                 raise ValueError(f"honest fraction {hf} plus undercutter power {beta_u} exceeds 1")
 

@@ -296,7 +296,11 @@ def gamma_ratio(pool: MempoolView, head_block_fee: int, params: ChainParams) -> 
     """
     if head_block_fee < 0:
         raise ValueError("head_block_fee must be non-negative")
-    next_fee = bandwidth_set(pool, params).total_fee
+    return gamma_of_fees(bandwidth_set(pool, params).total_fee, head_block_fee)
+
+
+def gamma_of_fees(next_fee: int, head_block_fee: int) -> float:
+    """``gamma_ratio`` once the next template's fee is known."""
     if next_fee == 0:
         return 0.0
     if head_block_fee == 0:

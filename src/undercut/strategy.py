@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, Collection, Sequence
 
 from .mempool import (
     EMPTY_TEMPLATE,
@@ -31,7 +32,7 @@ from .mempool import (
     bandwidth_set,
     claim_partial,
     first_two_sets,
-    gamma_ratio,
+    gamma_of_fees,
     split_equal_fee,
 )
 
@@ -239,6 +240,31 @@ def _lightest_part(txs: Sequence[Transaction], k: int, params: ChainParams) -> l
     return min(split_equal_fee(txs, k, params), key=_fee)
 
 
+def _fee_left(
+    pool: MempoolView, first: Sequence[Transaction], claimed: Collection[int], size_budget: int
+) -> int:
+    # The fee greedy packs once the transactions at positions ``claimed``
+    # of the first set ``first`` are mined: the fee of the bandwidth set
+    # of ``pool.without`` them, in one scan that copies nothing.  The
+    # first set is a subsequence of ``pool.pending``, so one cursor
+    # finds each of its members as the scan passes it.
+    fee = 0
+    room = size_budget
+    floor = pool.size_floor
+    k, n = 0, len(first)
+    for tx in pool.pending:
+        if k < n and tx is first[k]:
+            k += 1
+            if k - 1 in claimed:
+                continue
+        if tx.size <= room:
+            fee += tx.fee
+            room -= tx.size
+            if room < floor:
+                break
+    return fee
+
+
 def undercut_template(
     depth: int,
     branch: int,
@@ -357,7 +383,17 @@ def craft_avoidance_block(
     ``exact`` searches for the largest claim whose post-claim state
     (recomputed residual bandwidth set against the claimed fee) makes
     every decision ladder stay for an adversary of
-    ``AVOIDANCE_ADVERSARY_POWER``.
+    ``AVOIDANCE_ADVERSARY_POWER``.  Its candidates are the prefixes and
+    suffixes of the first bandwidth set (plus, at depth 2, the lighter
+    half of a lone set), tried richest first.  Prefix sums give each
+    candidate's fee and size in O(1).  When the pool less the claim
+    fits one block, the residual fee is the pool fee less the claim:
+    greedy packing takes every transaction that is left, so this is
+    exact.  When the pool less the claim holds less fee than the claim,
+    that bound already puts gamma below 1, where the adversary attacks.
+    Otherwise one scan of the pool sums the fees greedy would pack.  A
+    block costs O(|pool| + |B| log |B|) for a first set B, plus one
+    O(|pool|) scan per candidate that neither shortcut decides.
 
     ``experimental`` reproduces the cheaper procedure used in the profit
     experiments: derive a target fee from the visible fees in the first
@@ -384,22 +420,42 @@ def craft_avoidance_block(
     lone = DEPTHS[depth].lone_set_split and _lone_set(first_fee, residual, params)
 
     if mode == "exact":
-        candidates: list[list[Transaction]] = []
+        # A candidate is (fee, size, claimed): ``claimed`` holds first-set
+        # positions in claim order, a range for a prefix or a suffix and
+        # an insertion-ordered dict for the lone-set part, so both iterate
+        # in claim order and answer membership in O(1).
+        n = len(first_txs)
+        fee_at = [0, *accumulate(t.fee for t in first_txs)]
+        size_at = [0, *accumulate(t.size for t in first_txs)]
+        candidates: list[tuple[int, int, Collection[int]]] = []
         if lone:
-            candidates.append(_lightest_part(first_txs, 2, params))
+            part = _lightest_part(first_txs, 2, params)
+            position = {t.id: i for i, t in enumerate(first_txs)}
+            claimed = dict.fromkeys(position[t.id] for t in part)
+            candidates.append((_fee(part), sum(t.size for t in part), claimed))
         # prefixes keep the densest transactions, suffixes claim around
         # an indivisible wealthy one; take the richest claim that the
         # assumed adversary would not fork.
-        candidates.extend(first_txs[:k] for k in range(len(first_txs), 0, -1))
-        candidates.extend(first_txs[j:] for j in range(1, len(first_txs)))
-        candidates.sort(key=lambda c: -_fee(c))
-        for claim in candidates:
-            gamma_after = gamma_ratio(pool.without(t.id for t in claim), _fee(claim), params)
+        spans = [(0, k) for k in range(n, 0, -1)] + [(j, n) for j in range(1, n)]
+        candidates.extend(
+            (fee_at[hi] - fee_at[lo], size_at[hi] - size_at[lo], range(lo, hi)) for lo, hi in spans
+        )
+        candidates.sort(key=lambda c: -c[0])
+        pool_fee = _fee(pool.pending)
+        pool_size = sum(t.size for t in pool.pending)
+        limit = params.block_size_limit
+        for fee, size, claimed in candidates:
             # One ladder decides for both depths: at adversary power 0.5 the
             # depth-1 bounds are limited 1 and sufficient at most 1, every
-            # depth-2 bound lies at or below 1, and the negligible test is shared.
+            # depth-2 bound lies at or below 1, and the negligible test is
+            # shared.  So the ladder attacks every gamma below 1, and a
+            # residual that cannot reach the claim needs no exact value.
+            left = pool_fee - fee
+            if pool_size - size > limit and left >= fee:
+                left = _fee_left(pool, first_txs, claimed, limit)
+            gamma_after = gamma_of_fees(left, fee)
             if undercut_decision_d1(split, gamma_after, params.negligible_fee_threshold)[0] == "stay":
-                return BandwidthSetResult.from_transactions(claim)
+                return BandwidthSetResult(tuple(first_txs[i].id for i in claimed), fee, size)
         return EMPTY_TEMPLATE
 
     if lone:

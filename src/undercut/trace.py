@@ -66,7 +66,9 @@ class PowerDistribution:
         Greedy pick in descending power order; the undercutter keeps its
         role.  With discrete pools the target is met only approximately.
         """
-        if not 0.0 <= fraction <= 1.0 - self.undercutter_power + 1e-9:
+        if not fraction >= 0.0:
+            raise ValueError(f"honest fraction must be non-negative, got {fraction}")
+        if fraction > 1.0 - self.undercutter_power + 1e-9:
             raise ValueError("honest fraction plus undercutter power exceeds 1")
         others = sorted(
             ((mid, p) for mid, p, k in self.entries if k != "undercutter"),

@@ -232,3 +232,35 @@ def test_sweep_rejects_bad_numbers(tmp_path, capsys, extra, message):
     assert code == 1
     assert message in captured.err and captured.out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--depth", "1,1"], "depth 1 is repeated"),
+        (["--honest", "0.2,0.2"], "honest fraction 0.2 is repeated"),
+        (["--honest", "-0.2"], "honest fraction -0.2 must be non-negative"),
+    ],
+    ids=["repeated-depth", "repeated-honest", "negative-honest"],
+)
+def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, extra, message):
+    trace_path = tmp_path / "t.csv"
+    main(["synth", "--output", str(trace_path), "--rate", "0.02", "--duration", "600"])
+    capsys.readouterr()
+    out_path = tmp_path / "out.csv"
+    argv = ["sweep", "--trace", str(trace_path), "--repetitions", "1", "--output", str(out_path)]
+    code = main(argv + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert message in captured.err and captured.out == ""
+    assert not out_path.exists()
+
+
+def test_run_rejects_negative_honest_fraction(tmp_path, capsys):
+    trace_path = tmp_path / "t.csv"
+    main(["synth", "--output", str(trace_path), "--rate", "0.02", "--duration", "600"])
+    capsys.readouterr()
+    code = main(["run", "--trace", str(trace_path), "--honest", "-0.2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "honest fraction must be non-negative, got -0.2" in captured.err and captured.out == ""

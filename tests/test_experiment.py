@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from undercut.engine import AvoidancePolicy
+from undercut.engine import AvoidancePolicy, parse_avoidance
 from undercut.experiment import (
     ExperimentConfig,
     derive_seed,
@@ -112,3 +114,46 @@ def test_parallel_jobs_match_serial(config, small_trace):
     serial = run_experiment(config, small_trace, jobs=1)
     parallel = run_experiment(config, small_trace, jobs=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "field, values, message",
+    [
+        ("depths", (1, 1), "depth 1 is repeated"),
+        ("honest_fractions", (0.2, 0.3, 0.2), "honest fraction 0.2 is repeated"),
+        ("honest_fractions", (0.1, -0.2), "honest fraction -0.2 must be non-negative"),
+    ],
+    ids=["repeated-depth", "repeated-honest", "negative-honest"],
+)
+def test_config_rejects_cells_before_any_run(field, values, message):
+    dist, params = preset("bitcoin16")
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(powers=dist, params=params, **{field: values})
+
+
+@st.composite
+def tiny_sweeps(draw):
+    """Two cells of two repetitions over a short whale trace."""
+    dist, params = preset("bitcoin16")
+    fractions = st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.4, 0.5))
+    honest = draw(st.lists(fractions, min_size=1, max_size=2, unique=True))
+    depths = (1, 2) if len(honest) == 1 else (draw(st.sampled_from((1, 2))),)
+    config = ExperimentConfig(
+        powers=dist,
+        params=params,
+        honest_fractions=tuple(honest),
+        depths=depths,
+        avoidance=parse_avoidance(draw(st.sampled_from(("off", "experimental", "exact")))),
+        repetitions=2,
+        base_seed=draw(st.integers(0, 2**16)),
+    )
+    trace = whale_trace(draw(st.integers(0, 2**16)), 600, 6_000, dust_rate=8.0, whale_rate=0.6)
+    return config, trace
+
+
+@settings(max_examples=10, deadline=None)
+@given(tiny_sweeps())
+def test_sweep_results_do_not_depend_on_jobs(sweep):
+    config, trace = sweep
+    assert len(config.cells()) == 2
+    assert run_experiment(config, trace, jobs=1) == run_experiment(config, trace, jobs=2)

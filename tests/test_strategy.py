@@ -2,13 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from undercut.mempool import ChainParams, MempoolView, bandwidth_set, first_two_sets, gamma_ratio
+from undercut.mempool import (
+    EMPTY_TEMPLATE,
+    BandwidthSetResult,
+    ChainParams,
+    MempoolView,
+    bandwidth_set,
+    first_two_sets,
+    gamma_ratio,
+    split_equal_fee,
+)
 from undercut.strategy import (
     AVOIDANCE_ADVERSARY_POWER,
     DEPTHS,
     DegenerateRaceError,
     PowerSplit,
+    _fee_left,
     craft_avoidance_block,
     expected_returns_d1,
     expected_returns_d2,
@@ -354,3 +366,76 @@ def test_craft_avoidance_never_exceeds_bandwidth_set_fee():
 @pytest.fixture
 def params():
     return ChainParams(block_size_limit=100, block_interval=600.0)
+
+
+def reference_exact_claim(pool, params, depth, assumed_honest_power):
+    """Exact avoidance the direct way: each candidate copies the pool
+    with ``without`` and repacks it through ``gamma_ratio``."""
+    honest = min(assumed_honest_power, 1.0 - AVOIDANCE_ADVERSARY_POWER)
+    split = PowerSplit.of(AVOIDANCE_ADVERSARY_POWER, honest)
+
+    def fee(txs):
+        return sum(t.fee for t in txs)
+
+    first, second = first_two_sets(pool, params)
+    if fee(first) == 0:
+        return EMPTY_TEMPLATE
+    candidates = []
+    if DEPTHS[depth].lone_set_split and fee(second) <= params.negligible_fee_threshold * fee(first):
+        candidates.append(min(split_equal_fee(first, 2, params), key=fee))
+    candidates.extend(first[:k] for k in range(len(first), 0, -1))
+    candidates.extend(first[j:] for j in range(1, len(first)))
+    candidates.sort(key=lambda c: -fee(c))
+    for claim in candidates:
+        gamma = gamma_ratio(pool.without(t.id for t in claim), fee(claim), params)
+        if undercut_decision_d1(split, gamma, params.negligible_fee_threshold)[0] == "stay":
+            return BandwidthSetResult.from_transactions(claim)
+    return EMPTY_TEMPLATE
+
+
+@st.composite
+def avoidance_cases(draw):
+    """A pool, chain params sized so it fits one block or overflows it,
+    a depth and an assumed honest power."""
+    n = draw(st.integers(0, 30))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    fees = draw(st.lists(st.one_of(st.just(0), st.integers(1, 1000)), min_size=n, max_size=n))
+    pool = pool_of(*(tx(f"t{i:02d}", s, f) for i, (s, f) in enumerate(zip(sizes, fees))))
+    total = sum(sizes)
+    if draw(st.booleans()):
+        limit = total + draw(st.integers(0, 5))  # the pool fits one block
+    else:
+        limit = total // draw(st.integers(2, 5))  # it overflows one
+    params = ChainParams(block_size_limit=max(1, limit), block_interval=600)
+    return pool, params, draw(st.sampled_from((1, 2))), draw(st.floats(0.0, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(avoidance_cases())
+def test_craft_avoidance_exact_matches_pool_copying_reference(case):
+    pool, params, depth, honest = case
+    claim = craft_avoidance_block(pool, params, depth=depth, assumed_honest_power=honest, mode="exact")
+    assert claim == reference_exact_claim(pool, params, depth, honest)
+
+
+def test_craft_avoidance_exact_at_the_whole_pool_boundary():
+    # first set t1, t2; claiming t1 alone leaves exactly one block, which
+    # greedy packs whole: residual 10 against a claim of 5 is safe, while
+    # the whole first set leaves 5 against 10
+    params = ChainParams(block_size_limit=10, block_interval=600)
+    pool = pool_of(tx("t1", 5, 5), tx("t2", 5, 5), tx("t3", 5, 5))
+    claim = craft_avoidance_block(pool, params, depth=1, mode="exact")
+    assert claim == BandwidthSetResult(("t1",), 5, 5)
+    assert sum(t.size for t in pool.pending) - claim.total_size == params.block_size_limit
+    assert claim == reference_exact_claim(pool, params, 1, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(avoidance_cases(), st.data())
+def test_fee_left_reads_the_repacked_pool_fee(case, data):
+    pool, params, _, _ = case
+    first, _ = first_two_sets(pool, params)
+    lo = data.draw(st.integers(0, len(first)))
+    hi = data.draw(st.integers(lo, len(first)))
+    left = _fee_left(pool, first, range(lo, hi), params.block_size_limit)
+    assert left == bandwidth_set(pool.without(t.id for t in first[lo:hi]), params).total_fee

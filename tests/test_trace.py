@@ -151,6 +151,17 @@ def test_with_honest_fraction_approximates_target():
         dist.with_honest_fraction(0.95)
 
 
+
+@pytest.mark.parametrize(
+    "fraction, message",
+    [(-0.2, "honest fraction must be non-negative, got -0.2"), (0.95, "plus undercutter power exceeds 1")],
+    ids=["negative", "too-large"],
+)
+def test_with_honest_fraction_names_the_bound_it_breaks(fraction, message):
+    dist, _ = preset("bitcoin16")
+    with pytest.raises(ValueError, match=message):
+        dist.with_honest_fraction(fraction)
+
 def test_powers_file_roundtrip(tmp_path):
     dist, _ = preset("monero")
     path = tmp_path / "powers.txt"
