@@ -5,6 +5,7 @@ from .engine import (
     Block,
     Chain,
     MinerProfile,
+    RankTable,
     RunResult,
     Simulation,
     StalledSimulationError,

@@ -9,12 +9,13 @@ which chain to work on.  A race ends once one side leads by the give-up
 depth, and earnings settle from the blocks of the main chain.
 
 Runs are deterministic per seed, also across processes: no result
-depends on ``PYTHONHASHSEED``.  Independent runs share nothing mutable.
+depends on ``PYTHONHASHSEED``.  Runs may share one immutable RankTable.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -74,8 +75,8 @@ class MinerProfile:
     def __post_init__(self) -> None:
         if self.kind not in ("honest", "rational", "undercutter"):
             raise ValueError(f"unknown miner kind {self.kind!r}")
-        if self.power < 0.0:
-            raise ValueError("power must be non-negative")
+        if not self.power >= 0.0:
+            raise ValueError(f"power must be non-negative, got {self.power}")
 
 
 @dataclass(frozen=True)
@@ -135,28 +136,30 @@ class RunResult:
 
 
 class RankTable:
-    """Every transaction of a run's trace, numbered once in selection order.
+    """An immutable prepared trace, numbered once in selection order; runs may share one.
 
     A transaction's rank is its position in ``selection_key`` order, so a
-    set of ranks read in increasing order is a presorted pool.
+    set of ranks read in increasing order is a presorted pool, and
+    ``arrivals[i]`` is the rank of the i-th arrival, at ``times[i]``.
     """
 
-    __slots__ = ("txs", "rank", "size_floor")
+    __slots__ = ("txs", "rank", "size_floor", "arrivals", "times", "total_fee")
 
     def __init__(self, trace: Iterable[Transaction]):
-        ordered = sorted(trace, key=selection_key)
+        by_arrival = sorted(trace, key=lambda tx: (tx.arrival_time, tx.id))  # linear on time-ordered input
+        ordered = sorted(by_arrival, key=selection_key)
         self.txs = np.fromiter(ordered, dtype=object, count=len(ordered))
         self.rank = dict(zip([tx.id for tx in ordered], range(len(ordered))))
         if len(self.rank) != len(ordered):
             raise ValueError("duplicate transaction ids in trace")
         self.size_floor = min([tx.size for tx in ordered], default=1)
+        self.arrivals = np.array(self.ranks_of([tx.id for tx in by_arrival]), dtype=np.intp)
+        self.times = tuple([tx.arrival_time for tx in by_arrival])
+        self.total_fee = sum([tx.fee for tx in ordered])
 
     def ranks_of(self, tx_ids: Iterable[str]) -> list[int]:
         rank = self.rank
         return [rank[i] for i in tx_ids]
-
-    def lookup(self, tx_ids: Iterable[str]) -> list[Transaction]:
-        return self.txs[self.ranks_of(tx_ids)].tolist()
 
 
 class Chain:
@@ -195,11 +198,11 @@ class Chain:
     def tip(self) -> Block:
         return self.blocks[-1]
 
-    def add_pending(self, tx: Transaction) -> None:
-        self.pending[self.ranks.rank[tx.id]] = True
+    def add_pending(self, ranks: Sequence[int]) -> None:
+        self.pending[ranks] = True
 
-    def remove_pending(self, tx_ids: Iterable[str]) -> None:
-        self.pending[self.ranks.ranks_of(tx_ids)] = False
+    def remove_pending(self, ranks: Sequence[int]) -> None:
+        self.pending[ranks] = False
 
     def view(self) -> MempoolView:
         txs = self.ranks.txs[np.flatnonzero(self.pending)]
@@ -263,7 +266,7 @@ class Simulation:
 
     def __init__(
         self,
-        trace: Sequence[Transaction],
+        ranks: RankTable,
         miners: Sequence[MinerProfile],
         params: ChainParams,
         depth: int = 1,
@@ -293,12 +296,10 @@ class Simulation:
         honest = sum(m.power for m in miners if m.kind == "honest")
         beta_u = undercutters[0].power if undercutters else 0.0
         self.split = PowerSplit.of(beta_u, honest)
-        self.ranks = RankTable(trace)
-        self.trace = sorted(trace, key=lambda tx: (tx.arrival_time, tx.id))
-        self.total_trace_fee = sum(tx.fee for tx in self.trace)
+        self.ranks = ranks
         self.next_arrival = 0
 
-        t0 = self.trace[0].arrival_time if self.trace else 0.0
+        t0 = ranks.times[0] if ranks.times else 0.0
         genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=t0, height=0)
         self.main = Chain(blocks=[genesis], workers={m.id for m in miners}, ranks=self.ranks)
         self.fork: Chain | None = None
@@ -328,7 +329,7 @@ class Simulation:
         return self._settle()
 
     def _drained(self) -> bool:
-        if self.next_arrival < len(self.trace) or self.fork is not None:
+        if self.next_arrival < len(self.ranks.times) or self.fork is not None:
             return False
         # the ladders' negligible rule; a fee-less head gives inf and falls through
         gamma = gamma_ratio(self.main.view(), self.main.tip.fee_total, self.params)
@@ -349,7 +350,7 @@ class Simulation:
         return RunResult(
             earnings=earnings,
             confirmed_fee=confirmed,
-            total_trace_fee=self.total_trace_fee,
+            total_trace_fee=self.ranks.total_fee,
             blocks=len(terminal.blocks) - 1,
             attacks=self.attacks,
             attack_branches=dict(self.attack_branches),
@@ -389,8 +390,8 @@ class Simulation:
             creation_time=now,
             height=chain.tip.height + 1,
         )
-        chain.remove_pending(template.tx_ids)
-        if self.next_arrival >= len(self.trace) and self.fork is None:
+        chain.remove_pending(self.ranks.ranks_of(template.tx_ids))
+        if self.next_arrival >= len(self.ranks.times) and self.fork is None:
             self.stagnant_blocks = self.stagnant_blocks + 1 if block.fee_total == 0 else 0
         return block
 
@@ -452,15 +453,15 @@ class Simulation:
         action, branch, tag = decide(self.split, gamma, self.params.negligible_fee_threshold)
         if action == "stay":
             return
-        head_txs = self.ranks.lookup(block.tx_ids)
+        head = self.ranks.ranks_of(block.tx_ids)
+        head_txs = self.ranks.txs[head].tolist()
         tag, template = undercut_template(self.depth, branch, tag, self.params, pool, head_txs)
         self.attacks += 1
         self.attack_branches[tag] += 1
-        fork = Chain(blocks=ext.blocks[:-1].copy(), workers={self.undercutter_id}, ranks=self.ranks)
+        fork = Chain(blocks=ext.blocks[:-1], workers={self.undercutter_id}, ranks=self.ranks)
         fork.base_height = block.height - 1
         fork.pending = ext.pending.copy()
-        for tx in head_txs:
-            fork.add_pending(tx)
+        fork.add_pending(head)
         fork.committed = template
         ext.workers.discard(self.undercutter_id)
         self.fork = fork
@@ -496,11 +497,10 @@ class Simulation:
 
     def update_mempool(self, now: float) -> None:
         """Feed arrivals up to the event time into every live chain."""
-        while self.next_arrival < len(self.trace) and self.trace[self.next_arrival].arrival_time <= now:
-            tx = self.trace[self.next_arrival]
-            self.next_arrival += 1
-            for chain in self.chains:
-                chain.add_pending(tx)
+        end = bisect_right(self.ranks.times, now, self.next_arrival)
+        for chain in self.chains:
+            chain.add_pending(self.ranks.arrivals[self.next_arrival : end])
+        self.next_arrival = end
 
     def _resample(self, now: float) -> None:
         # Exponential clocks are memoryless, so redrawing every live
@@ -528,4 +528,4 @@ def run(
     seed: int = 0,
 ) -> RunResult:
     """One seeded simulation; see Simulation for the event semantics."""
-    return Simulation(trace, miners, params, depth=depth, avoidance=avoidance, seed=seed).run()
+    return Simulation(RankTable(trace), miners, params, depth=depth, avoidance=avoidance, seed=seed).run()

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import AvoidancePolicy, profiles, run
+from .engine import AvoidancePolicy, RankTable, Simulation, profiles
 from .mempool import ChainParams, Transaction
 from .strategy import DEPTHS
 from .trace import PowerDistribution
@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ValueError("repetitions must be positive")
         if not self.depths or any(d not in DEPTHS for d in self.depths):
             raise ValueError("depths must be drawn from {1, 2}")
+        if not self.honest_fractions:
+            raise ValueError("honest fractions must not be empty")
         # a repeated value would run its cells twice, with other seeds
         for label, values in (("depth", self.depths), ("honest fraction", self.honest_fractions)):
             for i, value in enumerate(values):
@@ -112,21 +114,21 @@ def derive_seed(base_seed: int, cell_index: int, repetition: int) -> int:
 def _run_cell(
     config: ExperimentConfig, trace: Sequence[Transaction], index: int, depth: int, hf: float
 ) -> CellResult:
-    population = config.powers.with_honest_fraction(hf)
-    miners = profiles(population.entries)
+    miners = profiles(config.powers.with_honest_fraction(hf).entries)
     undercutter = next(m.id for m in miners if m.kind == "undercutter")
     per_miner: dict[str, list[float]] = {m.id: [] for m in miners}
     attacks = 0
     branches: Counter[str] = Counter()
+    ranks = RankTable(trace)  # one prepared trace for every repetition
     for rep in range(config.repetitions):
-        result = run(
-            trace,
+        result = Simulation(
+            ranks,
             miners,
             config.params,
             depth=depth,
             avoidance=config.avoidance,
             seed=derive_seed(config.base_seed, index, rep),
-        )
+        ).run()
         for mid in per_miner:
             per_miner[mid].append(result.share(mid))
         attacks += result.attacks

@@ -8,6 +8,7 @@ templates, avoidance claims) goes through the helpers here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
@@ -65,8 +66,8 @@ class ChainParams:
     def __post_init__(self) -> None:
         if self.block_size_limit <= 0:
             raise ValueError("block_size_limit must be positive")
-        if self.block_interval <= 0:
-            raise ValueError("block_interval must be positive")
+        if not 0.0 < self.block_interval < math.inf:
+            raise ValueError(f"block_interval must be positive and finite, got {self.block_interval}")
         if not 0.0 <= self.negligible_fee_threshold < 1.0:
             raise ValueError("negligible_fee_threshold must lie in [0, 1)")
 
@@ -296,7 +297,7 @@ def gamma_ratio(pool: MempoolView, head_block_fee: int, params: ChainParams) -> 
     """
     if head_block_fee < 0:
         raise ValueError("head_block_fee must be non-negative")
-    return gamma_of_fees(bandwidth_set(pool, params).total_fee, head_block_fee)
+    return gamma_of_fees(claimable_fees(pool, params, 1), head_block_fee)
 
 
 def gamma_of_fees(next_fee: int, head_block_fee: int) -> float:

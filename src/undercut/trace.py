@@ -36,7 +36,7 @@ class PowerDistribution:
 
     def __post_init__(self) -> None:
         total = sum(p for _, p, _ in self.entries)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"powers must sum to 1, got {total}")
         ids = [mid for mid, _, _ in self.entries]
         if len(set(ids)) != len(ids):
@@ -44,8 +44,8 @@ class PowerDistribution:
         for mid, power, kind in self.entries:
             if kind not in MINER_KINDS:
                 raise ValueError(f"miner {mid!r}: unknown kind {kind!r}")
-            if power < 0.0:
-                raise ValueError(f"miner {mid!r}: negative power")
+            if not power >= 0.0:
+                raise ValueError(f"miner {mid!r}: power must be non-negative, got {power}")
         undercutters = [(mid, p) for mid, p, k in self.entries if k == "undercutter"]
         if len(undercutters) != 1:
             raise ValueError("exactly one undercutter required")
@@ -202,6 +202,8 @@ def load_powers(path: str | Path) -> PowerDistribution:
                 power = float(power)
             except ValueError:
                 raise TraceError(f"line {line_no}: bad power value {parts[1]!r}") from None
+            if not math.isfinite(power):
+                raise TraceError(f"line {line_no}: power must be finite, got {parts[1]!r}")
             entries.append((mid, power, kind))
     try:
         return PowerDistribution(tuple(entries))

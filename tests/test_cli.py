@@ -240,8 +240,9 @@ def test_sweep_rejects_bad_numbers(tmp_path, capsys, extra, message):
         (["--depth", "1,1"], "depth 1 is repeated"),
         (["--honest", "0.2,0.2"], "honest fraction 0.2 is repeated"),
         (["--honest", "-0.2"], "honest fraction -0.2 must be non-negative"),
+        (["--honest", ","], "honest fractions must not be empty"),
     ],
-    ids=["repeated-depth", "repeated-honest", "negative-honest"],
+    ids=["repeated-depth", "repeated-honest", "negative-honest", "empty-honest"],
 )
 def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, extra, message):
     trace_path = tmp_path / "t.csv"
@@ -254,6 +255,17 @@ def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, extra, message
     assert code == 1
     assert message in captured.err and captured.out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf"])
+def test_run_rejects_non_finite_interval(tmp_path, capsys, interval):
+    trace_path = tmp_path / "t.csv"
+    main(["synth", "--output", str(trace_path), "--rate", "0.02", "--duration", "600"])
+    capsys.readouterr()
+    code = main(["run", "--trace", str(trace_path), "--interval", interval])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"block_interval must be positive and finite, got {interval}" in captured.err and captured.out == ""
 
 
 def test_run_rejects_negative_honest_fraction(tmp_path, capsys):

@@ -99,7 +99,7 @@ def test_sample_next_block_time_thinning():
 
 
 def drive_update(depth, main_height, fork_height):
-    sim = Simulation([], two_miners(), PARAMS, depth=depth)
+    sim = Simulation(RankTable([]), two_miners(), PARAMS, depth=depth)
     main = sim.chains[0]
     main.blocks = make_chain(main_height, set()).blocks[:-1]
     fork = make_chain(fork_height, {"u"})
@@ -123,7 +123,7 @@ def test_update_chains_removal_depth_rules():
 
 
 def test_update_chains_fork_win():
-    sim = Simulation([], two_miners(), PARAMS, depth=1)
+    sim = Simulation(RankTable([]), two_miners(), PARAMS, depth=1)
     main = sim.chains[0]
     main.workers = {"h"}
     fork = make_chain(1, {"u"})
@@ -135,7 +135,7 @@ def test_update_chains_fork_win():
 
 
 def test_honest_miners_follow_longest_chain_first_seen_ties():
-    sim = Simulation([], two_miners(), PARAMS, depth=2)
+    sim = Simulation(RankTable([]), two_miners(), PARAMS, depth=2)
     main = sim.chains[0]
     main.workers = {"h"}
     main.blocks = make_chain(1, set()).blocks
@@ -177,20 +177,19 @@ def test_chain_pool_matches_a_sorted_model(history):
         k = pick % len(chains)
         if op == "arrive" and arrived < len(txs):
             for chain, model in zip(chains, pending):
-                chain.add_pending(txs[arrived])
+                chain.add_pending(ranks.ranks_of([txs[arrived].id]))
                 model.add(txs[arrived])
             arrived += 1
         elif op == "remove":
             gone = [t for i, t in enumerate(sorted(pending[k], key=selection_key)) if pick >> i & 1]
-            chains[k].remove_pending(tuple(t.id for t in gone))
+            chains[k].remove_pending(ranks.ranks_of(t.id for t in gone))
             pending[k] -= set(gone)
             confirmed[k] |= set(gone)
         elif op == "fork":
             head = [t for i, t in enumerate(sorted(confirmed[k], key=selection_key)) if pick >> i & 1]
             fork = Chain(blocks=[], workers=set(), ranks=ranks)
             fork.pending = chains[k].pending.copy()
-            for t in head:
-                fork.add_pending(t)
+            fork.add_pending(ranks.ranks_of(t.id for t in head))
             chains.append(fork)
             pending.append(pending[k] | set(head))
             confirmed.append(confirmed[k] - set(head))
@@ -200,15 +199,28 @@ def test_chain_pool_matches_a_sorted_model(history):
 
 def test_update_mempool_boundary_inclusive():
     records = [tx("a", 1, 1, t=5.0), tx("b", 1, 1, t=6.0)]
-    sim = Simulation(records, two_miners(), PARAMS, depth=1)
+    sim = Simulation(RankTable(records), two_miners(), PARAMS, depth=1)
     sim.update_mempool(5.0)
     assert sim.chains[0].view().ids() == {"a"}
     sim.update_mempool(6.0)
     assert sim.chains[0].view().ids() == {"a", "b"}
 
+    # unsorted input, tied timestamps, selection order against arrival order
+    records = [tx("e", 1, 1, t=6.0), tx("c", 1, 3, t=6.0), tx("d", 1, 2, t=5.0), tx("a", 1, 5, t=7.0)]
+    table = RankTable(records)
+    assert [table.txs[r].id for r in table.arrivals] == ["d", "c", "e", "a"]
+    assert table.times == (5.0, 6.0, 6.0, 7.0) and table.total_fee == 11
+    sim = Simulation(table, two_miners(), PARAMS, depth=1)
+    sim.update_mempool(4.9)
+    assert sim.chains[0].view().ids() == frozenset()
+    sim.update_mempool(6.0)
+    assert [t.id for t in sim.chains[0].view().pending] == ["c", "d", "e"]
+    sim.update_mempool(7.0)
+    assert [t.id for t in sim.chains[0].view().pending] == ["a", "c", "d", "e"]
+
 
 def test_publish_block_empty_pool_and_whole_pool():
-    sim = Simulation([tx("a", 10, 5, t=0.0)], two_miners(), PARAMS, depth=1)
+    sim = Simulation(RankTable([tx("a", 10, 5, t=0.0)]), two_miners(), PARAMS, depth=1)
     chain = sim.chains[0]
     block = sim.publish_block("h", chain, 1.0)
     assert block.fee_total == 0 and block.tx_ids == ()
@@ -221,7 +233,7 @@ def test_publish_block_avoidance_claims_below_bandwidth_set():
     records = [tx("w", 100, 4000, t=0.0)] + [tx(f"d{i}", 100, 100, t=0.0) for i in range(6)]
     params = ChainParams(block_size_limit=300, block_interval=600.0)
     sim = Simulation(
-        records,
+        RankTable(records),
         two_miners(),
         params,
         depth=1,
@@ -269,12 +281,12 @@ def test_seed_determinism_and_divergence():
 
 HASH_SEED_CHILD = """
 from conftest import whale_trace
-from undercut.engine import Simulation, profiles
+from undercut.engine import RankTable, Simulation, profiles
 from undercut.trace import preset
 
 dist, params = preset("bitcoin16")
 miners = profiles(dist.with_honest_fraction(0.3).entries)
-sim = Simulation(whale_trace(707, 600, 6_000), miners, params, seed=1)
+sim = Simulation(RankTable(whale_trace(707, 600, 6_000)), miners, params, seed=1)
 sim.run()
 for block in sim.main.blocks:
     print(repr(block.creation_time))
@@ -303,7 +315,7 @@ def test_conservation_and_single_confirmation():
     dist, _ = preset("bitcoin16")
     miners = profiles(dist.with_honest_fraction(0.3).entries)
     for depth in (1, 2):
-        sim = Simulation(records, miners, PARAMS, depth=depth, seed=17)
+        sim = Simulation(RankTable(records), miners, PARAMS, depth=depth, seed=17)
         result = sim.run()
         assert result.attacks > 0
         assert result.fork_wins + result.fork_losses == result.attacks
@@ -337,7 +349,7 @@ def test_every_miner_works_exactly_one_chain():
     records = whale_trace(13, 600, 90_000, dust_rate=5.0, whale_rate=0.4)
     dist, _ = preset("bitcoin16")
     miners = profiles(dist.with_honest_fraction(0.2).entries)
-    sim = PartitionCheckedSimulation(records, miners, PARAMS, depth=2, seed=23)
+    sim = PartitionCheckedSimulation(RankTable(records), miners, PARAMS, depth=2, seed=23)
     result = sim.run()
     assert result.attacks > 0
 
@@ -364,8 +376,9 @@ def small_runs(draw):
 def test_run_invariants_hold_on_random_traces(case):
     trace, miners, depth, avoidance, seed = case
     params = ChainParams(block_size_limit=6_000, block_interval=600.0)
+    table = RankTable(trace)
     sim = PartitionCheckedSimulation(
-        trace, miners, params, depth=depth, avoidance=avoidance, seed=seed
+        table, miners, params, depth=depth, avoidance=avoidance, seed=seed
     )
     result = sim.run()
     assert sum(result.earnings.values()) == result.confirmed_fee <= result.total_trace_fee
@@ -374,6 +387,8 @@ def test_run_invariants_hold_on_random_traces(case):
     assert set(confirmed) <= {t.id for t in trace}
     assert result.fork_wins + result.fork_losses <= result.attacks
     assert run(trace, miners, params, depth=depth, avoidance=avoidance, seed=seed) == result
+    # a run leaves the table it reads untouched, so a sweep cell's runs may share it
+    assert Simulation(table, miners, params, depth=depth, avoidance=avoidance, seed=seed).run() == result
 
 
 def test_all_honest_population_mines_fair_shares():
@@ -409,6 +424,8 @@ def test_profiles_and_policy_parsing():
             parse_avoidance(f"strict={bad}")
     with pytest.raises(ValueError):
         MinerProfile("a", 0.5, "lazy")
+    with pytest.raises(ValueError, match="power must be non-negative, got nan"):
+        MinerProfile("a", float("nan"), "honest")
     with pytest.raises(ValueError):
         run([], profiles((("a", 0.7, "honest"),)), PARAMS)
     with pytest.raises(ValueError, match="duplicate miner id 'a'"):

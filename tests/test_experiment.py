@@ -122,8 +122,9 @@ def test_parallel_jobs_match_serial(config, small_trace):
         ("depths", (1, 1), "depth 1 is repeated"),
         ("honest_fractions", (0.2, 0.3, 0.2), "honest fraction 0.2 is repeated"),
         ("honest_fractions", (0.1, -0.2), "honest fraction -0.2 must be non-negative"),
+        ("honest_fractions", (), "honest fractions must not be empty"),
     ],
-    ids=["repeated-depth", "repeated-honest", "negative-honest"],
+    ids=["repeated-depth", "repeated-honest", "negative-honest", "empty-honest"],
 )
 def test_config_rejects_cells_before_any_run(field, values, message):
     dist, params = preset("bitcoin16")

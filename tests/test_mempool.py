@@ -35,6 +35,9 @@ def test_chain_params_validation():
         ChainParams(block_size_limit=10, block_interval=0)
     with pytest.raises(ValueError):
         ChainParams(block_size_limit=10, block_interval=600, negligible_fee_threshold=1.0)
+    for bad in ("nan", "inf"):
+        with pytest.raises(ValueError, match=f"block_interval must be positive and finite, got {bad}"):
+            ChainParams(block_size_limit=10, block_interval=float(bad))
 
 
 def test_mempool_view_rejects_overlap_and_duplicates():

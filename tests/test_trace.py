@@ -137,6 +137,8 @@ def test_power_distribution_validation():
         PowerDistribution((("a", 0.5, "rational"), ("b", 0.5, "honest")))
     with pytest.raises(ValueError):
         PowerDistribution((("a", 0.4, "undercutter"), ("b", 0.7, "honest")))
+    with pytest.raises(ValueError, match="powers must sum to 1, got nan"):
+        PowerDistribution((("a", 0.4, "undercutter"), ("b", float("nan"), "rational"), ("c", 0.6, "honest")))
 
 
 def test_with_honest_fraction_approximates_target():
@@ -177,3 +179,7 @@ def test_powers_file_errors(tmp_path):
     path.write_text("a,half,rational\n")
     with pytest.raises(TraceError, match="line 1"):
         load_powers(path)
+    for bad in ("nan", "inf"):
+        path.write_text(f"u,0.4,undercutter\na,{bad},rational\nb,0.6,honest\n")
+        with pytest.raises(TraceError, match=f"line 2: power must be finite, got '{bad}'"):
+            load_powers(path)
