@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from .mempool import (
     bandwidth_set,
     claimable_fees,
     gamma_ratio,
-    selection_key,
 )
 from .strategy import (
     AVOIDANCE_MODES,
@@ -141,21 +141,37 @@ class RankTable:
     A transaction's rank is its position in ``selection_key`` order, so a
     set of ranks read in increasing order is a presorted pool, and
     ``arrivals[i]`` is the rank of the i-th arrival, at ``times[i]``.
+
+    The build makes one Python sort, by id, and orders everything else
+    with stable array sorts over that id order, so every tie falls back
+    to the id: one ``np.lexsort`` on (fee rate, fee) descending gives
+    exactly ``selection_key`` order, and one stable ``np.argsort`` on the
+    times gives ``(arrival_time, id)`` order.  Ids are compared as Python
+    strings (a numpy ``'U'`` array would drop trailing NULs), and a fee
+    past int64 makes its key an object array, which still sorts exactly.
     """
 
     __slots__ = ("txs", "rank", "size_floor", "arrivals", "times", "total_fee")
 
     def __init__(self, trace: Iterable[Transaction]):
-        by_arrival = sorted(trace, key=lambda tx: (tx.arrival_time, tx.id))  # linear on time-ordered input
-        ordered = sorted(by_arrival, key=selection_key)
-        self.txs = np.fromiter(ordered, dtype=object, count=len(ordered))
-        self.rank = dict(zip([tx.id for tx in ordered], range(len(ordered))))
-        if len(self.rank) != len(ordered):
+        by_id = sorted(trace, key=attrgetter("id"))
+        n = len(by_id)
+        # selection_key's own float and sign for -fee_rate, then -fee; ties keep id order
+        ordered = np.lexsort(
+            (np.array([-tx.fee for tx in by_id]), np.array([-tx.fee / tx.size for tx in by_id]))
+        )
+        rank = np.empty(n, dtype=np.intp)
+        rank[ordered] = np.arange(n)
+        self.rank = dict(zip([tx.id for tx in by_id], rank.tolist()))
+        if len(self.rank) != n:
             raise ValueError("duplicate transaction ids in trace")
-        self.size_floor = min([tx.size for tx in ordered], default=1)
-        self.arrivals = np.array(self.ranks_of([tx.id for tx in by_arrival]), dtype=np.intp)
-        self.times = tuple([tx.arrival_time for tx in by_arrival])
-        self.total_fee = sum([tx.fee for tx in ordered])
+        txs = np.fromiter(by_id, dtype=object, count=n)
+        arriving = np.argsort(np.array([tx.arrival_time for tx in by_id]), kind="stable")
+        self.txs = txs[ordered]
+        self.size_floor = min([tx.size for tx in by_id], default=1)
+        self.arrivals = rank[arriving]
+        self.times = tuple([tx.arrival_time for tx in txs[arriving]])
+        self.total_fee = sum([tx.fee for tx in by_id])
 
     def ranks_of(self, tx_ids: Iterable[str]) -> list[int]:
         rank = self.rank
@@ -173,6 +189,9 @@ class Chain:
     re-sort.  Each transaction is added once, on arrival, to the chains
     live then; a fork starts from a copy of its parent's mask, so no
     chain sees a transaction it confirmed come back.
+
+    ``view`` is cached until ``add_pending`` or ``remove_pending`` changes
+    the mask; a fork sets its copied mask before its first view.
     """
 
     __slots__ = (
@@ -183,6 +202,7 @@ class Chain:
         "next_time",
         "committed",
         "base_height",
+        "_view",
     )
 
     def __init__(self, blocks: list[Block], workers: set[str], ranks: RankTable):
@@ -193,20 +213,30 @@ class Chain:
         self.next_time = math.inf
         self.committed: BandwidthSetResult | None = None
         self.base_height = 0  # fork point height; 0 for the original chain
+        self._view: MempoolView | None = None  # the pool's view until the next change
 
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
 
     def add_pending(self, ranks: Sequence[int]) -> None:
-        self.pending[ranks] = True
+        # most events bring no arrival: an empty slice keeps the cached view
+        if len(ranks):
+            self.pending[ranks] = True
+            self._view = None
 
     def remove_pending(self, ranks: Sequence[int]) -> None:
-        self.pending[ranks] = False
+        if len(ranks):
+            self.pending[ranks] = False
+            self._view = None
 
     def view(self) -> MempoolView:
-        txs = self.ranks.txs[np.flatnonzero(self.pending)]
-        return MempoolView(pending=tuple(txs.tolist()), presorted=True, size_floor=self.ranks.size_floor)
+        if self._view is None:
+            txs = self.ranks.txs[np.flatnonzero(self.pending)]
+            self._view = MempoolView(
+                pending=tuple(txs.tolist()), presorted=True, size_floor=self.ranks.size_floor
+            )
+        return self._view
 
     def worker_power(self, powers: dict[str, float]) -> float:
         # fsum is exactly rounded: set order (it varies with PYTHONHASHSEED) cannot move it
@@ -440,8 +470,37 @@ class Simulation:
             (w for w in other.workers if self.miners[w].kind == "rational"),
             key=lambda w: (-self.powers[w], w),
         )
+        if not candidates:
+            return
+        base = fork.base_height
+        if ext is fork and other.tip.height - base == 1 and fork.tip.height - base == 1:
+            # main (``other`` here) cannot grow without ending the tie, so its
+            # tip is still the head the fork undercut: one gamma decides for all
+            gamma = gamma_ratio(other.view(), other.tip.fee_total, self.params)
+            if gamma < DEPTHS[self.depth].join_threshold(self.split):
+                other.workers.difference_update(candidates)
+                ext.workers.update(candidates)
+            return
+        # General state: endpoint evaluation of the shift objective with
+        # each miner's own power as the movable mass (all-or-nothing).
+        # The pools do not change between candidates; the powers do.
+        lead = ext.tip.height - other.tip.height
+        claimable_main = claimable_fees(other.view(), self.params, self.depth + lead)
+        claimable_fork = claimable_fees(ext.view(), self.params, self.depth - lead)
         for mid in candidates:
-            if self._rational_joins(mid, ext, other):
+            x = rational_shift_general(
+                lead,
+                ext.worker_power(self.powers),
+                self.split,
+                self.depth,
+                claimable_main=claimable_main,
+                claimable_fork=claimable_fork,
+                owned_main=self._owned_after_fork(mid, other, base),
+                owned_fork=self._owned_after_fork(mid, ext, base),
+                grid=1,
+                movable=self.powers[mid],
+            )
+            if x >= 1.0:
                 other.workers.discard(mid)
                 ext.workers.add(mid)
 
@@ -465,32 +524,6 @@ class Simulation:
         fork.committed = template
         ext.workers.discard(self.undercutter_id)
         self.fork = fork
-
-    def _rational_joins(self, miner_id: str, ext: Chain, mine: Chain) -> bool:
-        """Would this miner move its whole power onto the extended chain?"""
-        main, fork = self.main, self.fork
-        base = fork.base_height
-        if ext is fork and main.tip.height - base == 1 and fork.tip.height - base == 1:
-            # main cannot grow without ending the tie, so its tip is
-            # still the head the fork undercut
-            gamma = gamma_ratio(main.view(), main.tip.fee_total, self.params)
-            return gamma < DEPTHS[self.depth].join_threshold(self.split)
-        # General state: endpoint evaluation of the shift objective with
-        # this miner's own power as the movable mass (all-or-nothing).
-        lead = ext.tip.height - mine.tip.height
-        x = rational_shift_general(
-            lead,
-            ext.worker_power(self.powers),
-            self.split,
-            self.depth,
-            claimable_main=claimable_fees(mine.view(), self.params, self.depth + lead),
-            claimable_fork=claimable_fees(ext.view(), self.params, self.depth - lead),
-            owned_main=self._owned_after_fork(miner_id, mine, base),
-            owned_fork=self._owned_after_fork(miner_id, ext, base),
-            grid=1,
-            movable=self.powers[miner_id],
-        )
-        return x >= 1.0
 
     def _owned_after_fork(self, miner_id: str, chain: Chain, base: int) -> int:
         return sum(b.fee_total for b in chain.blocks if b.height > base and b.owner == miner_id)

@@ -118,9 +118,9 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
     """Load, validate and time-sort a transaction trace.
 
     CSV files need the header ``id,timestamp,size,fee``; json-lines
-    files carry one object with those keys per line.  Duplicate ids,
-    non-finite timestamps and non-positive sizes are rejected with the
-    offending line number.
+    files carry one object with those keys per line, with size and fee
+    as JSON integers.  Duplicate ids, non-finite timestamps, non-integer
+    and non-positive sizes are rejected with the offending line number.
     """
     path = Path(path)
     records: list[Transaction] = []
@@ -147,6 +147,11 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
                     values = [obj[c] for c in TRACE_COLUMNS]
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise TraceError(f"line {line_no}: malformed row: {exc}") from None
+                for column, value in zip(TRACE_COLUMNS[2:], values[2:]):
+                    # int() would truncate 250.9 and read true as 1
+                    if type(value) is not int:
+                        got = json.dumps(value)
+                        raise TraceError(f"line {line_no}: {column} must be a JSON integer, got {got}")
                 records.append(_record(line_no, *values))
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
@@ -240,8 +245,9 @@ def synthesize_trace(
     ``size_dist`` is ``uniform(lo, hi)`` or ``fixed(size)``.
     Deterministic per seed.
     """
-    if rate < 0 or duration < 0:
-        raise ValueError("rate and duration must be non-negative")
+    for name, value in (("rate", rate), ("duration", duration)):
+        if not 0.0 <= value < math.inf:  # an infinite or NaN bound never ends the arrival loop
+            raise ValueError(f"{name} must be non-negative and finite, got {value}")
     rng = np.random.default_rng(seed)
     records: list[Transaction] = []
     if rate == 0 or duration == 0:

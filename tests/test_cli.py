@@ -257,6 +257,19 @@ def test_sweep_rejects_bad_cells_before_running(tmp_path, capsys, extra, message
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--duration", "inf"), ("--duration", "nan"), ("--rate", "inf"), ("--rate", "nan")]
+)
+def test_synth_rejects_non_finite_bounds(tmp_path, capsys, flag, value):
+    out_path = tmp_path / "t.csv"
+    bounds = {"--rate": "0.02", "--duration": "600", flag: value}
+    code = main(["synth", "--output", str(out_path)] + [a for kv in bounds.items() for a in kv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"{flag[2:]} must be non-negative and finite, got {value}" in captured.err and captured.out == ""
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("interval", ["nan", "inf"])
 def test_run_rejects_non_finite_interval(tmp_path, capsys, interval):
     trace_path = tmp_path / "t.csv"

@@ -197,6 +197,44 @@ def test_chain_pool_matches_a_sorted_model(history):
             assert chain.view().pending == tuple(sorted(model, key=selection_key))
 
 
+@st.composite
+def shuffled_traces(draw):
+    """Unsorted traces with tied times, tied fee rates and tied fees.
+
+    Ids differ in a trailing NUL or a non-ASCII character, and some fees
+    lie at or past 2**63, where a float fee rate ties and only the exact
+    fee can decide.
+    """
+    ids = draw(st.lists(st.text(alphabet="a\x00é\U0001f600", max_size=3), unique=True, max_size=40))
+    fee = st.one_of(st.integers(0, 6), st.integers(2**63 - 2, 2**63 + 2), st.sampled_from((2**64, 2**80)))
+    rows = [(draw(st.integers(1, 4)), draw(fee), draw(st.sampled_from((0.0, 0.5, 1.0)))) for _ in ids]
+    return [tx(i, size, f, t=t) for i, (size, f, t) in zip(ids, rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_traces())
+def test_rank_table_matches_sorted_reference(trace):
+    table = RankTable(trace)
+    ordered = sorted(trace, key=selection_key)
+    by_arrival = sorted(trace, key=lambda t: (t.arrival_time, t.id))
+    rank = {t.id: r for r, t in enumerate(ordered)}
+    assert table.txs.tolist() == ordered
+    assert table.rank == rank
+    assert table.arrivals.tolist() == [rank[t.id] for t in by_arrival]
+    assert table.times == tuple(t.arrival_time for t in by_arrival)
+    assert table.size_floor == min((t.size for t in trace), default=1)
+    assert table.total_fee == sum(t.fee for t in trace)
+
+
+def test_rank_table_of_an_empty_trace_and_duplicate_ids():
+    table = RankTable([])
+    assert table.txs.tolist() == [] and table.rank == {} and table.arrivals.tolist() == []
+    assert table.times == () and table.size_floor == 1 and table.total_fee == 0
+    assert len(RankTable([tx("a", 1, 1), tx("a\x00", 1, 1)]).rank) == 2
+    with pytest.raises(ValueError, match="duplicate transaction ids"):
+        RankTable([tx("b", 1, 1), tx("a", 1, 1, t=1.0), tx("a", 2, 9)])
+
+
 def test_update_mempool_boundary_inclusive():
     records = [tx("a", 1, 1, t=5.0), tx("b", 1, 1, t=6.0)]
     sim = Simulation(RankTable(records), two_miners(), PARAMS, depth=1)

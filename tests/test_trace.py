@@ -79,6 +79,44 @@ def test_load_trace_rejects_non_finite_timestamps_jsonl(tmp_path, stamp):
         load_trace(path, fmt="json-lines")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("size", "250.9"), ("fee", "10.7"), ("size", "true"), ("fee", "false"), ("fee", '"5"'), ("size", "250.0")],
+)
+def test_load_trace_jsonl_requires_integer_size_and_fee(tmp_path, field, value):
+    # int() used to load 250.9 as 250 and true as 1
+    row = {"id": '"b"', "timestamp": "2", "size": "10", "fee": "5", field: value}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"id": "a", "timestamp": 1, "size": 10, "fee": 5}\n'
+        + "{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n"
+    )
+    with pytest.raises(TraceError, match=f"line 2: {field} must be a JSON integer, got {value}"):
+        load_trace(path, fmt="json-lines")
+
+
+def test_load_trace_jsonl_keeps_fees_past_int64(tmp_path):
+    path = tmp_path / "big.jsonl"
+    path.write_text(f'{{"id": "a", "timestamp": 1, "size": 10, "fee": {2**70}}}\n')
+    assert load_trace(path, fmt="json-lines")[0].fee == 2**70
+
+
+@pytest.mark.parametrize(
+    "rate, duration, message",
+    [
+        (float("inf"), 100.0, "rate must be non-negative and finite, got inf"),
+        (float("nan"), 100.0, "rate must be non-negative and finite, got nan"),
+        (0.5, float("inf"), "duration must be non-negative and finite, got inf"),
+        (0.5, float("nan"), "duration must be non-negative and finite, got nan"),
+        (-0.5, 100.0, "rate must be non-negative and finite, got -0.5"),
+    ],
+)
+def test_synthesize_trace_rejects_non_finite_bounds(rate, duration, message):
+    # an infinite or NaN bound used to keep the arrival loop running forever
+    with pytest.raises(ValueError, match=message):
+        synthesize_trace(rate=rate, duration=duration, seed=1)
+
+
 def test_synthesize_trace_properties():
     assert synthesize_trace(rate=0.0, duration=100.0, seed=1) == []
     a = synthesize_trace(rate=0.5, duration=5000.0, seed=9)
