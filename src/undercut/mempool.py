@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -29,7 +30,7 @@ class UnsplittableError(ValueError):
 EXACT_SELECTION_LIMIT = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One fee-bearing transaction: the atom of pools and blocks.
 
@@ -37,6 +38,12 @@ class Transaction:
     so that conservation checks never see floating-point drift.  Sizes
     are integers in whatever unit the trace declares (bytes or weight
     units), one convention per trace.
+
+    A run holds one object per trace row, so the class has slots and no
+    per-object ``__dict__``.  ``__reduce__`` rebuilds a pickled or copied
+    transaction through the constructor: a sweep worker that unpickles
+    its trace then holds the same compact, validated objects as the
+    process that loaded it.
     """
 
     id: str
@@ -49,6 +56,9 @@ class Transaction:
             raise ValueError(f"transaction {self.id!r}: size must be positive, got {self.size}")
         if self.fee < 0:
             raise ValueError(f"transaction {self.id!r}: fee must be non-negative, got {self.fee}")
+
+    def __reduce__(self):
+        return type(self), (self.id, self.arrival_time, self.size, self.fee)
 
     @property
     def fee_rate(self) -> float:
@@ -96,13 +106,21 @@ class MempoolView:
     transactions cannot lower the minimum), and presorted callers
     supply one; the default of 1 holds for any pool, as sizes are
     positive.
+
+    ``packed`` memoizes the greedy pack of each size budget it is asked
+    for, so a snapshot that ``bandwidth_set``, ``gamma_ratio`` and
+    ``claimable_fees`` all read is packed once per budget.  The memo is
+    not part of the view's value: it is left out of equality, hashing
+    and ``repr``.
     """
 
     pending: tuple[Transaction, ...] = ()
     presorted: InitVar[bool] = False
     size_floor: int = field(default=1, compare=False)
+    _packs: dict[int, tuple[Transaction, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, presorted: bool) -> None:
+        object.__setattr__(self, "_packs", {})
         if presorted:
             return
         pending = tuple(sorted(self.pending, key=selection_key))
@@ -115,6 +133,15 @@ class MempoolView:
 
     def ids(self) -> frozenset[str]:
         return frozenset(tx.id for tx in self.pending)
+
+    def packed(self, size_budget: int) -> tuple[Transaction, ...]:
+        """The greedy pack of the pool within ``size_budget``, memoized."""
+        chosen = self._packs.get(size_budget)
+        if chosen is None:
+            chosen = self._packs[size_budget] = tuple(
+                _greedy_pack(self.pending, size_budget, self.size_floor)
+            )
+        return chosen
 
     def without(self, tx_ids: Iterable[str]) -> "MempoolView":
         """Pool after the given transactions were mined on this chain."""
@@ -141,9 +168,9 @@ class BandwidthSetResult:
     @staticmethod
     def from_transactions(txs: Sequence[Transaction]) -> "BandwidthSetResult":
         return BandwidthSetResult(
-            tx_ids=tuple(tx.id for tx in txs),
-            total_fee=sum(tx.fee for tx in txs),
-            total_size=sum(tx.size for tx in txs),
+            tx_ids=tuple(map(attrgetter("id"), txs)),
+            total_fee=sum(map(attrgetter("fee"), txs)),
+            total_size=sum(map(attrgetter("size"), txs)),
         )
 
 
@@ -247,8 +274,7 @@ def bandwidth_set(pool: MempoolView, params: ChainParams, mode: str = "greedy") 
     above EXACT_SELECTION_LIMIT transactions.
     """
     if mode == "greedy":
-        chosen = _greedy_pack(pool.pending, params.block_size_limit, pool.size_floor)
-        return BandwidthSetResult.from_transactions(chosen)
+        return BandwidthSetResult.from_transactions(pool.packed(params.block_size_limit))
     if mode == "exact":
         if len(pool.pending) > EXACT_SELECTION_LIMIT:
             raise InstanceTooLargeError(
@@ -314,39 +340,40 @@ def split_equal_fee(
 ) -> list[list[Transaction]]:
     """Partition transactions into ``k`` fee-balanced, size-feasible parts.
 
-    Longest-processing-time heuristic: assign in descending fee order to
-    the currently lightest part that still fits the size limit.  Falls
-    back to a size-descending pass before giving up.
+    Longest-processing-time heuristic: assign in descending fee order
+    (ties by id) to the lightest part that still fits the size limit,
+    the lowest-numbered such part on a fee tie.  One pass over the parts
+    finds it.  Only when that order fails is a size-descending order
+    sorted and tried before giving up; a set that fits one block, such
+    as a head block or a bandwidth set, never needs it.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     txs = list(txs)
+    limit = params.block_size_limit
 
     def attempt(order: list[Transaction]) -> list[list[Transaction]] | None:
         parts: list[list[Transaction]] = [[] for _ in range(k)]
         fees = [0] * k
         sizes = [0] * k
         for tx in order:
-            placed = False
-            for j in sorted(range(k), key=lambda j: (fees[j], j)):
-                if sizes[j] + tx.size <= params.block_size_limit:
-                    parts[j].append(tx)
-                    fees[j] += tx.fee
-                    sizes[j] += tx.size
-                    placed = True
-                    break
-            if not placed:
+            best = -1
+            for j in range(k):
+                if sizes[j] + tx.size <= limit and (best < 0 or fees[j] < fees[best]):
+                    best = j
+            if best < 0:
                 return None
+            parts[best].append(tx)
+            fees[best] += tx.fee
+            sizes[best] += tx.size
         return parts
 
-    for order in (
-        sorted(txs, key=lambda t: (-t.fee, t.id)),
-        sorted(txs, key=lambda t: (-t.size, t.id)),
-    ):
-        parts = attempt(order)
-        if parts is not None:
-            return parts
-    raise UnsplittableError(f"cannot split {len(txs)} transactions into {k} parts under the size limit")
+    parts = attempt(sorted(txs, key=lambda t: (-t.fee, t.id)))
+    if parts is None:
+        parts = attempt(sorted(txs, key=lambda t: (-t.size, t.id)))
+    if parts is None:
+        raise UnsplittableError(f"cannot split {len(txs)} transactions into {k} parts under the size limit")
+    return parts
 
 
 def claim_partial(txs: Sequence[Transaction], target_fee: int, params: ChainParams) -> BandwidthSetResult:
@@ -377,5 +404,4 @@ def claimable_fees(pool: MempoolView, params: ChainParams, blocks: int) -> int:
     """
     if blocks <= 0:
         return 0
-    chosen = _greedy_pack(pool.pending, blocks * params.block_size_limit, pool.size_floor)
-    return sum(tx.fee for tx in chosen)
+    return sum(map(attrgetter("fee"), pool.packed(blocks * params.block_size_limit)))

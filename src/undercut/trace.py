@@ -14,8 +14,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -98,32 +99,28 @@ class PowerDistribution:
 TRACE_COLUMNS = ("id", "timestamp", "size", "fee")
 
 
-def _record(line_no: int, id_: str, timestamp, size, fee) -> Transaction:
-    try:
-        timestamp = float(timestamp)
-        size = int(size)
-        fee = int(fee)
-    except (TypeError, ValueError) as exc:
-        raise TraceError(f"line {line_no}: malformed row: {exc}") from None
+def _reject(line_no: int, timestamp: float, size: int, fee: int) -> NoReturn:
+    # the first check a parsed row fails, as the error naming its line
     if not math.isfinite(timestamp):
         raise TraceError(f"line {line_no}: timestamp must be finite, got {timestamp}")
     if size <= 0:
         raise TraceError(f"line {line_no}: size must be positive, got {size}")
-    if fee < 0:
-        raise TraceError(f"line {line_no}: fee must be non-negative, got {fee}")
-    return Transaction(id=str(id_), arrival_time=timestamp, size=size, fee=fee)
+    raise TraceError(f"line {line_no}: fee must be non-negative, got {fee}")
 
 
 def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
     """Load, validate and time-sort a transaction trace.
 
     CSV files need the header ``id,timestamp,size,fee``; json-lines
-    files carry one object with those keys per line, with size and fee
-    as JSON integers.  Duplicate ids, non-finite timestamps, non-integer
-    and non-positive sizes are rejected with the offending line number.
+    files carry one object with those keys per line, with the timestamp
+    a JSON number and size and fee JSON integers.  Duplicate ids,
+    non-finite timestamps, non-integer and non-positive sizes are
+    rejected with the offending line number.
     """
     path = Path(path)
     records: list[Transaction] = []
+    append = records.append
+    isfinite = math.isfinite
     if fmt == "csv":
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -135,7 +132,14 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
                     continue
                 if len(row) != 4:
                     raise TraceError(f"line {line_no}: expected 4 columns, got {len(row)}")
-                records.append(_record(line_no, *row))
+                id_, timestamp, size, fee = row
+                try:
+                    timestamp, size, fee = float(timestamp), int(size), int(fee)
+                except ValueError as exc:
+                    raise TraceError(f"line {line_no}: malformed row: {exc}") from None
+                if not (isfinite(timestamp) and size > 0 and fee >= 0):
+                    _reject(line_no, timestamp, size, fee)
+                append(Transaction(id_, timestamp, size, fee))
     elif fmt == "json-lines":
         with path.open() as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -144,25 +148,49 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
                     continue
                 try:
                     obj = json.loads(line)
-                    values = [obj[c] for c in TRACE_COLUMNS]
+                    id_, timestamp, size, fee = [obj[c] for c in TRACE_COLUMNS]
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise TraceError(f"line {line_no}: malformed row: {exc}") from None
-                for column, value in zip(TRACE_COLUMNS[2:], values[2:]):
-                    # int() would truncate 250.9 and read true as 1
+                # float() would read true and "7" as numbers, int() would truncate 250.9
+                if type(timestamp) not in (int, float):
+                    got = json.dumps(timestamp)
+                    raise TraceError(f"line {line_no}: timestamp must be a JSON number, got {got}")
+                for column, value in (("size", size), ("fee", fee)):
                     if type(value) is not int:
                         got = json.dumps(value)
                         raise TraceError(f"line {line_no}: {column} must be a JSON integer, got {got}")
-                records.append(_record(line_no, *values))
+                try:
+                    timestamp = float(timestamp)
+                except OverflowError:  # an integer past the float range, as a CSV row reads it
+                    timestamp = math.inf
+                if not (isfinite(timestamp) and size > 0 and fee >= 0):
+                    _reject(line_no, timestamp, size, fee)
+                append(Transaction(str(id_), timestamp, size, fee))
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
 
-    seen: set[str] = set()
-    for tx in records:
-        if tx.id in seen:
-            raise TraceError(f"duplicate transaction id {tx.id!r}")
-        seen.add(tx.id)
-    records.sort(key=lambda tx: (tx.arrival_time, tx.id))
+    ids = [tx.id for tx in records]
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for repeated in ids:
+            if repeated in seen:
+                break
+            seen.add(repeated)
+        first, again = _lines_of(path, fmt, repeated)[:2]
+        raise TraceError(f"line {again}: duplicate transaction id {repeated!r} (first on line {first})")
+    records.sort(key=attrgetter("arrival_time", "id"))
     return records
+
+
+def _lines_of(path: Path, fmt: str, tx_id: str) -> list[int]:
+    # Line numbers of the rows of a parsed trace file that carry ``tx_id``,
+    # counted as load_trace counts them; read again only to name a duplicate.
+    with path.open(newline="") as fh:
+        if fmt == "csv":
+            rows = enumerate(csv.reader(fh), start=1)
+            return [n for n, row in rows if n > 1 and row and row[0] == tx_id]
+        rows = enumerate(fh, start=1)
+        return [n for n, line in rows if line.strip() and str(json.loads(line)["id"]) == tx_id]
 
 
 def write_trace(records: Iterable[Transaction], path: str | Path, fmt: str = "csv") -> None:
@@ -172,8 +200,7 @@ def write_trace(records: Iterable[Transaction], path: str | Path, fmt: str = "cs
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TRACE_COLUMNS)
-            for tx in records:
-                writer.writerow([tx.id, _format_time(tx.arrival_time), tx.size, tx.fee])
+            writer.writerows([tx.id, _format_time(tx.arrival_time), tx.size, tx.fee] for tx in records)
     elif fmt == "json-lines":
         with path.open("w") as fh:
             for tx in records:
@@ -249,34 +276,43 @@ def synthesize_trace(
         if not 0.0 <= value < math.inf:  # an infinite or NaN bound never ends the arrival loop
             raise ValueError(f"{name} must be non-negative and finite, got {value}")
     rng = np.random.default_rng(seed)
+    draw_fee = _sampler(rng, fee_dist, fee_args, minimum=0)
+    draw_size = _sampler(rng, size_dist, size_args, minimum=1)
     records: list[Transaction] = []
     if rate == 0 or duration == 0:
         return records
+    # one arrival draws its gap, then its fee, then its size: the order
+    # that fixes every seeded trace
+    exponential, mean_gap = rng.exponential, 1.0 / rate
     t = 0.0
     index = 0
     while True:
-        t += rng.exponential(1.0 / rate)
+        t += exponential(mean_gap)
         if t > duration:
             break
-        fee = _draw(rng, fee_dist, fee_args, minimum=0)
-        size = _draw(rng, size_dist, size_args, minimum=1)
-        records.append(Transaction(id=f"{id_prefix}{index:07d}", arrival_time=t, size=size, fee=fee))
+        fee = draw_fee()
+        size = draw_size()
+        records.append(Transaction(f"{id_prefix}{index:07d}", t, size, fee))
         index += 1
     return records
 
 
-def _draw(rng: np.random.Generator, dist: str, args: Sequence[float], minimum: int) -> int:
+def _sampler(rng: np.random.Generator, dist: str, args: Sequence[float], minimum: int) -> Callable[[], int]:
+    # One integer draw from ``dist`` per call, floored at ``minimum``; the
+    # distribution is read and the generator method bound once per trace.
     if dist == "uniform":
         lo, hi = args
-        value = rng.integers(int(lo), int(hi) + 1)
-    elif dist == "pareto":
+        lo, hi = int(lo), int(hi) + 1
+        integers = rng.integers
+        return lambda: max(minimum, int(integers(lo, hi)))
+    if dist == "pareto":
         shape, scale = args
-        value = (rng.pareto(shape) + 1.0) * scale
-    elif dist == "fixed":
-        value = args[0]
-    else:
-        raise ValueError(f"unknown distribution {dist!r}")
-    return max(minimum, int(value))
+        pareto = rng.pareto
+        return lambda: max(minimum, int((pareto(shape) + 1.0) * scale))
+    if dist == "fixed":
+        value = max(minimum, int(args[0]))
+        return lambda: value
+    raise ValueError(f"unknown distribution {dist!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,7 @@
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +118,19 @@ def test_parallel_jobs_match_serial(config, small_trace):
     serial = run_experiment(config, small_trace, jobs=1)
     parallel = run_experiment(config, small_trace, jobs=2)
     assert serial == parallel
+
+
+def test_run_cell_is_equal_on_an_unpickled_trace(config, small_trace):
+    # run_experiment pickles the trace to its workers
+    unpickled = pickle.loads(pickle.dumps(small_trace))
+    assert unpickled == small_trace
+    assert _run_cell(config, unpickled, 1, 1, 0.3) == _run_cell(config, small_trace, 1, 1, 0.3)
+
+
+def test_sweep_workers_hold_transactions_without_dict(small_trace):
+    # a spawned worker imports the class afresh, then unpickles the trace
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(hasattr, small_trace[0], "__dict__").result(timeout=60) is False
 
 
 @pytest.mark.parametrize(

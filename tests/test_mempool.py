@@ -1,5 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from undercut.mempool import (
     BandwidthSetResult,
@@ -7,7 +12,9 @@ from undercut.mempool import (
     InstanceTooLargeError,
     InvalidCandidateError,
     MempoolView,
+    Transaction,
     UnsplittableError,
+    _greedy_pack,
     bandwidth_set,
     claim_partial,
     claimable_fees,
@@ -26,6 +33,24 @@ def test_transaction_validation():
     with pytest.raises(ValueError):
         tx("a", 3, -1)
     assert tx("a", 3, 0).fee_rate == 0.0
+
+
+@pytest.mark.parametrize(
+    "round_trip", [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"]
+)
+def test_transaction_round_trips_as_a_compact_equal_object(round_trip):
+    original = Transaction(id="a\x00é", arrival_time=12.5, size=250, fee=2**70)
+    again = round_trip(original)
+    assert again == original and hash(again) == hash(original)
+    assert type(again) is Transaction
+    assert not hasattr(again, "__dict__") and not hasattr(original, "__dict__")
+
+
+def test_unpickled_transactions_are_validated_again():
+    # __reduce__ rebuilds through the constructor, so its checks run
+    state = pickle.dumps(Transaction(id="a", arrival_time=0.0, size=5, fee=1), protocol=4).replace(b"K\x05", b"K\x00")
+    with pytest.raises(ValueError, match="size must be positive, got 0"):
+        pickle.loads(state)
 
 
 def test_chain_params_validation():
@@ -171,6 +196,86 @@ def test_split_equal_fee_unsplittable():
     params = ChainParams(block_size_limit=3, block_interval=600)
     with pytest.raises(UnsplittableError):
         split_equal_fee([tx("a", 3, 1), tx("b", 3, 1), tx("c", 3, 1)], 2, params)
+
+
+def reference_split(txs, k, params):
+    """The sort-based split: parts re-sorted by (fee, index) for every
+    transaction, and both orders sorted up front."""
+    txs = list(txs)
+
+    def attempt(order):
+        parts, fees, sizes = [[] for _ in range(k)], [0] * k, [0] * k
+        for t in order:
+            for j in sorted(range(k), key=lambda j: (fees[j], j)):
+                if sizes[j] + t.size <= params.block_size_limit:
+                    parts[j].append(t)
+                    fees[j] += t.fee
+                    sizes[j] += t.size
+                    break
+            else:
+                return None
+        return parts
+
+    for order in (sorted(txs, key=lambda t: (-t.fee, t.id)), sorted(txs, key=lambda t: (-t.size, t.id))):
+        parts = attempt(order)
+        if parts is not None:
+            return parts
+    raise UnsplittableError("unsplittable")
+
+
+@st.composite
+def split_cases(draw):
+    # few distinct fees make ties; a limit near the even share of the
+    # total size makes it bind, which sends some cases to the size-order
+    # fallback and some past it
+    n = draw(st.integers(0, 10))
+    txs = [tx(f"t{i}", draw(st.integers(1, 9)), draw(st.sampled_from((0, 1, 2, 5, 9)))) for i in range(n)]
+    k = draw(st.sampled_from((1, 2, 3)))
+    limit = max(1, -(-sum(t.size for t in txs) // k) + draw(st.integers(-2, 6)))
+    return txs, k, ChainParams(block_size_limit=limit, block_interval=600.0)
+
+
+@settings(max_examples=600, deadline=None)
+@given(split_cases())
+def test_split_equal_fee_matches_the_sort_based_split(case):
+    txs, k, params = case
+    try:
+        expected = reference_split(txs, k, params)
+    except UnsplittableError:
+        with pytest.raises(UnsplittableError):
+            split_equal_fee(txs, k, params)
+        return
+    assert split_equal_fee(txs, k, params) == expected
+
+
+def test_split_equal_fee_falls_back_to_size_order():
+    # fee order places a and c in separate parts, which leaves no room
+    # for b; size order places b first
+    params = ChainParams(block_size_limit=3, block_interval=600)
+    txs = [tx("a", 1, 8), tx("b", 3, 0), tx("c", 1, 1)]
+    parts = split_equal_fee(txs, 2, params)
+    assert parts == reference_split(txs, 2, params)
+    assert [[t.id for t in p] for p in parts] == [["b"], ["a", "c"]]
+
+
+@st.composite
+def pools_and_budgets(draw):
+    n = draw(st.integers(0, 12))
+    txs = [tx(f"t{i:02d}", draw(st.integers(1, 8)), draw(st.integers(0, 20))) for i in range(n)]
+    return pool_of(*txs), draw(st.lists(st.integers(0, 60), max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools_and_budgets())
+def test_packed_equals_greedy_pack_and_memo_is_not_part_of_the_value(case):
+    pool, budgets = case
+    fresh = MempoolView(pending=pool.pending, presorted=True, size_floor=pool.size_floor)
+    for budget in budgets:
+        expected = tuple(_greedy_pack(pool.pending, budget, pool.size_floor))
+        assert pool.packed(budget) == expected
+        assert pool.packed(budget) is pool.packed(budget)
+    assert pool == fresh and hash(pool) == hash(fresh)
+    assert repr(pool) == repr(fresh)
 
 
 def test_claim_partial_examples():

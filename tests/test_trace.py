@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -95,6 +98,42 @@ def test_load_trace_jsonl_requires_integer_size_and_fee(tmp_path, field, value):
         load_trace(path, fmt="json-lines")
 
 
+@pytest.mark.parametrize("value", ["true", '"7"', "null", "[1]"])
+def test_load_trace_jsonl_requires_a_numeric_timestamp(tmp_path, value):
+    # float() used to load true as 1.0 and "7" as 7.0
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"id": "a", "timestamp": 1, "size": 10, "fee": 5}\n'
+        f'{{"id": "b", "timestamp": {value}, "size": 10, "fee": 5}}\n'
+    )
+    with pytest.raises(TraceError, match=re.escape(f"line 2: timestamp must be a JSON number, got {value}")):
+        load_trace(path, fmt="json-lines")
+
+
+def test_load_trace_jsonl_timestamps_as_a_csv_row_reads_them(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text('{"id": "a", "timestamp": 3, "size": 10, "fee": 5}\n')
+    [record] = load_trace(path, fmt="json-lines")
+    assert record.arrival_time == 3.0 and type(record.arrival_time) is float
+    path.write_text('{"id": "a", "timestamp": 1, "size": 10, "fee": 5}\n' f'{{"id": "b", "timestamp": {10**400}, "size": 10, "fee": 5}}\n')
+    with pytest.raises(TraceError, match="line 2: timestamp must be finite, got inf"):
+        load_trace(path, fmt="json-lines")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_load_trace_names_both_lines_of_a_duplicate_id(tmp_path, fmt):
+    rows = [("a", 1, 10, 5), None, ("b", 2, 10, 5), ("a", 3, 10, 5), ("b", 4, 10, 5)]
+    if fmt == "csv":
+        lines = ["id,timestamp,size,fee"] + ["" if r is None else ",".join(map(str, r)) for r in rows]
+    else:
+        lines = ["" if r is None else json.dumps(dict(zip(("id", "timestamp", "size", "fee"), r))) for r in rows]
+    path = tmp_path / "dup.txt"
+    path.write_text("\n".join(lines) + "\n")
+    first, again = (2, 5) if fmt == "csv" else (1, 4)
+    with pytest.raises(TraceError, match=rf"^line {again}: duplicate transaction id 'a' \(first on line {first}\)$"):
+        load_trace(path, fmt=fmt)
+
+
 def test_load_trace_jsonl_keeps_fees_past_int64(tmp_path):
     path = tmp_path / "big.jsonl"
     path.write_text(f'{{"id": "a", "timestamp": 1, "size": 10, "fee": {2**70}}}\n')
@@ -126,6 +165,28 @@ def test_synthesize_trace_properties():
     assert all(t.size > 0 and t.fee >= 0 for t in a)
     fixed = synthesize_trace(rate=0.5, duration=500.0, seed=9, size_dist="fixed", size_args=(750,))
     assert fixed and {t.size for t in fixed} == {750}
+
+
+def test_synthesize_trace_draws_gap_fee_size_per_arrival():
+    # the draw order fixes every seeded trace, and so every recorded result
+    rng = np.random.default_rng(17)
+    expected, t = [], 0.0
+    while True:
+        t += rng.exponential(1 / 0.5)
+        if t > 400.0:
+            break
+        fee = (rng.pareto(1.5) + 1.0) * 2_000
+        size = rng.integers(200, 2_001)
+        expected.append((t, int(size), int(fee)))
+    records = synthesize_trace(rate=0.5, duration=400.0, seed=17, fee_dist="pareto", fee_args=(1.5, 2_000))
+    assert [(r.arrival_time, r.size, r.fee) for r in records] == expected
+    assert [r.id for r in records] == [f"s{i:07d}" for i in range(len(expected))]
+
+
+def test_synthesize_trace_rejects_an_unknown_distribution_up_front():
+    for kwargs in ({"fee_dist": "normal"}, {"size_dist": "normal"}):
+        with pytest.raises(ValueError, match="unknown distribution 'normal'"):
+            synthesize_trace(rate=0.0, duration=100.0, seed=1, **kwargs)
 
 
 def test_synthesized_interarrivals_are_exponential():
