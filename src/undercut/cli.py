@@ -42,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--repetitions", type=int, default=50, help="runs per cell")
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed for seed derivation")
     p_sweep.add_argument("--output", required=True, help="results CSV path")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers over cells")
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers over cells and repetition chunks"
+    )
 
     p_synth = sub.add_parser("synth", help="write a synthetic Poisson-arrival trace")
     p_synth.add_argument("--output", required=True, help="trace CSV path")

@@ -18,8 +18,9 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +47,14 @@ from .strategy import (
 # Consecutive zero-fee blocks after the trace is consumed before a run
 # is declared stuck on unclaimable dust.
 STAGNATION_LIMIT = 8
+
+# A run's event cap is this many times (the trace's span in block
+# intervals plus its transaction count), plus EVENT_CAP_FLOOR.  Blocks
+# arrive once per interval across the live chains while the trace plays
+# (a Poisson count, so four times its mean is out of reach), and after it
+# nearly every block confirms a transaction; no valid run comes close.
+EVENT_CAP_MARGIN = 4
+EVENT_CAP_FLOOR = 1000
 
 
 class StalledSimulationError(RuntimeError):
@@ -232,15 +241,11 @@ class Chain:
 
     def view(self) -> MempoolView:
         if self._view is None:
-            txs = self.ranks.txs[np.flatnonzero(self.pending)]
+            txs = self.ranks.txs[self.pending.nonzero()[0]]
             self._view = MempoolView(
                 pending=tuple(txs.tolist()), presorted=True, size_floor=self.ranks.size_floor
             )
         return self._view
-
-    def worker_power(self, powers: dict[str, float]) -> float:
-        # fsum is exactly rounded: set order (it varies with PYTHONHASHSEED) cannot move it
-        return math.fsum(powers[w] for w in self.workers)
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +261,33 @@ def next_chain_to_extend(main: Chain, fork: Chain | None) -> Chain:
     return chain
 
 
-def select_next_block_miner(chain: Chain, powers: dict[str, float], rng: np.random.Generator) -> str:
-    """Draw the block owner among the chain's workers, weighted by power."""
-    workers = sorted(chain.workers)
-    if not workers:
+class OwnerDraw(NamedTuple):
+    """One worker set, ready to draw block owners from."""
+
+    ids: tuple[str, ...]  # sorted
+    cum: tuple[float, ...]  # running power sums in ``ids`` order
+    power: float  # exactly rounded total: set order (it varies with PYTHONHASHSEED) cannot move it
+
+    @classmethod
+    def of(cls, workers: Iterable[str], powers: dict[str, float]) -> OwnerDraw:
+        ids = tuple(sorted(workers))
+        weights = [powers[w] for w in ids]
+        return cls(ids, tuple(accumulate(weights)), math.fsum(weights))
+
+
+def select_next_block_miner(draw: OwnerDraw, rng: np.random.Generator) -> str:
+    """Draw the block owner among a chain's workers, weighted by power.
+
+    The owner is the first worker whose running power sum exceeds the
+    draw, so a zero-power worker is never drawn unless rounding leaves
+    the draw at the full sum, which falls to the last worker.
+    """
+    if not draw.ids:
         raise StalledSimulationError("chain has no workers")
-    total = sum(powers[w] for w in workers)
-    if total <= 0.0:
+    if draw.cum[-1] <= 0.0:
         raise StalledSimulationError("chain workers have no power")
-    u = rng.random() * total
-    cum = 0.0
-    for w in workers:
-        cum += powers[w]
-        if u < cum:
-            return w
-    return workers[-1]
+    u = rng.random() * draw.cum[-1]
+    return draw.ids[min(bisect_right(draw.cum, u), len(draw.ids) - 1)]
 
 
 def sample_next_block_time(
@@ -305,6 +322,8 @@ class Simulation:
     ):
         if depth not in DEPTHS:
             raise ValueError("depth must be 1 or 2")
+        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
         total_power = sum(m.power for m in miners)
         if abs(total_power - 1.0) > 1e-9:
             raise ValueError(f"miner powers must sum to 1, got {total_power}")
@@ -322,6 +341,8 @@ class Simulation:
         self.rng = np.random.default_rng(seed)
         self.miners = {m.id: m for m in miners}
         self.powers = {m.id: m.power for m in miners}
+        # powers are fixed for a run, so a worker set's draw never goes stale
+        self._draws: dict[frozenset[str], OwnerDraw] = {}
         self.undercutter_id = undercutters[0].id if undercutters else None
         honest = sum(m.power for m in miners if m.kind == "honest")
         beta_u = undercutters[0].power if undercutters else 0.0
@@ -330,6 +351,10 @@ class Simulation:
         self.next_arrival = 0
 
         t0 = ranks.times[0] if ranks.times else 0.0
+        span = ranks.times[-1] - t0 if ranks.times else 0.0
+        self.max_events = (
+            EVENT_CAP_MARGIN * (math.ceil(span / params.block_interval) + len(ranks.txs)) + EVENT_CAP_FLOOR
+        )
         genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=t0, height=0)
         self.main = Chain(blocks=[genesis], workers={m.id for m in miners}, ranks=self.ranks)
         self.fork: Chain | None = None
@@ -343,10 +368,13 @@ class Simulation:
     # -- event loop --------------------------------------------------------
 
     def run(self) -> RunResult:
-        while not self._drained():
+        # no valid run needs max_events events (see EVENT_CAP_MARGIN)
+        for _ in range(self.max_events):
+            if self._drained():
+                return self._settle()
             chain = next_chain_to_extend(self.main, self.fork)
             now = chain.next_time
-            miner_id = select_next_block_miner(chain, self.powers, self.rng)
+            miner_id = select_next_block_miner(self.owners(chain), self.rng)
             block = self.publish_block(miner_id, chain, now)
             self.update_chains(chain, block)
             # Arrivals land before miners re-decide: a decision made at
@@ -356,7 +384,7 @@ class Simulation:
             self.update_mempool(now)
             self.update_miners(chain, block)
             self._resample(now)
-        return self._settle()
+        raise StalledSimulationError(f"run needed {self.max_events} events or more; it is stuck")
 
     def _drained(self) -> bool:
         if self.next_arrival < len(self.ranks.times) or self.fork is not None:
@@ -388,6 +416,14 @@ class Simulation:
             fork_losses=self.fork_losses,
             seed=self.seed,
         )
+
+    def owners(self, chain: Chain) -> OwnerDraw:
+        """The owner draw of the chain's current worker set, built once per set."""
+        key = frozenset(chain.workers)
+        draw = self._draws.get(key)
+        if draw is None:
+            draw = self._draws[key] = OwnerDraw.of(key, self.powers)
+        return draw
 
     @property
     def chains(self) -> tuple[Chain, ...]:
@@ -490,7 +526,7 @@ class Simulation:
         for mid in candidates:
             x = rational_shift_general(
                 lead,
-                ext.worker_power(self.powers),
+                self.owners(ext).power,
                 self.split,
                 self.depth,
                 claimable_main=claimable_main,
@@ -540,7 +576,7 @@ class Simulation:
         # chain after each event (powers may have shifted) matches the
         # thinned-rate model exactly.
         for chain in self.chains:
-            power = chain.worker_power(self.powers)
+            power = self.owners(chain).power
             if power > 0.0:
                 chain.next_time = sample_next_block_time(power, now, self.params, self.rng)
             else:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import AvoidancePolicy, RankTable, Simulation, profiles
+from .engine import AvoidancePolicy, RankTable, RunResult, Simulation, profiles
 from .mempool import ChainParams, Transaction
 from .strategy import DEPTHS
 from .trace import PowerDistribution
@@ -48,6 +48,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
+        if not (isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.base_seed}")
         if not self.depths or any(d not in DEPTHS for d in self.depths):
             raise ValueError("depths must be drawn from {1, 2}")
         if not self.honest_fractions:
@@ -111,17 +113,13 @@ def derive_seed(base_seed: int, cell_index: int, repetition: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_cell(
-    config: ExperimentConfig, trace: Sequence[Transaction], index: int, depth: int, hf: float
-) -> CellResult:
+def _run_reps(
+    config: ExperimentConfig, ranks: RankTable, index: int, depth: int, hf: float, reps: range
+) -> list[RunResult]:
+    """The cell's runs for the repetitions in ``reps``, in order."""
     miners = profiles(config.powers.with_honest_fraction(hf).entries)
-    undercutter = next(m.id for m in miners if m.kind == "undercutter")
-    per_miner: dict[str, list[float]] = {m.id: [] for m in miners}
-    attacks = 0
-    branches: Counter[str] = Counter()
-    ranks = RankTable(trace)  # one prepared trace for every repetition
-    for rep in range(config.repetitions):
-        result = Simulation(
+    return [
+        Simulation(
             ranks,
             miners,
             config.params,
@@ -129,9 +127,17 @@ def _run_cell(
             avoidance=config.avoidance,
             seed=derive_seed(config.base_seed, index, rep),
         ).run()
-        for mid in per_miner:
-            per_miner[mid].append(result.share(mid))
-        attacks += result.attacks
+        for rep in reps
+    ]
+
+
+def _cell_result(config: ExperimentConfig, depth: int, hf: float, runs: Sequence[RunResult]) -> CellResult:
+    """Aggregate one cell's runs, given in repetition order."""
+    miners = profiles(config.powers.with_honest_fraction(hf).entries)
+    undercutter = next(m.id for m in miners if m.kind == "undercutter")
+    per_miner = {m.id: [result.share(m.id) for result in runs] for m in miners}
+    branches: Counter[str] = Counter()
+    for result in runs:
         branches.update(result.attack_branches)
     shares = per_miner[undercutter]
     mean = float(np.mean(shares))
@@ -142,11 +148,37 @@ def _run_cell(
         avoidance=config.avoidance_label(),
         mean_share=mean,
         ci_half_width=half,
-        attacks=attacks,
+        attacks=sum(result.attacks for result in runs),
         branch_counts=dict(branches),
         miner_mean_shares={mid: float(np.mean(v)) for mid, v in per_miner.items()},
         repetitions=config.repetitions,
     )
+
+
+def _tasks(config: ExperimentConfig, jobs: int) -> list[tuple[int, int, float, int, int]]:
+    """(cell index, depth, honest fraction, first, end repetition) per task, in sweep order.
+
+    Each cell's repetitions are split into ``jobs`` contiguous ranges of
+    near-equal length (fewer when there are fewer repetitions), so even a
+    one-cell sweep keeps every worker busy.
+    """
+    parts = min(jobs, config.repetitions)
+    bounds = [config.repetitions * k // parts for k in range(parts + 1)]
+    return [(i, d, h, lo, hi) for i, d, h in config.cells() for lo, hi in zip(bounds, bounds[1:])]
+
+
+# A worker process's sweep and its prepared trace, set once by _start_worker.
+_worker: tuple[ExperimentConfig, RankTable] | None = None
+
+
+def _start_worker(config: ExperimentConfig, trace: Sequence[Transaction]) -> None:
+    global _worker
+    _worker = (config, RankTable(trace))
+
+
+def _run_task(index: int, depth: int, hf: float, first: int, end: int) -> list[RunResult]:
+    config, ranks = _worker
+    return _run_reps(config, ranks, index, depth, hf, range(first, end))
 
 
 def run_experiment(
@@ -154,21 +186,31 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Execute repetitions x cells seeded runs and aggregate per cell.
 
-    ``jobs`` parallelizes across cells; output is identical for any job
-    count because every run's seed is a pure function of its cell and
-    repetition indices.
+    With ``jobs`` > 1 a pool of up to ``jobs`` worker processes runs the
+    cells in chunks of contiguous repetitions.  Each worker receives the
+    trace once, when it starts (it inherits it under the ``fork`` start
+    method), and prepares one RankTable for all of its chunks; a task
+    carries only indices.  The parent puts the runs back in (cell,
+    repetition) order and aggregates them as ``jobs=1`` does, so the
+    output is identical for any job count: every run's seed is a pure
+    function of its cell and repetition indices.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     cells = config.cells()
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_run_cell, *zip(*[(config, trace, i, d, h) for i, d, h in cells]))
-            )
+    tasks = _tasks(config, jobs)
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)), initializer=_start_worker, initargs=(config, trace)
+        ) as pool:
+            chunks = list(pool.map(_run_task, *zip(*tasks)))
     else:
-        results = [_run_cell(config, trace, i, d, h) for i, d, h in cells]
-    return ExperimentSummary(cells=tuple(results))
+        ranks = RankTable(trace)  # one prepared trace for every cell
+        chunks = [_run_reps(config, ranks, i, d, h, range(first, end)) for i, d, h, first, end in tasks]
+    runs: dict[int, list[RunResult]] = {i: [] for i, _, _ in cells}
+    for (i, *_), chunk in zip(tasks, chunks):
+        runs[i].extend(chunk)
+    return ExperimentSummary(cells=tuple(_cell_result(config, d, h, runs[i]) for i, d, h in cells))
 
 
 def emit_results(summary: ExperimentSummary, path: str | Path) -> None:

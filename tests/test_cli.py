@@ -289,3 +289,19 @@ def test_run_rejects_negative_honest_fraction(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "honest fraction must be non-negative, got -0.2" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_seed_is_rejected_by_name(tmp_path, capsys, command):
+    trace_path = tmp_path / "t.csv"
+    main(["synth", "--output", str(trace_path), "--rate", "0.02", "--duration", "600"])
+    capsys.readouterr()
+    out_path = tmp_path / "out.csv"
+    argv = [command, "--trace", str(trace_path), "--seed", "-1"]
+    if command == "sweep":
+        argv += ["--repetitions", "2", "--jobs", "2", "--output", str(out_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: seed must be a non-negative integer, got -1" in captured.err and captured.out == ""
+    assert not out_path.exists()

@@ -14,6 +14,7 @@ from undercut.engine import (
     Block,
     Chain,
     MinerProfile,
+    OwnerDraw,
     RankTable,
     Simulation,
     StalledSimulationError,
@@ -66,17 +67,17 @@ def test_select_next_block_miner_weighted():
     rng = np.random.default_rng(42)
     chain = make_chain(0, {"a", "b"})
     powers = {"a": 0.3, "b": 0.1}
-    draws = [select_next_block_miner(chain, powers, rng) for _ in range(100_000)]
+    draws = [select_next_block_miner(OwnerDraw.of(chain.workers, powers), rng) for _ in range(100_000)]
     freq = draws.count("a") / len(draws)
     assert abs(freq - 0.75) < 0.005
 
     solo = make_chain(0, {"a"})
-    assert select_next_block_miner(solo, {"a": 1.0}, rng) == "a"
+    assert select_next_block_miner(OwnerDraw.of(solo.workers, {"a": 1.0}), rng) == "a"
 
     with_zero = make_chain(0, {"a", "z"})
     powers = {"a": 0.4, "z": 0.0}
     assert all(
-        select_next_block_miner(with_zero, powers, rng) == "a" for _ in range(2000)
+        select_next_block_miner(OwnerDraw.of(with_zero.workers, powers), rng) == "a" for _ in range(2000)
     )
 
 
@@ -468,3 +469,87 @@ def test_profiles_and_policy_parsing():
         run([], profiles((("a", 0.7, "honest"),)), PARAMS)
     with pytest.raises(ValueError, match="duplicate miner id 'a'"):
         run([], profiles((("a", 0.5, "honest"), ("a", 0.5, "honest"))), PARAMS)
+
+
+def linear_scan_owner(workers, powers, rng):
+    """The owner draw as a scan over the sorted workers, kept as the reference."""
+    ids = sorted(workers)
+    u = rng.random() * sum(powers[w] for w in ids)
+    cum = 0.0
+    for w in ids:
+        cum += powers[w]
+        if u < cum:
+            return w
+    return ids[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(
+        st.sampled_from((0.0, 0.0, 0.05, 0.1, 0.3)) | st.floats(0.001, 1.0), min_size=1, max_size=12
+    ),
+    moves=st.lists(st.integers(0, 11), max_size=40),
+    seed=st.integers(0, 2**32),
+)
+def test_memoized_owner_draw_matches_the_linear_scan(weights, moves, seed):
+    weights[0] = weights[0] or 1.0  # some power; zero-power workers stay common
+    total = sum(weights)
+    miners = profiles((f"m{i}", w / total, "honest") for i, w in enumerate(weights))
+    sim = Simulation(RankTable(()), miners, PARAMS, seed=seed)
+    sim.fork = Chain(blocks=list(sim.main.blocks), workers=set(), ranks=sim.ranks)
+    sim.rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for step, move in enumerate(moves):
+        mover = miners[move % len(miners)].id
+        src, dst = (sim.main, sim.fork) if mover in sim.main.workers else (sim.fork, sim.main)
+        src.workers.discard(mover)
+        dst.workers.add(mover)
+        for chain in sim.chains:
+            power = math.fsum(sim.powers[w] for w in chain.workers)
+            assert sim.owners(chain).power == power
+            if power > 0.0:
+                owner = select_next_block_miner(sim.owners(chain), sim.rng)
+                assert owner == linear_scan_owner(chain.workers, sim.powers, ref)
+                assert sim.powers[owner] > 0.0
+            else:
+                with pytest.raises(StalledSimulationError):
+                    select_next_block_miner(sim.owners(chain), sim.rng)
+        # the clocks are drawn from the same exactly rounded power
+        now = float(step)
+        expected = [
+            now + ref.exponential(PARAMS.block_interval / p) if p > 0.0 else math.inf
+            for p in (math.fsum(sim.powers[w] for w in chain.workers) for chain in sim.chains)
+        ]
+        sim._resample(now)
+        assert [chain.next_time for chain in sim.chains] == expected
+    assert sim.rng.random() == ref.random()  # both streams made the same draws
+
+
+class EndlessRace(Simulation):
+    """Blocks are appended but no race ever ends."""
+
+    events = 0
+
+    def publish_block(self, miner_id, chain, now):
+        self.events += 1
+        return super().publish_block(miner_id, chain, now)
+
+    def update_chains(self, ext, block):
+        ext.blocks.append(block)
+
+
+def test_a_race_that_never_ends_stops_at_the_event_cap():
+    records = whale_trace(9, 600, 30_000, dust_rate=5.0, whale_rate=0.4)
+    # no rational miners: their shift objective rejects a decided race
+    sim = EndlessRace(RankTable(records), two_miners(), PARAMS, seed=17)
+    with pytest.raises(StalledSimulationError, match=f"run needed {sim.max_events} events or more"):
+        sim.run()
+    assert sim.fork is not None and sim.attacks == 1
+    assert sim.events == sim.max_events
+    # the trace's 50 block intervals and its transactions, with the margin
+    assert sim.max_events == 4 * (50 + len(records)) + 1000
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5])
+def test_simulation_rejects_a_bad_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+        Simulation(RankTable(()), two_miners(), PARAMS, seed=seed)

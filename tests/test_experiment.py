@@ -1,24 +1,35 @@
+import functools
 import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from undercut.engine import AvoidancePolicy, parse_avoidance
+from undercut import experiment
+from undercut.engine import AvoidancePolicy, RankTable, parse_avoidance
 from undercut.experiment import (
     ExperimentConfig,
     derive_seed,
     emit_results,
     read_results,
     run_experiment,
-    _run_cell,
+    _cell_result,
+    _run_reps,
 )
+from undercut.mempool import Transaction
 from undercut.trace import preset
 
 from conftest import whale_trace
+
+
+def run_cell(config, trace, index, depth, hf):
+    """One whole cell, run and aggregated in this process."""
+    runs = _run_reps(config, RankTable(trace), index, depth, hf, range(config.repetitions))
+    return _cell_result(config, depth, hf, runs)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +71,7 @@ def test_cells_independent_of_sweep_order(config, small_trace):
     # recompute the second cell in isolation; indices, not execution
     # order, determine its seeds
     index, depth, hf = config.cells()[1]
-    alone = _run_cell(config, small_trace, index, depth, hf)
+    alone = run_cell(config, small_trace, index, depth, hf)
     assert alone == summary.cells[1]
 
 
@@ -124,7 +135,7 @@ def test_run_cell_is_equal_on_an_unpickled_trace(config, small_trace):
     # run_experiment pickles the trace to its workers
     unpickled = pickle.loads(pickle.dumps(small_trace))
     assert unpickled == small_trace
-    assert _run_cell(config, unpickled, 1, 1, 0.3) == _run_cell(config, small_trace, 1, 1, 0.3)
+    assert run_cell(config, unpickled, 1, 1, 0.3) == run_cell(config, small_trace, 1, 1, 0.3)
 
 
 def test_sweep_workers_hold_transactions_without_dict(small_trace):
@@ -175,3 +186,85 @@ def test_sweep_results_do_not_depend_on_jobs(sweep):
     config, trace = sweep
     assert len(config.cells()) == 2
     assert run_experiment(config, trace, jobs=1) == run_experiment(config, trace, jobs=2)
+
+
+@pytest.mark.parametrize("repetitions", [1, 5])
+@pytest.mark.parametrize("honest_fractions", [(0.3,), (0.1, 0.3)], ids=["one-cell", "two-cells"])
+def test_summaries_do_not_depend_on_jobs(small_trace, honest_fractions, repetitions):
+    dist, params = preset("bitcoin16")
+    config = ExperimentConfig(
+        powers=dist, params=params, honest_fractions=honest_fractions, repetitions=repetitions, base_seed=3
+    )
+    serial = run_experiment(config, small_trace, jobs=1)
+    assert [c.repetitions for c in serial.cells] == [repetitions] * len(honest_fractions)
+    for jobs in (2, 3):
+        assert run_experiment(config, small_trace, jobs=jobs) == serial
+
+
+def test_a_cell_is_its_repetition_chunks_in_order(config, small_trace):
+    ranks = RankTable(small_trace)
+    index, depth, hf = config.cells()[1]
+    parts = ((0, 1), (1, 3), (3, 4))
+    chunks = [_run_reps(config, ranks, index, depth, hf, range(lo, hi)) for lo, hi in parts]
+    whole = _run_reps(config, ranks, index, depth, hf, range(config.repetitions))
+    assert [r for chunk in chunks for r in chunk] == whole
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """A process pool that records its size and the tasks it is sent."""
+
+    seen: dict = {}
+
+    def __init__(self, max_workers, **kwargs):
+        RecordingPool.seen = {"max_workers": max_workers}
+        super().__init__(max_workers, **kwargs)
+
+    def map(self, fn, *iterables, **kwargs):
+        tasks = list(zip(*iterables))
+        RecordingPool.seen["tasks"] = tasks
+        return super().map(fn, *zip(*tasks), **kwargs)
+
+
+def test_one_cell_sweep_keeps_both_workers_busy(monkeypatch, small_trace):
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    dist, params = preset("bitcoin16")
+    config = ExperimentConfig(
+        powers=dist, params=params, honest_fractions=(0.3,), repetitions=5, base_seed=3
+    )
+    summary = run_experiment(config, small_trace, jobs=2)
+    assert summary.cells[0].repetitions == 5
+    seen = RecordingPool.seen
+    assert seen["max_workers"] == 2
+    assert [task[-2:] for task in seen["tasks"]] == [(0, 2), (2, 5)]
+    # a task carries indices only; the trace goes to each worker once
+    assert all(isinstance(arg, (int, float)) for task in seen["tasks"] for arg in task)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_the_parent_pickles_the_trace_at_most_once_per_worker(monkeypatch, config, small_trace, method):
+    config = replace(config, honest_fractions=(0.0, 0.1, 0.3), repetitions=2)  # more tasks than workers
+    context = multiprocessing.get_context(method)
+    pool = functools.partial(ProcessPoolExecutor, mp_context=context)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", pool)
+    pickled = 0
+    reduce = Transaction.__reduce__
+
+    def counting_reduce(tx):
+        nonlocal pickled
+        pickled += 1
+        return reduce(tx)
+
+    monkeypatch.setattr(Transaction, "__reduce__", counting_reduce)
+    summary = run_experiment(config, small_trace, jobs=2)
+    monkeypatch.undo()
+    assert summary == run_experiment(config, small_trace, jobs=1)
+    if method == "fork":
+        assert pickled == 0  # the workers inherit the trace
+    else:
+        assert 0 < pickled <= 2 * len(small_trace)
+
+
+def test_config_rejects_a_negative_base_seed():
+    dist, params = preset("bitcoin16")
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        ExperimentConfig(powers=dist, params=params, base_seed=-1)
