@@ -308,6 +308,12 @@ def sample_next_block_time(
 # ---------------------------------------------------------------------------
 
 
+def check_seed(seed: object) -> None:
+    """Reject a seed that numpy's generators cannot take, with a named message."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 class Simulation:
     """One seeded run: ``main``, and ``fork`` while a race is live; a winning fork becomes ``main``."""
 
@@ -322,8 +328,7 @@ class Simulation:
     ):
         if depth not in DEPTHS:
             raise ValueError("depth must be 1 or 2")
-        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        check_seed(seed)
         total_power = sum(m.power for m in miners)
         if abs(total_power - 1.0) > 1e-9:
             raise ValueError(f"miner powers must sum to 1, got {total_power}")

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import AvoidancePolicy, RankTable, RunResult, Simulation, profiles
+from .engine import AvoidancePolicy, RankTable, RunResult, Simulation, check_seed, profiles
 from .mempool import ChainParams, Transaction
 from .strategy import DEPTHS
 from .trace import PowerDistribution
@@ -48,8 +48,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
-        if not (isinstance(self.base_seed, (int, np.integer)) and self.base_seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.base_seed}")
+        check_seed(self.base_seed)
         if not self.depths or any(d not in DEPTHS for d in self.depths):
             raise ValueError("depths must be drawn from {1, 2}")
         if not self.honest_fractions:
