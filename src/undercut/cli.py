@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import engine, experiment, strategy, trace
-from .mempool import ChainParams
+from .mempool import ChainParams, check_negligible
 from .probability import RacePoint, win_prob_d1, win_prob_series
 
 
@@ -166,6 +166,7 @@ def _cmd_synth(args) -> int:
 def _cmd_check(args) -> int:
     if args.grid < 1:
         raise ValueError("grid must be positive")
+    check_negligible(args.negligible)
     split = strategy.PowerSplit.of(args.bu, args.bh)
     gamma = args.gamma
     model = strategy.DEPTHS[args.depth]

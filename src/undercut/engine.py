@@ -406,9 +406,8 @@ class Simulation:
         terminal = self.main
         earnings = {mid: 0 for mid in self.miners}
         confirmed = 0
-        for block in terminal.blocks:
-            if block.owner:
-                earnings[block.owner] += block.fee_total
+        for block in terminal.blocks[1:]:  # genesis pays no one
+            earnings[block.owner] += block.fee_total
             confirmed += block.fee_total
         return RunResult(
             earnings=earnings,

@@ -23,7 +23,7 @@ class InvalidCandidateError(ValueError):
 
 
 class UnsplittableError(ValueError):
-    """No greedy assignment order fits every part under the size limit."""
+    """Set to split into equal-fee parts exceeds the block size limit."""
 
 
 # Exhaustive selection is only allowed up to this many transactions.
@@ -78,8 +78,13 @@ class ChainParams:
             raise ValueError("block_size_limit must be positive")
         if not 0.0 < self.block_interval < math.inf:
             raise ValueError(f"block_interval must be positive and finite, got {self.block_interval}")
-        if not 0.0 <= self.negligible_fee_threshold < 1.0:
-            raise ValueError("negligible_fee_threshold must lie in [0, 1)")
+        check_negligible(self.negligible_fee_threshold)
+
+
+def check_negligible(threshold: float) -> None:
+    """Reject a negligible-fee bound outside [0, 1), NaN included, with a named message."""
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"negligible_fee_threshold must lie in [0, 1), got {threshold}")
 
 
 def selection_key(tx: Transaction) -> tuple:
@@ -190,32 +195,6 @@ def _greedy_pack(txs: Sequence[Transaction], size_budget: int, size_floor: int) 
             if room < size_floor:
                 break
     return chosen
-
-
-def first_two_sets(pool: MempoolView, params: ChainParams) -> tuple[list[Transaction], list[Transaction]]:
-    """The greedy bandwidth set and the one greedy packs from what it
-    leaves, in one pass over the pool.
-
-    Equal to ``bandwidth_set(pool)`` followed by ``bandwidth_set`` of
-    ``pool.without`` that set: a transaction the first template skips
-    is offered to the second in the same selection order.
-    """
-    first: list[Transaction] = []
-    second: list[Transaction] = []
-    room_first = room_second = params.block_size_limit
-    floor = pool.size_floor
-    for tx in pool.pending:
-        if tx.size <= room_first:
-            first.append(tx)
-            room_first -= tx.size
-        elif tx.size <= room_second:
-            second.append(tx)
-            room_second -= tx.size
-        else:
-            continue
-        if room_first < floor and room_second < floor:
-            break
-    return first, second
 
 
 def _exact_best_subset(txs: Sequence[Transaction], limit: int) -> list[Transaction]:
@@ -338,41 +317,29 @@ def gamma_of_fees(next_fee: int, head_block_fee: int) -> float:
 def split_equal_fee(
     txs: Iterable[Transaction], k: int, params: ChainParams
 ) -> list[list[Transaction]]:
-    """Partition transactions into ``k`` fee-balanced, size-feasible parts.
+    """Partition a set that fits one block into ``k`` fee-balanced parts.
 
     Longest-processing-time heuristic: assign in descending fee order
-    (ties by id) to the lightest part that still fits the size limit,
-    the lowest-numbered such part on a fee tie.  One pass over the parts
-    finds it.  Only when that order fails is a size-descending order
-    sorted and tried before giving up; a set that fits one block, such
-    as a head block or a bandwidth set, never needs it.
+    (ties by id) to the part with the least fee, the lowest-numbered
+    part on a fee tie.  Every caller splits a set that fits one block (a
+    head block or a bandwidth set), so every part fits one too; a set
+    larger than ``block_size_limit`` raises ``UnsplittableError``.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     txs = list(txs)
-    limit = params.block_size_limit
-
-    def attempt(order: list[Transaction]) -> list[list[Transaction]] | None:
-        parts: list[list[Transaction]] = [[] for _ in range(k)]
-        fees = [0] * k
-        sizes = [0] * k
-        for tx in order:
-            best = -1
-            for j in range(k):
-                if sizes[j] + tx.size <= limit and (best < 0 or fees[j] < fees[best]):
-                    best = j
-            if best < 0:
-                return None
-            parts[best].append(tx)
-            fees[best] += tx.fee
-            sizes[best] += tx.size
-        return parts
-
-    parts = attempt(sorted(txs, key=lambda t: (-t.fee, t.id)))
-    if parts is None:
-        parts = attempt(sorted(txs, key=lambda t: (-t.size, t.id)))
-    if parts is None:
-        raise UnsplittableError(f"cannot split {len(txs)} transactions into {k} parts under the size limit")
+    size = sum(t.size for t in txs)
+    if size > params.block_size_limit:
+        raise UnsplittableError(
+            f"cannot split {len(txs)} transactions of size {size} over the block size limit "
+            f"{params.block_size_limit}"
+        )
+    parts: list[list[Transaction]] = [[] for _ in range(k)]
+    fees = [0] * k
+    for tx in sorted(txs, key=lambda t: (-t.fee, t.id)):
+        j = fees.index(min(fees))
+        parts[j].append(tx)
+        fees[j] += tx.fee
     return parts
 
 

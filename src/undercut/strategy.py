@@ -31,7 +31,6 @@ from .mempool import (
     Transaction,
     bandwidth_set,
     claim_partial,
-    first_two_sets,
     gamma_of_fees,
     split_equal_fee,
 )
@@ -56,11 +55,11 @@ class PowerSplit:
 
     def __post_init__(self) -> None:
         total = self.undercutter + self.honest + self.rational
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"power fractions must sum to 1, got {total}")
         if not 0.0 <= self.undercutter <= 0.5:
             raise ValueError("undercutter power must lie in [0, 0.5]")
-        if self.honest < -1e-12 or self.rational < -1e-12:
+        if not (self.honest >= -1e-12 and self.rational >= -1e-12):
             raise ValueError("power fractions must be non-negative")
 
     @classmethod
@@ -135,8 +134,8 @@ def expected_returns_d1(split: PowerSplit, gamma: float, delta: float = 0.0) -> 
     ``delta`` is the rational power expected to join the fork.  The
     baseline is what the same miner earns extending the head instead.
     """
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
     effective = split.undercutter + delta
     if effective <= 0.0:
         raise DegenerateRaceError("no power behind the fork")
@@ -149,8 +148,8 @@ def expected_returns_d1(split: PowerSplit, gamma: float, delta: float = 0.0) -> 
 
 def expected_returns_d2(split: PowerSplit, gamma: float) -> ReturnEstimate:
     """Expected attacker income for a depth-2 race, in head-block units."""
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
     b = split.undercutter
     if b <= 0.0:
         raise DegenerateRaceError("no power behind the fork")
@@ -224,8 +223,9 @@ DEPTHS = {
 
 def one_set_left(pool: MempoolView, params: ChainParams) -> bool:
     """True when removing one bandwidth set leaves only negligible fees."""
-    first, second = first_two_sets(pool, params)
-    return _lone_set(_fee(first), _fee(second), params)
+    first = pool.packed(params.block_size_limit)
+    second_fee = _fee_left(pool, first, range(len(first)), params.block_size_limit)
+    return _lone_set(_fee(first), second_fee, params)
 
 
 def _lone_set(first_fee: int, second_fee: int, params: ChainParams) -> bool:
@@ -245,8 +245,9 @@ def _fee_left(
 ) -> int:
     # The fee greedy packs once the transactions at positions ``claimed``
     # of the first set ``first`` are mined: the fee of the bandwidth set
-    # of ``pool.without`` them, in one scan that copies nothing.  The
-    # first set is a subsequence of ``pool.pending``, so one cursor
+    # of ``pool.without`` them, in one scan that copies nothing.  With
+    # every position claimed it is the fee of the second bandwidth set.
+    # The first set is a subsequence of ``pool.pending``, so one cursor
     # finds each of its members as the scan passes it.
     fee = 0
     room = size_budget
@@ -285,8 +286,9 @@ def undercut_template(
     if branch == 1:
         return tag, BandwidthSetResult.from_transactions(_lightest_part(head, depth + 1, params))
     if DEPTHS[depth].lone_set_split:
-        first, second = first_two_sets(pool, params)
-        if _lone_set(_fee(first), _fee(second), params):
+        first = pool.packed(params.block_size_limit)
+        second_fee = _fee_left(pool, first, range(len(first)), params.block_size_limit)
+        if _lone_set(_fee(first), second_fee, params):
             return "lone-set", BandwidthSetResult.from_transactions(_lightest_part(first, 2, params))
     return tag, bandwidth_set(pool, params)
 
@@ -391,15 +393,19 @@ def craft_avoidance_block(
     greedy packing takes every transaction that is left, so this is
     exact.  When the pool less the claim holds less fee than the claim,
     that bound already puts gamma below 1, where the adversary attacks.
-    Otherwise one scan of the pool sums the fees greedy would pack.  A
-    block costs O(|pool| + |B| log |B|) for a first set B, plus one
-    O(|pool|) scan per candidate that neither shortcut decides.
+    Otherwise one scan of the pool sums the fees greedy would pack.  The
+    first set B is the pool's memoized greedy pack, so a block costs
+    O(|B| log |B|) for the candidates, plus one O(|pool|) scan for a pack
+    the memo misses, one for the second set's fee at a depth with
+    ``lone_set_split``, and one per candidate that neither shortcut
+    decides.
 
     ``experimental`` reproduces the cheaper procedure used in the profit
     experiments: derive a target fee from the visible fees in the first
     two bandwidth sets and claim it from the current set without
     recomputing what the leftovers repack into, which can leave the
-    condition satisfiable and hands the attacker a small edge.
+    condition satisfiable and hands the attacker a small edge.  It
+    scans the pool once for the second set's fee.
 
     ``strict`` scales the experimental target down by ``strict_factor``.
 
@@ -413,18 +419,23 @@ def craft_avoidance_block(
     # the assumed adversary plus assumed honest mass cannot exceed 1
     honest = min(assumed_honest_power, 1.0 - AVOIDANCE_ADVERSARY_POWER)
     split = PowerSplit.of(AVOIDANCE_ADVERSARY_POWER, honest)
-    first_txs, second_txs = first_two_sets(pool, params)
-    first_fee, residual = _fee(first_txs), _fee(second_txs)
+    limit = params.block_size_limit
+    first_txs = pool.packed(limit)
+    first_fee = _fee(first_txs)
     if first_fee == 0:
         return EMPTY_TEMPLATE
-    lone = DEPTHS[depth].lone_set_split and _lone_set(first_fee, residual, params)
+    # The second set's fee is read only by the lone-set test and the
+    # experimental target, so exact avoidance at depth 1 skips its scan.
+    lone_set_split = DEPTHS[depth].lone_set_split
+    n = len(first_txs)
+    residual = _fee_left(pool, first_txs, range(n), limit) if lone_set_split or mode != "exact" else 0
+    lone = lone_set_split and _lone_set(first_fee, residual, params)
 
     if mode == "exact":
         # A candidate is (fee, size, claimed): ``claimed`` holds first-set
         # positions in claim order, a range for a prefix or a suffix and
         # an insertion-ordered dict for the lone-set part, so both iterate
         # in claim order and answer membership in O(1).
-        n = len(first_txs)
         fee_at = [0, *accumulate(t.fee for t in first_txs)]
         size_at = [0, *accumulate(t.size for t in first_txs)]
         candidates: list[tuple[int, int, Collection[int]]] = []
@@ -443,7 +454,6 @@ def craft_avoidance_block(
         candidates.sort(key=lambda c: -c[0])
         pool_fee = _fee(pool.pending)
         pool_size = sum(t.size for t in pool.pending)
-        limit = params.block_size_limit
         for fee, size, claimed in candidates:
             # One ladder decides for both depths: at adversary power 0.5 the
             # depth-1 bounds are limited 1 and sufficient at most 1, every

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -39,9 +40,9 @@ class PowerDistribution:
         total = sum(p for _, p, _ in self.entries)
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"powers must sum to 1, got {total}")
-        ids = [mid for mid, _, _ in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate miner ids")
+        for mid, count in Counter(mid for mid, _, _ in self.entries).items():
+            if count > 1:
+                raise ValueError(f"duplicate miner id {mid!r}")
         for mid, power, kind in self.entries:
             if kind not in MINER_KINDS:
                 raise ValueError(f"miner {mid!r}: unknown kind {kind!r}")
@@ -221,6 +222,7 @@ def _format_time(t: float) -> str:
 def load_powers(path: str | Path) -> PowerDistribution:
     """Read a power file: one ``miner_id,power,kind`` entry per line."""
     entries = []
+    line_of: dict[str, int] = {}
     with Path(path).open() as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -236,6 +238,13 @@ def load_powers(path: str | Path) -> PowerDistribution:
                 raise TraceError(f"line {line_no}: bad power value {parts[1]!r}") from None
             if not math.isfinite(power):
                 raise TraceError(f"line {line_no}: power must be finite, got {parts[1]!r}")
+            if power < 0.0:
+                raise TraceError(f"line {line_no}: miner {mid!r}: power must be non-negative, got {parts[1]!r}")
+            if kind not in MINER_KINDS:
+                raise TraceError(f"line {line_no}: miner {mid!r}: unknown kind {kind!r}")
+            if mid in line_of:
+                raise TraceError(f"line {line_no}: duplicate miner id {mid!r} (first on line {line_of[mid]})")
+            line_of[mid] = line_no
             entries.append((mid, power, kind))
     try:
         return PowerDistribution(tuple(entries))

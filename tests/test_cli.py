@@ -68,6 +68,26 @@ def test_check_rejects_nonpositive_grid_before_printing(capsys, depth):
     assert "error: grid must be positive" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--bh", "nan", "power fractions must sum to 1, got nan"),
+        ("--gamma", "nan", "gamma must be non-negative, got nan"),
+        ("--negligible", "nan", "negligible_fee_threshold must lie in [0, 1), got nan"),
+        ("--negligible", "1.5", "negligible_fee_threshold must lie in [0, 1), got 1.5"),
+        ("--negligible", "-1", "negligible_fee_threshold must lie in [0, 1), got -1.0"),
+    ],
+    ids=["bh-nan", "gamma-nan", "negligible-nan", "negligible-above-one", "negligible-negative"],
+)
+@pytest.mark.parametrize("depth", ["1", "2"])
+def test_check_rejects_nan_and_out_of_range_input_before_printing(capsys, depth, flag, value, message):
+    code = main(["check", "--bu", "0.3", "--bh", "0.2", "--gamma", "0.05", "--depth", depth, flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_run_missing_trace_names_path(capsys):
     code = main(["run", "--trace", "/nonexistent/trace.csv", "--preset", "bitcoin16"])
     err = capsys.readouterr().err

@@ -301,6 +301,21 @@ def test_zero_fee_trace_earns_nothing():
     assert all(v == 0 for v in result.earnings.values())
 
 
+def test_a_miner_named_by_the_empty_string_is_paid():
+    # "" and "a" both sort before "h" and "u", so the rename changes no draw
+    records = whale_trace(5, 600, 36_000, dust_rate=10.0, whale_rate=0.5)
+
+    def run_as(name):
+        miners = profiles(((name, 0.4, "rational"), ("h", 0.3, "honest"), ("u", 0.3, "undercutter")))
+        return run(records, miners, PARAMS, depth=2, seed=11)
+
+    blank, named = run_as(""), run_as("a")
+    assert blank.earnings[""] > 0
+    assert {("a" if mid == "" else mid): fee for mid, fee in blank.earnings.items()} == named.earnings
+    assert (blank.confirmed_fee, blank.blocks) == (named.confirmed_fee, named.blocks)
+    assert sum(blank.earnings.values()) == blank.confirmed_fee
+
+
 def test_empty_trace_is_valid():
     result = run([], two_miners(), PARAMS, seed=3)
     assert result.blocks == 0 and result.confirmed_fee == 0

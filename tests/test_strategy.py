@@ -11,7 +11,6 @@ from undercut.mempool import (
     ChainParams,
     MempoolView,
     bandwidth_set,
-    first_two_sets,
     gamma_ratio,
     split_equal_fee,
 )
@@ -326,7 +325,7 @@ def test_craft_avoidance_exact_defeats_both_decision_ladders():
         assert both_stay(pool, claim.tx_ids, claim.total_fee)
         # the claim is the richest one that passes: no richer prefix or
         # suffix of the first bandwidth set makes both ladders stay
-        first, _ = first_two_sets(pool, params)
+        first = pool.packed(params.block_size_limit)
         for part in [first[:k] for k in range(1, len(first) + 1)] + [first[j:] for j in range(len(first))]:
             fee = sum(t.fee for t in part)
             if fee > claim.total_fee:
@@ -377,7 +376,8 @@ def reference_exact_claim(pool, params, depth, assumed_honest_power):
     def fee(txs):
         return sum(t.fee for t in txs)
 
-    first, second = first_two_sets(pool, params)
+    first = pool.packed(params.block_size_limit)
+    second = pool.without(t.id for t in first).packed(params.block_size_limit)
     if fee(first) == 0:
         return EMPTY_TEMPLATE
     candidates = []
@@ -434,8 +434,10 @@ def test_craft_avoidance_exact_at_the_whole_pool_boundary():
 @given(avoidance_cases(), st.data())
 def test_fee_left_reads_the_repacked_pool_fee(case, data):
     pool, params, _, _ = case
-    first, _ = first_two_sets(pool, params)
+    first = pool.packed(params.block_size_limit)
     lo = data.draw(st.integers(0, len(first)))
     hi = data.draw(st.integers(lo, len(first)))
-    left = _fee_left(pool, first, range(lo, hi), params.block_size_limit)
-    assert left == bandwidth_set(pool.without(t.id for t in first[lo:hi]), params).total_fee
+    # a drawn span of the first set, and the whole set (the second set's fee)
+    for span in (range(lo, hi), range(len(first))):
+        left = _fee_left(pool, first, span, params.block_size_limit)
+        assert left == bandwidth_set(pool.without(first[i].id for i in span), params).total_fee

@@ -238,6 +238,8 @@ def test_power_distribution_validation():
         PowerDistribution((("a", 0.4, "undercutter"), ("b", 0.7, "honest")))
     with pytest.raises(ValueError, match="powers must sum to 1, got nan"):
         PowerDistribution((("a", 0.4, "undercutter"), ("b", float("nan"), "rational"), ("c", 0.6, "honest")))
+    with pytest.raises(ValueError, match="duplicate miner id 'b'"):
+        PowerDistribution((("a", 0.4, "undercutter"), ("b", 0.3, "rational"), ("b", 0.3, "honest")))
 
 
 def test_with_honest_fraction_approximates_target():
@@ -281,4 +283,17 @@ def test_powers_file_errors(tmp_path):
     for bad in ("nan", "inf"):
         path.write_text(f"u,0.4,undercutter\na,{bad},rational\nb,0.6,honest\n")
         with pytest.raises(TraceError, match=f"line 2: power must be finite, got '{bad}'"):
+            load_powers(path)
+    for text, message in (
+        (
+            "u,0.4,undercutter\na,0.8,rational\nb,-0.2,honest\n",
+            "line 3: miner 'b': power must be non-negative, got '-0.2'",
+        ),
+        ("u,0.4,undercutter\n# pools\na,0.6,miner\n", "line 3: miner 'a': unknown kind 'miner'"),
+        ("u,0.4,undercutter\na,0.3,honest\n\na,0.3,rational\n", r"line 4: duplicate miner id 'a' \(first on line 2\)"),
+        ("u,0.4,undercutter\na,0.4,honest\n", "powers must sum to 1, got 0.8"),
+        ("u,0.4,undercutter\nv,0.6,undercutter\n", "exactly one undercutter required"),
+    ):
+        path.write_text(text)
+        with pytest.raises(TraceError, match=f"^{message}$"):
             load_powers(path)
