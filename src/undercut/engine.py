@@ -10,6 +10,12 @@ depth, and earnings settle from the blocks of the main chain.
 
 Runs are deterministic per seed, also across processes: no result
 depends on ``PYTHONHASHSEED``.  Runs may share one immutable RankTable.
+
+Inside a run a transaction is named by its rank in the RankTable.
+``Chain.view`` hands the pool's ranks to its ``MempoolView``, every
+template built from the view carries the ranks of its transactions, and
+a published block keeps them: the engine confirms a block, and forks a
+head, by ranks alone and never maps an id back to a rank.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, eq
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -63,7 +69,11 @@ class StalledSimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Block:
-    """A published block: owner, claimed transactions, position."""
+    """A published block: owner, claimed transactions, position.
+
+    ``ranks`` holds the rank of each of ``tx_ids``, from the template the
+    engine published; it is not part of the block's value.
+    """
 
     owner: str
     tx_ids: tuple[str, ...]
@@ -71,6 +81,7 @@ class Block:
     size_total: int
     creation_time: float
     height: int
+    ranks: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -150,6 +161,9 @@ class RankTable:
     A transaction's rank is its position in ``selection_key`` order, so a
     set of ranks read in increasing order is a presorted pool, and
     ``arrivals[i]`` is the rank of the i-th arrival, at ``times[i]``.
+    ``txs[r]`` is the transaction of rank ``r``.  The table maps no id to
+    a rank: templates carry the ranks of their transactions (see
+    ``Chain``), and ids matter only to the build's order.
 
     The build makes one Python sort, by id, and orders everything else
     with stable array sorts over that id order, so every tie falls back
@@ -158,12 +172,16 @@ class RankTable:
     times gives ``(arrival_time, id)`` order.  Ids are compared as Python
     strings (a numpy ``'U'`` array would drop trailing NULs), and a fee
     past int64 makes its key an object array, which still sorts exactly.
+    A repeated id shows as two equal neighbours in the id order.
     """
 
-    __slots__ = ("txs", "rank", "size_floor", "arrivals", "times", "total_fee")
+    __slots__ = ("txs", "size_floor", "arrivals", "times", "total_fee")
 
     def __init__(self, trace: Iterable[Transaction]):
         by_id = sorted(trace, key=attrgetter("id"))
+        ids = [tx.id for tx in by_id]
+        if any(map(eq, ids, ids[1:])):
+            raise ValueError("duplicate transaction ids in trace")
         n = len(by_id)
         # selection_key's own float and sign for -fee_rate, then -fee; ties keep id order
         ordered = np.lexsort(
@@ -171,9 +189,6 @@ class RankTable:
         )
         rank = np.empty(n, dtype=np.intp)
         rank[ordered] = np.arange(n)
-        self.rank = dict(zip([tx.id for tx in by_id], rank.tolist()))
-        if len(self.rank) != n:
-            raise ValueError("duplicate transaction ids in trace")
         txs = np.fromiter(by_id, dtype=object, count=n)
         arriving = np.argsort(np.array([tx.arrival_time for tx in by_id]), kind="stable")
         self.txs = txs[ordered]
@@ -181,10 +196,6 @@ class RankTable:
         self.arrivals = rank[arriving]
         self.times = tuple([tx.arrival_time for tx in txs[arriving]])
         self.total_fee = sum([tx.fee for tx in by_id])
-
-    def ranks_of(self, tx_ids: Iterable[str]) -> list[int]:
-        rank = self.rank
-        return [rank[i] for i in tx_ids]
 
 
 class Chain:
@@ -200,7 +211,10 @@ class Chain:
     chain sees a transaction it confirmed come back.
 
     ``view`` is cached until ``add_pending`` or ``remove_pending`` changes
-    the mask; a fork sets its copied mask before its first view.
+    the mask.  It passes the set ranks to the ``MempoolView`` as its
+    ``ranks``, so every template built from it carries the ranks that
+    ``remove_pending`` takes.  A chain starts from the ``pending`` mask
+    it is given (a fork: a copy of its parent's), or an empty one.
     """
 
     __slots__ = (
@@ -214,10 +228,12 @@ class Chain:
         "_view",
     )
 
-    def __init__(self, blocks: list[Block], workers: set[str], ranks: RankTable):
+    def __init__(
+        self, blocks: list[Block], workers: set[str], ranks: RankTable, pending: np.ndarray | None = None
+    ):
         self.blocks = blocks
         self.ranks = ranks
-        self.pending = np.zeros(len(ranks.txs), dtype=bool)
+        self.pending = np.zeros(len(ranks.txs), dtype=bool) if pending is None else pending
         self.workers = workers
         self.next_time = math.inf
         self.committed: BandwidthSetResult | None = None
@@ -241,9 +257,12 @@ class Chain:
 
     def view(self) -> MempoolView:
         if self._view is None:
-            txs = self.ranks.txs[self.pending.nonzero()[0]]
+            ranks = self.pending.nonzero()[0]
             self._view = MempoolView(
-                pending=tuple(txs.tolist()), presorted=True, size_floor=self.ranks.size_floor
+                pending=tuple(self.ranks.txs[ranks].tolist()),
+                presorted=True,
+                size_floor=self.ranks.size_floor,
+                ranks=ranks,
             )
         return self._view
 
@@ -437,7 +456,7 @@ class Simulation:
     # -- per-event steps ----------------------------------------------------
 
     def publish_block(self, miner_id: str, chain: Chain, now: float) -> Block:
-        """Build the owner's template, publish it, and consume its txs."""
+        """Build the owner's template, publish it, and consume its txs by their ranks."""
         if chain is self.fork and chain.committed is not None:
             template = chain.committed
             chain.committed = None
@@ -452,6 +471,8 @@ class Simulation:
             )
         else:
             template = bandwidth_set(chain.view(), self.params)
+        if template.ranks is None:
+            raise ValueError("block template carries no ranks")
         block = Block(
             owner=miner_id,
             tx_ids=template.tx_ids,
@@ -459,8 +480,9 @@ class Simulation:
             size_total=template.total_size,
             creation_time=now,
             height=chain.tip.height + 1,
+            ranks=template.ranks.copy(),  # a slice would keep its whole pool alive
         )
-        chain.remove_pending(self.ranks.ranks_of(template.tx_ids))
+        chain.remove_pending(template.ranks)
         if self.next_arrival >= len(self.ranks.times) and self.fork is None:
             self.stagnant_blocks = self.stagnant_blocks + 1 if block.fee_total == 0 else 0
         return block
@@ -552,21 +574,21 @@ class Simulation:
         action, branch, tag = decide(self.split, gamma, self.params.negligible_fee_threshold)
         if action == "stay":
             return
-        head = self.ranks.ranks_of(block.tx_ids)
+        head = block.ranks
         head_txs = self.ranks.txs[head].tolist()
-        tag, template = undercut_template(self.depth, branch, tag, self.params, pool, head_txs)
+        tag, template = undercut_template(self.depth, branch, tag, self.params, pool, head_txs, head)
         self.attacks += 1
         self.attack_branches[tag] += 1
-        fork = Chain(blocks=ext.blocks[:-1], workers={self.undercutter_id}, ranks=self.ranks)
+        fork = Chain(ext.blocks[:-1], {self.undercutter_id}, self.ranks, pending=ext.pending.copy())
         fork.base_height = block.height - 1
-        fork.pending = ext.pending.copy()
         fork.add_pending(head)
         fork.committed = template
         ext.workers.discard(self.undercutter_id)
         self.fork = fork
 
     def _owned_after_fork(self, miner_id: str, chain: Chain, base: int) -> int:
-        return sum(b.fee_total for b in chain.blocks if b.height > base and b.owner == miner_id)
+        # a block's height is its position in the chain's list
+        return sum(b.fee_total for b in chain.blocks[base + 1 :] if b.owner == miner_id)
 
     def update_mempool(self, now: float) -> None:
         """Feed arrivals up to the event time into every live chain."""

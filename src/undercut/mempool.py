@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass, field
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 
 class InstanceTooLargeError(ValueError):
@@ -96,6 +98,22 @@ def selection_key(tx: Transaction) -> tuple:
     return (-tx.fee_rate, -tx.fee, tx.id)
 
 
+class Pack(NamedTuple):
+    """A greedy pack: its transactions in selection order, and their ranks.
+
+    ``ranks`` is None for a view without ranks.  When the pack is a
+    prefix of the pool it is a slice of the view's ranks.
+    """
+
+    txs: tuple[Transaction, ...]
+    ranks: np.ndarray | None
+
+
+def ranks_at(ranks: np.ndarray | None, pick: slice | list[int]) -> np.ndarray | None:
+    """The ranks at positions ``pick`` (a slice or a list), or None without ranks."""
+    return None if ranks is None else ranks[pick]
+
+
 @dataclass(frozen=True)
 class MempoolView:
     """Immutable snapshot of one chain's unconfirmed transaction set.
@@ -112,6 +130,14 @@ class MempoolView:
     supply one; the default of 1 holds for any pool, as sizes are
     positive.
 
+    ``ranks`` names each pending transaction by its rank in the
+    simulation's ``RankTable``: ``ranks[i]`` is the rank of
+    ``pending[i]``.  ``engine.Chain.view`` sets it, and every template
+    built from the view carries the ranks of its transactions, so the
+    engine never maps ids back to ranks.  Views built from a list, and
+    views from ``without``, have None, and so do their templates.  It is
+    not part of the view's value.
+
     ``packed`` memoizes the greedy pack of each size budget it is asked
     for, so a snapshot that ``bandwidth_set``, ``gamma_ratio`` and
     ``claimable_fees`` all read is packed once per budget.  The memo is
@@ -122,7 +148,8 @@ class MempoolView:
     pending: tuple[Transaction, ...] = ()
     presorted: InitVar[bool] = False
     size_floor: int = field(default=1, compare=False)
-    _packs: dict[int, tuple[Transaction, ...]] = field(init=False, compare=False, repr=False)
+    ranks: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _packs: dict[int, Pack] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self, presorted: bool) -> None:
         object.__setattr__(self, "_packs", {})
@@ -139,14 +166,19 @@ class MempoolView:
     def ids(self) -> frozenset[str]:
         return frozenset(tx.id for tx in self.pending)
 
-    def packed(self, size_budget: int) -> tuple[Transaction, ...]:
+    def packed(self, size_budget: int) -> Pack:
         """The greedy pack of the pool within ``size_budget``, memoized."""
-        chosen = self._packs.get(size_budget)
-        if chosen is None:
-            chosen = self._packs[size_budget] = tuple(
-                _greedy_pack(self.pending, size_budget, self.size_floor)
-            )
-        return chosen
+        pack = self._packs.get(size_budget)
+        if pack is None:
+            at = _greedy_pack(self.pending, size_budget, self.size_floor)
+            if not at or at[-1] == len(at) - 1:  # nothing skipped: a prefix
+                pick = slice(len(at))
+                txs = self.pending[pick]
+            else:
+                pick = at
+                txs = tuple(map(self.pending.__getitem__, at))
+            pack = self._packs[size_budget] = Pack(txs, ranks_at(self.ranks, pick))
+        return pack
 
     def without(self, tx_ids: Iterable[str]) -> "MempoolView":
         """Pool after the given transactions were mined on this chain."""
@@ -164,33 +196,58 @@ class BandwidthSetResult:
 
     ``tx_ids`` preserves selection order (fee-rate descending for the
     greedy path), which callers use to carve prefixes off a template.
+
+    ``ranks`` holds the rank of each of ``tx_ids``, in the same order.
+    Every builder the engine calls (greedy ``bandwidth_set``,
+    ``claim_partial``, ``strategy.undercut_template`` and
+    ``strategy.craft_avoidance_block``) fills it from the ranks of its
+    view, and the engine removes a published template by them.  A
+    template built from a view without ranks has None, except the empty
+    template, whose ranks are empty.  It is not part of the template's
+    value.
     """
 
     tx_ids: tuple[str, ...]
     total_fee: int
     total_size: int
+    ranks: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
-    def from_transactions(txs: Sequence[Transaction]) -> "BandwidthSetResult":
+    def from_transactions(
+        txs: Sequence[Transaction], ranks: np.ndarray | None = None
+    ) -> "BandwidthSetResult":
         return BandwidthSetResult(
             tx_ids=tuple(map(attrgetter("id"), txs)),
             total_fee=sum(map(attrgetter("fee"), txs)),
             total_size=sum(map(attrgetter("size"), txs)),
+            ranks=ranks,
+        )
+
+    @staticmethod
+    def at(
+        txs: Sequence[Transaction], ranks: np.ndarray | None, positions: list[int]
+    ) -> "BandwidthSetResult":
+        """The template of ``txs[i]`` for each of ``positions``, in that order."""
+        return BandwidthSetResult.from_transactions(
+            [txs[i] for i in positions], ranks_at(ranks, positions)
         )
 
 
-EMPTY_TEMPLATE = BandwidthSetResult(tx_ids=(), total_fee=0, total_size=0)
+EMPTY_TEMPLATE = BandwidthSetResult(
+    tx_ids=(), total_fee=0, total_size=0, ranks=np.empty(0, dtype=np.intp)
+)
 
 
-def _greedy_pack(txs: Sequence[Transaction], size_budget: int, size_floor: int) -> list[Transaction]:
-    # txs must already be in selection order; first-fit, skipping what
-    # does not fit the remaining budget.  No transaction is smaller than
-    # size_floor, so the scan ends once the room left is below it.
-    chosen: list[Transaction] = []
+def _greedy_pack(txs: Sequence[Transaction], size_budget: int, size_floor: int) -> list[int]:
+    # The positions in txs of the pack.  txs must already be in selection
+    # order; first-fit, skipping what does not fit the remaining budget.
+    # No transaction is smaller than size_floor, so the scan ends once the
+    # room left is below it.
+    chosen: list[int] = []
     room = size_budget
-    for tx in txs:
+    for i, tx in enumerate(txs):
         if tx.size <= room:
-            chosen.append(tx)
+            chosen.append(i)
             room -= tx.size
             if room < size_floor:
                 break
@@ -253,7 +310,7 @@ def bandwidth_set(pool: MempoolView, params: ChainParams, mode: str = "greedy") 
     above EXACT_SELECTION_LIMIT transactions.
     """
     if mode == "greedy":
-        return BandwidthSetResult.from_transactions(pool.packed(params.block_size_limit))
+        return BandwidthSetResult.from_transactions(*pool.packed(params.block_size_limit))
     if mode == "exact":
         if len(pool.pending) > EXACT_SELECTION_LIMIT:
             raise InstanceTooLargeError(
@@ -343,24 +400,27 @@ def split_equal_fee(
     return parts
 
 
-def claim_partial(txs: Sequence[Transaction], target_fee: int, params: ChainParams) -> BandwidthSetResult:
+def claim_partial(
+    txs: Sequence[Transaction], target_fee: int, params: ChainParams, ranks: np.ndarray | None = None
+) -> BandwidthSetResult:
     """Claim from ``txs``, in order, without exceeding ``target_fee``.
 
     A transaction that would burst the fee target or the size budget is
     skipped and the walk goes on, so a claim can reach around an
-    indivisible wealthy transaction.
+    indivisible wealthy transaction.  ``ranks``, if given, holds the rank
+    of each of ``txs``, and the claim carries the ranks of its part.
     """
     if target_fee < 0:
         raise ValueError("target_fee must be non-negative")
-    chosen: list[Transaction] = []
+    chosen: list[int] = []
     fee = 0
     room = params.block_size_limit
-    for tx in txs:
+    for i, tx in enumerate(txs):
         if tx.size <= room and fee + tx.fee <= target_fee:
-            chosen.append(tx)
+            chosen.append(i)
             fee += tx.fee
             room -= tx.size
-    return BandwidthSetResult.from_transactions(chosen)
+    return BandwidthSetResult.at(txs, ranks, chosen)
 
 
 def claimable_fees(pool: MempoolView, params: ChainParams, blocks: int) -> int:
@@ -371,4 +431,4 @@ def claimable_fees(pool: MempoolView, params: ChainParams, blocks: int) -> int:
     """
     if blocks <= 0:
         return 0
-    return sum(map(attrgetter("fee"), pool.packed(blocks * params.block_size_limit)))
+    return sum(map(attrgetter("fee"), pool.packed(blocks * params.block_size_limit).txs))

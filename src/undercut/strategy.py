@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Iterator, Sequence
+
+import numpy as np
 
 from .mempool import (
     EMPTY_TEMPLATE,
@@ -32,6 +34,7 @@ from .mempool import (
     bandwidth_set,
     claim_partial,
     gamma_of_fees,
+    ranks_at,
     split_equal_fee,
 )
 
@@ -223,7 +226,7 @@ DEPTHS = {
 
 def one_set_left(pool: MempoolView, params: ChainParams) -> bool:
     """True when removing one bandwidth set leaves only negligible fees."""
-    first = pool.packed(params.block_size_limit)
+    first = pool.packed(params.block_size_limit).txs
     second_fee = _fee_left(pool, first, range(len(first)), params.block_size_limit)
     return _lone_set(_fee(first), second_fee, params)
 
@@ -236,8 +239,10 @@ def _fee(txs: Sequence[Transaction]) -> int:
     return sum(t.fee for t in txs)
 
 
-def _lightest_part(txs: Sequence[Transaction], k: int, params: ChainParams) -> list[Transaction]:
-    return min(split_equal_fee(txs, k, params), key=_fee)
+def _lightest_part(txs: Sequence[Transaction], k: int, params: ChainParams) -> list[int]:
+    # the positions in txs of the lightest of k equal-fee parts, in split order
+    position = {t.id: i for i, t in enumerate(txs)}
+    return [position[t.id] for t in min(split_equal_fee(txs, k, params), key=_fee)]
 
 
 def _fee_left(
@@ -273,6 +278,7 @@ def undercut_template(
     params: ChainParams,
     pool: MempoolView,
     head: Sequence[Transaction],
+    head_ranks: np.ndarray | None = None,
 ) -> tuple[str, BandwidthSetResult]:
     """The attack block of a ladder that attacked at ``branch``: (tag, block).
 
@@ -282,14 +288,17 @@ def undercut_template(
     bandwidth set, leaving the head's fees on the table; at a depth with
     ``lone_set_split``, a pool of one non-negligible set is the lone-set
     branch instead, and the block takes the lighter half of that set.
+
+    ``head_ranks`` holds the rank of each head transaction; the block
+    carries the ranks of its transactions from it or from ``pool``.
     """
     if branch == 1:
-        return tag, BandwidthSetResult.from_transactions(_lightest_part(head, depth + 1, params))
+        return tag, BandwidthSetResult.at(head, head_ranks, _lightest_part(head, depth + 1, params))
     if DEPTHS[depth].lone_set_split:
-        first = pool.packed(params.block_size_limit)
+        first, first_ranks = pool.packed(params.block_size_limit)
         second_fee = _fee_left(pool, first, range(len(first)), params.block_size_limit)
         if _lone_set(_fee(first), second_fee, params):
-            return "lone-set", BandwidthSetResult.from_transactions(_lightest_part(first, 2, params))
+            return "lone-set", BandwidthSetResult.at(first, first_ranks, _lightest_part(first, 2, params))
     return tag, bandwidth_set(pool, params)
 
 
@@ -387,18 +396,20 @@ def craft_avoidance_block(
     every decision ladder stay for an adversary of
     ``AVOIDANCE_ADVERSARY_POWER``.  Its candidates are the prefixes and
     suffixes of the first bandwidth set (plus, at depth 2, the lighter
-    half of a lone set), tried richest first.  Prefix sums give each
-    candidate's fee and size in O(1).  When the pool less the claim
-    fits one block, the residual fee is the pool fee less the claim:
-    greedy packing takes every transaction that is left, so this is
-    exact.  When the pool less the claim holds less fee than the claim,
-    that bound already puts gamma below 1, where the adversary attacks.
-    Otherwise one scan of the pool sums the fees greedy would pack.  The
-    first set B is the pool's memoized greedy pack, so a block costs
-    O(|B| log |B|) for the candidates, plus one O(|pool|) scan for a pack
-    the memo misses, one for the second set's fee at a depth with
-    ``lone_set_split``, and one per candidate that neither shortcut
-    decides.
+    half of a lone set), tried richest first.  A walk over prefix sums
+    yields them lazily, each with its fee and size in O(1), and the
+    search stops at the first claim the ladder lets stand.  When the
+    pool less the claim fits one block, the residual fee is the pool fee
+    less the claim: greedy packing takes every transaction that is left,
+    so this is exact.  When the pool less the claim holds less fee than
+    the claim, that bound already puts gamma below 1, where the
+    adversary attacks.  Otherwise one scan of the pool sums the fees
+    greedy would pack.  The first set B is the pool's memoized greedy
+    pack, so a block costs O(|B|) for the prefix sums, plus one
+    O(|pool|) scan for a pack the memo misses, one for the second set's
+    fee at a depth with ``lone_set_split``, and one per candidate that
+    neither shortcut decides.  The claim carries the ranks of its
+    transactions from the pool's ranks.
 
     ``experimental`` reproduces the cheaper procedure used in the profit
     experiments: derive a target fee from the visible fees in the first
@@ -420,7 +431,7 @@ def craft_avoidance_block(
     honest = min(assumed_honest_power, 1.0 - AVOIDANCE_ADVERSARY_POWER)
     split = PowerSplit.of(AVOIDANCE_ADVERSARY_POWER, honest)
     limit = params.block_size_limit
-    first_txs = pool.packed(limit)
+    first_txs, first_ranks = pool.packed(limit)
     first_fee = _fee(first_txs)
     if first_fee == 0:
         return EMPTY_TEMPLATE
@@ -438,23 +449,15 @@ def craft_avoidance_block(
         # in claim order and answer membership in O(1).
         fee_at = [0, *accumulate(t.fee for t in first_txs)]
         size_at = [0, *accumulate(t.size for t in first_txs)]
-        candidates: list[tuple[int, int, Collection[int]]] = []
+        lone_claim = None
         if lone:
             part = _lightest_part(first_txs, 2, params)
-            position = {t.id: i for i, t in enumerate(first_txs)}
-            claimed = dict.fromkeys(position[t.id] for t in part)
-            candidates.append((_fee(part), sum(t.size for t in part), claimed))
-        # prefixes keep the densest transactions, suffixes claim around
-        # an indivisible wealthy one; take the richest claim that the
-        # assumed adversary would not fork.
-        spans = [(0, k) for k in range(n, 0, -1)] + [(j, n) for j in range(1, n)]
-        candidates.extend(
-            (fee_at[hi] - fee_at[lo], size_at[hi] - size_at[lo], range(lo, hi)) for lo, hi in spans
-        )
-        candidates.sort(key=lambda c: -c[0])
+            chosen = [first_txs[i] for i in part]
+            lone_claim = (_fee(chosen), sum(t.size for t in chosen), dict.fromkeys(part))
+        # take the richest claim that the assumed adversary would not fork
         pool_fee = _fee(pool.pending)
         pool_size = sum(t.size for t in pool.pending)
-        for fee, size, claimed in candidates:
+        for fee, size, claimed in _claims_richest_first(fee_at, size_at, lone_claim):
             # One ladder decides for both depths: at adversary power 0.5 the
             # depth-1 bounds are limited 1 and sufficient at most 1, every
             # depth-2 bound lies at or below 1, and the negligible test is
@@ -465,7 +468,9 @@ def craft_avoidance_block(
                 left = _fee_left(pool, first_txs, claimed, limit)
             gamma_after = gamma_of_fees(left, fee)
             if undercut_decision_d1(split, gamma_after, params.negligible_fee_threshold)[0] == "stay":
-                return BandwidthSetResult(tuple(first_txs[i].id for i in claimed), fee, size)
+                pick = slice(claimed.start, claimed.stop) if isinstance(claimed, range) else list(claimed)
+                ids = tuple(first_txs[i].id for i in claimed)
+                return BandwidthSetResult(ids, fee, size, ranks_at(first_ranks, pick))
         return EMPTY_TEMPLATE
 
     if lone:
@@ -476,4 +481,33 @@ def craft_avoidance_block(
     if mode == "strict":
         target *= strict_factor
     target = min(target, float(first_fee))
-    return claim_partial(first_txs, int(target), params)
+    return claim_partial(first_txs, int(target), params, first_ranks)
+
+
+def _claims_richest_first(
+    fee_at: Sequence[int], size_at: Sequence[int], lone: tuple[int, int, Collection[int]] | None
+) -> Iterator[tuple[int, int, Collection[int]]]:
+    # Exact avoidance's candidate claims, richest first, as (fee, size,
+    # claimed): every prefix and every proper suffix of the first set,
+    # plus the lone-set part if there is one.  Prefixes keep the densest
+    # transactions, suffixes claim around an indivisible wealthy one.
+    # ``fee_at`` and ``size_at`` are the set's prefix sums.  The prefix
+    # fees (longest first) and the suffix fees (longest first) are both
+    # non-increasing, so two pointers merge them lazily; on a fee tie the
+    # lone-set part comes first, then the prefix, then the suffix.
+    n = len(fee_at) - 1
+    k, j = n, 1  # the next prefix is range(k), the next suffix range(j, n)
+    while k > 0 or j < n:
+        prefix = fee_at[k] if k > 0 else -1
+        suffix = fee_at[n] - fee_at[j] if j < n else -1
+        if lone is not None and lone[0] >= max(prefix, suffix):
+            yield lone
+            lone = None
+        elif prefix >= suffix:
+            yield prefix, size_at[k], range(k)
+            k -= 1
+        else:
+            yield suffix, size_at[n] - size_at[j], range(j, n)
+            j += 1
+    if lone is not None:
+        yield lone

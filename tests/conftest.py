@@ -18,6 +18,18 @@ def pool_of(*txs):
     return MempoolView(pending=tuple(txs))
 
 
+def ranked_view(pool, offset):
+    """``pool`` as a chain hands it out: presorted, with increasing ranks."""
+    ranks = np.arange(len(pool.pending), dtype=np.intp) * 3 + offset
+    return MempoolView(pending=pool.pending, presorted=True, size_floor=pool.size_floor, ranks=ranks)
+
+
+def assert_carries_its_ranks(template, view):
+    """Each of the template's ids comes with the rank the view gives it."""
+    rank = {t.id: r for t, r in zip(view.pending, view.ranks.tolist())}
+    assert template.ranks.tolist() == [rank[i] for i in template.tx_ids]
+
+
 def random_pool(rng, n_max=15, size_max=10, fee_max=40):
     n = int(rng.integers(1, n_max + 1))
     txs = [

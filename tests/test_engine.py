@@ -25,7 +25,7 @@ from undercut.engine import (
     sample_next_block_time,
     select_next_block_miner,
 )
-from undercut.mempool import ChainParams, bandwidth_set, selection_key
+from undercut.mempool import ChainParams, MempoolView, bandwidth_set, selection_key
 from undercut.trace import preset, synthesize_trace
 
 from conftest import tx, whale_trace
@@ -171,6 +171,7 @@ def test_chain_pool_matches_a_sorted_model(history):
     # transactions it confirmed (the head block it undercuts).
     txs, ops = history
     ranks = RankTable(txs)
+    rank = {t.id: r for r, t in enumerate(ranks.txs)}
     chains = [Chain(blocks=[], workers=set(), ranks=ranks)]
     pending, confirmed = [set()], [set()]
     arrived = 0
@@ -178,24 +179,25 @@ def test_chain_pool_matches_a_sorted_model(history):
         k = pick % len(chains)
         if op == "arrive" and arrived < len(txs):
             for chain, model in zip(chains, pending):
-                chain.add_pending(ranks.ranks_of([txs[arrived].id]))
+                chain.add_pending([rank[txs[arrived].id]])
                 model.add(txs[arrived])
             arrived += 1
         elif op == "remove":
             gone = [t for i, t in enumerate(sorted(pending[k], key=selection_key)) if pick >> i & 1]
-            chains[k].remove_pending(ranks.ranks_of(t.id for t in gone))
+            chains[k].remove_pending([rank[t.id] for t in gone])
             pending[k] -= set(gone)
             confirmed[k] |= set(gone)
         elif op == "fork":
             head = [t for i, t in enumerate(sorted(confirmed[k], key=selection_key)) if pick >> i & 1]
-            fork = Chain(blocks=[], workers=set(), ranks=ranks)
-            fork.pending = chains[k].pending.copy()
-            fork.add_pending(ranks.ranks_of(t.id for t in head))
+            fork = Chain(blocks=[], workers=set(), ranks=ranks, pending=chains[k].pending.copy())
+            fork.add_pending([rank[t.id] for t in head])
             chains.append(fork)
             pending.append(pending[k] | set(head))
             confirmed.append(confirmed[k] - set(head))
         for chain, model in zip(chains, pending):
-            assert chain.view().pending == tuple(sorted(model, key=selection_key))
+            view = chain.view()
+            assert view.pending == tuple(sorted(model, key=selection_key))
+            assert ranks.txs[view.ranks].tolist() == list(view.pending)
 
 
 @st.composite
@@ -220,7 +222,6 @@ def test_rank_table_matches_sorted_reference(trace):
     by_arrival = sorted(trace, key=lambda t: (t.arrival_time, t.id))
     rank = {t.id: r for r, t in enumerate(ordered)}
     assert table.txs.tolist() == ordered
-    assert table.rank == rank
     assert table.arrivals.tolist() == [rank[t.id] for t in by_arrival]
     assert table.times == tuple(t.arrival_time for t in by_arrival)
     assert table.size_floor == min((t.size for t in trace), default=1)
@@ -229,9 +230,10 @@ def test_rank_table_matches_sorted_reference(trace):
 
 def test_rank_table_of_an_empty_trace_and_duplicate_ids():
     table = RankTable([])
-    assert table.txs.tolist() == [] and table.rank == {} and table.arrivals.tolist() == []
+    assert table.txs.tolist() == [] and table.arrivals.tolist() == []
     assert table.times == () and table.size_floor == 1 and table.total_fee == 0
-    assert len(RankTable([tx("a", 1, 1), tx("a\x00", 1, 1)]).rank) == 2
+    # ids that differ only in a trailing NUL are two transactions
+    assert [t.id for t in RankTable([tx("a\x00", 1, 1), tx("a", 1, 1)]).txs] == ["a", "a\x00"]
     with pytest.raises(ValueError, match="duplicate transaction ids"):
         RankTable([tx("b", 1, 1), tx("a", 1, 1, t=1.0), tx("a", 2, 9)])
 
@@ -406,6 +408,59 @@ def test_every_miner_works_exactly_one_chain():
     sim = PartitionCheckedSimulation(RankTable(records), miners, PARAMS, depth=2, seed=23)
     result = sim.run()
     assert result.attacks > 0
+
+
+class RankCheckedSimulation(Simulation):
+    """Checks each published block's ranks and, after each publish, every
+    chain's pool against a set model: what arrived, less what the chain's
+    blocks confirmed.  Also compares ``_owned_after_fork``'s slice with a
+    filter over every block since genesis."""
+
+    owned_calls = 0
+
+    def publish_block(self, miner_id, chain, now):
+        block = super().publish_block(miner_id, chain, now)
+        txs = self.ranks.txs
+        assert [t.id for t in txs[block.ranks]] == list(block.tx_ids)
+        arrived = {txs[r].id for r in self.ranks.arrivals[: self.next_arrival]}
+        for c in self.chains:
+            confirmed = {i for b in c.blocks for i in b.tx_ids}
+            if c is chain:
+                confirmed |= set(block.tx_ids)
+            assert c.view().ids() == arrived - confirmed
+        return block
+
+    def _owned_after_fork(self, miner_id, chain, base):
+        self.owned_calls += 1
+        owned = super()._owned_after_fork(miner_id, chain, base)
+        assert owned == sum(b.fee_total for b in chain.blocks if b.height > base and b.owner == miner_id)
+        return owned
+
+
+@pytest.mark.parametrize("avoidance", ["off", "experimental", "exact", "strict"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_published_blocks_carry_their_ranks_and_pools_match_a_set_model(depth, avoidance):
+    records = whale_trace(13, 600, 60_000, dust_rate=5.0, whale_rate=0.4)
+    dist, _ = preset("bitcoin16")
+    miners = profiles(dist.with_honest_fraction(0.3).entries)
+    table, policy = RankTable(records), parse_avoidance(avoidance)
+    sim = RankCheckedSimulation(table, miners, PARAMS, depth=depth, avoidance=policy, seed=17)
+    result = sim.run()
+    assert result.confirmed_fee > 0
+    if policy is None:
+        assert result.attacks > 0
+        if depth == 2:  # rational miners weigh what they own after the fork
+            assert sim.owned_calls > 0
+    assert result == Simulation(table, miners, PARAMS, depth=depth, avoidance=policy, seed=17).run()
+
+
+def test_a_template_without_ranks_is_not_published(monkeypatch):
+    sim = Simulation(RankTable([tx("a", 10, 5, t=0.0)]), two_miners(), PARAMS, depth=1)
+    sim.update_mempool(1.0)
+    pool = MempoolView(pending=sim.main.view().pending)  # the same pool, built from a list
+    monkeypatch.setattr("undercut.engine.bandwidth_set", lambda view, params: bandwidth_set(pool, params))
+    with pytest.raises(ValueError, match="block template carries no ranks"):
+        sim.publish_block("h", sim.main, 2.0)
 
 
 @st.composite

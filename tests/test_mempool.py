@@ -14,7 +14,6 @@ from undercut.mempool import (
     MempoolView,
     Transaction,
     UnsplittableError,
-    _greedy_pack,
     bandwidth_set,
     claim_partial,
     claimable_fees,
@@ -23,7 +22,7 @@ from undercut.mempool import (
     split_equal_fee,
 )
 
-from conftest import oracle_best_fee, pool_of, random_pool, tx
+from conftest import assert_carries_its_ranks, oracle_best_fee, pool_of, random_pool, ranked_view, tx
 
 
 def test_transaction_validation():
@@ -243,11 +242,29 @@ def test_packed_equals_greedy_pack_and_memo_is_not_part_of_the_value(case):
     pool, budgets = case
     fresh = MempoolView(pending=pool.pending, presorted=True, size_floor=pool.size_floor)
     for budget in budgets:
-        expected = tuple(_greedy_pack(pool.pending, budget, pool.size_floor))
-        assert pool.packed(budget) == expected
+        expected = tuple(full_scan_pack(pool.pending, budget))
+        assert pool.packed(budget) == (expected, None)  # a view built from a list has no ranks
         assert pool.packed(budget) is pool.packed(budget)
     assert pool == fresh and hash(pool) == hash(fresh)
     assert repr(pool) == repr(fresh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools_and_budgets(), st.integers(0, 5))
+def test_a_ranked_view_packs_and_claims_with_the_ranks_of_its_transactions(case, offset):
+    pool, budgets = case
+    view = ranked_view(pool, offset)
+    for budget in budgets:
+        txs, ranks = view.packed(budget)
+        assert txs == pool.packed(budget).txs
+        assert_carries_its_ranks(BandwidthSetResult.from_transactions(txs, ranks), view)
+        if txs == pool.pending[: len(txs)]:
+            assert ranks.base is view.ranks  # a prefix pack's ranks are a slice of the view's
+        params = ChainParams(block_size_limit=max(budget, 1), block_interval=600)
+        fee = sum(t.fee for t in txs)
+        for template in (bandwidth_set(view, params), claim_partial(view.pending, fee // 2, params, view.ranks)):
+            assert_carries_its_ranks(template, view)
+        assert bandwidth_set(pool, params).ranks is None
 
 
 def test_claim_partial_examples():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from undercut.mempool import (
     ChainParams,
     MempoolView,
     bandwidth_set,
+    gamma_of_fees,
     gamma_ratio,
     split_equal_fee,
 )
@@ -37,7 +39,7 @@ from undercut.strategy import (
     undercut_template,
 )
 
-from conftest import pool_of, tx
+from conftest import assert_carries_its_ranks, pool_of, ranked_view, tx
 
 
 def split_of(bu, bh):
@@ -325,7 +327,7 @@ def test_craft_avoidance_exact_defeats_both_decision_ladders():
         assert both_stay(pool, claim.tx_ids, claim.total_fee)
         # the claim is the richest one that passes: no richer prefix or
         # suffix of the first bandwidth set makes both ladders stay
-        first = pool.packed(params.block_size_limit)
+        first = pool.packed(params.block_size_limit).txs
         for part in [first[:k] for k in range(1, len(first) + 1)] + [first[j:] for j in range(len(first))]:
             fee = sum(t.fee for t in part)
             if fee > claim.total_fee:
@@ -367,17 +369,19 @@ def params():
     return ChainParams(block_size_limit=100, block_interval=600.0)
 
 
-def reference_exact_claim(pool, params, depth, assumed_honest_power):
-    """Exact avoidance the direct way: each candidate copies the pool
-    with ``without`` and repacks it through ``gamma_ratio``."""
+def reference_exact_claim(pool, params, depth, assumed_honest_power, tried=None):
+    """Exact avoidance the direct way: all candidates sorted up front, and
+    each copies the pool with ``without`` and repacks it through
+    ``gamma_ratio``.  ``tried``, if given, collects the fee of each claim
+    put to the ladder."""
     honest = min(assumed_honest_power, 1.0 - AVOIDANCE_ADVERSARY_POWER)
     split = PowerSplit.of(AVOIDANCE_ADVERSARY_POWER, honest)
 
     def fee(txs):
         return sum(t.fee for t in txs)
 
-    first = pool.packed(params.block_size_limit)
-    second = pool.without(t.id for t in first).packed(params.block_size_limit)
+    first = pool.packed(params.block_size_limit).txs
+    second = pool.without(t.id for t in first).packed(params.block_size_limit).txs
     if fee(first) == 0:
         return EMPTY_TEMPLATE
     candidates = []
@@ -388,6 +392,8 @@ def reference_exact_claim(pool, params, depth, assumed_honest_power):
     candidates.sort(key=lambda c: -fee(c))
     for claim in candidates:
         gamma = gamma_ratio(pool.without(t.id for t in claim), fee(claim), params)
+        if tried is not None:
+            tried.append(fee(claim))
         if undercut_decision_d1(split, gamma, params.negligible_fee_threshold)[0] == "stay":
             return BandwidthSetResult.from_transactions(claim)
     return EMPTY_TEMPLATE
@@ -414,8 +420,24 @@ def avoidance_cases(draw):
 @given(avoidance_cases())
 def test_craft_avoidance_exact_matches_pool_copying_reference(case):
     pool, params, depth, honest = case
-    claim = craft_avoidance_block(pool, params, depth=depth, assumed_honest_power=honest, mode="exact")
-    assert claim == reference_exact_claim(pool, params, depth, honest)
+    # the lazy walk puts claims of the same fees to the ladder, in the same
+    # order and as often: each ladder call follows one gamma of its claim
+    fees, calls, expected = [], [], []
+
+    def gamma(left, fee):
+        fees.append(fee)
+        return gamma_of_fees(left, fee)
+
+    def ladder(*args):
+        calls.append(args)
+        return undercut_decision_d1(*args)
+
+    with mock.patch("undercut.strategy.gamma_of_fees", gamma), mock.patch(
+        "undercut.strategy.undercut_decision_d1", ladder
+    ):
+        claim = craft_avoidance_block(pool, params, depth=depth, assumed_honest_power=honest, mode="exact")
+    assert claim == reference_exact_claim(pool, params, depth, honest, expected)
+    assert fees == expected and len(calls) == len(expected)
 
 
 def test_craft_avoidance_exact_at_the_whole_pool_boundary():
@@ -434,10 +456,32 @@ def test_craft_avoidance_exact_at_the_whole_pool_boundary():
 @given(avoidance_cases(), st.data())
 def test_fee_left_reads_the_repacked_pool_fee(case, data):
     pool, params, _, _ = case
-    first = pool.packed(params.block_size_limit)
+    first = pool.packed(params.block_size_limit).txs
     lo = data.draw(st.integers(0, len(first)))
     hi = data.draw(st.integers(lo, len(first)))
     # a drawn span of the first set, and the whole set (the second set's fee)
     for span in (range(lo, hi), range(len(first))):
         left = _fee_left(pool, first, span, params.block_size_limit)
         assert left == bandwidth_set(pool.without(first[i].id for i in span), params).total_fee
+
+
+@settings(max_examples=200, deadline=None)
+@given(avoidance_cases(), st.integers(0, 5))
+def test_templates_of_a_ranked_view_carry_the_ranks_of_their_transactions(case, offset):
+    pool, params, depth, honest = case
+    view = ranked_view(pool, offset)
+    for mode in ("exact", "experimental", "strict"):
+        claims = [
+            craft_avoidance_block(p, params, depth=depth, assumed_honest_power=honest, mode=mode) for p in (view, pool)
+        ]
+        assert claims[0] == claims[1]
+        assert_carries_its_ranks(claims[0], view)
+    # the attack blocks: the bandwidth set or the lone-set half at branch 3,
+    # and at branch 1 the lightest part of a head, with the head's ranks
+    template = undercut_template(depth, 3, "limited-mempool", params, view, ())[1]
+    assert template == undercut_template(depth, 3, "limited-mempool", params, pool, ())[1]
+    assert_carries_its_ranks(template, view)
+    head = view.packed(params.block_size_limit)
+    template = undercut_template(depth, 1, "negligible-mempool", params, pool_of(), head.txs, head.ranks)[1]
+    assert template == undercut_template(depth, 1, "negligible-mempool", params, pool_of(), head.txs)[1]
+    assert_carries_its_ranks(template, view)
