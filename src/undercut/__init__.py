@@ -5,7 +5,6 @@ from .engine import (
     Block,
     Chain,
     MinerProfile,
-    RankTable,
     RunResult,
     Simulation,
     StalledSimulationError,
@@ -28,6 +27,7 @@ from .mempool import (
     InstanceTooLargeError,
     InvalidCandidateError,
     MempoolView,
+    RankTable,
     Transaction,
     UnsplittableError,
     bandwidth_set,

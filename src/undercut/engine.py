@@ -9,13 +9,15 @@ which chain to work on.  A race ends once one side leads by the give-up
 depth, and earnings settle from the blocks of the main chain.
 
 Runs are deterministic per seed, also across processes: no result
-depends on ``PYTHONHASHSEED``.  Runs may share one immutable RankTable.
+depends on ``PYTHONHASHSEED``.  Runs may share one immutable
+``mempool.RankTable``, the trace numbered in selection order.
 
-Inside a run a transaction is named by its rank in the RankTable.
-``Chain.view`` hands the pool's ranks to its ``MempoolView``, every
-template built from the view carries the ranks of its transactions, and
-a published block keeps them: the engine confirms a block, and forks a
-head, by ranks alone and never maps an id back to a rank.
+Inside a run a transaction is named by its rank in that table.  A
+chain's pool is a set of ranks, and ``Chain.view`` hands them to a
+``MempoolView`` over the table; every template built from the view
+carries the ranks of its transactions, and a published block keeps
+them: the engine confirms a block, and forks a head, by ranks alone and
+never maps an id back to a rank.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from operator import attrgetter, eq
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .mempool import (
     BandwidthSetResult,
     ChainParams,
     MempoolView,
+    RankTable,
     Transaction,
     bandwidth_set,
     claimable_fees,
@@ -155,49 +157,6 @@ class RunResult:
         return self.earnings.get(miner_id, 0) / self.confirmed_fee
 
 
-class RankTable:
-    """An immutable prepared trace, numbered once in selection order; runs may share one.
-
-    A transaction's rank is its position in ``selection_key`` order, so a
-    set of ranks read in increasing order is a presorted pool, and
-    ``arrivals[i]`` is the rank of the i-th arrival, at ``times[i]``.
-    ``txs[r]`` is the transaction of rank ``r``.  The table maps no id to
-    a rank: templates carry the ranks of their transactions (see
-    ``Chain``), and ids matter only to the build's order.
-
-    The build makes one Python sort, by id, and orders everything else
-    with stable array sorts over that id order, so every tie falls back
-    to the id: one ``np.lexsort`` on (fee rate, fee) descending gives
-    exactly ``selection_key`` order, and one stable ``np.argsort`` on the
-    times gives ``(arrival_time, id)`` order.  Ids are compared as Python
-    strings (a numpy ``'U'`` array would drop trailing NULs), and a fee
-    past int64 makes its key an object array, which still sorts exactly.
-    A repeated id shows as two equal neighbours in the id order.
-    """
-
-    __slots__ = ("txs", "size_floor", "arrivals", "times", "total_fee")
-
-    def __init__(self, trace: Iterable[Transaction]):
-        by_id = sorted(trace, key=attrgetter("id"))
-        ids = [tx.id for tx in by_id]
-        if any(map(eq, ids, ids[1:])):
-            raise ValueError("duplicate transaction ids in trace")
-        n = len(by_id)
-        # selection_key's own float and sign for -fee_rate, then -fee; ties keep id order
-        ordered = np.lexsort(
-            (np.array([-tx.fee for tx in by_id]), np.array([-tx.fee / tx.size for tx in by_id]))
-        )
-        rank = np.empty(n, dtype=np.intp)
-        rank[ordered] = np.arange(n)
-        txs = np.fromiter(by_id, dtype=object, count=n)
-        arriving = np.argsort(np.array([tx.arrival_time for tx in by_id]), kind="stable")
-        self.txs = txs[ordered]
-        self.size_floor = min([tx.size for tx in by_id], default=1)
-        self.arrivals = rank[arriving]
-        self.times = tuple([tx.arrival_time for tx in txs[arriving]])
-        self.total_fee = sum([tx.fee for tx in by_id])
-
-
 class Chain:
     """One live chain: blocks since genesis plus its own pool.
 
@@ -211,15 +170,15 @@ class Chain:
     chain sees a transaction it confirmed come back.
 
     ``view`` is cached until ``add_pending`` or ``remove_pending`` changes
-    the mask.  It passes the set ranks to the ``MempoolView`` as its
-    ``ranks``, so every template built from it carries the ranks that
+    the mask.  It is the ``MempoolView`` of the set ranks over ``table``,
+    so every template built from it carries the ranks that
     ``remove_pending`` takes.  A chain starts from the ``pending`` mask
     it is given (a fork: a copy of its parent's), or an empty one.
     """
 
     __slots__ = (
         "blocks",
-        "ranks",
+        "table",
         "pending",
         "workers",
         "next_time",
@@ -229,11 +188,11 @@ class Chain:
     )
 
     def __init__(
-        self, blocks: list[Block], workers: set[str], ranks: RankTable, pending: np.ndarray | None = None
+        self, blocks: list[Block], workers: set[str], table: RankTable, pending: np.ndarray | None = None
     ):
         self.blocks = blocks
-        self.ranks = ranks
-        self.pending = np.zeros(len(ranks.txs), dtype=bool) if pending is None else pending
+        self.table = table
+        self.pending = np.zeros(len(table.txs), dtype=bool) if pending is None else pending
         self.workers = workers
         self.next_time = math.inf
         self.committed: BandwidthSetResult | None = None
@@ -257,13 +216,7 @@ class Chain:
 
     def view(self) -> MempoolView:
         if self._view is None:
-            ranks = self.pending.nonzero()[0]
-            self._view = MempoolView(
-                pending=tuple(self.ranks.txs[ranks].tolist()),
-                presorted=True,
-                size_floor=self.ranks.size_floor,
-                ranks=ranks,
-            )
+            self._view = MempoolView(self.table, self.pending.nonzero()[0])
         return self._view
 
 
@@ -328,8 +281,8 @@ def sample_next_block_time(
 
 
 def check_seed(seed: object) -> None:
-    """Reject a seed that numpy's generators cannot take, with a named message."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    """Reject a seed that numpy's generators cannot take, or a bool, with a named message."""
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
@@ -338,7 +291,7 @@ class Simulation:
 
     def __init__(
         self,
-        ranks: RankTable,
+        table: RankTable,
         miners: Sequence[MinerProfile],
         params: ChainParams,
         depth: int = 1,
@@ -371,16 +324,16 @@ class Simulation:
         honest = sum(m.power for m in miners if m.kind == "honest")
         beta_u = undercutters[0].power if undercutters else 0.0
         self.split = PowerSplit.of(beta_u, honest)
-        self.ranks = ranks
+        self.table = table
         self.next_arrival = 0
 
-        t0 = ranks.times[0] if ranks.times else 0.0
-        span = ranks.times[-1] - t0 if ranks.times else 0.0
+        t0 = table.times[0] if table.times else 0.0
+        span = table.times[-1] - t0 if table.times else 0.0
         self.max_events = (
-            EVENT_CAP_MARGIN * (math.ceil(span / params.block_interval) + len(ranks.txs)) + EVENT_CAP_FLOOR
+            EVENT_CAP_MARGIN * (math.ceil(span / params.block_interval) + len(table.txs)) + EVENT_CAP_FLOOR
         )
         genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=t0, height=0)
-        self.main = Chain(blocks=[genesis], workers={m.id for m in miners}, ranks=self.ranks)
+        self.main = Chain(blocks=[genesis], workers={m.id for m in miners}, table=table)
         self.fork: Chain | None = None
         self.attacks = 0
         self.attack_branches: Counter[str] = Counter()
@@ -411,7 +364,7 @@ class Simulation:
         raise StalledSimulationError(f"run needed {self.max_events} events or more; it is stuck")
 
     def _drained(self) -> bool:
-        if self.next_arrival < len(self.ranks.times) or self.fork is not None:
+        if self.next_arrival < len(self.table.times) or self.fork is not None:
             return False
         # the ladders' negligible rule; a fee-less head gives inf and falls through
         gamma = gamma_ratio(self.main.view(), self.main.tip.fee_total, self.params)
@@ -431,7 +384,7 @@ class Simulation:
         return RunResult(
             earnings=earnings,
             confirmed_fee=confirmed,
-            total_trace_fee=self.ranks.total_fee,
+            total_trace_fee=self.table.total_fee,
             blocks=len(terminal.blocks) - 1,
             attacks=self.attacks,
             attack_branches=dict(self.attack_branches),
@@ -471,8 +424,6 @@ class Simulation:
             )
         else:
             template = bandwidth_set(chain.view(), self.params)
-        if template.ranks is None:
-            raise ValueError("block template carries no ranks")
         block = Block(
             owner=miner_id,
             tx_ids=template.tx_ids,
@@ -483,7 +434,7 @@ class Simulation:
             ranks=template.ranks.copy(),  # a slice would keep its whole pool alive
         )
         chain.remove_pending(template.ranks)
-        if self.next_arrival >= len(self.ranks.times) and self.fork is None:
+        if self.next_arrival >= len(self.table.times) and self.fork is None:
             self.stagnant_blocks = self.stagnant_blocks + 1 if block.fee_total == 0 else 0
         return block
 
@@ -575,11 +526,11 @@ class Simulation:
         if action == "stay":
             return
         head = block.ranks
-        head_txs = self.ranks.txs[head].tolist()
+        head_txs = self.table.txs[head].tolist()
         tag, template = undercut_template(self.depth, branch, tag, self.params, pool, head_txs, head)
         self.attacks += 1
         self.attack_branches[tag] += 1
-        fork = Chain(ext.blocks[:-1], {self.undercutter_id}, self.ranks, pending=ext.pending.copy())
+        fork = Chain(ext.blocks[:-1], {self.undercutter_id}, self.table, pending=ext.pending.copy())
         fork.base_height = block.height - 1
         fork.add_pending(head)
         fork.committed = template
@@ -592,9 +543,9 @@ class Simulation:
 
     def update_mempool(self, now: float) -> None:
         """Feed arrivals up to the event time into every live chain."""
-        end = bisect_right(self.ranks.times, now, self.next_arrival)
+        end = bisect_right(self.table.times, now, self.next_arrival)
         for chain in self.chains:
-            chain.add_pending(self.ranks.arrivals[self.next_arrival : end])
+            chain.add_pending(self.table.arrivals[self.next_arrival : end])
         self.next_arrival = end
 
     def _resample(self, now: float) -> None:

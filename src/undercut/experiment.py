@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import AvoidancePolicy, RankTable, RunResult, Simulation, check_seed, profiles
-from .mempool import ChainParams, Transaction
+from .engine import AvoidancePolicy, RunResult, Simulation, check_seed, profiles
+from .mempool import ChainParams, RankTable, Transaction
 from .strategy import DEPTHS
 from .trace import PowerDistribution
 
@@ -46,8 +46,9 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be positive")
+        reps = self.repetitions
+        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+            raise ValueError(f"repetitions must be a positive integer, got {reps}")
         check_seed(self.base_seed)
         if not self.depths or any(d not in DEPTHS for d in self.depths):
             raise ValueError("depths must be drawn from {1, 2}")
@@ -113,13 +114,13 @@ def derive_seed(base_seed: int, cell_index: int, repetition: int) -> int:
 
 
 def _run_reps(
-    config: ExperimentConfig, ranks: RankTable, index: int, depth: int, hf: float, reps: range
+    config: ExperimentConfig, table: RankTable, index: int, depth: int, hf: float, reps: range
 ) -> list[RunResult]:
     """The cell's runs for the repetitions in ``reps``, in order."""
     miners = profiles(config.powers.with_honest_fraction(hf).entries)
     return [
         Simulation(
-            ranks,
+            table,
             miners,
             config.params,
             depth=depth,
@@ -176,8 +177,8 @@ def _start_worker(config: ExperimentConfig, trace: Sequence[Transaction]) -> Non
 
 
 def _run_task(index: int, depth: int, hf: float, first: int, end: int) -> list[RunResult]:
-    config, ranks = _worker
-    return _run_reps(config, ranks, index, depth, hf, range(first, end))
+    config, table = _worker
+    return _run_reps(config, table, index, depth, hf, range(first, end))
 
 
 def run_experiment(
@@ -204,8 +205,8 @@ def run_experiment(
         ) as pool:
             chunks = list(pool.map(_run_task, *zip(*tasks)))
     else:
-        ranks = RankTable(trace)  # one prepared trace for every cell
-        chunks = [_run_reps(config, ranks, i, d, h, range(first, end)) for i, d, h, first, end in tasks]
+        table = RankTable(trace)  # one prepared trace for every cell
+        chunks = [_run_reps(config, table, i, d, h, range(first, end)) for i, d, h, first, end in tasks]
     runs: dict[int, list[RunResult]] = {i: [] for i, _, _ in cells}
     for (i, *_), chunk in zip(tasks, chunks):
         runs[i].extend(chunk)

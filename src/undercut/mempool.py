@@ -9,8 +9,9 @@ templates, avoidance claims) goes through the helpers here.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
-from operator import attrgetter
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from operator import attrgetter, eq
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,78 +91,106 @@ def check_negligible(threshold: float) -> None:
 
 
 def selection_key(tx: Transaction) -> tuple:
-    """Total order used everywhere a template is packed greedily.
+    """Selection order: the order of every pool, in which templates are packed greedily.
 
     Highest fee rate first; ties broken by higher absolute fee, then by
-    id, so replays are deterministic.
+    id, so replays are deterministic.  ``RankTable`` numbers its
+    transactions in this order with array sorts.
     """
     return (-tx.fee_rate, -tx.fee, tx.id)
+
+
+class RankTable:
+    """An immutable prepared set of transactions, numbered once in selection order.
+
+    A transaction's rank is its position in ``selection_key`` order, so a
+    set of ranks read in increasing order is a pool in selection order
+    (a ``MempoolView``).  ``txs[r]`` is the transaction of rank ``r``,
+    ``arrivals[i]`` the rank of the i-th arrival, at ``times[i]``, and
+    ``size_floor`` the smallest size, a lower bound for every view.  The
+    table maps no id to a rank: templates carry the ranks of their
+    transactions.  Runs may share one table.
+
+    It is the one place a pool is sorted and checked for repeated ids.
+    The build makes one Python sort, by id, and orders everything else
+    with stable array sorts over that id order, so every tie falls back
+    to the id: one ``np.lexsort`` on (fee rate, fee) descending gives
+    exactly ``selection_key`` order, and one stable ``np.argsort`` on the
+    times gives ``(arrival_time, id)`` order.  Ids are compared as Python
+    strings (a numpy ``'U'`` array would drop trailing NULs), and a fee
+    past int64 makes its key an object array, which still sorts exactly.
+    A repeated id shows as two equal neighbours in the id order.
+    """
+
+    __slots__ = ("txs", "size_floor", "arrivals", "times", "total_fee")
+
+    def __init__(self, trace: Iterable[Transaction]):
+        by_id = sorted(trace, key=attrgetter("id"))
+        ids = [tx.id for tx in by_id]
+        if any(map(eq, ids, ids[1:])):
+            raise ValueError("duplicate transaction ids in trace")
+        n = len(by_id)
+        # selection_key's own float and sign for -fee_rate, then -fee; ties keep id order
+        ordered = np.lexsort(
+            (np.array([-tx.fee for tx in by_id]), np.array([-tx.fee / tx.size for tx in by_id]))
+        )
+        rank = np.empty(n, dtype=np.intp)
+        rank[ordered] = np.arange(n)
+        txs = np.fromiter(by_id, dtype=object, count=n)
+        arriving = np.argsort(np.array([tx.arrival_time for tx in by_id]), kind="stable")
+        self.txs = txs[ordered]
+        self.size_floor = min([tx.size for tx in by_id], default=1)
+        self.arrivals = rank[arriving]
+        self.times = tuple([tx.arrival_time for tx in txs[arriving]])
+        self.total_fee = sum([tx.fee for tx in by_id])
 
 
 class Pack(NamedTuple):
     """A greedy pack: its transactions in selection order, and their ranks.
 
-    ``ranks`` is None for a view without ranks.  When the pack is a
-    prefix of the pool it is a slice of the view's ranks.
+    When the pack is a prefix of the pool, ``ranks`` is a slice of the
+    view's ranks.
     """
 
     txs: tuple[Transaction, ...]
-    ranks: np.ndarray | None
-
-
-def ranks_at(ranks: np.ndarray | None, pick: slice | list[int]) -> np.ndarray | None:
-    """The ranks at positions ``pick`` (a slice or a list), or None without ranks."""
-    return None if ranks is None else ranks[pick]
+    ranks: np.ndarray
 
 
 @dataclass(frozen=True)
 class MempoolView:
-    """Immutable snapshot of one chain's unconfirmed transaction set.
+    """Immutable snapshot of one chain's unconfirmed transactions: a set of ranks over a ``RankTable``.
 
-    Pending transactions are held in selection order.  ``presorted``
-    skips the normalization pass for callers (the simulation engine)
-    that maintain that order themselves.
+    ``ranks`` holds them in increasing order and ``pending`` is their
+    transactions, ``table.txs[ranks]``, so ``pending`` is in selection
+    order and ``ranks[i]`` is the rank of ``pending[i]``.  The table has
+    sorted and duplicate-checked its transactions; a view does neither.
+    ``of`` builds a table of a list and views all of it, ``without``
+    keeps the table and drops ranks, and ``engine.Chain.view`` views the
+    ranks a chain holds.  Every template built from a view carries the
+    ranks of its transactions.  Greedy packing stops once the room left
+    is below ``table.size_floor``.
 
-    ``size_floor`` is a lower bound on the size of every pending
-    transaction; greedy packing stops once the room left is below it.
-    It must never exceed any pending size.  A view built from a list
-    computes it exactly, ``without`` keeps its parent's bound (removing
-    transactions cannot lower the minimum), and presorted callers
-    supply one; the default of 1 holds for any pool, as sizes are
-    positive.
-
-    ``ranks`` names each pending transaction by its rank in the
-    simulation's ``RankTable``: ``ranks[i]`` is the rank of
-    ``pending[i]``.  ``engine.Chain.view`` sets it, and every template
-    built from the view carries the ranks of its transactions, so the
-    engine never maps ids back to ranks.  Views built from a list, and
-    views from ``without``, have None, and so do their templates.  It is
-    not part of the view's value.
-
-    ``packed`` memoizes the greedy pack of each size budget it is asked
-    for, so a snapshot that ``bandwidth_set``, ``gamma_ratio`` and
-    ``claimable_fees`` all read is packed once per budget.  The memo is
-    not part of the view's value: it is left out of equality, hashing
-    and ``repr``.
+    The view's value is ``pending``: ``table``, ``ranks`` and the memo of
+    ``packed`` (the greedy pack of each size budget asked for, so a
+    snapshot that ``bandwidth_set``, ``gamma_ratio`` and
+    ``claimable_fees`` all read is packed once per budget) are left out
+    of equality, hashing and ``repr``.
     """
 
-    pending: tuple[Transaction, ...] = ()
-    presorted: InitVar[bool] = False
-    size_floor: int = field(default=1, compare=False)
-    ranks: np.ndarray | None = field(default=None, compare=False, repr=False)
+    table: RankTable = field(compare=False, repr=False)
+    ranks: np.ndarray = field(compare=False, repr=False)
+    pending: tuple[Transaction, ...] = field(init=False)
     _packs: dict[int, Pack] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self, presorted: bool) -> None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pending", tuple(self.table.txs[self.ranks].tolist()))
         object.__setattr__(self, "_packs", {})
-        if presorted:
-            return
-        pending = tuple(sorted(self.pending, key=selection_key))
-        object.__setattr__(self, "pending", pending)
-        if pending:
-            object.__setattr__(self, "size_floor", min(tx.size for tx in pending))
-        ids = [tx.id for tx in pending]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate transaction ids in pending set")
+
+    @classmethod
+    def of(cls, txs: Iterable[Transaction]) -> "MempoolView":
+        """A view of all of ``txs``, over a table built from them."""
+        table = RankTable(txs)
+        return cls(table, np.arange(len(table.txs), dtype=np.intp))
 
     def ids(self) -> frozenset[str]:
         return frozenset(tx.id for tx in self.pending)
@@ -170,24 +199,21 @@ class MempoolView:
         """The greedy pack of the pool within ``size_budget``, memoized."""
         pack = self._packs.get(size_budget)
         if pack is None:
-            at = _greedy_pack(self.pending, size_budget, self.size_floor)
+            at = _greedy_pack(self.pending, size_budget, self.table.size_floor)
             if not at or at[-1] == len(at) - 1:  # nothing skipped: a prefix
                 pick = slice(len(at))
                 txs = self.pending[pick]
             else:
                 pick = at
                 txs = tuple(map(self.pending.__getitem__, at))
-            pack = self._packs[size_budget] = Pack(txs, ranks_at(self.ranks, pick))
+            pack = self._packs[size_budget] = Pack(txs, self.ranks[pick])
         return pack
 
     def without(self, tx_ids: Iterable[str]) -> "MempoolView":
         """Pool after the given transactions were mined on this chain."""
         gone = frozenset(tx_ids)
-        return MempoolView(
-            pending=tuple(tx for tx in self.pending if tx.id not in gone),
-            presorted=True,
-            size_floor=self.size_floor,
-        )
+        keep = [i for i, tx in enumerate(self.pending) if tx.id not in gone]
+        return MempoolView(self.table, self.ranks[keep])
 
 
 @dataclass(frozen=True)
@@ -198,24 +224,18 @@ class BandwidthSetResult:
     greedy path), which callers use to carve prefixes off a template.
 
     ``ranks`` holds the rank of each of ``tx_ids``, in the same order.
-    Every builder the engine calls (greedy ``bandwidth_set``,
-    ``claim_partial``, ``strategy.undercut_template`` and
-    ``strategy.craft_avoidance_block``) fills it from the ranks of its
-    view, and the engine removes a published template by them.  A
-    template built from a view without ranks has None, except the empty
-    template, whose ranks are empty.  It is not part of the template's
-    value.
+    Every builder fills it from the ranks of its view, and the engine
+    removes a published template by them.  It is not part of the
+    template's value.
     """
 
     tx_ids: tuple[str, ...]
     total_fee: int
     total_size: int
-    ranks: np.ndarray | None = field(default=None, compare=False, repr=False)
+    ranks: np.ndarray = field(compare=False, repr=False)
 
     @staticmethod
-    def from_transactions(
-        txs: Sequence[Transaction], ranks: np.ndarray | None = None
-    ) -> "BandwidthSetResult":
+    def from_transactions(txs: Sequence[Transaction], ranks: np.ndarray) -> "BandwidthSetResult":
         return BandwidthSetResult(
             tx_ids=tuple(map(attrgetter("id"), txs)),
             total_fee=sum(map(attrgetter("fee"), txs)),
@@ -224,13 +244,9 @@ class BandwidthSetResult:
         )
 
     @staticmethod
-    def at(
-        txs: Sequence[Transaction], ranks: np.ndarray | None, positions: list[int]
-    ) -> "BandwidthSetResult":
+    def at(txs: Sequence[Transaction], ranks: np.ndarray, positions: list[int]) -> "BandwidthSetResult":
         """The template of ``txs[i]`` for each of ``positions``, in that order."""
-        return BandwidthSetResult.from_transactions(
-            [txs[i] for i in positions], ranks_at(ranks, positions)
-        )
+        return BandwidthSetResult.from_transactions([txs[i] for i in positions], ranks[positions])
 
 
 EMPTY_TEMPLATE = BandwidthSetResult(
@@ -254,10 +270,10 @@ def _greedy_pack(txs: Sequence[Transaction], size_budget: int, size_floor: int) 
     return chosen
 
 
-def _exact_best_subset(txs: Sequence[Transaction], limit: int) -> list[Transaction]:
-    # Meet-in-the-middle over the power set: exhaustive, deterministic,
-    # and fast enough for the 25-transaction cap.
-    txs = sorted(txs, key=selection_key)
+def _exact_best_subset(txs: Sequence[Transaction], limit: int) -> list[int]:
+    # The positions in txs, in increasing order, of a maximum-fee subset
+    # that fits limit.  Meet-in-the-middle over the power set: exhaustive,
+    # deterministic, and fast enough for the 25-transaction cap.
     half = len(txs) // 2
     left, right = txs[:half], txs[half:]
 
@@ -284,30 +300,27 @@ def _exact_best_subset(txs: Sequence[Transaction], limit: int) -> list[Transacti
             best_fee = fee
             best_by_size.append((size, fee, mask))
 
-    import bisect
-
     sizes = [t[0] for t in best_by_size]
     best = (-1, 0, 0)  # fee, left mask, right mask
     for size, fee, mask in left_sets:
-        idx = bisect.bisect_right(sizes, limit - size) - 1
+        idx = bisect_right(sizes, limit - size) - 1
         if idx < 0:
             continue
         _, rfee, rmask = best_by_size[idx]
         if fee + rfee > best[0]:
             best = (fee + rfee, mask, rmask)
     _, lmask, rmask = best
-    chosen = [tx for i, tx in enumerate(left) if lmask >> i & 1]
-    chosen += [tx for i, tx in enumerate(right) if rmask >> i & 1]
-    return sorted(chosen, key=selection_key)
+    chosen = lmask | rmask << half
+    return [i for i in range(len(txs)) if chosen >> i & 1]
 
 
 def bandwidth_set(pool: MempoolView, params: ChainParams, mode: str = "greedy") -> BandwidthSetResult:
     """Select a maximum-fee template fitting the block size limit.
 
-    ``greedy`` sorts by fee rate and packs first-fit: what real miners
-    run, and what the simulation engine uses.  ``exact`` enumerates
-    subsets and is intended for oracle testing only; it refuses pools
-    above EXACT_SELECTION_LIMIT transactions.
+    ``greedy`` packs first-fit in selection order: what real miners run,
+    and what the simulation engine uses.  ``exact`` enumerates subsets
+    and is intended for oracle testing only; it refuses pools above
+    EXACT_SELECTION_LIMIT transactions.
     """
     if mode == "greedy":
         return BandwidthSetResult.from_transactions(*pool.packed(params.block_size_limit))
@@ -318,7 +331,7 @@ def bandwidth_set(pool: MempoolView, params: ChainParams, mode: str = "greedy") 
                 f"pool has {len(pool.pending)}"
             )
         chosen = _exact_best_subset(pool.pending, params.block_size_limit)
-        return BandwidthSetResult.from_transactions(chosen)
+        return BandwidthSetResult.at(pool.pending, pool.ranks, chosen)
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
@@ -401,14 +414,14 @@ def split_equal_fee(
 
 
 def claim_partial(
-    txs: Sequence[Transaction], target_fee: int, params: ChainParams, ranks: np.ndarray | None = None
+    txs: Sequence[Transaction], target_fee: int, params: ChainParams, ranks: np.ndarray
 ) -> BandwidthSetResult:
     """Claim from ``txs``, in order, without exceeding ``target_fee``.
 
     A transaction that would burst the fee target or the size budget is
     skipped and the walk goes on, so a claim can reach around an
-    indivisible wealthy transaction.  ``ranks``, if given, holds the rank
-    of each of ``txs``, and the claim carries the ranks of its part.
+    indivisible wealthy transaction.  ``ranks`` holds the rank of each of
+    ``txs``, and the claim carries the ranks of its part.
     """
     if target_fee < 0:
         raise ValueError("target_fee must be non-negative")

@@ -34,7 +34,6 @@ from .mempool import (
     bandwidth_set,
     claim_partial,
     gamma_of_fees,
-    ranks_at,
     split_equal_fee,
 )
 
@@ -256,7 +255,7 @@ def _fee_left(
     # finds each of its members as the scan passes it.
     fee = 0
     room = size_budget
-    floor = pool.size_floor
+    floor = pool.table.size_floor
     k, n = 0, len(first)
     for tx in pool.pending:
         if k < n and tx is first[k]:
@@ -278,7 +277,7 @@ def undercut_template(
     params: ChainParams,
     pool: MempoolView,
     head: Sequence[Transaction],
-    head_ranks: np.ndarray | None = None,
+    head_ranks: np.ndarray,
 ) -> tuple[str, BandwidthSetResult]:
     """The attack block of a ladder that attacked at ``branch``: (tag, block).
 
@@ -470,7 +469,7 @@ def craft_avoidance_block(
             if undercut_decision_d1(split, gamma_after, params.negligible_fee_threshold)[0] == "stay":
                 pick = slice(claimed.start, claimed.stop) if isinstance(claimed, range) else list(claimed)
                 ids = tuple(first_txs[i].id for i in claimed)
-                return BandwidthSetResult(ids, fee, size, ranks_at(first_ranks, pick))
+                return BandwidthSetResult(ids, fee, size, first_ranks[pick])
         return EMPTY_TEMPLATE
 
     if lone:

@@ -278,15 +278,18 @@ def synthesize_trace(
 
     ``fee_dist`` is ``uniform(lo, hi)`` or ``pareto(shape, scale)`` (the
     heavy tail that makes wealthy heads and attack opportunities);
-    ``size_dist`` is ``uniform(lo, hi)`` or ``fixed(size)``.
+    ``size_dist`` is ``uniform(lo, hi)`` or ``fixed(value)``.  Arguments
+    must be finite, a pareto shape and scale positive, and a uniform
+    ``lo`` or fixed value at least the draw's minimum (0 for fees, 1 for
+    sizes), with ``lo <= hi``; they are checked before any draw.
     Deterministic per seed.
     """
     for name, value in (("rate", rate), ("duration", duration)):
         if not 0.0 <= value < math.inf:  # an infinite or NaN bound never ends the arrival loop
             raise ValueError(f"{name} must be non-negative and finite, got {value}")
     rng = np.random.default_rng(seed)
-    draw_fee = _sampler(rng, fee_dist, fee_args, minimum=0)
-    draw_size = _sampler(rng, size_dist, size_args, minimum=1)
+    draw_fee = _sampler(rng, "fee", fee_dist, fee_args, minimum=0)
+    draw_size = _sampler(rng, "size", size_dist, size_args, minimum=1)
     records: list[Transaction] = []
     if rate == 0 or duration == 0:
         return records
@@ -306,22 +309,42 @@ def synthesize_trace(
     return records
 
 
-def _sampler(rng: np.random.Generator, dist: str, args: Sequence[float], minimum: int) -> Callable[[], int]:
+# The values each distribution takes, in order.
+_DIST_ARGS = {"uniform": ("lo", "hi"), "pareto": ("shape", "scale"), "fixed": ("value",)}
+
+
+def _sampler(
+    rng: np.random.Generator, name: str, dist: str, args: Sequence[float], minimum: int
+) -> Callable[[], int]:
     # One integer draw from ``dist`` per call, floored at ``minimum``; the
-    # distribution is read and the generator method bound once per trace.
+    # distribution is read, its arguments checked and the generator method
+    # bound once per trace.  ``name`` (fee or size) labels the errors.
+    names = _DIST_ARGS.get(dist)
+    if names is None:
+        raise ValueError(f"unknown distribution {dist!r}")
+    if len(args) != len(names):
+        raise ValueError(f"{name} {dist} needs {len(names)} argument(s) ({','.join(names)}), got {len(args)}")
+    for arg, value in zip(names, args):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {dist} {arg} must be finite, got {value}")
     if dist == "uniform":
         lo, hi = args
+        if not minimum <= lo <= hi:
+            raise ValueError(f"{name} uniform needs {minimum} <= lo <= hi, got lo={lo}, hi={hi}")
         lo, hi = int(lo), int(hi) + 1
         integers = rng.integers
         return lambda: max(minimum, int(integers(lo, hi)))
     if dist == "pareto":
+        for arg, value in zip(names, args):
+            if value <= 0:
+                raise ValueError(f"{name} pareto {arg} must be positive, got {value}")
         shape, scale = args
         pareto = rng.pareto
         return lambda: max(minimum, int((pareto(shape) + 1.0) * scale))
-    if dist == "fixed":
-        value = max(minimum, int(args[0]))
-        return lambda: value
-    raise ValueError(f"unknown distribution {dist!r}")
+    if args[0] < minimum:
+        raise ValueError(f"{name} fixed value must be at least {minimum}, got {args[0]}")
+    value = int(args[0])
+    return lambda: value
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from undercut.mempool import ChainParams, MempoolView, Transaction
+from undercut.mempool import BandwidthSetResult, ChainParams, MempoolView, RankTable, Transaction
 from undercut.trace import synthesize_trace
 
 
@@ -15,19 +15,35 @@ def tx(id_, size, fee, t=0.0):
 
 
 def pool_of(*txs):
-    return MempoolView(pending=tuple(txs))
+    return MempoolView.of(txs)
 
 
 def ranked_view(pool, offset):
-    """``pool`` as a chain hands it out: presorted, with increasing ranks."""
-    ranks = np.arange(len(pool.pending), dtype=np.intp) * 3 + offset
-    return MempoolView(pending=pool.pending, presorted=True, size_floor=pool.size_floor, ranks=ranks)
+    """``pool`` as a chain hands it out: a strict subset of a larger RankTable.
+
+    ``offset`` small, rich fillers rank first, and a filler twin of each
+    transaction (same size and fee, its id plus ``~``) ranks right after
+    it, so ranks differ from positions and the table's size floor may lie
+    below the pool's.
+    """
+    lead = [tx(f"~lead{i}", 1, 10**9) for i in range(offset)]
+    twins = [tx(f"{t.id}~", t.size, t.fee) for t in pool.pending]
+    table = RankTable([*pool.pending, *lead, *twins])
+    mine = pool.ids()
+    ranks = np.array([r for r, t in enumerate(table.txs) if t.id in mine], dtype=np.intp)
+    return MempoolView(table, ranks)
+
+
+def template_of(view, txs):
+    """The template of ``txs``, which ``view`` holds, with their ranks."""
+    rank = dict(zip(view.pending, view.ranks.tolist()))
+    return BandwidthSetResult.from_transactions(txs, np.array([rank[t] for t in txs], dtype=np.intp))
 
 
 def assert_carries_its_ranks(template, view):
-    """Each of the template's ids comes with the rank the view gives it."""
-    rank = {t.id: r for t, r in zip(view.pending, view.ranks.tolist())}
-    assert template.ranks.tolist() == [rank[i] for i in template.tx_ids]
+    """Each of the template's ids comes with its rank in the view's table, and the view holds it."""
+    assert [t.id for t in view.table.txs[template.ranks]] == list(template.tx_ids)
+    assert set(template.ranks.tolist()) <= set(view.ranks.tolist())
 
 
 def random_pool(rng, n_max=15, size_max=10, fee_max=40):

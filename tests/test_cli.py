@@ -290,6 +290,15 @@ def test_synth_rejects_non_finite_bounds(tmp_path, capsys, flag, value):
     assert not out_path.exists()
 
 
+def test_synth_names_a_bad_distribution_argument(tmp_path, capsys):
+    out_path = tmp_path / "t.csv"
+    args = ["--rate", "0.02", "--duration", "600", "--fee-dist", "pareto", "--fee-args", "1.5,inf"]
+    assert main(["synth", "--output", str(out_path)] + args) == 1
+    captured = capsys.readouterr()
+    assert "error: fee pareto scale must be finite, got inf" in captured.err and captured.out == ""
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("interval", ["nan", "inf"])
 def test_run_rejects_non_finite_interval(tmp_path, capsys, interval):
     trace_path = tmp_path / "t.csv"

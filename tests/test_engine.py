@@ -15,7 +15,6 @@ from undercut.engine import (
     Chain,
     MinerProfile,
     OwnerDraw,
-    RankTable,
     Simulation,
     StalledSimulationError,
     next_chain_to_extend,
@@ -25,7 +24,7 @@ from undercut.engine import (
     sample_next_block_time,
     select_next_block_miner,
 )
-from undercut.mempool import ChainParams, MempoolView, bandwidth_set, selection_key
+from undercut.mempool import ChainParams, RankTable, bandwidth_set, selection_key
 from undercut.trace import preset, synthesize_trace
 
 from conftest import tx, whale_trace
@@ -39,7 +38,7 @@ def two_miners():
 
 def make_chain(height, workers, t=math.inf):
     genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=0.0, height=0)
-    chain = Chain(blocks=[genesis], workers=set(workers), ranks=RankTable(()))
+    chain = Chain(blocks=[genesis], workers=set(workers), table=RankTable(()))
     for h in range(1, height + 1):
         chain.blocks.append(
             Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=float(h), height=h)
@@ -170,9 +169,9 @@ def test_chain_pool_matches_a_sorted_model(history):
     # chain, and a fork copies a chain's pool and takes back some of the
     # transactions it confirmed (the head block it undercuts).
     txs, ops = history
-    ranks = RankTable(txs)
-    rank = {t.id: r for r, t in enumerate(ranks.txs)}
-    chains = [Chain(blocks=[], workers=set(), ranks=ranks)]
+    table = RankTable(txs)
+    rank = {t.id: r for r, t in enumerate(table.txs)}
+    chains = [Chain(blocks=[], workers=set(), table=table)]
     pending, confirmed = [set()], [set()]
     arrived = 0
     for op, pick in ops:
@@ -189,7 +188,7 @@ def test_chain_pool_matches_a_sorted_model(history):
             confirmed[k] |= set(gone)
         elif op == "fork":
             head = [t for i, t in enumerate(sorted(confirmed[k], key=selection_key)) if pick >> i & 1]
-            fork = Chain(blocks=[], workers=set(), ranks=ranks, pending=chains[k].pending.copy())
+            fork = Chain(blocks=[], workers=set(), table=table, pending=chains[k].pending.copy())
             fork.add_pending([rank[t.id] for t in head])
             chains.append(fork)
             pending.append(pending[k] | set(head))
@@ -197,7 +196,7 @@ def test_chain_pool_matches_a_sorted_model(history):
         for chain, model in zip(chains, pending):
             view = chain.view()
             assert view.pending == tuple(sorted(model, key=selection_key))
-            assert ranks.txs[view.ranks].tolist() == list(view.pending)
+            assert view.table is table and table.txs[view.ranks].tolist() == list(view.pending)
 
 
 @st.composite
@@ -337,7 +336,8 @@ def test_seed_determinism_and_divergence():
 
 HASH_SEED_CHILD = """
 from conftest import whale_trace
-from undercut.engine import RankTable, Simulation, profiles
+from undercut.engine import Simulation, profiles
+from undercut.mempool import RankTable
 from undercut.trace import preset
 
 dist, params = preset("bitcoin16")
@@ -420,9 +420,9 @@ class RankCheckedSimulation(Simulation):
 
     def publish_block(self, miner_id, chain, now):
         block = super().publish_block(miner_id, chain, now)
-        txs = self.ranks.txs
+        txs = self.table.txs
         assert [t.id for t in txs[block.ranks]] == list(block.tx_ids)
-        arrived = {txs[r].id for r in self.ranks.arrivals[: self.next_arrival]}
+        arrived = {txs[r].id for r in self.table.arrivals[: self.next_arrival]}
         for c in self.chains:
             confirmed = {i for b in c.blocks for i in b.tx_ids}
             if c is chain:
@@ -452,15 +452,6 @@ def test_published_blocks_carry_their_ranks_and_pools_match_a_set_model(depth, a
         if depth == 2:  # rational miners weigh what they own after the fork
             assert sim.owned_calls > 0
     assert result == Simulation(table, miners, PARAMS, depth=depth, avoidance=policy, seed=17).run()
-
-
-def test_a_template_without_ranks_is_not_published(monkeypatch):
-    sim = Simulation(RankTable([tx("a", 10, 5, t=0.0)]), two_miners(), PARAMS, depth=1)
-    sim.update_mempool(1.0)
-    pool = MempoolView(pending=sim.main.view().pending)  # the same pool, built from a list
-    monkeypatch.setattr("undercut.engine.bandwidth_set", lambda view, params: bandwidth_set(pool, params))
-    with pytest.raises(ValueError, match="block template carries no ranks"):
-        sim.publish_block("h", sim.main, 2.0)
 
 
 @st.composite
@@ -566,7 +557,7 @@ def test_memoized_owner_draw_matches_the_linear_scan(weights, moves, seed):
     total = sum(weights)
     miners = profiles((f"m{i}", w / total, "honest") for i, w in enumerate(weights))
     sim = Simulation(RankTable(()), miners, PARAMS, seed=seed)
-    sim.fork = Chain(blocks=list(sim.main.blocks), workers=set(), ranks=sim.ranks)
+    sim.fork = Chain(blocks=list(sim.main.blocks), workers=set(), table=sim.table)
     sim.rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for step, move in enumerate(moves):
         mover = miners[move % len(miners)].id
@@ -619,7 +610,7 @@ def test_a_race_that_never_ends_stops_at_the_event_cap():
     assert sim.max_events == 4 * (50 + len(records)) + 1000
 
 
-@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5])
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, True])
 def test_simulation_rejects_a_bad_seed(seed):
     with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
         Simulation(RankTable(()), two_miners(), PARAMS, seed=seed)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from undercut import experiment
-from undercut.engine import AvoidancePolicy, RankTable, parse_avoidance
+from undercut.engine import AvoidancePolicy, parse_avoidance
 from undercut.experiment import (
     ExperimentConfig,
     derive_seed,
@@ -20,7 +20,7 @@ from undercut.experiment import (
     _cell_result,
     _run_reps,
 )
-from undercut.mempool import Transaction
+from undercut.mempool import RankTable, Transaction
 from undercut.trace import preset
 
 from conftest import whale_trace
@@ -151,8 +151,21 @@ def test_sweep_workers_hold_transactions_without_dict(small_trace):
         ("honest_fractions", (0.2, 0.3, 0.2), "honest fraction 0.2 is repeated"),
         ("honest_fractions", (0.1, -0.2), "honest fraction -0.2 must be non-negative"),
         ("honest_fractions", (), "honest fractions must not be empty"),
+        ("repetitions", 0, "repetitions must be a positive integer, got 0"),
+        ("repetitions", 2.5, "repetitions must be a positive integer, got 2.5"),
+        ("repetitions", True, "repetitions must be a positive integer, got True"),
+        ("base_seed", True, "seed must be a non-negative integer, got True"),
     ],
-    ids=["repeated-depth", "repeated-honest", "negative-honest", "empty-honest"],
+    ids=[
+        "repeated-depth",
+        "repeated-honest",
+        "negative-honest",
+        "empty-honest",
+        "zero-repetitions",
+        "fractional-repetitions",
+        "bool-repetitions",
+        "bool-seed",
+    ],
 )
 def test_config_rejects_cells_before_any_run(field, values, message):
     dist, params = preset("bitcoin16")
@@ -192,11 +205,11 @@ def test_sweep_results_do_not_depend_on_jobs(sweep):
 
 
 def test_a_cell_is_its_repetition_chunks_in_order(config, small_trace):
-    ranks = RankTable(small_trace)
+    table = RankTable(small_trace)
     index, depth, hf = config.cells()[1]
     parts = ((0, 1), (1, 3), (3, 4))
-    chunks = [_run_reps(config, ranks, index, depth, hf, range(lo, hi)) for lo, hi in parts]
-    whole = _run_reps(config, ranks, index, depth, hf, range(config.repetitions))
+    chunks = [_run_reps(config, table, index, depth, hf, range(lo, hi)) for lo, hi in parts]
+    whole = _run_reps(config, table, index, depth, hf, range(config.repetitions))
     assert [r for chunk in chunks for r in chunk] == whole
 
 

@@ -12,6 +12,7 @@ from undercut.mempool import (
     InstanceTooLargeError,
     InvalidCandidateError,
     MempoolView,
+    RankTable,
     Transaction,
     UnsplittableError,
     bandwidth_set,
@@ -22,7 +23,15 @@ from undercut.mempool import (
     split_equal_fee,
 )
 
-from conftest import assert_carries_its_ranks, oracle_best_fee, pool_of, random_pool, ranked_view, tx
+from conftest import (
+    assert_carries_its_ranks,
+    oracle_best_fee,
+    pool_of,
+    random_pool,
+    ranked_view,
+    template_of,
+    tx,
+)
 
 
 def test_transaction_validation():
@@ -65,8 +74,8 @@ def test_chain_params_validation():
 
 def test_mempool_view_rejects_overlap_and_duplicates():
     a = tx("a", 1, 1)
-    with pytest.raises(ValueError):
-        MempoolView(pending=(a, tx("a", 2, 2)))
+    with pytest.raises(ValueError, match="duplicate transaction ids"):
+        MempoolView.of((a, tx("a", 2, 2)))
 
 
 def test_mempool_view_orders_by_fee_rate_then_fee_then_id():
@@ -106,11 +115,17 @@ def test_exact_mode_rejects_large_pools(params):
 
 def test_exact_matches_enumeration_oracle_and_dominates_greedy():
     rng = np.random.default_rng(8)
-    for _ in range(300):
+    for trial in range(300):
         pool, params = random_pool(rng)
         exact = bandwidth_set(pool, params, mode="exact")
         greedy = bandwidth_set(pool, params)
         assert exact.total_fee == oracle_best_fee(pool, params)
+        assert_carries_its_ranks(exact, pool)
+        # the same pool as a strict subset of a larger table
+        view = ranked_view(pool, trial % 4)
+        from_view = bandwidth_set(view, params, mode="exact")
+        assert from_view == exact
+        assert_carries_its_ranks(from_view, view)
         assert greedy.total_fee <= exact.total_fee
         assert exact.total_size <= params.block_size_limit
         assert greedy.total_size <= params.block_size_limit
@@ -240,13 +255,15 @@ def pools_and_budgets(draw):
 @given(pools_and_budgets())
 def test_packed_equals_greedy_pack_and_memo_is_not_part_of_the_value(case):
     pool, budgets = case
-    fresh = MempoolView(pending=pool.pending, presorted=True, size_floor=pool.size_floor)
+    fresh = MempoolView(pool.table, pool.ranks)
     for budget in budgets:
         expected = tuple(full_scan_pack(pool.pending, budget))
-        assert pool.packed(budget) == (expected, None)  # a view built from a list has no ranks
+        assert pool.packed(budget).txs == expected
         assert pool.packed(budget) is pool.packed(budget)
-    assert pool == fresh and hash(pool) == hash(fresh)
-    assert repr(pool) == repr(fresh)
+    # the value is the pending set, whatever table the view reads it from
+    for other in (fresh, ranked_view(pool, 2)):
+        assert pool == other and hash(pool) == hash(other)
+        assert repr(pool) == repr(other)
 
 
 @settings(max_examples=300, deadline=None)
@@ -264,16 +281,15 @@ def test_a_ranked_view_packs_and_claims_with_the_ranks_of_its_transactions(case,
         fee = sum(t.fee for t in txs)
         for template in (bandwidth_set(view, params), claim_partial(view.pending, fee // 2, params, view.ranks)):
             assert_carries_its_ranks(template, view)
-        assert bandwidth_set(pool, params).ranks is None
 
 
 def test_claim_partial_examples():
     params = ChainParams(block_size_limit=6, block_interval=600)
     pool = pool_of(tx("a", 2, 10), tx("b", 2, 8), tx("c", 2, 4))
     full = bandwidth_set(pool, params)
-    assert claim_partial(pool.pending, full.total_fee, params).total_fee == full.total_fee
-    assert claim_partial(pool.pending, 0, params).tx_ids == ()
-    partial = claim_partial(pool.pending, 13, params)
+    assert claim_partial(pool.pending, full.total_fee, params, pool.ranks).total_fee == full.total_fee
+    assert claim_partial(pool.pending, 0, params, pool.ranks).tx_ids == ()
+    partial = claim_partial(pool.pending, 13, params, pool.ranks)
     assert partial.tx_ids == ("a",) and partial.total_fee == 10
 
 
@@ -282,7 +298,7 @@ def test_claim_partial_never_exceeds_target():
     for _ in range(100):
         pool, params = random_pool(rng)
         target = int(rng.integers(0, 80))
-        claim = claim_partial(pool.pending, target, params)
+        claim = claim_partial(pool.pending, target, params, pool.ranks)
         assert claim.total_fee <= target
         assert claim.total_size <= params.block_size_limit
 
@@ -299,10 +315,14 @@ def full_scan_pack(txs, budget):
 
 def test_size_floor_is_exact_for_lists_and_inherited_by_without():
     pool = pool_of(tx("a", 5, 1), tx("b", 3, 9), tx("c", 7, 2))
-    assert pool.size_floor == 3
-    assert pool.without(["b"]).size_floor == 3
-    assert pool_of().size_floor == 1
-    assert MempoolView(pending=pool.pending, presorted=True).size_floor == 1
+    assert pool.table.size_floor == 3
+    smaller = pool.without(["b"])
+    assert smaller.table is pool.table and smaller.ranks.tolist() == [1, 2]
+    assert [t.id for t in smaller.pending] == ["c", "a"]
+    assert pool_of().table.size_floor == 1
+    # a sub-view reads its table's floor, which a smaller transaction left out lowers
+    table = RankTable([*pool.pending, tx("dust", 1, 0)])
+    assert MempoolView(table, np.arange(3)).table.size_floor == 1
 
 
 def test_early_exit_packing_equals_full_scan():
@@ -310,11 +330,14 @@ def test_early_exit_packing_equals_full_scan():
     for _ in range(500):
         pool, params = random_pool(rng)
         limit = params.block_size_limit
-        # the exact floor, and every looser one a presorted caller may supply
-        for floor in range(1, pool.size_floor + 1):
-            view = MempoolView(pending=pool.pending, presorted=True, size_floor=floor)
+        # the exact floor, and every looser one: a sub-view of a table that
+        # also holds a transaction of that size, which the view leaves out
+        for floor in range(1, pool.table.size_floor + 1):
+            table = RankTable([*pool.pending, tx("~floor", floor, 0)])
+            view = MempoolView(table, np.array([r for r, t in enumerate(table.txs) if t.id != "~floor"]))
+            assert view.pending == pool.pending and table.size_floor == floor
             expected = full_scan_pack(pool.pending, limit)
-            assert bandwidth_set(view, params) == BandwidthSetResult.from_transactions(expected)
+            assert bandwidth_set(view, params) == template_of(pool, expected)
             for blocks in (1, 2, 3):
                 reference = full_scan_pack(pool.pending, blocks * limit)
                 assert claimable_fees(view, params, blocks) == sum(t.fee for t in reference)

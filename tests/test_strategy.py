@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from undercut.mempool import (
     EMPTY_TEMPLATE,
-    BandwidthSetResult,
     ChainParams,
-    MempoolView,
     bandwidth_set,
     gamma_of_fees,
     gamma_ratio,
@@ -39,7 +37,7 @@ from undercut.strategy import (
     undercut_template,
 )
 
-from conftest import assert_carries_its_ranks, pool_of, ranked_view, tx
+from conftest import assert_carries_its_ranks, pool_of, ranked_view, template_of, tx
 
 
 def split_of(bu, bh):
@@ -114,9 +112,9 @@ def test_undercut_decision_templates():
         decide = undercut_decision_d1 if depth == 1 else undercut_decision_d2
         action, branch, tag = decide(split, gamma, params.negligible_fee_threshold)
         assert action == "undercut"
-        return (branch, *undercut_template(depth, branch, tag, params, pool, head))
+        return (branch, *undercut_template(depth, branch, tag, params, pool, head.pending, head.ranks))
 
-    head = [tx("h1", 1, 6), tx("h2", 1, 4)]
+    head = pool_of(tx("h1", 1, 6), tx("h2", 1, 4))
     pool = pool_of(tx("p1", 1, 1))
     branch, _, template = attack(1, split_of(0.2, 0.3), 0.0, pool, head)
     assert branch == 1
@@ -124,7 +122,7 @@ def test_undercut_decision_templates():
     branch, _, template = attack(1, split_of(0.2, 0.3), 0.2, pool, head)
     assert branch == 2 and template.tx_ids == ("p1",)
 
-    head3 = [tx("h1", 1, 5), tx("h2", 1, 4), tx("h3", 1, 3)]
+    head3 = pool_of(tx("h1", 1, 5), tx("h2", 1, 4), tx("h3", 1, 3))
     branch, _, template = attack(2, split_of(0.3, 0.3), 0.0, pool_of(), head3)
     assert branch == 1
     assert template.total_fee == 3  # lightest third of the head
@@ -395,7 +393,7 @@ def reference_exact_claim(pool, params, depth, assumed_honest_power, tried=None)
         if tried is not None:
             tried.append(fee(claim))
         if undercut_decision_d1(split, gamma, params.negligible_fee_threshold)[0] == "stay":
-            return BandwidthSetResult.from_transactions(claim)
+            return template_of(pool, claim)
     return EMPTY_TEMPLATE
 
 
@@ -447,7 +445,7 @@ def test_craft_avoidance_exact_at_the_whole_pool_boundary():
     params = ChainParams(block_size_limit=10, block_interval=600)
     pool = pool_of(tx("t1", 5, 5), tx("t2", 5, 5), tx("t3", 5, 5))
     claim = craft_avoidance_block(pool, params, depth=1, mode="exact")
-    assert claim == BandwidthSetResult(("t1",), 5, 5)
+    assert claim == template_of(pool, pool.pending[:1])
     assert sum(t.size for t in pool.pending) - claim.total_size == params.block_size_limit
     assert claim == reference_exact_claim(pool, params, 1, 0.0)
 
@@ -478,10 +476,12 @@ def test_templates_of_a_ranked_view_carry_the_ranks_of_their_transactions(case, 
         assert_carries_its_ranks(claims[0], view)
     # the attack blocks: the bandwidth set or the lone-set half at branch 3,
     # and at branch 1 the lightest part of a head, with the head's ranks
-    template = undercut_template(depth, 3, "limited-mempool", params, view, ())[1]
-    assert template == undercut_template(depth, 3, "limited-mempool", params, pool, ())[1]
+    none = pool_of()
+    template = undercut_template(depth, 3, "limited-mempool", params, view, (), none.ranks)[1]
+    assert template == undercut_template(depth, 3, "limited-mempool", params, pool, (), none.ranks)[1]
     assert_carries_its_ranks(template, view)
     head = view.packed(params.block_size_limit)
-    template = undercut_template(depth, 1, "negligible-mempool", params, pool_of(), head.txs, head.ranks)[1]
-    assert template == undercut_template(depth, 1, "negligible-mempool", params, pool_of(), head.txs)[1]
+    template = undercut_template(depth, 1, "negligible-mempool", params, none, head.txs, head.ranks)[1]
+    first = pool.packed(params.block_size_limit)
+    assert template == undercut_template(depth, 1, "negligible-mempool", params, none, first.txs, first.ranks)[1]
     assert_carries_its_ranks(template, view)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -187,6 +188,28 @@ def test_synthesize_trace_rejects_an_unknown_distribution_up_front():
     for kwargs in ({"fee_dist": "normal"}, {"size_dist": "normal"}):
         with pytest.raises(ValueError, match="unknown distribution 'normal'"):
             synthesize_trace(rate=0.0, duration=100.0, seed=1, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"fee_dist": "pareto", "fee_args": (1.5, math.inf)}, "fee pareto scale must be finite, got inf"),
+        ({"fee_dist": "pareto", "fee_args": (1.5, -5.0)}, "fee pareto scale must be positive, got -5.0"),
+        ({"fee_dist": "pareto", "fee_args": (0.0, 5.0)}, "fee pareto shape must be positive, got 0.0"),
+        ({"fee_dist": "pareto", "fee_args": (1.5,)}, r"fee pareto needs 2 argument\(s\) \(shape,scale\), got 1"),
+        ({"fee_args": (-50.0, -10.0)}, "fee uniform needs 0 <= lo <= hi, got lo=-50.0, hi=-10.0"),
+        ({"fee_args": (100.0, 1.0)}, "fee uniform needs 0 <= lo <= hi, got lo=100.0, hi=1.0"),
+        ({"size_args": (math.nan, 5.0)}, "size uniform lo must be finite, got nan"),
+        ({"size_args": (0.0, 5.0)}, "size uniform needs 1 <= lo <= hi, got lo=0.0, hi=5.0"),
+        ({"size_dist": "fixed", "size_args": (5.0, 6.0)}, r"size fixed needs 1 argument\(s\) \(value\), got 2"),
+        ({"size_dist": "fixed", "size_args": (0.0,)}, "size fixed value must be at least 1, got 0.0"),
+    ],
+)
+def test_synthesize_trace_checks_distribution_arguments_up_front(kwargs, message):
+    # each used to fail at the first draw, or to write a trace it was not asked for
+    for rate in (0.0, 0.5):
+        with pytest.raises(ValueError, match=message):
+            synthesize_trace(rate=rate, duration=100.0, seed=1, **kwargs)
 
 
 def test_synthesized_interarrivals_are_exponential():
