@@ -46,9 +46,7 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        reps = self.repetitions
-        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
-            raise ValueError(f"repetitions must be a positive integer, got {reps}")
+        _check_count("repetitions", self.repetitions)
         check_seed(self.base_seed)
         if not self.depths or any(d not in DEPTHS for d in self.depths):
             raise ValueError("depths must be drawn from {1, 2}")
@@ -105,6 +103,12 @@ class CellResult:
 @dataclass(frozen=True)
 class ExperimentSummary:
     cells: tuple[CellResult, ...]
+
+
+def _check_count(name: str, value: object) -> None:
+    # a bool is an int to Python, but no count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 def derive_seed(base_seed: int, cell_index: int, repetition: int) -> int:
@@ -195,8 +199,7 @@ def run_experiment(
     output is identical for any job count: every run's seed is a pure
     function of its cell and repetition indices.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+    _check_count("jobs", jobs)
     cells = config.cells()
     tasks = _tasks(config, jobs)
     if jobs > 1 and len(tasks) > 1:

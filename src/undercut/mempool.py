@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter, eq
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,9 +157,8 @@ class Pack(NamedTuple):
     ranks: np.ndarray
 
 
-@dataclass(frozen=True)
 class MempoolView:
-    """Immutable snapshot of one chain's unconfirmed transactions: a set of ranks over a ``RankTable``.
+    """Snapshot of one chain's unconfirmed transactions: a set of ranks over a ``RankTable``.
 
     ``ranks`` holds them in increasing order and ``pending`` is their
     transactions, ``table.txs[ranks]``, so ``pending`` is in selection
@@ -168,7 +168,14 @@ class MempoolView:
     keeps the table and drops ranks, and ``engine.Chain.view`` views the
     ranks a chain holds.  Every template built from a view carries the
     ranks of its transactions.  Greedy packing stops once the room left
-    is below ``table.size_floor``.
+    is below ``table.size_floor``.  A view is never changed after it is
+    made: ``table`` and ``ranks`` are not to be assigned or written.
+
+    ``pending`` is built the first time it is read, then kept.  Greedy
+    packing and the second-set scan read the pool through ``scan``,
+    which builds only the head of a large pool: a congested pool of
+    thousands of transactions packs from its first few hundred, and
+    never builds ``pending``.
 
     The view's value is ``pending``: ``table``, ``ranks`` and the memo of
     ``packed`` (the greedy pack of each size budget asked for, so a
@@ -177,14 +184,31 @@ class MempoolView:
     of equality, hashing and ``repr``.
     """
 
-    table: RankTable = field(compare=False, repr=False)
-    ranks: np.ndarray = field(compare=False, repr=False)
-    pending: tuple[Transaction, ...] = field(init=False)
-    _packs: dict[int, Pack] = field(init=False, compare=False, repr=False)
+    __slots__ = ("table", "ranks", "_pending", "_packs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pending", tuple(self.table.txs[self.ranks].tolist()))
-        object.__setattr__(self, "_packs", {})
+    def __init__(self, table: RankTable, ranks: np.ndarray):
+        self.table = table
+        self.ranks = ranks
+        self._pending: tuple[Transaction, ...] | None = None
+        self._packs: dict[int, Pack] = {}
+
+    @property
+    def pending(self) -> tuple[Transaction, ...]:
+        pending = self._pending
+        if pending is None:
+            pending = self._pending = tuple(self.table.txs[self.ranks].tolist())
+        return pending
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pending == other.pending
+
+    def __hash__(self) -> int:
+        return hash((self.pending,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(pending={self.pending!r})"
 
     @classmethod
     def of(cls, txs: Iterable[Transaction]) -> "MempoolView":
@@ -195,18 +219,38 @@ class MempoolView:
     def ids(self) -> frozenset[str]:
         return frozenset(tx.id for tx in self.pending)
 
+    def scan(self, head: int) -> Iterable[Transaction]:
+        """The pool in selection order, for a scan that reads about its first ``head`` transactions.
+
+        Only those are built at once; the rest are built if the scan
+        reads past them.  When ``head`` covers the pool this is
+        ``pending``, built once and kept.
+        """
+        if head >= len(self.ranks):
+            return self.pending
+        return chain(self.table.txs[self.ranks[:head]].tolist(), self._tail(head))
+
+    def _tail(self, start: int) -> Iterator[Transaction]:
+        yield from self.table.txs[self.ranks[start:]].tolist()
+
     def packed(self, size_budget: int) -> Pack:
-        """The greedy pack of the pool within ``size_budget``, memoized."""
+        """The greedy pack of the pool within ``size_budget``, memoized.
+
+        No pack holds more than ``size_budget // table.size_floor``
+        transactions, so the pack asks ``scan`` for one more than that:
+        the scan reads past them only after skipping a transaction too
+        large for the room left.
+        """
         pack = self._packs.get(size_budget)
         if pack is None:
-            at = _greedy_pack(self.pending, size_budget, self.table.size_floor)
-            if not at or at[-1] == len(at) - 1:  # nothing skipped: a prefix
-                pick = slice(len(at))
-                txs = self.pending[pick]
+            floor = self.table.size_floor
+            txs, skipped = _greedy_pack(self.scan(size_budget // floor + 1), size_budget, floor)
+            n = len(txs)
+            if skipped and skipped[0] < n:  # not a prefix: the positions read, less the skipped
+                ranks = np.delete(self.ranks[: n + len(skipped)], skipped)
             else:
-                pick = at
-                txs = tuple(map(self.pending.__getitem__, at))
-            pack = self._packs[size_budget] = Pack(txs, self.ranks[pick])
+                ranks = self.ranks[:n]
+            pack = self._packs[size_budget] = Pack(tuple(txs), ranks)
         return pack
 
     def without(self, tx_ids: Iterable[str]) -> "MempoolView":
@@ -254,20 +298,25 @@ EMPTY_TEMPLATE = BandwidthSetResult(
 )
 
 
-def _greedy_pack(txs: Sequence[Transaction], size_budget: int, size_floor: int) -> list[int]:
-    # The positions in txs of the pack.  txs must already be in selection
-    # order; first-fit, skipping what does not fit the remaining budget.
-    # No transaction is smaller than size_floor, so the scan ends once the
-    # room left is below it.
-    chosen: list[int] = []
+def _greedy_pack(
+    txs: Iterable[Transaction], size_budget: int, size_floor: int
+) -> tuple[list[Transaction], list[int]]:
+    # First fit over txs, which must already be in selection order: the
+    # pack, and the positions in txs that the scan read and skipped because
+    # they did not fit the room left.  No transaction is smaller than
+    # size_floor, so the scan ends once the room left is below it.
+    picked: list[Transaction] = []
+    skipped: list[int] = []
     room = size_budget
     for i, tx in enumerate(txs):
         if tx.size <= room:
-            chosen.append(i)
+            picked.append(tx)
             room -= tx.size
             if room < size_floor:
                 break
-    return chosen
+        else:
+            skipped.append(i)
+    return picked, skipped
 
 
 def _exact_best_subset(txs: Sequence[Transaction], limit: int) -> list[int]:

@@ -249,15 +249,19 @@ def _fee_left(
 ) -> int:
     # The fee greedy packs once the transactions at positions ``claimed``
     # of the first set ``first`` are mined: the fee of the bandwidth set
-    # of ``pool.without`` them, in one scan that copies nothing.  With
+    # of ``pool.without`` them, in one scan that copies no view.  With
     # every position claimed it is the fee of the second bandwidth set.
-    # The first set is a subsequence of ``pool.pending``, so one cursor
-    # finds each of its members as the scan passes it.
+    # The first set is a subsequence of the pool in selection order, so
+    # one cursor finds each of its members as the scan passes it.  The
+    # scan reads the pool's head: a pack holds at most
+    # ``size_budget // floor`` transactions and the scan passes at most
+    # ``len(first)`` claimed ones, so it reads further only after
+    # skipping a transaction too large for the room left.
     fee = 0
     room = size_budget
     floor = pool.table.size_floor
     k, n = 0, len(first)
-    for tx in pool.pending:
+    for tx in pool.scan(size_budget // floor + 1 + n):
         if k < n and tx is first[k]:
             k += 1
             if k - 1 in claimed:
@@ -402,20 +406,24 @@ def craft_avoidance_block(
     less the claim: greedy packing takes every transaction that is left,
     so this is exact.  When the pool less the claim holds less fee than
     the claim, that bound already puts gamma below 1, where the
-    adversary attacks.  Otherwise one scan of the pool sums the fees
-    greedy would pack.  The first set B is the pool's memoized greedy
-    pack, so a block costs O(|B|) for the prefix sums, plus one
-    O(|pool|) scan for a pack the memo misses, one for the second set's
-    fee at a depth with ``lone_set_split``, and one per candidate that
-    neither shortcut decides.  The claim carries the ranks of its
-    transactions from the pool's ranks.
+    adversary attacks.  Otherwise one head scan of the pool sums the
+    fees greedy would pack.  The first set B is the pool's memoized greedy
+    pack, so a block costs O(|B|) for the prefix sums, one O(|pool|)
+    pass for the pool's fee and size, plus one head scan for a pack the
+    memo misses, one for the second set's fee at a depth with
+    ``lone_set_split``, and one per candidate that neither shortcut
+    decides.  A head scan reads the pool in selection order only as far
+    as a greedy pack can reach, about ``|B| + limit // size_floor``
+    transactions unless it skips ones too large for the room left.  The
+    claim carries the ranks of its transactions from the pool's ranks.
 
     ``experimental`` reproduces the cheaper procedure used in the profit
     experiments: derive a target fee from the visible fees in the first
     two bandwidth sets and claim it from the current set without
     recomputing what the leftovers repack into, which can leave the
     condition satisfiable and hands the attacker a small edge.  It
-    scans the pool once for the second set's fee.
+    makes one head scan for the second set's fee and never reads the
+    whole pool.
 
     ``strict`` scales the experimental target down by ``strict_factor``.
 
@@ -454,8 +462,9 @@ def craft_avoidance_block(
             chosen = [first_txs[i] for i in part]
             lone_claim = (_fee(chosen), sum(t.size for t in chosen), dict.fromkeys(part))
         # take the richest claim that the assumed adversary would not fork
-        pool_fee = _fee(pool.pending)
-        pool_size = sum(t.size for t in pool.pending)
+        pending = pool.pending
+        pool_fee = _fee(pending)
+        pool_size = sum(t.size for t in pending)
         for fee, size, claimed in _claims_richest_first(fee_at, size_at, lone_claim):
             # One ladder decides for both depths: at adversary power 0.5 the
             # depth-1 bounds are limited 1 and sufficient at most 1, every

@@ -311,6 +311,7 @@ def synthesize_trace(
 
 # The values each distribution takes, in order.
 _DIST_ARGS = {"uniform": ("lo", "hi"), "pareto": ("shape", "scale"), "fixed": ("value",)}
+_INT64_MAX = 2**63 - 1
 
 
 def _sampler(
@@ -331,6 +332,8 @@ def _sampler(
         lo, hi = args
         if not minimum <= lo <= hi:
             raise ValueError(f"{name} uniform needs {minimum} <= lo <= hi, got lo={lo}, hi={hi}")
+        if int(hi) > _INT64_MAX:  # the generator draws int64
+            raise ValueError(f"{name} uniform hi must be at most {_INT64_MAX}, got {hi}")
         lo, hi = int(lo), int(hi) + 1
         integers = rng.integers
         return lambda: max(minimum, int(integers(lo, hi)))
@@ -340,7 +343,14 @@ def _sampler(
                 raise ValueError(f"{name} pareto {arg} must be positive, got {value}")
         shape, scale = args
         pareto = rng.pareto
-        return lambda: max(minimum, int((pareto(shape) + 1.0) * scale))
+
+        def draw_pareto() -> int:
+            value = (pareto(shape) + 1.0) * scale
+            if value == math.inf:
+                raise ValueError(f"{name} pareto draw overflows: shape={shape}, scale={scale}")
+            return max(minimum, int(value))
+
+        return draw_pareto
     if args[0] < minimum:
         raise ValueError(f"{name} fixed value must be at least {minimum}, got {args[0]}")
     value = int(args[0])

@@ -46,6 +46,16 @@ def assert_carries_its_ranks(template, view):
     assert set(template.ranks.tolist()) <= set(view.ranks.tolist())
 
 
+def full_scan_pack(txs, budget):
+    """Reference first-fit packing: walks the whole pool, no early exit."""
+    chosen, room = [], budget
+    for t in txs:
+        if t.size <= room:
+            chosen.append(t)
+            room -= t.size
+    return chosen
+
+
 def random_pool(rng, n_max=15, size_max=10, fee_max=40):
     n = int(rng.integers(1, n_max + 1))
     txs = [

@@ -236,8 +236,8 @@ def test_run_rejects_bad_strict_factor(tmp_path, capsys):
     [
         (["--depth", "1.9"], "'1.9'"),
         (["--depth", "1,2.5"], "'2.5'"),
-        (["--jobs", "-4"], "jobs must be positive, got -4"),
-        (["--jobs", "0"], "jobs must be positive, got 0"),
+        (["--jobs", "-4"], "jobs must be a positive integer, got -4"),
+        (["--jobs", "0"], "jobs must be a positive integer, got 0"),
     ],
     ids=["depth-fraction", "depth-list-fraction", "jobs-negative", "jobs-zero"],
 )
@@ -287,6 +287,23 @@ def test_synth_rejects_non_finite_bounds(tmp_path, capsys, flag, value):
     captured = capsys.readouterr()
     assert code == 1
     assert f"{flag[2:]} must be non-negative and finite, got {value}" in captured.err and captured.out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "dist, values, message",
+    [
+        ("uniform", "0,1e30", "fee uniform hi must be at most 9223372036854775807, got 1e+30"),
+        ("pareto", "1.5,1e308", "fee pareto draw overflows: shape=1.5, scale=1e+308"),
+    ],
+    ids=["uniform-past-int64", "pareto-overflow"],
+)
+def test_synth_rejects_huge_fee_arguments_by_name(tmp_path, capsys, dist, values, message):
+    out_path = tmp_path / "t.csv"
+    args = ["--rate", "0.1", "--duration", "6000", "--fee-dist", dist, "--fee-args", values]
+    assert main(["synth", "--output", str(out_path)] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
     assert not out_path.exists()
 
 

@@ -24,7 +24,8 @@ from undercut.engine import (
     sample_next_block_time,
     select_next_block_miner,
 )
-from undercut.mempool import ChainParams, RankTable, bandwidth_set, selection_key
+from undercut.mempool import ChainParams, RankTable, bandwidth_set, claimable_fees, gamma_ratio, selection_key
+from undercut.strategy import craft_avoidance_block, undercut_template
 from undercut.trace import preset, synthesize_trace
 
 from conftest import tx, whale_trace
@@ -160,6 +161,24 @@ def pool_histories(draw):
     txs = [tx(f"t{i:02d}", draw(st.integers(1, 6)), draw(st.integers(0, 12))) for i in range(n)]
     ops = st.tuples(st.sampled_from(("arrive", "remove", "fork")), st.integers(0, 2**24))
     return txs, draw(st.lists(ops, max_size=60))
+
+
+def test_a_congested_pool_is_packed_and_scanned_from_its_head():
+    # a backlog of twelve blocks: templates, gammas, claimable fees and
+    # experimental avoidance read the head of the pool, never all of it
+    rng = np.random.default_rng(3)
+    sizes, fees = rng.integers(1500, 2501, 6000).tolist(), rng.integers(1, 61, 6000).tolist()
+    table = RankTable(tx(f"t{i:04d}", size, fee, float(i)) for i, (size, fee) in enumerate(zip(sizes, fees)))
+    chain = Chain(blocks=[], workers=set(), table=table)
+    chain.add_pending(table.arrivals)
+    view = chain.view()
+    params = preset("bitcoin16")[1]
+    bandwidth_set(view, params)
+    gamma_ratio(view, 1_000, params)
+    claimable_fees(view, params, 3)
+    craft_avoidance_block(view, params, depth=2, mode="experimental")
+    undercut_template(2, 3, "limited-mempool", params, view, (), view.ranks[:0])
+    assert view._pending is None and chain.view() is view
 
 
 @settings(max_examples=150, deadline=None)

@@ -131,6 +131,13 @@ def test_parallel_jobs_match_serial(config, small_trace):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", [0, 2.5, True], ids=["zero", "fraction", "bool"])
+def test_run_experiment_rejects_a_job_count_that_is_not_a_positive_integer(config, small_trace, jobs):
+    # 2.5 used to fail inside the task split, and True to run as one job
+    with pytest.raises(ValueError, match=f"jobs must be a positive integer, got {jobs}"):
+        run_experiment(config, small_trace, jobs=jobs)
+
+
 def test_run_cell_is_equal_on_an_unpickled_trace(config, small_trace):
     # run_experiment pickles the trace to its workers
     unpickled = pickle.loads(pickle.dumps(small_trace))

@@ -25,6 +25,7 @@ from undercut.mempool import (
 
 from conftest import (
     assert_carries_its_ranks,
+    full_scan_pack,
     oracle_best_fee,
     pool_of,
     random_pool,
@@ -301,16 +302,6 @@ def test_claim_partial_never_exceeds_target():
         claim = claim_partial(pool.pending, target, params, pool.ranks)
         assert claim.total_fee <= target
         assert claim.total_size <= params.block_size_limit
-
-
-def full_scan_pack(txs, budget):
-    """Reference first-fit packing: walks the whole pool, no early exit."""
-    chosen, room = [], budget
-    for t in txs:
-        if t.size <= room:
-            chosen.append(t)
-            room -= t.size
-    return chosen
 
 
 def test_size_floor_is_exact_for_lists_and_inherited_by_without():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from undercut.mempool import (
     EMPTY_TEMPLATE,
+    BandwidthSetResult,
     ChainParams,
+    MempoolView,
     bandwidth_set,
     gamma_of_fees,
     gamma_ratio,
@@ -37,7 +39,7 @@ from undercut.strategy import (
     undercut_template,
 )
 
-from conftest import assert_carries_its_ranks, pool_of, ranked_view, template_of, tx
+from conftest import assert_carries_its_ranks, full_scan_pack, pool_of, ranked_view, template_of, tx
 
 
 def split_of(bu, bh):
@@ -461,6 +463,47 @@ def test_fee_left_reads_the_repacked_pool_fee(case, data):
     for span in (range(lo, hi), range(len(first))):
         left = _fee_left(pool, first, span, params.block_size_limit)
         assert left == bandwidth_set(pool.without(first[i].id for i in span), params).total_fee
+
+
+@st.composite
+def crowded_heads(draw):
+    """A view, a size budget, and whether ``pending`` is read before packing.
+
+    Fee-dense transactions rank first, and all but one of them are too
+    large to share the budget, so their skips can push a greedy scan past
+    the ``budget // size_floor + 1`` positions of the pool's head.
+    """
+    budget = draw(st.integers(1, 12))
+    dense = draw(st.lists(st.integers(budget // 2 + 1, budget + 6), max_size=budget + 6))
+    sparse = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 20)), max_size=2 * budget + 8))
+    pool = pool_of(
+        *(tx(f"d{i:02d}", size, 100 * size) for i, size in enumerate(dense)),
+        *(tx(f"s{i:02d}", size, fee) for i, (size, fee) in enumerate(sparse)),
+    )
+    offset = draw(st.one_of(st.none(), st.integers(0, 3)))
+    return (pool if offset is None else ranked_view(pool, offset)), budget, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(crowded_heads(), st.data())
+def test_head_scans_equal_full_scans(case, data):
+    view, budget, read_first = case
+    reference = MempoolView(view.table, view.ranks)
+    if read_first:
+        assert view.pending == reference.pending
+    txs, ranks = view.packed(budget)
+    expected = full_scan_pack(reference.pending, budget)
+    assert BandwidthSetResult.from_transactions(txs, ranks) == template_of(reference, expected)
+    assert_carries_its_ranks(BandwidthSetResult.from_transactions(txs, ranks), view)
+    lo = data.draw(st.integers(0, len(txs)))
+    hi = data.draw(st.integers(lo, len(txs)))
+    for span in (range(lo, hi), range(len(txs))):
+        claimed = {txs[i].id for i in span}
+        left = full_scan_pack([t for t in reference.pending if t.id not in claimed], budget)
+        assert _fee_left(view, txs, span, budget) == sum(t.fee for t in left)
+    # a pool the longest head covers is built once and kept; a longer one never
+    head = budget // view.table.size_floor + 1 + len(txs)
+    assert (view._pending is not None) == (read_first or head >= len(view.ranks))
 
 
 @settings(max_examples=200, deadline=None)

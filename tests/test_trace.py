@@ -203,6 +203,8 @@ def test_synthesize_trace_rejects_an_unknown_distribution_up_front():
         ({"size_args": (0.0, 5.0)}, "size uniform needs 1 <= lo <= hi, got lo=0.0, hi=5.0"),
         ({"size_dist": "fixed", "size_args": (5.0, 6.0)}, r"size fixed needs 1 argument\(s\) \(value\), got 2"),
         ({"size_dist": "fixed", "size_args": (0.0,)}, "size fixed value must be at least 1, got 0.0"),
+        ({"fee_args": (0.0, 1e30)}, r"fee uniform hi must be at most 9223372036854775807, got 1e\+30"),
+        ({"size_args": (1.0, 2.0**63)}, "size uniform hi must be at most 9223372036854775807, got 9.2233"),
     ],
 )
 def test_synthesize_trace_checks_distribution_arguments_up_front(kwargs, message):
@@ -210,6 +212,15 @@ def test_synthesize_trace_checks_distribution_arguments_up_front(kwargs, message
     for rate in (0.0, 0.5):
         with pytest.raises(ValueError, match=message):
             synthesize_trace(rate=rate, duration=100.0, seed=1, **kwargs)
+
+
+def test_synthesize_trace_draws_up_to_the_int64_bound_and_names_an_overflowing_draw():
+    top = 2**63 - 1
+    fees = synthesize_trace(rate=0.5, duration=100.0, seed=1, fee_args=(top - 1, top))
+    assert fees and {t.fee for t in fees} <= {top - 1, top}
+    # (draw + 1) * scale overflows a float once the draw passes about 0.8
+    with pytest.raises(ValueError, match=r"fee pareto draw overflows: shape=1.5, scale=1e\+308"):
+        synthesize_trace(rate=0.1, duration=6000.0, seed=1, fee_dist="pareto", fee_args=(1.5, 1e308))
 
 
 def test_synthesized_interarrivals_are_exponential():
