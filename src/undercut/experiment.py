@@ -30,7 +30,19 @@ Z95 = 1.959963984540054
 
 DEFAULT_HONEST_FRACTIONS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
-RESULT_COLUMNS = ("depth", "honest_fraction", "avoidance", "mean_share", "ci_low", "ci_high", "attacks")
+# The results CSV: each column, in file order, names the CellResult
+# attribute it holds and parses back with its type.  A float is written
+# as its repr, so it reads back exactly.
+RESULT_FIELDS = (
+    ("depth", int),
+    ("honest_fraction", float),
+    ("avoidance", str),
+    ("mean_share", float),
+    ("ci_low", float),
+    ("ci_high", float),
+    ("attacks", int),
+)
+RESULT_COLUMNS = tuple(name for name, _ in RESULT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -226,13 +238,8 @@ def emit_results(summary: ExperimentSummary, path: str | Path) -> None:
             for c in summary.cells:
                 writer.writerow(
                     [
-                        c.depth,
-                        repr(float(c.honest_fraction)),
-                        c.avoidance,
-                        repr(c.mean_share),
-                        repr(c.ci_low),
-                        repr(c.ci_high),
-                        c.attacks,
+                        repr(float(getattr(c, name))) if parse is float else getattr(c, name)
+                        for name, parse in RESULT_FIELDS
                     ]
                 )
     except OSError as exc:
@@ -241,19 +248,5 @@ def emit_results(summary: ExperimentSummary, path: str | Path) -> None:
 
 def read_results(path: str | Path) -> list[dict]:
     """Parse a results CSV back into row dicts (inverse of emit_results)."""
-    rows = []
     with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(
-                {
-                    "depth": int(row["depth"]),
-                    "honest_fraction": float(row["honest_fraction"]),
-                    "avoidance": row["avoidance"],
-                    "mean_share": float(row["mean_share"]),
-                    "ci_low": float(row["ci_low"]),
-                    "ci_high": float(row["ci_high"]),
-                    "attacks": int(row["attacks"]),
-                }
-            )
-    return rows
+        return [{name: parse(row[name]) for name, parse in RESULT_FIELDS} for row in csv.DictReader(fh)]

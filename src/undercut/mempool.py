@@ -2,8 +2,11 @@
 
 The central object is the "bandwidth set": the subset of pending
 transactions that maximizes total fees while fitting the block size
-limit.  Everything that crafts a block (honest packing, attack
-templates, avoidance claims) goes through the helpers here.
+limit.  Every transaction set the code computes on is a ``MempoolView``:
+a chain's pool, a greedy pack of it, an attacked head, and the sets
+that blocks are cut from.  Everything that crafts a block (honest
+packing, attack templates, avoidance claims) goes through the helpers
+here, and every template comes from ``MempoolView.template``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, eq
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -146,17 +149,6 @@ class RankTable:
         self.total_fee = sum([tx.fee for tx in by_id])
 
 
-class Pack(NamedTuple):
-    """A greedy pack: its transactions in selection order, and their ranks.
-
-    When the pack is a prefix of the pool, ``ranks`` is a slice of the
-    view's ranks.
-    """
-
-    txs: tuple[Transaction, ...]
-    ranks: np.ndarray
-
-
 class MempoolView:
     """Snapshot of one chain's unconfirmed transactions: a set of ranks over a ``RankTable``.
 
@@ -166,10 +158,12 @@ class MempoolView:
     sorted and duplicate-checked its transactions; a view does neither.
     ``of`` builds a table of a list and views all of it, ``without``
     keeps the table and drops ranks, and ``engine.Chain.view`` views the
-    ranks a chain holds.  Every template built from a view carries the
-    ranks of its transactions.  Greedy packing stops once the room left
-    is below ``table.size_floor``.  A view is never changed after it is
-    made: ``table`` and ``ranks`` are not to be assigned or written.
+    ranks a chain holds.  A greedy pack (``packed``) and an attacked head
+    are views too.  ``template`` builds the block template of a view's
+    transactions, which carries their ranks.  Greedy packing stops once
+    the room left is below ``table.size_floor``.  A view is never changed
+    after it is made: ``table`` and ``ranks`` are not to be assigned or
+    written.
 
     ``pending`` is built the first time it is read, then kept.  Greedy
     packing and the second-set scan read the pool through ``scan``,
@@ -190,7 +184,7 @@ class MempoolView:
         self.table = table
         self.ranks = ranks
         self._pending: tuple[Transaction, ...] | None = None
-        self._packs: dict[int, Pack] = {}
+        self._packs: dict[int, MempoolView] = {}
 
     @property
     def pending(self) -> tuple[Transaction, ...]:
@@ -233,13 +227,16 @@ class MempoolView:
     def _tail(self, start: int) -> Iterator[Transaction]:
         yield from self.table.txs[self.ranks[start:]].tolist()
 
-    def packed(self, size_budget: int) -> Pack:
-        """The greedy pack of the pool within ``size_budget``, memoized.
+    def packed(self, size_budget: int) -> "MempoolView":
+        """The view of the greedy pack of the pool within ``size_budget``, memoized.
 
         No pack holds more than ``size_budget // table.size_floor``
         transactions, so the pack asks ``scan`` for one more than that:
         the scan reads past them only after skipping a transaction too
-        large for the room left.
+        large for the room left.  The pack's ``pending`` is the
+        transactions the scan picked, the table's own objects, so no pack
+        reads the table twice.  A prefix pack's ranks are a slice of the
+        pool's.
         """
         pack = self._packs.get(size_budget)
         if pack is None:
@@ -250,8 +247,23 @@ class MempoolView:
                 ranks = np.delete(self.ranks[: n + len(skipped)], skipped)
             else:
                 ranks = self.ranks[:n]
-            pack = self._packs[size_budget] = Pack(tuple(txs), ranks)
+            pack = self._packs[size_budget] = MempoolView(self.table, ranks)
+            pack._pending = tuple(txs)
         return pack
+
+    def template(self, positions: Sequence[int] | None = None) -> "BandwidthSetResult":
+        """The template of ``pending[i]`` for each of ``positions``, in that order, or of all of them."""
+        pending = self.pending
+        if positions is None:
+            txs, ranks = pending, self.ranks
+        else:
+            txs, ranks = [pending[i] for i in positions], self.ranks[positions]
+        return BandwidthSetResult(
+            tx_ids=tuple(map(attrgetter("id"), txs)),
+            total_fee=sum(map(attrgetter("fee"), txs)),
+            total_size=sum(map(attrgetter("size"), txs)),
+            ranks=ranks,
+        )
 
     def without(self, tx_ids: Iterable[str]) -> "MempoolView":
         """Pool after the given transactions were mined on this chain."""
@@ -268,8 +280,8 @@ class BandwidthSetResult:
     greedy path), which callers use to carve prefixes off a template.
 
     ``ranks`` holds the rank of each of ``tx_ids``, in the same order.
-    Every builder fills it from the ranks of its view, and the engine
-    removes a published template by them.  It is not part of the
+    ``MempoolView.template`` fills it from the ranks of its view, and the
+    engine removes a published template by them.  It is not part of the
     template's value.
     """
 
@@ -277,20 +289,6 @@ class BandwidthSetResult:
     total_fee: int
     total_size: int
     ranks: np.ndarray = field(compare=False, repr=False)
-
-    @staticmethod
-    def from_transactions(txs: Sequence[Transaction], ranks: np.ndarray) -> "BandwidthSetResult":
-        return BandwidthSetResult(
-            tx_ids=tuple(map(attrgetter("id"), txs)),
-            total_fee=sum(map(attrgetter("fee"), txs)),
-            total_size=sum(map(attrgetter("size"), txs)),
-            ranks=ranks,
-        )
-
-    @staticmethod
-    def at(txs: Sequence[Transaction], ranks: np.ndarray, positions: list[int]) -> "BandwidthSetResult":
-        """The template of ``txs[i]`` for each of ``positions``, in that order."""
-        return BandwidthSetResult.from_transactions([txs[i] for i in positions], ranks[positions])
 
 
 EMPTY_TEMPLATE = BandwidthSetResult(
@@ -372,15 +370,14 @@ def bandwidth_set(pool: MempoolView, params: ChainParams, mode: str = "greedy") 
     EXACT_SELECTION_LIMIT transactions.
     """
     if mode == "greedy":
-        return BandwidthSetResult.from_transactions(*pool.packed(params.block_size_limit))
+        return pool.packed(params.block_size_limit).template()
     if mode == "exact":
         if len(pool.pending) > EXACT_SELECTION_LIMIT:
             raise InstanceTooLargeError(
                 f"exact selection limited to {EXACT_SELECTION_LIMIT} transactions, "
                 f"pool has {len(pool.pending)}"
             )
-        chosen = _exact_best_subset(pool.pending, params.block_size_limit)
-        return BandwidthSetResult.at(pool.pending, pool.ranks, chosen)
+        return pool.template(_exact_best_subset(pool.pending, params.block_size_limit))
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
@@ -462,27 +459,25 @@ def split_equal_fee(
     return parts
 
 
-def claim_partial(
-    txs: Sequence[Transaction], target_fee: int, params: ChainParams, ranks: np.ndarray
-) -> BandwidthSetResult:
-    """Claim from ``txs``, in order, without exceeding ``target_fee``.
+def claim_partial(pool: MempoolView, target_fee: int, params: ChainParams) -> BandwidthSetResult:
+    """Claim from ``pool``, in selection order, without exceeding ``target_fee``.
 
     A transaction that would burst the fee target or the size budget is
     skipped and the walk goes on, so a claim can reach around an
-    indivisible wealthy transaction.  ``ranks`` holds the rank of each of
-    ``txs``, and the claim carries the ranks of its part.
+    indivisible wealthy transaction.  The claim is a template of the
+    view, so it carries the ranks of its transactions.
     """
     if target_fee < 0:
         raise ValueError("target_fee must be non-negative")
     chosen: list[int] = []
     fee = 0
     room = params.block_size_limit
-    for i, tx in enumerate(txs):
+    for i, tx in enumerate(pool.pending):
         if tx.size <= room and fee + tx.fee <= target_fee:
             chosen.append(i)
             fee += tx.fee
             room -= tx.size
-    return BandwidthSetResult.at(txs, ranks, chosen)
+    return pool.template(chosen)
 
 
 def claimable_fees(pool: MempoolView, params: ChainParams, blocks: int) -> int:
@@ -493,4 +488,4 @@ def claimable_fees(pool: MempoolView, params: ChainParams, blocks: int) -> int:
     """
     if blocks <= 0:
         return 0
-    return sum(map(attrgetter("fee"), pool.packed(blocks * params.block_size_limit).txs))
+    return sum(map(attrgetter("fee"), pool.packed(blocks * params.block_size_limit).pending))

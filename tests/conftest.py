@@ -37,7 +37,12 @@ def ranked_view(pool, offset):
 def template_of(view, txs):
     """The template of ``txs``, which ``view`` holds, with their ranks."""
     rank = dict(zip(view.pending, view.ranks.tolist()))
-    return BandwidthSetResult.from_transactions(txs, np.array([rank[t] for t in txs], dtype=np.intp))
+    return BandwidthSetResult(
+        tx_ids=tuple(t.id for t in txs),
+        total_fee=sum(t.fee for t in txs),
+        total_size=sum(t.size for t in txs),
+        ranks=np.array([rank[t] for t in txs], dtype=np.intp),
+    )
 
 
 def assert_carries_its_ranks(template, view):

@@ -24,13 +24,23 @@ from undercut.engine import (
     sample_next_block_time,
     select_next_block_miner,
 )
-from undercut.mempool import ChainParams, RankTable, bandwidth_set, claimable_fees, gamma_ratio, selection_key
+from undercut.mempool import (
+    ChainParams,
+    MempoolView,
+    RankTable,
+    bandwidth_set,
+    claimable_fees,
+    gamma_ratio,
+    selection_key,
+    split_equal_fee,
+)
 from undercut.strategy import craft_avoidance_block, undercut_template
 from undercut.trace import preset, synthesize_trace
 
 from conftest import tx, whale_trace
 
 PARAMS = ChainParams(block_size_limit=10_000, block_interval=600.0)
+NO_RANKS = np.empty(0, dtype=np.intp)
 
 
 def two_miners():
@@ -38,11 +48,11 @@ def two_miners():
 
 
 def make_chain(height, workers, t=math.inf):
-    genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=0.0, height=0)
+    genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=0.0, height=0, ranks=NO_RANKS)
     chain = Chain(blocks=[genesis], workers=set(workers), table=RankTable(()))
     for h in range(1, height + 1):
         chain.blocks.append(
-            Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=float(h), height=h)
+            Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=float(h), height=h, ranks=NO_RANKS)
         )
     chain.next_time = t
     return chain
@@ -108,7 +118,7 @@ def drive_update(depth, main_height, fork_height):
     sim.fork = fork
     main.workers = {"h"}
     block = Block(
-        owner="h", tx_ids=(), fee_total=0, size_total=0, creation_time=9.0, height=main_height
+        owner="h", tx_ids=(), fee_total=0, size_total=0, creation_time=9.0, height=main_height, ranks=NO_RANKS
     )
     sim.update_chains(main, block)
     return sim
@@ -129,7 +139,7 @@ def test_update_chains_fork_win():
     main.workers = {"h"}
     fork = make_chain(1, {"u"})
     sim.fork = fork
-    block = Block(owner="u", tx_ids=(), fee_total=0, size_total=0, creation_time=2.0, height=1)
+    block = Block(owner="u", tx_ids=(), fee_total=0, size_total=0, creation_time=2.0, height=1, ranks=NO_RANKS)
     sim.update_chains(fork, block)
     assert sim.chains == (fork,) and sim.main is fork and sim.fork is None and sim.fork_wins == 1
     assert fork.workers == {"h", "u"}
@@ -148,10 +158,43 @@ def test_honest_miners_follow_longest_chain_first_seen_ties():
     assert "h" in main.workers
 
     fork.blocks.append(
-        Block(owner="u", tx_ids=(), fee_total=0, size_total=0, creation_time=3.0, height=2)
+        Block(owner="u", tx_ids=(), fee_total=0, size_total=0, creation_time=3.0, height=2, ranks=NO_RANKS)
     )
     sim.update_miners(fork, fork.tip)  # fork now longer: honest switches
     assert "h" in fork.workers and "h" not in main.workers
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_head_published_in_split_order_is_attacked_as_its_sorted_view(depth):
+    # Ranks follow fee rate and a split follows fee, so a head published in
+    # split order (as a lone-set part is) lists its ranks out of order.  The
+    # engine attacks the sorted view of them; the drained pool makes it
+    # branch 1, whose block is the lightest part of the head as published.
+    trace = [tx("a", 1, 4), tx("b", 10, 9), tx("c", 5, 4), tx("d", 2, 4), tx("e", 8, 9)]
+    table = RankTable(trace)
+    rank = {t.id: r for r, t in enumerate(table.txs)}
+    published = [t for part in split_equal_fee(trace, 2, PARAMS) for t in part]
+    ranks = np.array([rank[t.id] for t in published], dtype=np.intp)
+    assert np.any(np.diff(ranks) < 0)
+    head = Block(
+        owner="h",
+        tx_ids=tuple(t.id for t in published),
+        fee_total=sum(t.fee for t in published),
+        size_total=sum(t.size for t in published),
+        creation_time=1.0,
+        height=1,
+        ranks=ranks,
+    )
+    sim = Simulation(table, two_miners(), PARAMS, depth=depth)
+    sim.main.blocks.append(head)
+    sim.update_miners(sim.main, head)
+    assert sim.attack_branches == {"negligible-mempool": 1}
+    block = sim.fork.committed
+    lightest = min(split_equal_fee(published, depth + 1, PARAMS), key=lambda p: sum(t.fee for t in p))
+    assert block.tx_ids == tuple(t.id for t in lightest)
+    assert [table.txs[r].id for r in block.ranks] == list(block.tx_ids)
+    # the head returns to the fork's pool, by its ranks
+    assert sorted(sim.fork.view().ranks.tolist()) == sorted(ranks.tolist())
 
 
 @st.composite
@@ -177,7 +220,7 @@ def test_a_congested_pool_is_packed_and_scanned_from_its_head():
     gamma_ratio(view, 1_000, params)
     claimable_fees(view, params, 3)
     craft_avoidance_block(view, params, depth=2, mode="experimental")
-    undercut_template(2, 3, "limited-mempool", params, view, (), view.ranks[:0])
+    undercut_template(2, 3, "limited-mempool", params, view, MempoolView(table, view.ranks[:0]))
     assert view._pending is None and chain.view() is view
 
 

@@ -99,6 +99,28 @@ def test_results_roundtrip(tmp_path, config, small_trace):
         assert row["attacks"] == cell.attacks
 
 
+def test_emitted_row_is_pinned(tmp_path):
+    from undercut.experiment import CellResult, ExperimentSummary
+
+    # an integer honest fraction is written as a float; every float as its repr
+    cell = CellResult(
+        depth=2,
+        honest_fraction=0,
+        avoidance="strict:0.8",
+        mean_share=0.1,
+        ci_half_width=0.2,
+        attacks=7,
+        branch_counts={},
+        miner_mean_shares={},
+        repetitions=3,
+    )
+    path = tmp_path / "one.csv"
+    emit_results(ExperimentSummary(cells=(cell,)), path)
+    assert path.read_text().splitlines()[1] == "2,0.0,strict:0.8,0.1,-0.1,0.30000000000000004,7"
+    row = {"depth": 2, "honest_fraction": 0.0, "avoidance": "strict:0.8", "mean_share": 0.1}
+    assert read_results(path) == [{**row, "ci_low": -0.1, "ci_high": 0.30000000000000004, "attacks": 7}]
+
+
 def test_emit_header_only_for_empty_summary(tmp_path):
     from undercut.experiment import ExperimentSummary
 

@@ -15,8 +15,6 @@ current code, run ``PYTHONPATH=src:tests python tests/test_golden_blocks.py``.
 import hashlib
 from collections import Counter
 
-import pytest
-
 from undercut.engine import Simulation, parse_avoidance, profiles
 from undercut.mempool import ChainParams, RankTable
 from undercut.trace import preset

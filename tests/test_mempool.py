@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from undercut.mempool import (
-    BandwidthSetResult,
     ChainParams,
     InstanceTooLargeError,
     InvalidCandidateError,
@@ -259,7 +258,7 @@ def test_packed_equals_greedy_pack_and_memo_is_not_part_of_the_value(case):
     fresh = MempoolView(pool.table, pool.ranks)
     for budget in budgets:
         expected = tuple(full_scan_pack(pool.pending, budget))
-        assert pool.packed(budget).txs == expected
+        assert pool.packed(budget).pending == expected
         assert pool.packed(budget) is pool.packed(budget)
     # the value is the pending set, whatever table the view reads it from
     for other in (fresh, ranked_view(pool, 2)):
@@ -273,14 +272,36 @@ def test_a_ranked_view_packs_and_claims_with_the_ranks_of_its_transactions(case,
     pool, budgets = case
     view = ranked_view(pool, offset)
     for budget in budgets:
-        txs, ranks = view.packed(budget)
-        assert txs == pool.packed(budget).txs
-        assert_carries_its_ranks(BandwidthSetResult.from_transactions(txs, ranks), view)
-        if txs == pool.pending[: len(txs)]:
-            assert ranks.base is view.ranks  # a prefix pack's ranks are a slice of the view's
+        pack = view.packed(budget)
+        assert pack.pending == pool.packed(budget).pending
+        assert_carries_its_ranks(pack.template(), view)
+        if pack.pending == pool.pending[: len(pack.pending)]:
+            assert pack.ranks.base is view.ranks  # a prefix pack's ranks are a slice of the view's
         params = ChainParams(block_size_limit=max(budget, 1), block_interval=600)
-        fee = sum(t.fee for t in txs)
-        for template in (bandwidth_set(view, params), claim_partial(view.pending, fee // 2, params, view.ranks)):
+        fee = sum(t.fee for t in pack.pending)
+        for template in (bandwidth_set(view, params), claim_partial(view, fee // 2, params)):
+            assert_carries_its_ranks(template, view)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools_and_budgets(), st.integers(0, 5), st.data())
+def test_template_is_the_template_of_the_views_transactions_at_the_positions(case, offset, data):
+    pool, budgets = case
+    view = ranked_view(pool, offset)
+    for part in (view, *(view.packed(budget) for budget in budgets)):
+        # a pack holds the table's own objects: _fee_left finds them by identity
+        own = part.table.txs[part.ranks].tolist()
+        assert len(part.pending) == len(own) and all(a is b for a, b in zip(part.pending, own))
+        n = len(part.pending)
+        positions = data.draw(st.lists(st.integers(0, n - 1), unique=True) if n else st.just([]))
+        for at in (positions, None):
+            template = part.template(at)
+            picked = part.pending if at is None else [part.pending[i] for i in at]
+            expected_ranks = part.ranks if at is None else part.ranks[np.array(at, dtype=np.intp)]
+            assert template.tx_ids == tuple(t.id for t in picked)
+            assert template.total_fee == sum(t.fee for t in picked)
+            assert template.total_size == sum(t.size for t in picked)
+            assert template.ranks.tolist() == expected_ranks.tolist()
             assert_carries_its_ranks(template, view)
 
 
@@ -288,9 +309,9 @@ def test_claim_partial_examples():
     params = ChainParams(block_size_limit=6, block_interval=600)
     pool = pool_of(tx("a", 2, 10), tx("b", 2, 8), tx("c", 2, 4))
     full = bandwidth_set(pool, params)
-    assert claim_partial(pool.pending, full.total_fee, params, pool.ranks).total_fee == full.total_fee
-    assert claim_partial(pool.pending, 0, params, pool.ranks).tx_ids == ()
-    partial = claim_partial(pool.pending, 13, params, pool.ranks)
+    assert claim_partial(pool, full.total_fee, params).total_fee == full.total_fee
+    assert claim_partial(pool, 0, params).tx_ids == ()
+    partial = claim_partial(pool, 13, params)
     assert partial.tx_ids == ("a",) and partial.total_fee == 10
 
 
@@ -299,7 +320,7 @@ def test_claim_partial_never_exceeds_target():
     for _ in range(100):
         pool, params = random_pool(rng)
         target = int(rng.integers(0, 80))
-        claim = claim_partial(pool.pending, target, params, pool.ranks)
+        claim = claim_partial(pool, target, params)
         assert claim.total_fee <= target
         assert claim.total_size <= params.block_size_limit
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from undercut.mempool import (
     EMPTY_TEMPLATE,
-    BandwidthSetResult,
     ChainParams,
     MempoolView,
     bandwidth_set,
@@ -114,7 +113,7 @@ def test_undercut_decision_templates():
         decide = undercut_decision_d1 if depth == 1 else undercut_decision_d2
         action, branch, tag = decide(split, gamma, params.negligible_fee_threshold)
         assert action == "undercut"
-        return (branch, *undercut_template(depth, branch, tag, params, pool, head.pending, head.ranks))
+        return (branch, *undercut_template(depth, branch, tag, params, pool, head))
 
     head = pool_of(tx("h1", 1, 6), tx("h2", 1, 4))
     pool = pool_of(tx("p1", 1, 1))
@@ -327,7 +326,7 @@ def test_craft_avoidance_exact_defeats_both_decision_ladders():
         assert both_stay(pool, claim.tx_ids, claim.total_fee)
         # the claim is the richest one that passes: no richer prefix or
         # suffix of the first bandwidth set makes both ladders stay
-        first = pool.packed(params.block_size_limit).txs
+        first = pool.packed(params.block_size_limit).pending
         for part in [first[:k] for k in range(1, len(first) + 1)] + [first[j:] for j in range(len(first))]:
             fee = sum(t.fee for t in part)
             if fee > claim.total_fee:
@@ -380,8 +379,8 @@ def reference_exact_claim(pool, params, depth, assumed_honest_power, tried=None)
     def fee(txs):
         return sum(t.fee for t in txs)
 
-    first = pool.packed(params.block_size_limit).txs
-    second = pool.without(t.id for t in first).packed(params.block_size_limit).txs
+    first = pool.packed(params.block_size_limit).pending
+    second = pool.without(t.id for t in first).packed(params.block_size_limit).pending
     if fee(first) == 0:
         return EMPTY_TEMPLATE
     candidates = []
@@ -456,12 +455,13 @@ def test_craft_avoidance_exact_at_the_whole_pool_boundary():
 @given(avoidance_cases(), st.data())
 def test_fee_left_reads_the_repacked_pool_fee(case, data):
     pool, params, _, _ = case
-    first = pool.packed(params.block_size_limit).txs
+    pack = pool.packed(params.block_size_limit)
+    first = pack.pending
     lo = data.draw(st.integers(0, len(first)))
     hi = data.draw(st.integers(lo, len(first)))
     # a drawn span of the first set, and the whole set (the second set's fee)
     for span in (range(lo, hi), range(len(first))):
-        left = _fee_left(pool, first, span, params.block_size_limit)
+        left = _fee_left(pool, pack, span, params.block_size_limit)
         assert left == bandwidth_set(pool.without(first[i].id for i in span), params).total_fee
 
 
@@ -491,16 +491,17 @@ def test_head_scans_equal_full_scans(case, data):
     reference = MempoolView(view.table, view.ranks)
     if read_first:
         assert view.pending == reference.pending
-    txs, ranks = view.packed(budget)
+    pack = view.packed(budget)
+    txs = pack.pending
     expected = full_scan_pack(reference.pending, budget)
-    assert BandwidthSetResult.from_transactions(txs, ranks) == template_of(reference, expected)
-    assert_carries_its_ranks(BandwidthSetResult.from_transactions(txs, ranks), view)
+    assert pack.template() == template_of(reference, expected)
+    assert_carries_its_ranks(pack.template(), view)
     lo = data.draw(st.integers(0, len(txs)))
     hi = data.draw(st.integers(lo, len(txs)))
     for span in (range(lo, hi), range(len(txs))):
         claimed = {txs[i].id for i in span}
         left = full_scan_pack([t for t in reference.pending if t.id not in claimed], budget)
-        assert _fee_left(view, txs, span, budget) == sum(t.fee for t in left)
+        assert _fee_left(view, pack, span, budget) == sum(t.fee for t in left)
     # a pool the longest head covers is built once and kept; a longer one never
     head = budget // view.table.size_floor + 1 + len(txs)
     assert (view._pending is not None) == (read_first or head >= len(view.ranks))
@@ -520,11 +521,11 @@ def test_templates_of_a_ranked_view_carry_the_ranks_of_their_transactions(case, 
     # the attack blocks: the bandwidth set or the lone-set half at branch 3,
     # and at branch 1 the lightest part of a head, with the head's ranks
     none = pool_of()
-    template = undercut_template(depth, 3, "limited-mempool", params, view, (), none.ranks)[1]
-    assert template == undercut_template(depth, 3, "limited-mempool", params, pool, (), none.ranks)[1]
+    template = undercut_template(depth, 3, "limited-mempool", params, view, none)[1]
+    assert template == undercut_template(depth, 3, "limited-mempool", params, pool, none)[1]
     assert_carries_its_ranks(template, view)
     head = view.packed(params.block_size_limit)
-    template = undercut_template(depth, 1, "negligible-mempool", params, none, head.txs, head.ranks)[1]
+    template = undercut_template(depth, 1, "negligible-mempool", params, none, head)[1]
     first = pool.packed(params.block_size_limit)
-    assert template == undercut_template(depth, 1, "negligible-mempool", params, none, first.txs, first.ranks)[1]
+    assert template == undercut_template(depth, 1, "negligible-mempool", params, none, first)[1]
     assert_carries_its_ranks(template, view)
