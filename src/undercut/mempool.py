@@ -2,11 +2,11 @@
 
 The central object is the "bandwidth set": the subset of pending
 transactions that maximizes total fees while fitting the block size
-limit.  Every transaction set the code computes on is a ``MempoolView``:
-a chain's pool, a greedy pack of it, an attacked head, and the sets
-that blocks are cut from.  Everything that crafts a block (honest
-packing, attack templates, avoidance claims) goes through the helpers
-here, and every template comes from ``MempoolView.template``.
+limit.  Every set a block is cut from is a ``MempoolView``: a chain's
+pool, a greedy pack of it, or an attacked head.  Everything that crafts
+a block (honest packing, attack templates, avoidance claims) goes
+through the helpers here, and every template but exact avoidance's
+claim comes from ``MempoolView.template``.
 """
 
 from __future__ import annotations
