@@ -133,7 +133,12 @@ def parse_avoidance(text: str) -> AvoidancePolicy | None:
         return AvoidancePolicy(mode=text)
     for sep in ("=", ":"):
         if text.startswith(f"strict{sep}"):
-            return AvoidancePolicy(mode="strict", factor=float(text.split(sep, 1)[1]))
+            value = text.split(sep, 1)[1]
+            try:
+                factor = float(value)
+            except ValueError:
+                raise ValueError(f"strict factor must be a number, got {value!r}") from None
+            return AvoidancePolicy(mode="strict", factor=factor)
     if text == "strict":
         return AvoidancePolicy(mode="strict")
     raise ValueError(f"unknown avoidance setting {text!r}")

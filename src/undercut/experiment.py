@@ -247,6 +247,27 @@ def emit_results(summary: ExperimentSummary, path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> list[dict]:
-    """Parse a results CSV back into row dicts (inverse of emit_results)."""
+    """Parse a results CSV back into row dicts (inverse of emit_results).
+
+    A missing column or a cell its parser rejects raises ``ValueError``
+    naming the line (the header is line 1) and the column.
+    """
     with Path(path).open(newline="") as fh:
-        return [{name: parse(row[name]) for name, parse in RESULT_FIELDS} for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        for name in RESULT_COLUMNS:
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"line 1: missing column {name!r}")
+        return [_parse_row(reader.line_num, row) for row in reader]
+
+
+def _parse_row(line_no: int, row: dict) -> dict:
+    out = {}
+    for name, parse in RESULT_FIELDS:
+        cell = row[name]
+        if cell is None:  # a row shorter than the header
+            raise ValueError(f"line {line_no}: column {name!r} is missing")
+        try:
+            out[name] = parse(cell)
+        except ValueError:
+            raise ValueError(f"line {line_no}: column {name!r} must be {parse.__name__}, got {cell!r}") from None
+    return out

@@ -5,8 +5,8 @@ transactions that maximizes total fees while fitting the block size
 limit.  Every set a block is cut from is a ``MempoolView``: a chain's
 pool, a greedy pack of it, or an attacked head.  Everything that crafts
 a block (honest packing, attack templates, avoidance claims) goes
-through the helpers here, and every template but exact avoidance's
-claim comes from ``MempoolView.template``.
+through the helpers here, and every template comes from
+``MempoolView.template``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter, eq
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -165,11 +165,12 @@ class MempoolView:
     after it is made: ``table`` and ``ranks`` are not to be assigned or
     written.
 
-    ``pending`` is built the first time it is read, then kept.  Greedy
-    packing and the second-set scan read the pool through ``scan``,
-    which builds only the head of a large pool: a congested pool of
-    thousands of transactions packs from its first few hundred, and
-    never builds ``pending``.
+    ``pending`` is built the first time it is read, then kept.  ``packed``
+    and ``fee_left`` (what greedy still packs once part of the view's own
+    pack is mined) read the pool through the private ``_scan``, which
+    builds only the head of a large pool: a congested pool of thousands
+    of transactions packs from its first few hundred, and never builds
+    ``pending``.
 
     The view's value is ``pending``: ``table``, ``ranks`` and the memo of
     ``packed`` (the greedy pack of each size budget asked for, so a
@@ -213,7 +214,7 @@ class MempoolView:
     def ids(self) -> frozenset[str]:
         return frozenset(tx.id for tx in self.pending)
 
-    def scan(self, head: int) -> Iterable[Transaction]:
+    def _scan(self, head: int) -> Iterable[Transaction]:
         """The pool in selection order, for a scan that reads about its first ``head`` transactions.
 
         Only those are built at once; the rest are built if the scan
@@ -231,7 +232,7 @@ class MempoolView:
         """The view of the greedy pack of the pool within ``size_budget``, memoized.
 
         No pack holds more than ``size_budget // table.size_floor``
-        transactions, so the pack asks ``scan`` for one more than that:
+        transactions, so the pack asks ``_scan`` for one more than that:
         the scan reads past them only after skipping a transaction too
         large for the room left.  The pack's ``pending`` is the
         transactions the scan picked, the table's own objects, so no pack
@@ -241,7 +242,7 @@ class MempoolView:
         pack = self._packs.get(size_budget)
         if pack is None:
             floor = self.table.size_floor
-            txs, skipped = _greedy_pack(self.scan(size_budget // floor + 1), size_budget, floor)
+            txs, skipped = _greedy_pack(self._scan(size_budget // floor + 1), size_budget, floor)
             n = len(txs)
             if skipped and skipped[0] < n:  # not a prefix: the positions read, less the skipped
                 ranks = np.delete(self.ranks[: n + len(skipped)], skipped)
@@ -251,19 +252,51 @@ class MempoolView:
             pack._pending = tuple(txs)
         return pack
 
-    def template(self, positions: Sequence[int] | None = None) -> "BandwidthSetResult":
-        """The template of ``pending[i]`` for each of ``positions``, in that order, or of all of them."""
+    def fee_left(self, claimed: Collection[int], size_budget: int) -> int:
+        """The fee greedy packs within ``size_budget`` once the ``claimed`` positions of its pack are mined.
+
+        The pack is this view's memoized ``packed(size_budget)``.  The fee
+        is that of the bandwidth set of ``without`` them (with all claimed,
+        the second set's), in one scan of the pool's head that copies no
+        view.  The pack holds the table's own objects in selection order,
+        so one cursor finds each of them, by identity, as the scan passes.
+        """
+        members = self.packed(size_budget).pending
+        fee = 0
+        room = size_budget
+        floor = self.table.size_floor
+        k, n = 0, len(members)
+        for tx in self._scan(size_budget // floor + 1 + n):
+            if k < n and tx is members[k]:
+                k += 1
+                if k - 1 in claimed:
+                    continue
+            if tx.size <= room:
+                fee += tx.fee
+                room -= tx.size
+                if room < floor:
+                    break
+        return fee
+
+    def template(
+        self, positions: Iterable[int] | None = None, totals: tuple[int, int] | None = None
+    ) -> "BandwidthSetResult":
+        """The template of ``pending[i]`` for each of ``positions``, in that order, or of all of them.
+
+        A range of positions is read as slices.  ``totals`` is their (fee,
+        size) when the caller already holds it; otherwise it is summed.
+        """
         pending = self.pending
         if positions is None:
             txs, ranks = pending, self.ranks
+        elif isinstance(positions, range) and positions.step > 0:
+            at = slice(positions.start, positions.stop, positions.step)
+            txs, ranks = pending[at], self.ranks[at]
         else:
-            txs, ranks = [pending[i] for i in positions], self.ranks[positions]
-        return BandwidthSetResult(
-            tx_ids=tuple(map(attrgetter("id"), txs)),
-            total_fee=sum(map(attrgetter("fee"), txs)),
-            total_size=sum(map(attrgetter("size"), txs)),
-            ranks=ranks,
-        )
+            txs, ranks = [pending[i] for i in positions], self.ranks[np.fromiter(positions, np.intp)]
+        if totals is None:
+            totals = sum(map(attrgetter("fee"), txs)), sum(map(attrgetter("size"), txs))
+        return BandwidthSetResult(tuple(map(attrgetter("id"), txs)), *totals, ranks)
 
     def without(self, tx_ids: Iterable[str]) -> "MempoolView":
         """Pool after the given transactions were mined on this chain."""

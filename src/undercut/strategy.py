@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from typing import Callable, Collection, Iterator, Sequence
 
@@ -224,8 +225,7 @@ DEPTHS = {
 def one_set_left(pool: MempoolView, params: ChainParams) -> bool:
     """True when removing one bandwidth set leaves only negligible fees."""
     first = pool.packed(params.block_size_limit)
-    second_fee = _fee_left(pool, first, range(len(first.ranks)), params.block_size_limit)
-    return _lone_set(_fee(first.pending), second_fee, params)
+    return _lone_set(_fee(first.pending), pool.fee_left(range(len(first.ranks)), params.block_size_limit), params)
 
 
 def _lone_set(first_fee: int, second_fee: int, params: ChainParams) -> bool:
@@ -241,36 +241,6 @@ def _lightest_part(view: MempoolView, k: int, params: ChainParams) -> list[int]:
     txs = view.pending
     position = {t.id: i for i, t in enumerate(txs)}
     return [position[t.id] for t in min(split_equal_fee(txs, k, params), key=_fee)]
-
-
-def _fee_left(pool: MempoolView, first: MempoolView, claimed: Collection[int], size_budget: int) -> int:
-    # The fee greedy packs once the transactions at positions ``claimed``
-    # of the first set ``first`` are mined: the fee of the bandwidth set
-    # of ``pool.without`` them, in one scan that copies no view.  With
-    # every position claimed it is the fee of the second bandwidth set.
-    # The first set is a pack of the pool, so its transactions are the
-    # table's own objects in selection order, and one cursor finds each
-    # of them, by identity, as the scan passes it.  The scan reads the
-    # pool's head: a pack holds at most ``size_budget // floor``
-    # transactions and the scan passes at most ``len(first)`` claimed
-    # ones, so it reads further only after skipping a transaction too
-    # large for the room left.
-    fee = 0
-    room = size_budget
-    floor = pool.table.size_floor
-    members = first.pending
-    k, n = 0, len(members)
-    for tx in pool.scan(size_budget // floor + 1 + n):
-        if k < n and tx is members[k]:
-            k += 1
-            if k - 1 in claimed:
-                continue
-        if tx.size <= room:
-            fee += tx.fee
-            room -= tx.size
-            if room < floor:
-                break
-    return fee
 
 
 def undercut_template(
@@ -296,11 +266,9 @@ def undercut_template(
     """
     if branch == 1:
         return tag, head.template(_lightest_part(head, depth + 1, params))
-    if DEPTHS[depth].lone_set_split:
+    if DEPTHS[depth].lone_set_split and one_set_left(pool, params):
         first = pool.packed(params.block_size_limit)
-        second_fee = _fee_left(pool, first, range(len(first.ranks)), params.block_size_limit)
-        if _lone_set(_fee(first.pending), second_fee, params):
-            return "lone-set", first.template(_lightest_part(first, 2, params))
+        return "lone-set", first.template(_lightest_part(first, 2, params))
     return tag, bandwidth_set(pool, params)
 
 
@@ -411,10 +379,10 @@ def craft_avoidance_block(
     pass for the pool's fee and size, plus one head scan for a pack the
     memo misses, one for the second set's fee at a depth with
     ``lone_set_split``, and one per candidate that neither shortcut
-    decides.  A head scan reads the pool in selection order only as far
-    as a greedy pack can reach, about ``|B| + limit // size_floor``
-    transactions unless it skips ones too large for the room left.  The
-    claim carries the ranks of its transactions from B's view.
+    decides; each is ``MempoolView.fee_left``, which reads the pool only
+    as far as a greedy pack can reach.  The accepted claim is B's
+    template at the claimed positions, given the fee and size its prefix
+    sums hold, so nothing is summed twice.
 
     ``experimental`` reproduces the cheaper procedure used in the profit
     experiments: derive a target fee from the visible fees in the first
@@ -434,8 +402,7 @@ def craft_avoidance_block(
     if mode not in AVOIDANCE_MODES:
         raise ValueError(f"unknown avoidance mode {mode!r}")
     # the assumed adversary plus assumed honest mass cannot exceed 1
-    honest = min(assumed_honest_power, 1.0 - AVOIDANCE_ADVERSARY_POWER)
-    split = PowerSplit.of(AVOIDANCE_ADVERSARY_POWER, honest)
+    split = _avoidance_split(min(assumed_honest_power, 1.0 - AVOIDANCE_ADVERSARY_POWER))
     limit = params.block_size_limit
     first = pool.packed(limit)
     first_txs = first.pending
@@ -446,7 +413,7 @@ def craft_avoidance_block(
     # experimental target, so exact avoidance at depth 1 skips its scan.
     lone_set_split = DEPTHS[depth].lone_set_split
     n = len(first_txs)
-    residual = _fee_left(pool, first, range(n), limit) if lone_set_split or mode != "exact" else 0
+    residual = pool.fee_left(range(n), limit) if lone_set_split or mode != "exact" else 0
     lone = lone_set_split and _lone_set(first_fee, residual, params)
 
     if mode == "exact":
@@ -473,14 +440,12 @@ def craft_avoidance_block(
             # residual that cannot reach the claim needs no exact value.
             left = pool_fee - fee
             if pool_size - size > limit and left >= fee:
-                left = _fee_left(pool, first, claimed, limit)
+                left = pool.fee_left(claimed, limit)
             gamma_after = gamma_of_fees(left, fee)
             if undercut_decision_d1(split, gamma_after, params.negligible_fee_threshold)[0] == "stay":
-                # the prefix sums hold its fee and size: MempoolView.template
-                # would sum them again, ~8% of a small pool's exact avoidance
-                pick = slice(claimed.start, claimed.stop) if isinstance(claimed, range) else list(claimed)
-                ids = tuple(first_txs[i].id for i in claimed)
-                return BandwidthSetResult(ids, fee, size, first.ranks[pick])
+                # the prefix sums hold its fee and size; summing them again
+                # in template costs a few percent of a small pool's crafting
+                return first.template(claimed, (fee, size))
         return EMPTY_TEMPLATE
 
     if lone:
@@ -492,6 +457,12 @@ def craft_avoidance_block(
         target *= strict_factor
     target = min(target, float(first_fee))
     return claim_partial(first, int(target), params)
+
+
+@cache
+def _avoidance_split(honest: float) -> PowerSplit:
+    # the adversary's split, built once per assumed honest power (fixed for a run)
+    return PowerSplit.of(AVOIDANCE_ADVERSARY_POWER, honest)
 
 
 def _claims_richest_first(

@@ -113,10 +113,10 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
     """Load, validate and time-sort a transaction trace.
 
     CSV files need the header ``id,timestamp,size,fee``; json-lines
-    files carry one object with those keys per line, with the timestamp
-    a JSON number and size and fee JSON integers.  Duplicate ids,
-    non-finite timestamps, non-integer and non-positive sizes are
-    rejected with the offending line number.
+    files carry one object with those keys per line, with the id a JSON
+    string or integer, the timestamp a JSON number and size and fee JSON
+    integers.  Duplicate ids, non-finite timestamps, non-integer and
+    non-positive sizes are rejected with the offending line number.
     """
     path = Path(path)
     records: list[Transaction] = []
@@ -150,7 +150,7 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
                 try:
                     obj = json.loads(line)
                     id_, timestamp, size, fee = [obj[c] for c in TRACE_COLUMNS]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError) as exc:  # ValueError: also an int past 4300 digits
                     raise TraceError(f"line {line_no}: malformed row: {exc}") from None
                 # float() would read true and "7" as numbers, int() would truncate 250.9
                 if type(timestamp) not in (int, float):
@@ -166,7 +166,7 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
                     timestamp = math.inf
                 if not (isfinite(timestamp) and size > 0 and fee >= 0):
                     _reject(line_no, timestamp, size, fee)
-                append(Transaction(str(id_), timestamp, size, fee))
+                append(Transaction(_json_id(line_no, id_), timestamp, size, fee))
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
 
@@ -183,6 +183,14 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
     return records
 
 
+def _json_id(line_no: int, value: object) -> str:
+    # a json-lines id: a string, or an integer read as its digits; str()
+    # alone would also make ids of null, true and [1]
+    if type(value) not in (str, int):
+        raise TraceError(f"line {line_no}: id must be a JSON string or integer, got {json.dumps(value)}")
+    return str(value)
+
+
 def _lines_of(path: Path, fmt: str, tx_id: str) -> list[int]:
     # Line numbers of the rows of a parsed trace file that carry ``tx_id``,
     # counted as load_trace counts them; read again only to name a duplicate.
@@ -191,7 +199,7 @@ def _lines_of(path: Path, fmt: str, tx_id: str) -> list[int]:
             rows = enumerate(csv.reader(fh), start=1)
             return [n for n, row in rows if n > 1 and row and row[0] == tx_id]
         rows = enumerate(fh, start=1)
-        return [n for n, line in rows if line.strip() and str(json.loads(line)["id"]) == tx_id]
+        return [n for n, line in rows if line.strip() and _json_id(n, json.loads(line)["id"]) == tx_id]
 
 
 def write_trace(records: Iterable[Transaction], path: str | Path, fmt: str = "csv") -> None:

@@ -231,6 +231,15 @@ def test_run_rejects_bad_strict_factor(tmp_path, capsys):
     assert "strict factor must lie in (0, 1], got nan" in capsys.readouterr().err
 
 
+def test_run_rejects_a_strict_factor_that_is_not_a_number(tmp_path, capsys):
+    trace_path = tmp_path / "t.csv"
+    main(["synth", "--output", str(trace_path), "--rate", "0.02", "--duration", "600"])
+    capsys.readouterr()
+    code = main(["run", "--trace", str(trace_path), "--avoidance", "strict=abc"])
+    assert code == 1
+    assert "strict factor must be a number, got 'abc'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [

@@ -584,6 +584,9 @@ def test_profiles_and_policy_parsing():
     for bad in ("-1", "0", "nan", "5", "inf"):
         with pytest.raises(ValueError, match=f"strict factor must lie in \\(0, 1\\], got {bad}"):
             parse_avoidance(f"strict={bad}")
+    for text, bad in (("strict=abc", "'abc'"), ("strict=", "''"), ("strict:0.5x", "'0.5x'")):
+        with pytest.raises(ValueError, match=f"^strict factor must be a number, got {bad}$"):
+            parse_avoidance(text)
     with pytest.raises(ValueError):
         MinerProfile("a", 0.5, "lazy")
     with pytest.raises(ValueError, match="power must be non-negative, got nan"):

@@ -1,6 +1,7 @@
 import functools
 import multiprocessing
 import pickle
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from undercut import experiment
 from undercut.engine import AvoidancePolicy, parse_avoidance
 from undercut.experiment import (
+    RESULT_COLUMNS,
     ExperimentConfig,
     derive_seed,
     emit_results,
@@ -24,6 +26,8 @@ from undercut.mempool import RankTable, Transaction
 from undercut.trace import preset
 
 from conftest import whale_trace
+
+HEADER = ",".join(RESULT_COLUMNS)
 
 
 def run_cell(config, trace, index, depth, hf):
@@ -119,6 +123,25 @@ def test_emitted_row_is_pinned(tmp_path):
     assert path.read_text().splitlines()[1] == "2,0.0,strict:0.8,0.1,-0.1,0.30000000000000004,7"
     row = {"depth": 2, "honest_fraction": 0.0, "avoidance": "strict:0.8", "mean_share": 0.1}
     assert read_results(path) == [{**row, "ci_low": -0.1, "ci_high": 0.30000000000000004, "attacks": 7}]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("depth,honest_fraction,avoidance,mean_share,ci_low,ci_high\n", "line 1: missing column 'attacks'"),
+        ("", "line 1: missing column 'depth'"),
+        (f"{HEADER}\n2,0.0,off,0.1,0,0.2,7\nx,0.0,off,0.1,0,0.2,7\n", "line 3: column 'depth' must be int, got 'x'"),
+        (f"{HEADER}\n1,0.0,off,high,0,0.2,7\n", "line 2: column 'mean_share' must be float, got 'high'"),
+        (f"{HEADER}\n\n1,0.0,off,0.1,0,0.2,\n", "line 3: column 'attacks' must be int, got ''"),
+        (f"{HEADER}\n1,0.0,off,0.1,0\n", "line 2: column 'ci_high' is missing"),
+    ],
+    ids=["no-column", "empty-file", "depth", "mean-share", "empty-cell", "short-row"],
+)
+def test_read_results_names_the_line_and_column_of_bad_input(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_results(path)
 
 
 def test_emit_header_only_for_empty_summary(tmp_path):

@@ -289,20 +289,38 @@ def test_template_is_the_template_of_the_views_transactions_at_the_positions(cas
     pool, budgets = case
     view = ranked_view(pool, offset)
     for part in (view, *(view.packed(budget) for budget in budgets)):
-        # a pack holds the table's own objects: _fee_left finds them by identity
+        # a pack holds the table's own objects: fee_left finds them by identity
         own = part.table.txs[part.ranks].tolist()
         assert len(part.pending) == len(own) and all(a is b for a, b in zip(part.pending, own))
         n = len(part.pending)
         positions = data.draw(st.lists(st.integers(0, n - 1), unique=True) if n else st.just([]))
-        for at in (positions, None):
-            template = part.template(at)
+        lo = data.draw(st.integers(0, n))
+        span = range(lo, data.draw(st.integers(lo, n)))  # read as slices
+        for at in (positions, span, None):
             picked = part.pending if at is None else [part.pending[i] for i in at]
-            expected_ranks = part.ranks if at is None else part.ranks[np.array(at, dtype=np.intp)]
-            assert template.tx_ids == tuple(t.id for t in picked)
-            assert template.total_fee == sum(t.fee for t in picked)
-            assert template.total_size == sum(t.size for t in picked)
-            assert template.ranks.tolist() == expected_ranks.tolist()
-            assert_carries_its_ranks(template, view)
+            expected_ranks = part.ranks if at is None else part.ranks[np.array(list(at), dtype=np.intp)]
+            totals = (sum(t.fee for t in picked), sum(t.size for t in picked))
+            # summed by template, or handed over by a caller that holds them
+            for template in (part.template(at), part.template(at, totals)):
+                assert template.tx_ids == tuple(t.id for t in picked)
+                assert (template.total_fee, template.total_size) == totals
+                assert template.ranks.tolist() == expected_ranks.tolist()
+                assert_carries_its_ranks(template, view)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools_and_budgets(), st.integers(0, 5), st.data())
+def test_fee_left_packs_a_view_it_reads_first(case, offset, data):
+    # fee_left reads the view's own pack, also when nothing packed it before
+    pool, budgets = case
+    for budget in budgets:
+        first = full_scan_pack(pool.pending, budget)
+        lo = data.draw(st.integers(0, len(first)))
+        for span in (range(lo, data.draw(st.integers(lo, len(first)))), range(len(first))):
+            view = ranked_view(pool, offset)
+            left = full_scan_pack(pool.without(first[i].id for i in span).pending, budget)
+            assert view.fee_left(span, budget) == sum(t.fee for t in left)
+            assert view.packed(budget).pending == tuple(first)
 
 
 def test_claim_partial_examples():

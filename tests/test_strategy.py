@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from undercut import strategy
 from undercut.mempool import (
     EMPTY_TEMPLATE,
     ChainParams,
@@ -20,7 +23,6 @@ from undercut.strategy import (
     DEPTHS,
     DegenerateRaceError,
     PowerSplit,
-    _fee_left,
     craft_avoidance_block,
     expected_returns_d1,
     expected_returns_d2,
@@ -461,7 +463,7 @@ def test_fee_left_reads_the_repacked_pool_fee(case, data):
     hi = data.draw(st.integers(lo, len(first)))
     # a drawn span of the first set, and the whole set (the second set's fee)
     for span in (range(lo, hi), range(len(first))):
-        left = _fee_left(pool, pack, span, params.block_size_limit)
+        left = pool.fee_left(span, params.block_size_limit)
         assert left == bandwidth_set(pool.without(first[i].id for i in span), params).total_fee
 
 
@@ -501,7 +503,7 @@ def test_head_scans_equal_full_scans(case, data):
     for span in (range(lo, hi), range(len(txs))):
         claimed = {txs[i].id for i in span}
         left = full_scan_pack([t for t in reference.pending if t.id not in claimed], budget)
-        assert _fee_left(view, pack, span, budget) == sum(t.fee for t in left)
+        assert view.fee_left(span, budget) == sum(t.fee for t in left)
     # a pool the longest head covers is built once and kept; a longer one never
     head = budget // view.table.size_floor + 1 + len(txs)
     assert (view._pending is not None) == (read_first or head >= len(view.ranks))
@@ -529,3 +531,18 @@ def test_templates_of_a_ranked_view_carry_the_ranks_of_their_transactions(case, 
     first = pool.packed(params.block_size_limit)
     assert template == undercut_template(depth, 1, "negligible-mempool", params, none, first)[1]
     assert_carries_its_ranks(template, view)
+
+
+def test_strategy_leaves_pool_mechanics_to_mempool():
+    # strategy decides on fees: how a pool is scanned, packed and cut into
+    # templates stays behind MempoolView's methods
+    tree = ast.parse(Path(strategy.__file__).read_text())
+    internals = {"scan", "_scan", "size_floor", "_pending"}
+    read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in internals]
+    built = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "BandwidthSetResult"
+    ]
+    assert read == [] and built == []
+    assert not hasattr(strategy, "_fee_left")

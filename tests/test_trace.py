@@ -111,6 +111,41 @@ def test_load_trace_jsonl_requires_a_numeric_timestamp(tmp_path, value):
         load_trace(path, fmt="json-lines")
 
 
+@pytest.mark.parametrize("value", ["null", "true", "false", "[1]", "1.5", '{"a": 1}'])
+def test_load_trace_jsonl_requires_a_string_or_integer_id(tmp_path, value):
+    # str() used to load null, true and [1] as "None", "True" and "[1]"
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"id": "a", "timestamp": 1, "size": 10, "fee": 5}\n'
+        f'{{"id": {value}, "timestamp": 2, "size": 10, "fee": 5}}\n'
+    )
+    with pytest.raises(TraceError, match=re.escape(f"line 2: id must be a JSON string or integer, got {value}")):
+        load_trace(path, fmt="json-lines")
+
+
+def test_load_trace_jsonl_reads_an_integer_id_as_its_digits(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text('{"id": 7, "timestamp": 1, "size": 10, "fee": 5}\n')
+    assert load_trace(path, fmt="json-lines")[0].id == "7"
+    # the integer 7 and the string "7" are one id, and both lines are named
+    path.write_text(path.read_text() + '{"id": "7", "timestamp": 2, "size": 10, "fee": 5}\n')
+    with pytest.raises(TraceError, match=r"^line 2: duplicate transaction id '7' \(first on line 1\)$"):
+        load_trace(path, fmt="json-lines")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_load_trace_names_the_line_of_an_integer_too_long_to_read(tmp_path, fmt):
+    # json.loads raises a plain ValueError past int's 4300-digit limit
+    fee = "9" * 5000
+    path = tmp_path / "long.txt"
+    if fmt == "csv":
+        path.write_text(f"id,timestamp,size,fee\na,1,10,{fee}\n")
+    else:
+        path.write_text(f'{{"id": "a", "timestamp": 1, "size": 10, "fee": {fee}}}\n')
+    with pytest.raises(TraceError, match=f"^line {2 if fmt == 'csv' else 1}: malformed row: Exceeds the limit"):
+        load_trace(path, fmt=fmt)
+
+
 def test_load_trace_jsonl_timestamps_as_a_csv_row_reads_them(tmp_path):
     path = tmp_path / "ok.jsonl"
     path.write_text('{"id": "a", "timestamp": 3, "size": 10, "fee": 5}\n')
