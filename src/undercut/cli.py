@@ -22,23 +22,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="one seeded simulation; prints per-miner earnings")
     _add_population_opts(p_run)
     _add_chain_opts(p_run)
-    p_run.add_argument("--trace", required=True, help="transaction trace file (CSV)")
-    p_run.add_argument("--trace-format", default="csv", choices=("csv", "json-lines"))
+    _add_trace_opts(p_run)
     p_run.add_argument("--depth", type=int, default=1, choices=tuple(strategy.DEPTHS), help="give-up depth D")
     p_run.add_argument("--honest", default="0.0", help="honest power fraction")
-    p_run.add_argument("--avoidance", default="off", help="off|experimental|exact|strict=<f>")
     p_run.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p_sweep = sub.add_parser("sweep", help="repetition sweep; writes a results CSV")
     _add_population_opts(p_sweep)
     _add_chain_opts(p_sweep)
-    p_sweep.add_argument("--trace", required=True, help="transaction trace file (CSV)")
-    p_sweep.add_argument("--trace-format", default="csv", choices=("csv", "json-lines"))
+    _add_trace_opts(p_sweep)
     p_sweep.add_argument("--depth", default="1", help="give-up depth(s), e.g. 1 or 1,2")
     p_sweep.add_argument(
         "--honest", default="0,0.1,0.2,0.3,0.4,0.5", help="honest fractions, comma separated"
     )
-    p_sweep.add_argument("--avoidance", default="off", help="off|experimental|exact|strict=<f>")
     p_sweep.add_argument("--repetitions", type=int, default=50, help="runs per cell")
     p_sweep.add_argument("--seed", type=int, default=0, help="base seed for seed derivation")
     p_sweep.add_argument("--output", required=True, help="results CSV path")
@@ -79,6 +75,12 @@ def _add_chain_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--negligible", type=float, default=None, help="negligible gamma bound")
 
 
+def _add_trace_opts(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trace", required=True, help="transaction trace file")
+    p.add_argument("--trace-format", default="csv", choices=trace.TRACE_FORMATS)
+    p.add_argument("--avoidance", default="off", help="off|experimental|exact|strict=<f>")
+
+
 def _population(args) -> tuple[trace.PowerDistribution, ChainParams]:
     if args.powers_file:
         dist = trace.load_powers(args.powers_file)
@@ -100,13 +102,22 @@ def _load_trace(args) -> list:
     return trace.load_trace(path, fmt=args.trace_format)
 
 
-def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+def _number(option: str, text: str, kind: type = float) -> float:
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{option}: {text!r} is not {'an integer' if kind is int else 'a number'}") from None
+
+
+def _numbers(option: str, text: str, kind: type = float) -> list[float]:
+    # the comma-separated values of ``option``; empty parts are skipped
+    parts = (part.strip() for part in text.split(","))
+    return [_number(option, part, kind) for part in parts if part]
 
 
 def _cmd_run(args) -> int:
     dist, params = _population(args)
-    honest = float(args.honest)
+    honest = _number("--honest", args.honest)
     population = dist.with_honest_fraction(honest)
     miners = engine.profiles(population.entries)
     avoidance = engine.parse_avoidance(args.avoidance)
@@ -136,8 +147,8 @@ def _cmd_sweep(args) -> int:
     config = experiment.ExperimentConfig(
         powers=dist,
         params=params,
-        honest_fractions=tuple(_floats(args.honest)),
-        depths=tuple(int(d) for d in args.depth.split(",") if d.strip() != ""),
+        honest_fractions=tuple(_numbers("--honest", args.honest)),
+        depths=tuple(_numbers("--depth", args.depth, int)),
         avoidance=engine.parse_avoidance(args.avoidance),
         repetitions=args.repetitions,
         base_seed=args.seed,
@@ -154,9 +165,9 @@ def _cmd_synth(args) -> int:
         duration=args.duration,
         seed=args.seed,
         fee_dist=args.fee_dist,
-        fee_args=_floats(args.fee_args),
+        fee_args=_numbers("--fee-args", args.fee_args),
         size_dist=args.size_dist,
-        size_args=_floats(args.size_args),
+        size_args=_numbers("--size-args", args.size_args),
     )
     trace.write_trace(records, args.output)
     print(f"wrote {len(records)} transactions to {args.output}")

@@ -232,7 +232,7 @@ def emit_results(summary: ExperimentSummary, path: str | Path) -> None:
     """Write one CSV row per cell in a stable column order."""
     path = Path(path)
     try:
-        with path.open("w", newline="") as fh:
+        with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(RESULT_COLUMNS)
             for c in summary.cells:
@@ -252,7 +252,7 @@ def read_results(path: str | Path) -> list[dict]:
     A missing column or a cell its parser rejects raises ``ValueError``
     naming the line (the header is line 1) and the column.
     """
-    with Path(path).open(newline="") as fh:
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for name in RESULT_COLUMNS:
             if name not in (reader.fieldnames or ()):

@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -98,6 +99,7 @@ class PowerDistribution:
 # ---------------------------------------------------------------------------
 
 TRACE_COLUMNS = ("id", "timestamp", "size", "fee")
+TRACE_FORMATS = ("csv", "json-lines")
 
 
 def _reject(line_no: int, timestamp: float, size: int, fee: int) -> NoReturn:
@@ -116,102 +118,93 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
     files carry one object with those keys per line, with the id a JSON
     string or integer, the timestamp a JSON number and size and fee JSON
     integers.  Duplicate ids, non-finite timestamps, non-integer and
-    non-positive sizes are rejected with the offending line number.
+    non-positive sizes are rejected with the offending line number.  The
+    file is read once, front to back, so it may be a pipe; the error
+    names the first bad line.
     """
-    path = Path(path)
-    records: list[Transaction] = []
-    append = records.append
-    isfinite = math.isfinite
-    if fmt == "csv":
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is not None and tuple(h.strip() for h in header) != TRACE_COLUMNS:
-                raise TraceError(f"line 1: expected header {','.join(TRACE_COLUMNS)}")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise TraceError(f"line {line_no}: expected 4 columns, got {len(row)}")
-                id_, timestamp, size, fee = row
-                try:
-                    timestamp, size, fee = float(timestamp), int(size), int(fee)
-                except ValueError as exc:
-                    raise TraceError(f"line {line_no}: malformed row: {exc}") from None
-                if not (isfinite(timestamp) and size > 0 and fee >= 0):
-                    _reject(line_no, timestamp, size, fee)
-                append(Transaction(id_, timestamp, size, fee))
-    elif fmt == "json-lines":
-        with path.open() as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    id_, timestamp, size, fee = [obj[c] for c in TRACE_COLUMNS]
-                except (ValueError, KeyError, TypeError) as exc:  # ValueError: also an int past 4300 digits
-                    raise TraceError(f"line {line_no}: malformed row: {exc}") from None
-                # float() would read true and "7" as numbers, int() would truncate 250.9
-                if type(timestamp) not in (int, float):
-                    got = json.dumps(timestamp)
-                    raise TraceError(f"line {line_no}: timestamp must be a JSON number, got {got}")
-                for column, value in (("size", size), ("fee", fee)):
-                    if type(value) is not int:
-                        got = json.dumps(value)
-                        raise TraceError(f"line {line_no}: {column} must be a JSON integer, got {got}")
-                try:
-                    timestamp = float(timestamp)
-                except OverflowError:  # an integer past the float range, as a CSV row reads it
-                    timestamp = math.inf
-                if not (isfinite(timestamp) and size > 0 and fee >= 0):
-                    _reject(line_no, timestamp, size, fee)
-                append(Transaction(_json_id(line_no, id_), timestamp, size, fee))
-    else:
+    if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
-
-    ids = [tx.id for tx in records]
-    if len(set(ids)) != len(ids):
-        seen: set[str] = set()
-        for repeated in ids:
-            if repeated in seen:
-                break
-            seen.add(repeated)
-        first, again = _lines_of(path, fmt, repeated)[:2]
-        raise TraceError(f"line {again}: duplicate transaction id {repeated!r} (first on line {first})")
+    records: list[Transaction] = []
+    seen: set[str] = set()
+    # each record's line, read back only to name where a repeated id first
+    # came; a set and an array hold less than a dict of id to line
+    lines = array("q")
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        for line_no, tx in _csv_rows(fh) if fmt == "csv" else _json_rows(fh):
+            if tx.id in seen:
+                first = lines[next(i for i, kept in enumerate(records) if kept.id == tx.id)]
+                raise TraceError(f"line {line_no}: duplicate transaction id {tx.id!r} (first on line {first})")
+            seen.add(tx.id)
+            lines.append(line_no)
+            records.append(tx)
     records.sort(key=attrgetter("arrival_time", "id"))
     return records
 
 
-def _json_id(line_no: int, value: object) -> str:
-    # a json-lines id: a string, or an integer read as its digits; str()
-    # alone would also make ids of null, true and [1]
-    if type(value) not in (str, int):
-        raise TraceError(f"line {line_no}: id must be a JSON string or integer, got {json.dumps(value)}")
-    return str(value)
+def _csv_rows(fh: TextIO) -> Iterator[tuple[int, Transaction]]:
+    # each valid row of a CSV trace with its line number (the header is line 1)
+    isfinite = math.isfinite
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is not None and tuple(h.strip() for h in header) != TRACE_COLUMNS:
+        raise TraceError(f"line 1: expected header {','.join(TRACE_COLUMNS)}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise TraceError(f"line {line_no}: expected 4 columns, got {len(row)}")
+        id_, timestamp, size, fee = row
+        try:
+            timestamp, size, fee = float(timestamp), int(size), int(fee)
+        except ValueError as exc:
+            raise TraceError(f"line {line_no}: malformed row: {exc}") from None
+        if not (isfinite(timestamp) and size > 0 and fee >= 0):
+            _reject(line_no, timestamp, size, fee)
+        yield line_no, Transaction(id_, timestamp, size, fee)
 
 
-def _lines_of(path: Path, fmt: str, tx_id: str) -> list[int]:
-    # Line numbers of the rows of a parsed trace file that carry ``tx_id``,
-    # counted as load_trace counts them; read again only to name a duplicate.
-    with path.open(newline="") as fh:
-        if fmt == "csv":
-            rows = enumerate(csv.reader(fh), start=1)
-            return [n for n, row in rows if n > 1 and row and row[0] == tx_id]
-        rows = enumerate(fh, start=1)
-        return [n for n, line in rows if line.strip() and _json_id(n, json.loads(line)["id"]) == tx_id]
+def _json_rows(fh: TextIO) -> Iterator[tuple[int, Transaction]]:
+    # each valid row of a json-lines trace with its line number
+    isfinite = math.isfinite
+    for line_no, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            id_, timestamp, size, fee = [obj[c] for c in TRACE_COLUMNS]
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError: also an int past 4300 digits
+            raise TraceError(f"line {line_no}: malformed row: {exc}") from None
+        # float() would read true and "7" as numbers, int() would truncate 250.9
+        if type(timestamp) not in (int, float):
+            got = json.dumps(timestamp)
+            raise TraceError(f"line {line_no}: timestamp must be a JSON number, got {got}")
+        for column, value in (("size", size), ("fee", fee)):
+            if type(value) is not int:
+                got = json.dumps(value)
+                raise TraceError(f"line {line_no}: {column} must be a JSON integer, got {got}")
+        try:
+            timestamp = float(timestamp)
+        except OverflowError:  # an integer past the float range, as a CSV row reads it
+            timestamp = math.inf
+        if not (isfinite(timestamp) and size > 0 and fee >= 0):
+            _reject(line_no, timestamp, size, fee)
+        # str() alone would also make ids of null, true and [1]
+        if type(id_) not in (str, int):
+            raise TraceError(f"line {line_no}: id must be a JSON string or integer, got {json.dumps(id_)}")
+        yield line_no, Transaction(str(id_), timestamp, size, fee)
 
 
 def write_trace(records: Iterable[Transaction], path: str | Path, fmt: str = "csv") -> None:
     """Write a trace in the load_trace file contract."""
     path = Path(path)
     if fmt == "csv":
-        with path.open("w", newline="") as fh:
+        with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TRACE_COLUMNS)
             writer.writerows([tx.id, _format_time(tx.arrival_time), tx.size, tx.fee] for tx in records)
     elif fmt == "json-lines":
-        with path.open("w") as fh:
+        with path.open("w", encoding="utf-8") as fh:
             for tx in records:
                 fh.write(
                     json.dumps(
@@ -231,7 +224,7 @@ def load_powers(path: str | Path) -> PowerDistribution:
     """Read a power file: one ``miner_id,power,kind`` entry per line."""
     entries = []
     line_of: dict[str, int] = {}
-    with Path(path).open() as fh:
+    with Path(path).open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -261,7 +254,7 @@ def load_powers(path: str | Path) -> PowerDistribution:
 
 
 def write_powers(dist: PowerDistribution, path: str | Path) -> None:
-    with Path(path).open("w") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("# miner_id,power,kind\n")
         for mid, power, kind in dist.entries:
             fh.write(f"{mid},{power!r},{kind}\n")
@@ -380,7 +373,16 @@ _BITCOIN16_POWERS = (
 BITCOIN_PARAMS = ChainParams(block_size_limit=1_000_000, block_interval=600.0)
 MONERO_PARAMS = ChainParams(block_size_limit=300_000, block_interval=120.0)
 
-PRESET_NAMES = ("bitcoin16", "bitcoin-hypothetical45", "monero")
+_OTHERS = _BITCOIN16_POWERS[:-1]
+
+# name: (attacker power, the other fifteen pools' total, chain constants);
+# the other pools keep the sixteen-pool shape, scaled to their total
+_PRESETS = {
+    "bitcoin16": (_BITCOIN16_POWERS[-1], sum(_OTHERS), BITCOIN_PARAMS),
+    "bitcoin-hypothetical45": (0.45, 0.55, BITCOIN_PARAMS),
+    "monero": (0.35, 0.65, MONERO_PARAMS),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def _distribution(powers: Sequence[float]) -> PowerDistribution:
@@ -399,14 +401,8 @@ def preset(name: str) -> tuple[PowerDistribution, ChainParams]:
     Use ``with_honest_fraction`` to carve out the honest share, which is
     a separate run parameter.
     """
-    if name == "bitcoin16":
-        return _distribution(_BITCOIN16_POWERS), BITCOIN_PARAMS
-    if name == "bitcoin-hypothetical45":
-        others = [p for p in _BITCOIN16_POWERS[:-1]]
-        scale = 0.55 / sum(others)
-        return _distribution([p * scale for p in others] + [0.45]), BITCOIN_PARAMS
-    if name == "monero":
-        others = [p for p in _BITCOIN16_POWERS[:-1]]
-        scale = 0.65 / sum(others)
-        return _distribution([p * scale for p in others] + [0.35]), MONERO_PARAMS
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    attacker, others_total, params = _PRESETS[name]
+    scale = others_total / sum(_OTHERS)  # exactly 1 for bitcoin16
+    return _distribution([p * scale for p in _OTHERS] + [attacker]), params

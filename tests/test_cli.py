@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import undercut
 from undercut.cli import build_parser, main
 from undercut.trace import load_trace
 
@@ -360,3 +366,58 @@ def test_negative_seed_is_rejected_by_name(tmp_path, capsys, command):
     assert code == 1
     assert "error: seed must be a non-negative integer, got -1" in captured.err and captured.out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--depth", "1.5"], "--depth: '1.5' is not an integer"),
+        (["sweep", "--depth", "1, 2x"], "--depth: '2x' is not an integer"),
+        (["sweep", "--honest", "abc"], "--honest: 'abc' is not a number"),
+        (["run", "--honest", "abc"], "--honest: 'abc' is not a number"),
+        (["synth", "--fee-args", "1,abc"], "--fee-args: 'abc' is not a number"),
+        (["synth", "--size-args", "200,2k"], "--size-args: '2k' is not a number"),
+    ],
+    ids=["sweep-depth", "sweep-depth-list", "sweep-honest", "run-honest", "synth-fee-args", "synth-size-args"],
+)
+def test_a_bad_number_names_its_option(tmp_path, capsys, argv, message):
+    trace_path = tmp_path / "t.csv"
+    main(["synth", "--output", str(trace_path), "--rate", "0.02", "--duration", "600"])
+    capsys.readouterr()
+    out_path = tmp_path / "out.csv"
+    extra = {
+        "run": ["--trace", str(trace_path)],
+        "sweep": ["--trace", str(trace_path), "--repetitions", "1", "--output", str(out_path)],
+        "synth": ["--output", str(out_path), "--rate", "0.02", "--duration", "600"],
+    }[argv[0]]
+    code = main(argv + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("csv", "id,timestamp,size,fee\na,1,10,5\nb,2,10,5\na,3,10,5\n"),
+        (
+            "json-lines",
+            "".join(
+                f'{{"id": "{id_}", "timestamp": {t}, "size": 10, "fee": 5}}\n'
+                for t, id_ in enumerate(["z", "a", "b", "a"])
+            ),
+        ),
+    ],
+    ids=["csv", "json-lines"],
+)
+def test_run_names_a_repeated_id_of_a_piped_trace(fmt, text):
+    # a pipe can be read only once: the duplicate is named from that one read
+    src = str(Path(undercut.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "undercut.cli", "run", "--trace", "/dev/stdin", "--trace-format", fmt]
+    done = subprocess.run(argv, input=text, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == "error: line 4: duplicate transaction id 'a' (first on line 2)\n"
+    assert done.stdout == ""

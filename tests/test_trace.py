@@ -1,11 +1,14 @@
+import ast
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import undercut
 from undercut.trace import (
     BITCOIN_PARAMS,
     MONERO_PARAMS,
@@ -167,6 +170,21 @@ def test_load_trace_names_both_lines_of_a_duplicate_id(tmp_path, fmt):
     path.write_text("\n".join(lines) + "\n")
     first, again = (2, 5) if fmt == "csv" else (1, 4)
     with pytest.raises(TraceError, match=rf"^line {again}: duplicate transaction id 'a' \(first on line {first}\)$"):
+        load_trace(path, fmt=fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_load_trace_names_the_first_bad_line_in_file_order(tmp_path, fmt):
+    # the repeated id on line 3 is named, not the malformed row on line 5
+    rows = [("a", 1, 10, 5), ("a", 2, 10, 5), ("b", 3, 10, 5)]
+    if fmt == "csv":
+        lines = ["id,timestamp,size,fee"] + [",".join(map(str, r)) for r in rows] + ["c,4,10"]
+    else:
+        rows.insert(0, ("z", 0, 10, 5))
+        lines = [json.dumps(dict(zip(("id", "timestamp", "size", "fee"), r))) for r in rows] + ["{"]
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceError, match=r"^line 3: duplicate transaction id 'a' \(first on line 2\)$"):
         load_trace(path, fmt=fmt)
 
 
@@ -366,3 +384,17 @@ def test_powers_file_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(TraceError, match=f"^{message}$"):
             load_powers(path)
+
+
+def test_every_file_the_package_opens_names_its_encoding():
+    # the locale encoding would make a trace or results file read differently per machine
+    unnamed = []
+    for source in sorted(Path(undercut.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name == "open" and not any(k.arg == "encoding" for k in node.keywords):
+                unnamed.append(f"{source.name}:{node.lineno}")
+    assert unnamed == []
