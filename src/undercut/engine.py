@@ -19,6 +19,13 @@ carries the ranks of its transactions, and a published block keeps
 them: the engine confirms a block, and forks a head, by ranks alone and
 never maps an id back to a rank.  An attacked head is handed to the
 strategy as the view of its ranks, sorted.
+
+A chain keeps its pool's fee and size totals beside its mask, so no
+decision sums a pool.  The totals follow the mask: every rank an arrival
+or an attacked head sets adds its fee and size, read from the table's
+columns, every published template subtracts its ``total_fee`` and
+``total_size`` as its ranks are cleared, and a fork copies its parent's
+mask and totals together.
 """
 
 from __future__ import annotations
@@ -176,17 +183,26 @@ class Chain:
     live then; a fork starts from a copy of its parent's mask, so no
     chain sees a transaction it confirmed come back.
 
+    ``pool_fee`` and ``pool_size`` are the totals of the set ranks, kept
+    beside the mask, so no event rescans the pool: ``add_pending`` adds
+    the sums of the ``table``'s fee and size columns over the ranks it
+    sets, ``remove_pending`` subtracts the ``total_fee`` and
+    ``total_size`` of the published template whose ranks it clears, and
+    a fork starts from its parent's totals.
+
     ``view`` is cached until ``add_pending`` or ``remove_pending`` changes
     the mask.  It is the ``MempoolView`` of the set ranks over ``table``,
-    so every template built from it carries the ranks that
-    ``remove_pending`` takes.  A chain starts from the ``pending`` mask
-    it is given (a fork: a copy of its parent's), or an empty one.
+    handed the chain's totals, so every template built from it carries
+    the ranks that ``remove_pending`` takes.  A chain starts from a copy
+    of the pool of the ``parent`` it is given (a fork), or an empty one.
     """
 
     __slots__ = (
         "blocks",
         "table",
         "pending",
+        "pool_fee",
+        "pool_size",
         "workers",
         "next_time",
         "committed",
@@ -194,12 +210,15 @@ class Chain:
         "_view",
     )
 
-    def __init__(
-        self, blocks: list[Block], workers: set[str], table: RankTable, pending: np.ndarray | None = None
-    ):
+    def __init__(self, blocks: list[Block], workers: set[str], table: RankTable, parent: Chain | None = None):
         self.blocks = blocks
         self.table = table
-        self.pending = np.zeros(len(table.txs), dtype=bool) if pending is None else pending
+        if parent is None:
+            self.pending = np.zeros(len(table.txs), dtype=bool)
+            self.pool_fee = self.pool_size = 0
+        else:
+            self.pending = parent.pending.copy()
+            self.pool_fee, self.pool_size = parent.pool_fee, parent.pool_size
         self.workers = workers
         self.next_time = math.inf
         self.committed: BandwidthSetResult | None = None
@@ -211,19 +230,26 @@ class Chain:
         return self.blocks[-1]
 
     def add_pending(self, ranks: Sequence[int]) -> None:
+        """Add the transactions of ``ranks``, none of them pending here yet."""
         # most events bring no arrival: an empty slice keeps the cached view
         if len(ranks):
             self.pending[ranks] = True
+            fee, size = self.table.totals(ranks)
+            self.pool_fee += fee
+            self.pool_size += size
             self._view = None
 
-    def remove_pending(self, ranks: Sequence[int]) -> None:
-        if len(ranks):
-            self.pending[ranks] = False
+    def remove_pending(self, template: BandwidthSetResult) -> None:
+        """Remove the transactions of a template built from this chain's view."""
+        if len(template.ranks):
+            self.pending[template.ranks] = False
+            self.pool_fee -= template.total_fee
+            self.pool_size -= template.total_size
             self._view = None
 
     def view(self) -> MempoolView:
         if self._view is None:
-            self._view = MempoolView(self.table, self.pending.nonzero()[0])
+            self._view = MempoolView(self.table, self.pending.nonzero()[0], (self.pool_fee, self.pool_size))
         return self._view
 
 
@@ -334,8 +360,8 @@ class Simulation:
         self.table = table
         self.next_arrival = 0
 
-        t0 = table.times[0] if table.times else 0.0
-        span = table.times[-1] - t0 if table.times else 0.0
+        t0 = float(table.times[0]) if len(table.times) else 0.0
+        span = float(table.times[-1]) - t0 if len(table.times) else 0.0
         self.max_events = (
             EVENT_CAP_MARGIN * (math.ceil(span / params.block_interval) + len(table.txs)) + EVENT_CAP_FLOOR
         )
@@ -441,7 +467,7 @@ class Simulation:
             height=chain.tip.height + 1,
             ranks=template.ranks.copy(),  # a slice would keep its whole pool alive
         )
-        chain.remove_pending(template.ranks)
+        chain.remove_pending(template)
         if self.next_arrival >= len(self.table.times) and self.fork is None:
             self.stagnant_blocks = self.stagnant_blocks + 1 if block.fee_total == 0 else 0
         return block
@@ -538,7 +564,7 @@ class Simulation:
         tag, template = undercut_template(self.depth, branch, tag, self.params, pool, head)
         self.attacks += 1
         self.attack_branches[tag] += 1
-        fork = Chain(ext.blocks[:-1], {self.undercutter_id}, self.table, pending=ext.pending.copy())
+        fork = Chain(ext.blocks[:-1], {self.undercutter_id}, self.table, parent=ext)
         fork.base_height = block.height - 1
         fork.add_pending(head.ranks)
         fork.committed = template
@@ -551,7 +577,7 @@ class Simulation:
 
     def update_mempool(self, now: float) -> None:
         """Feed arrivals up to the event time into every live chain."""
-        end = bisect_right(self.table.times, now, self.next_arrival)
+        end = max(self.next_arrival, int(self.table.times.searchsorted(now, "right")))
         for chain in self.chains:
             chain.add_pending(self.table.arrivals[self.next_arrival : end])
         self.next_arrival = end

@@ -109,11 +109,13 @@ class RankTable:
 
     A transaction's rank is its position in ``selection_key`` order, so a
     set of ranks read in increasing order is a pool in selection order
-    (a ``MempoolView``).  ``txs[r]`` is the transaction of rank ``r``,
-    ``arrivals[i]`` the rank of the i-th arrival, at ``times[i]``, and
-    ``size_floor`` the smallest size, a lower bound for every view.  The
-    table maps no id to a rank: templates carry the ranks of their
-    transactions.  Runs may share one table.
+    (a ``MempoolView``).  ``txs[r]`` is the transaction of rank ``r``, and
+    ``fees[r]`` and ``sizes[r]`` its fee and size: the columns that packs
+    and pool totals read without touching a transaction.  ``arrivals[i]``
+    is the rank of the i-th arrival, at ``times[i]``, and ``size_floor``
+    the smallest size, a lower bound for every view.  The table maps no
+    id to a rank: templates carry the ranks of their transactions.  Runs
+    may share one table.
 
     It is the one place a pool is sorted and checked for repeated ids.
     The build makes one Python sort, by id, and orders everything else
@@ -121,32 +123,80 @@ class RankTable:
     to the id: one ``np.lexsort`` on (fee rate, fee) descending gives
     exactly ``selection_key`` order, and one stable ``np.argsort`` on the
     times gives ``(arrival_time, id)`` order.  Ids are compared as Python
-    strings (a numpy ``'U'`` array would drop trailing NULs), and a fee
-    past int64 makes its key an object array, which still sorts exactly.
-    A repeated id shows as two equal neighbours in the id order.
+    strings (a numpy ``'U'`` array would drop trailing NULs).  A repeated
+    id shows as two equal neighbours in the id order.
+
+    The columns are int64, and the fee rates their float64 quotients,
+    while every fee and size lies below 2**53 (so float64 holds it, and
+    divides it with the one rounding Python's ``fee / size`` makes) and
+    no sum of them can pass int64.  Otherwise they hold Python ints, the
+    rates are Python's own quotients, and every sort and sum stays exact.
     """
 
-    __slots__ = ("txs", "size_floor", "arrivals", "times", "total_fee")
+    __slots__ = ("txs", "fees", "sizes", "size_floor", "arrivals", "times", "total_fee")
 
     def __init__(self, trace: Iterable[Transaction]):
         by_id = sorted(trace, key=attrgetter("id"))
         ids = [tx.id for tx in by_id]
         if any(map(eq, ids, ids[1:])):
             raise ValueError("duplicate transaction ids in trace")
+        del ids  # each temporary goes once read, which keeps the build's peak memory low
         n = len(by_id)
-        # selection_key's own float and sign for -fee_rate, then -fee; ties keep id order
-        ordered = np.lexsort(
-            (np.array([-tx.fee for tx in by_id]), np.array([-tx.fee / tx.size for tx in by_id]))
-        )
+        fees, sizes = _columns(by_id)
+        if fees.dtype == object:
+            rates = np.array([tx.fee / tx.size for tx in by_id])
+        else:
+            rates = fees / sizes
+        np.negative(rates, out=rates)  # selection_key's -fee_rate, then -fee; ties keep id order
+        ordered = np.lexsort((-fees, rates))
+        del rates
+        self.fees = fees[ordered]
+        self.sizes = sizes[ordered]
+        del fees, sizes
+        self.size_floor = int(self.sizes.min()) if n else 1
+        self.total_fee = int(self.fees.sum())
+        self.txs = np.fromiter(by_id, dtype=object, count=n)[ordered]
+        times = np.fromiter((tx.arrival_time for tx in by_id), float, n)
+        del by_id
+        arriving = np.argsort(times, kind="stable")
+        self.times = times[arriving]
+        del times
         rank = np.empty(n, dtype=np.intp)
         rank[ordered] = np.arange(n)
-        txs = np.fromiter(by_id, dtype=object, count=n)
-        arriving = np.argsort(np.array([tx.arrival_time for tx in by_id]), kind="stable")
-        self.txs = txs[ordered]
-        self.size_floor = min([tx.size for tx in by_id], default=1)
+        del ordered
         self.arrivals = rank[arriving]
-        self.times = tuple([tx.arrival_time for tx in txs[arriving]])
-        self.total_fee = sum([tx.fee for tx in by_id])
+
+    def totals(self, ranks: np.ndarray | Sequence[int]) -> tuple[int, int]:
+        """The fee and size of the transactions of ``ranks``, summed from the columns.
+
+        Python sums over ``tolist``: exact for either dtype, and on the few
+        ranks most callers pass cheaper than two numpy reductions.
+        """
+        return sum(self.fees[ranks].tolist()), sum(self.sizes[ranks].tolist())
+
+
+# Below this, an integer and its float64 are equal, so a quotient of two
+# such integers rounds once in numpy as it does in Python.
+_FLOAT_EXACT = 2**53
+_INT64_LIMIT = 2**63
+
+
+def _columns(txs: Sequence[Transaction]) -> tuple[np.ndarray, np.ndarray]:
+    # The fee and size columns of txs, int64 where RankTable's fast path
+    # is exact for them, else Python ints.
+    n = len(txs)
+    try:
+        fees = np.fromiter((tx.fee for tx in txs), np.int64, n)
+        sizes = np.fromiter((tx.size for tx in txs), np.int64, n)
+    except OverflowError:  # past int64
+        pass
+    else:
+        top = int(max(fees.max(initial=0), sizes.max(initial=0)))
+        if top < _FLOAT_EXACT and top * n < _INT64_LIMIT:
+            return fees, sizes
+    fees = np.fromiter((tx.fee for tx in txs), object, n)
+    sizes = np.fromiter((tx.size for tx in txs), object, n)
+    return fees, sizes
 
 
 class MempoolView:
@@ -160,30 +210,37 @@ class MempoolView:
     keeps the table and drops ranks, and ``engine.Chain.view`` views the
     ranks a chain holds.  A greedy pack (``packed``) and an attacked head
     are views too.  ``template`` builds the block template of a view's
-    transactions, which carries their ranks.  Greedy packing stops once
-    the room left is below ``table.size_floor``.  A view is never changed
+    transactions, which carries their ranks.  A view is never changed
     after it is made: ``table`` and ``ranks`` are not to be assigned or
     written.
 
-    ``pending`` is built the first time it is read, then kept.  ``packed``
-    and ``fee_left`` (what greedy still packs once part of the view's own
-    pack is mined) read the pool through the private ``_scan``, which
-    builds only the head of a large pool: a congested pool of thousands
-    of transactions packs from its first few hundred, and never builds
-    ``pending``.
+    ``totals`` is the view's (fee, size).  A chain hands its view the
+    totals it keeps; any other view sums them from the table's columns
+    the first time they are read.  ``pending`` is built the first time
+    it is read, then kept.  Packing and ``fee_left`` (what greedy still
+    packs once part of the view's own pack is mined) read ``totals`` and
+    the ``sizes`` and ``fees`` columns, never ``pending``.  A view whose
+    size fits the budget is packed whole, with no scan at all.  Otherwise
+    the pack takes the longest prefix that fits, cut by one ``cumsum``
+    and ``searchsorted`` over the sizes of the pool's head (no pack
+    holds more than ``budget // table.size_floor`` transactions), and
+    scans on in Python only past the transaction that prefix skipped,
+    until the room left is below ``table.size_floor``.  A congested pool
+    of thousands of transactions packs from its first few hundred.
 
-    The view's value is ``pending``: ``table``, ``ranks`` and the memo of
-    ``packed`` (the greedy pack of each size budget asked for, so a
-    snapshot that ``bandwidth_set``, ``gamma_ratio`` and
+    The view's value is ``pending``: ``table``, ``ranks``, ``totals`` and
+    the memo of ``packed`` (the greedy pack of each size budget asked
+    for, so a snapshot that ``bandwidth_set``, ``gamma_ratio`` and
     ``claimable_fees`` all read is packed once per budget) are left out
     of equality, hashing and ``repr``.
     """
 
-    __slots__ = ("table", "ranks", "_pending", "_packs")
+    __slots__ = ("table", "ranks", "_totals", "_pending", "_packs")
 
-    def __init__(self, table: RankTable, ranks: np.ndarray):
+    def __init__(self, table: RankTable, ranks: np.ndarray, totals: tuple[int, int] | None = None):
         self.table = table
         self.ranks = ranks
+        self._totals = totals
         self._pending: tuple[Transaction, ...] | None = None
         self._packs: dict[int, MempoolView] = {}
 
@@ -193,6 +250,14 @@ class MempoolView:
         if pending is None:
             pending = self._pending = tuple(self.table.txs[self.ranks].tolist())
         return pending
+
+    @property
+    def totals(self) -> tuple[int, int]:
+        """The (fee, size) of the view's transactions."""
+        totals = self._totals
+        if totals is None:
+            totals = self._totals = self.table.totals(self.ranks)
+        return totals
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -214,42 +279,21 @@ class MempoolView:
     def ids(self) -> frozenset[str]:
         return frozenset(tx.id for tx in self.pending)
 
-    def _scan(self, head: int) -> Iterable[Transaction]:
-        """The pool in selection order, for a scan that reads about its first ``head`` transactions.
-
-        Only those are built at once; the rest are built if the scan
-        reads past them.  When ``head`` covers the pool this is
-        ``pending``, built once and kept.
-        """
-        if head >= len(self.ranks):
-            return self.pending
-        return chain(self.table.txs[self.ranks[:head]].tolist(), self._tail(head))
-
-    def _tail(self, start: int) -> Iterator[Transaction]:
-        yield from self.table.txs[self.ranks[start:]].tolist()
-
     def packed(self, size_budget: int) -> "MempoolView":
         """The view of the greedy pack of the pool within ``size_budget``, memoized.
 
-        No pack holds more than ``size_budget // table.size_floor``
-        transactions, so the pack asks ``_scan`` for one more than that:
-        the scan reads past them only after skipping a transaction too
-        large for the room left.  The pack's ``pending`` is the
-        transactions the scan picked, the table's own objects, so no pack
-        reads the table twice.  A prefix pack's ranks are a slice of the
-        pool's.
+        A pack's ranks are the pool's, in order; those of a prefix pack
+        (the whole pool's, when it fits) are a slice of the pool's.
         """
         pack = self._packs.get(size_budget)
         if pack is None:
-            floor = self.table.size_floor
-            txs, skipped = _greedy_pack(self._scan(size_budget // floor + 1), size_budget, floor)
-            n = len(txs)
-            if skipped and skipped[0] < n:  # not a prefix: the positions read, less the skipped
-                ranks = np.delete(self.ranks[: n + len(skipped)], skipped)
+            table, ranks = self.table, self.ranks
+            if self.totals[1] <= size_budget:
+                pack = MempoolView(table, ranks[:], self._totals)
+                pack._pending = self._pending
             else:
-                ranks = self.ranks[:n]
-            pack = self._packs[size_budget] = MempoolView(self.table, ranks)
-            pack._pending = tuple(txs)
+                pack = MempoolView(table, _first_fit(table, ranks, size_budget))
+            self._packs[size_budget] = pack
         return pack
 
     def fee_left(self, claimed: Collection[int], size_budget: int) -> int:
@@ -257,43 +301,37 @@ class MempoolView:
 
         The pack is this view's memoized ``packed(size_budget)``.  The fee
         is that of the bandwidth set of ``without`` them (with all claimed,
-        the second set's), in one scan of the pool's head that copies no
-        view.  The pack holds the table's own objects in selection order,
-        so one cursor finds each of them, by identity, as the scan passes.
+        the second set's), packed from the pool's ranks less the claimed
+        ones, without building a view.  When the pool fits the budget,
+        greedy packs all that is left, so the fee is the pool's less the
+        claimed transactions'.
         """
-        members = self.packed(size_budget).pending
-        fee = 0
-        room = size_budget
-        floor = self.table.size_floor
-        k, n = 0, len(members)
-        for tx in self._scan(size_budget // floor + 1 + n):
-            if k < n and tx is members[k]:
-                k += 1
-                if k - 1 in claimed:
-                    continue
-            if tx.size <= room:
-                fee += tx.fee
-                room -= tx.size
-                if room < floor:
-                    break
-        return fee
+        table = self.table
+        pack = self.packed(size_budget)
+        gone = pack.ranks[_index(claimed)]
+        if len(pack.ranks) == len(self.ranks):
+            return self.totals[0] - table.totals(gone)[0]
+        rest = np.delete(self.ranks, self.ranks.searchsorted(gone))
+        return table.totals(_first_fit(table, rest, size_budget))[0]
 
     def template(
-        self, positions: Iterable[int] | None = None, totals: tuple[int, int] | None = None
+        self, positions: Collection[int] | None = None, totals: tuple[int, int] | None = None
     ) -> "BandwidthSetResult":
         """The template of ``pending[i]`` for each of ``positions``, in that order, or of all of them.
 
         A range of positions is read as slices.  ``totals`` is their (fee,
-        size) when the caller already holds it; otherwise it is summed.
+        size) when the caller already holds it; otherwise it is summed,
+        or for all of them read from the view's ``totals``.
         """
         pending = self.pending
         if positions is None:
             txs, ranks = pending, self.ranks
-        elif isinstance(positions, range) and positions.step > 0:
-            at = slice(positions.start, positions.stop, positions.step)
-            txs, ranks = pending[at], self.ranks[at]
+            if totals is None:
+                totals = self.totals
         else:
-            txs, ranks = [pending[i] for i in positions], self.ranks[np.fromiter(positions, np.intp)]
+            at = _index(positions)
+            txs = pending[at] if isinstance(at, slice) else [pending[i] for i in positions]
+            ranks = self.ranks[at]
         if totals is None:
             totals = sum(map(attrgetter("fee"), txs)), sum(map(attrgetter("size"), txs))
         return BandwidthSetResult(tuple(map(attrgetter("id"), txs)), *totals, ranks)
@@ -303,6 +341,42 @@ class MempoolView:
         gone = frozenset(tx_ids)
         keep = [i for i, tx in enumerate(self.pending) if tx.id not in gone]
         return MempoolView(self.table, self.ranks[keep])
+
+
+def _first_fit(table: RankTable, ranks: np.ndarray, budget: int) -> np.ndarray:
+    # The ranks first fit packs within budget from ranks, which are in
+    # increasing order: the longest prefix that fits, cut by one cumsum
+    # over the sizes of the head that no pack outgrows (no transaction is
+    # smaller than size_floor), then a Python scan on past the transaction
+    # that prefix skipped, until the room left is below size_floor.  The
+    # scan reads sizes past the head only if it gets there.
+    floor = table.size_floor
+    head = ranks[: budget // floor + 1]
+    filled = np.cumsum(table.sizes[head])
+    n = int(filled.searchsorted(budget, "right"))
+    room = budget - (int(filled[n - 1]) if n else 0)
+    if room < floor:
+        return ranks[:n]
+    picked: list[int] = []
+    sizes = chain(table.sizes[head[n + 1 :]].tolist(), _column_from(table.sizes, ranks, len(head)))
+    for i, size in enumerate(sizes, n + 1):
+        if size <= room:
+            picked.append(i)
+            room -= size
+            if room < floor:
+                break
+    return np.concatenate((ranks[:n], ranks[picked])) if picked else ranks[:n]
+
+
+def _column_from(column: np.ndarray, ranks: np.ndarray, start: int) -> Iterator[int]:
+    yield from column[ranks[start:]].tolist()
+
+
+def _index(positions: Collection[int]) -> slice | np.ndarray:
+    # positions as an array index: a range with a positive step as its slice
+    if isinstance(positions, range) and positions.step > 0:
+        return slice(positions.start, positions.stop, positions.step)
+    return np.fromiter(positions, np.intp, len(positions))
 
 
 @dataclass(frozen=True)
@@ -327,27 +401,6 @@ class BandwidthSetResult:
 EMPTY_TEMPLATE = BandwidthSetResult(
     tx_ids=(), total_fee=0, total_size=0, ranks=np.empty(0, dtype=np.intp)
 )
-
-
-def _greedy_pack(
-    txs: Iterable[Transaction], size_budget: int, size_floor: int
-) -> tuple[list[Transaction], list[int]]:
-    # First fit over txs, which must already be in selection order: the
-    # pack, and the positions in txs that the scan read and skipped because
-    # they did not fit the room left.  No transaction is smaller than
-    # size_floor, so the scan ends once the room left is below it.
-    picked: list[Transaction] = []
-    skipped: list[int] = []
-    room = size_budget
-    for i, tx in enumerate(txs):
-        if tx.size <= room:
-            picked.append(tx)
-            room -= tx.size
-            if room < size_floor:
-                break
-        else:
-            skipped.append(i)
-    return picked, skipped
 
 
 def _exact_best_subset(txs: Sequence[Transaction], limit: int) -> list[int]:
@@ -521,4 +574,4 @@ def claimable_fees(pool: MempoolView, params: ChainParams, blocks: int) -> int:
     """
     if blocks <= 0:
         return 0
-    return sum(map(attrgetter("fee"), pool.packed(blocks * params.block_size_limit).pending))
+    return pool.packed(blocks * params.block_size_limit).totals[0]

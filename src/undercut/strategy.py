@@ -225,7 +225,7 @@ DEPTHS = {
 def one_set_left(pool: MempoolView, params: ChainParams) -> bool:
     """True when removing one bandwidth set leaves only negligible fees."""
     first = pool.packed(params.block_size_limit)
-    return _lone_set(_fee(first.pending), pool.fee_left(range(len(first.ranks)), params.block_size_limit), params)
+    return _lone_set(first.totals[0], pool.fee_left(range(len(first.ranks)), params.block_size_limit), params)
 
 
 def _lone_set(first_fee: int, second_fee: int, params: ChainParams) -> bool:
@@ -373,24 +373,24 @@ def craft_avoidance_block(
     less the claim: greedy packing takes every transaction that is left,
     so this is exact.  When the pool less the claim holds less fee than
     the claim, that bound already puts gamma below 1, where the
-    adversary attacks.  Otherwise one head scan of the pool sums the
-    fees greedy would pack.  The first set B is the pool's memoized greedy
-    pack, so a block costs O(|B|) for the prefix sums, one O(|pool|)
-    pass for the pool's fee and size, plus one head scan for a pack the
-    memo misses, one for the second set's fee at a depth with
+    adversary attacks.  Otherwise one greedy pack of the pool less the
+    claim sums the fees.  The first set B is the pool's memoized greedy
+    pack, and the pool's fee and size are its view's ``totals``, which a
+    chain keeps, so a block costs O(|B|) for the prefix sums, plus one
+    pack for a memo miss, one for the second set's fee at a depth with
     ``lone_set_split``, and one per candidate that neither shortcut
-    decides; each is ``MempoolView.fee_left``, which reads the pool only
-    as far as a greedy pack can reach.  The accepted claim is B's
-    template at the claimed positions, given the fee and size its prefix
-    sums hold, so nothing is summed twice.
+    decides; each is ``MempoolView.fee_left``, which reads the columns
+    of the pool's head and never the pool's transactions.  The accepted
+    claim is B's template at the claimed positions, given the fee and
+    size its prefix sums hold, so nothing is summed twice.
 
     ``experimental`` reproduces the cheaper procedure used in the profit
     experiments: derive a target fee from the visible fees in the first
     two bandwidth sets and claim it from the current set without
     recomputing what the leftovers repack into, which can leave the
     condition satisfiable and hands the attacker a small edge.  It
-    makes one head scan for the second set's fee and never reads the
-    whole pool.
+    makes one pack for the second set's fee and never reads the pool's
+    transactions.
 
     ``strict`` scales the experimental target down by ``strict_factor``.
 
@@ -405,15 +405,13 @@ def craft_avoidance_block(
     split = _avoidance_split(min(assumed_honest_power, 1.0 - AVOIDANCE_ADVERSARY_POWER))
     limit = params.block_size_limit
     first = pool.packed(limit)
-    first_txs = first.pending
-    first_fee = _fee(first_txs)
+    first_fee = first.totals[0]
     if first_fee == 0:
         return EMPTY_TEMPLATE
     # The second set's fee is read only by the lone-set test and the
     # experimental target, so exact avoidance at depth 1 skips its scan.
     lone_set_split = DEPTHS[depth].lone_set_split
-    n = len(first_txs)
-    residual = pool.fee_left(range(n), limit) if lone_set_split or mode != "exact" else 0
+    residual = pool.fee_left(range(len(first.ranks)), limit) if lone_set_split or mode != "exact" else 0
     lone = lone_set_split and _lone_set(first_fee, residual, params)
 
     if mode == "exact":
@@ -421,6 +419,7 @@ def craft_avoidance_block(
         # positions in claim order, a range for a prefix or a suffix and
         # an insertion-ordered dict for the lone-set part, so both iterate
         # in claim order and answer membership in O(1).
+        first_txs = first.pending
         fee_at = [0, *accumulate(t.fee for t in first_txs)]
         size_at = [0, *accumulate(t.size for t in first_txs)]
         lone_claim = None
@@ -429,9 +428,7 @@ def craft_avoidance_block(
             chosen = [first_txs[i] for i in part]
             lone_claim = (_fee(chosen), sum(t.size for t in chosen), dict.fromkeys(part))
         # take the richest claim that the assumed adversary would not fork
-        pending = pool.pending
-        pool_fee = _fee(pending)
-        pool_size = sum(t.size for t in pending)
+        pool_fee, pool_size = pool.totals
         for fee, size, claimed in _claims_richest_first(fee_at, size_at, lone_claim):
             # One ladder decides for both depths: at adversary power 0.5 the
             # depth-1 bounds are limited 1 and sufficient at most 1, every

@@ -142,13 +142,16 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
 
 
 def _csv_rows(fh: TextIO) -> Iterator[tuple[int, Transaction]]:
-    # each valid row of a CSV trace with its line number (the header is line 1)
+    # each valid row of a CSV trace with the line it starts on (the header
+    # is line 1); a quoted field may span lines, so records are not lines
     isfinite = math.isfinite
     reader = csv.reader(fh)
     header = next(reader, None)
     if header is not None and tuple(h.strip() for h in header) != TRACE_COLUMNS:
         raise TraceError(f"line 1: expected header {','.join(TRACE_COLUMNS)}")
-    for line_no, row in enumerate(reader, start=2):
+    end = reader.line_num  # the last line of the record read before
+    for row in reader:
+        line_no, end = end + 1, reader.line_num
         if not row:
             continue
         if len(row) != 4:

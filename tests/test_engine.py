@@ -2,11 +2,12 @@ import math
 import os
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from undercut.engine import (
@@ -37,7 +38,7 @@ from undercut.mempool import (
 from undercut.strategy import craft_avoidance_block, undercut_template
 from undercut.trace import preset, synthesize_trace
 
-from conftest import tx, whale_trace
+from conftest import template_of, tx, whale_trace
 
 PARAMS = ChainParams(block_size_limit=10_000, block_interval=600.0)
 NO_RANKS = np.empty(0, dtype=np.intp)
@@ -208,7 +209,8 @@ def pool_histories(draw):
 
 def test_a_congested_pool_is_packed_and_scanned_from_its_head():
     # a backlog of twelve blocks: templates, gammas, claimable fees and
-    # experimental avoidance read the head of the pool, never all of it
+    # both avoidance modes read the head of the pool and the chain's
+    # totals, never all of it
     rng = np.random.default_rng(3)
     sizes, fees = rng.integers(1500, 2501, 6000).tolist(), rng.integers(1, 61, 6000).tolist()
     table = RankTable(tx(f"t{i:04d}", size, fee, float(i)) for i, (size, fee) in enumerate(zip(sizes, fees)))
@@ -220,6 +222,8 @@ def test_a_congested_pool_is_packed_and_scanned_from_its_head():
     gamma_ratio(view, 1_000, params)
     claimable_fees(view, params, 3)
     craft_avoidance_block(view, params, depth=2, mode="experimental")
+    for depth in (1, 2):
+        craft_avoidance_block(view, params, depth=depth, mode="exact")
     undercut_template(2, 3, "limited-mempool", params, view, MempoolView(table, view.ranks[:0]))
     assert view._pending is None and chain.view() is view
 
@@ -245,12 +249,12 @@ def test_chain_pool_matches_a_sorted_model(history):
             arrived += 1
         elif op == "remove":
             gone = [t for i, t in enumerate(sorted(pending[k], key=selection_key)) if pick >> i & 1]
-            chains[k].remove_pending([rank[t.id] for t in gone])
+            chains[k].remove_pending(template_of(chains[k].view(), gone))
             pending[k] -= set(gone)
             confirmed[k] |= set(gone)
         elif op == "fork":
             head = [t for i, t in enumerate(sorted(confirmed[k], key=selection_key)) if pick >> i & 1]
-            fork = Chain(blocks=[], workers=set(), table=table, pending=chains[k].pending.copy())
+            fork = Chain(blocks=[], workers=set(), table=table, parent=chains[k])
             fork.add_pending([rank[t.id] for t in head])
             chains.append(fork)
             pending.append(pending[k] | set(head))
@@ -259,24 +263,42 @@ def test_chain_pool_matches_a_sorted_model(history):
             view = chain.view()
             assert view.pending == tuple(sorted(model, key=selection_key))
             assert view.table is table and table.txs[view.ranks].tolist() == list(view.pending)
+            assert_keeps_its_totals(chain)
+
+
+def assert_keeps_its_totals(chain):
+    """The chain's kept pool totals are the sums over the transactions its mask holds."""
+    txs = chain.table.txs[chain.pending].tolist()
+    assert (chain.pool_fee, chain.pool_size) == (sum(t.fee for t in txs), sum(t.size for t in txs))
+    assert chain.view().totals == (chain.pool_fee, chain.pool_size)
 
 
 @st.composite
 def shuffled_traces(draw):
     """Unsorted traces with tied times, tied fee rates and tied fees.
 
-    Ids differ in a trailing NUL or a non-ASCII character, and some fees
-    lie at or past 2**63, where a float fee rate ties and only the exact
-    fee can decide.
+    Ids differ in a trailing NUL or a non-ASCII character.  Some fees lie
+    at or past 2**63, where a float fee rate ties and only the exact fee
+    can decide.  Others lie around 2**53 (or are one to three times such
+    a fee), where an int64 fee no longer converts to float64 exactly: a
+    rate divided in float64 rounds twice and can order two transactions
+    unlike ``selection_key``, as (2**53 + 2, size 1) and (3 * 2**53 + 3,
+    size 3) are.
     """
     ids = draw(st.lists(st.text(alphabet="a\x00é\U0001f600", max_size=3), unique=True, max_size=40))
-    fee = st.one_of(st.integers(0, 6), st.integers(2**63 - 2, 2**63 + 2), st.sampled_from((2**64, 2**80)))
+    fee = st.one_of(
+        st.integers(0, 6),
+        st.builds(mul, st.integers(1, 3), st.integers(2**53 - 1, 2**53 + 3)),
+        st.integers(2**63 - 2, 2**63 + 2),
+        st.sampled_from((2**64, 2**80)),
+    )
     rows = [(draw(st.integers(1, 4)), draw(fee), draw(st.sampled_from((0.0, 0.5, 1.0)))) for _ in ids]
     return [tx(i, size, f, t=t) for i, (size, f, t) in zip(ids, rows)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(shuffled_traces())
+@example([tx("a", 1, 2**53 + 2), tx("b", 3, 3 * 2**53 + 3)])
 def test_rank_table_matches_sorted_reference(trace):
     table = RankTable(trace)
     ordered = sorted(trace, key=selection_key)
@@ -284,7 +306,7 @@ def test_rank_table_matches_sorted_reference(trace):
     rank = {t.id: r for r, t in enumerate(ordered)}
     assert table.txs.tolist() == ordered
     assert table.arrivals.tolist() == [rank[t.id] for t in by_arrival]
-    assert table.times == tuple(t.arrival_time for t in by_arrival)
+    assert table.times.tolist() == [t.arrival_time for t in by_arrival]
     assert table.size_floor == min((t.size for t in trace), default=1)
     assert table.total_fee == sum(t.fee for t in trace)
 
@@ -292,7 +314,7 @@ def test_rank_table_matches_sorted_reference(trace):
 def test_rank_table_of_an_empty_trace_and_duplicate_ids():
     table = RankTable([])
     assert table.txs.tolist() == [] and table.arrivals.tolist() == []
-    assert table.times == () and table.size_floor == 1 and table.total_fee == 0
+    assert table.times.tolist() == [] and table.size_floor == 1 and table.total_fee == 0
     # ids that differ only in a trailing NUL are two transactions
     assert [t.id for t in RankTable([tx("a\x00", 1, 1), tx("a", 1, 1)]).txs] == ["a", "a\x00"]
     with pytest.raises(ValueError, match="duplicate transaction ids"):
@@ -311,7 +333,7 @@ def test_update_mempool_boundary_inclusive():
     records = [tx("e", 1, 1, t=6.0), tx("c", 1, 3, t=6.0), tx("d", 1, 2, t=5.0), tx("a", 1, 5, t=7.0)]
     table = RankTable(records)
     assert [table.txs[r].id for r in table.arrivals] == ["d", "c", "e", "a"]
-    assert table.times == (5.0, 6.0, 6.0, 7.0) and table.total_fee == 11
+    assert table.times.tolist() == [5.0, 6.0, 6.0, 7.0] and table.total_fee == 11
     sim = Simulation(table, two_miners(), PARAMS, depth=1)
     sim.update_mempool(4.9)
     assert sim.chains[0].view().ids() == frozenset()
@@ -470,6 +492,29 @@ def test_every_miner_works_exactly_one_chain():
     sim = PartitionCheckedSimulation(RankTable(records), miners, PARAMS, depth=2, seed=23)
     result = sim.run()
     assert result.attacks > 0
+
+
+class TotalsCheckedSimulation(Simulation):
+    """Checks every live chain's kept pool totals against its mask after every event."""
+
+    checks = 0
+
+    def _resample(self, now):
+        for chain in self.chains:
+            assert_keeps_its_totals(chain)
+        self.checks += 1
+        super()._resample(now)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_pool_totals_follow_the_mask_after_every_event(depth):
+    records = whale_trace(13, 600, 60_000, dust_rate=5.0, whale_rate=0.4)
+    dist, _ = preset("bitcoin16")
+    miners = profiles(dist.with_honest_fraction(0.3).entries)
+    sim = TotalsCheckedSimulation(RankTable(records), miners, PARAMS, depth=depth, seed=17)
+    result = sim.run()
+    assert result.attacks > 0 and sim.fork_wins + sim.fork_losses > 0
+    assert sim.checks > result.blocks  # the set-up's, and one per event
 
 
 class RankCheckedSimulation(Simulation):

@@ -373,6 +373,37 @@ def test_early_exit_packing_equals_full_scan():
                 assert claimable_fees(view, params, blocks) == sum(t.fee for t in reference)
 
 
+BIG = 2**60  # past float64's exact range, as are fees at or past 2**63
+
+
+@pytest.mark.parametrize(
+    "fees",
+    [
+        (2**64, 2**70, 2**63, 2**63 + 5, 7),  # past int64
+        (16, 1024, 8, 8, 0),  # small fees over huge sizes
+    ],
+)
+def test_object_columns_pack_like_the_full_scan(fees):
+    # selection order b, d, a, c, e; sizes 5, 1, 3, 2 and 4 BIG
+    sizes = (3 * BIG, 5 * BIG, 2 * BIG, BIG, 4 * BIG)
+    pool = pool_of(*(tx(i, size, fee) for i, size, fee in zip("abcde", sizes, fees)))
+    table = pool.table
+    assert table.fees.dtype == object and table.sizes.dtype == object
+    assert [t.id for t in pool.pending] == list("bdace")
+    assert pool.totals == (sum(fees), sum(sizes))
+    # 15 BIG: the whole pool fits; 8 BIG: the prefix b, d breaks at a, then c fits
+    for budget in (15 * BIG, 8 * BIG, 7 * BIG, BIG - 1):
+        expected = full_scan_pack(pool.pending, budget)
+        pack = pool.packed(budget)
+        assert pack.pending == tuple(expected)
+        assert pack.template() == template_of(pool, expected)
+        assert pack.totals == (sum(t.fee for t in expected), sum(t.size for t in expected))
+        left = full_scan_pack([t for t in pool.pending if t not in expected], budget)
+        assert pool.fee_left(range(len(expected)), budget) == sum(t.fee for t in left)
+    assert [t.id for t in pool.packed(8 * BIG).pending] == ["b", "d", "c"]
+    assert pool.packed(15 * BIG).ranks.base is pool.ranks
+
+
 def test_claimable_fees_budget(params):
     pool = pool_of(tx("a", 100, 10), tx("b", 100, 8), tx("c", 100, 6))
     assert claimable_fees(pool, params, 1) == 10

@@ -504,9 +504,8 @@ def test_head_scans_equal_full_scans(case, data):
         claimed = {txs[i].id for i in span}
         left = full_scan_pack([t for t in reference.pending if t.id not in claimed], budget)
         assert view.fee_left(span, budget) == sum(t.fee for t in left)
-    # a pool the longest head covers is built once and kept; a longer one never
-    head = budget // view.table.size_floor + 1 + len(txs)
-    assert (view._pending is not None) == (read_first or head >= len(view.ranks))
+    # packing and fee_left read the columns: the pool's pending is built only if read
+    assert (view._pending is not None) == read_first
 
 
 @settings(max_examples=200, deadline=None)

@@ -66,6 +66,17 @@ def test_load_trace_errors_carry_line_numbers(tmp_path):
         load_trace(path)
 
 
+def test_csv_errors_name_the_line_a_record_starts_on(tmp_path):
+    # a quoted id spans lines 2 and 3, so the next record starts on line 4
+    path = tmp_path / "bad.csv"
+    path.write_text('id,timestamp,size,fee\n"a\nx",1,10,5\nb,2,0,5\n')
+    with pytest.raises(TraceError, match="^line 4: size must be positive, got 0$"):
+        load_trace(path)
+    path.write_text('id,timestamp,size,fee\n"a\nx",1,10,5\n\n"a\nx",2,10,5\n')
+    with pytest.raises(TraceError, match=r"^line 5: duplicate transaction id 'a\\nx' \(first on line 2\)$"):
+        load_trace(path)
+
+
 @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
 def test_load_trace_rejects_non_finite_timestamps_csv(tmp_path, stamp):
     # such a row used to load, and a run over it never returned
