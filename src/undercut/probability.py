@@ -71,8 +71,11 @@ def win_prob_series_truncated(point: RacePoint, term_cutoff: float = SERIES_TERM
     """Direct summation of the race series, stopping below ``term_cutoff``.
 
     Exists to cross-check the closed form; production code uses
-    win_prob_series.
+    win_prob_series.  A cutoff that is not positive (NaN included) is
+    rejected: the terms underflow to 0.0, which never falls below it.
     """
+    if not term_cutoff > 0.0:
+        raise ValueError(f"term_cutoff must be positive, got {term_cutoff}")
     a = point.fork_power
     if a == 0.0:
         return 0.0

@@ -29,7 +29,6 @@ from .mempool import (
     BandwidthSetResult,
     ChainParams,
     MempoolView,
-    Transaction,
     bandwidth_set,
     claim_partial,
     gamma_of_fees,
@@ -232,15 +231,10 @@ def _lone_set(first_fee: int, second_fee: int, params: ChainParams) -> bool:
     return first_fee > 0 and second_fee <= params.negligible_fee_threshold * first_fee
 
 
-def _fee(txs: Sequence[Transaction]) -> int:
-    return sum(t.fee for t in txs)
-
-
 def _lightest_part(view: MempoolView, k: int, params: ChainParams) -> list[int]:
     # the positions in the view of the lightest of k equal-fee parts, in split order
-    txs = view.pending
-    position = {t.id: i for i, t in enumerate(txs)}
-    return [position[t.id] for t in min(split_equal_fee(txs, k, params), key=_fee)]
+    fees = view.column("fees")
+    return min(split_equal_fee(view, k, params), key=lambda part: sum(map(fees.__getitem__, part)))
 
 
 def undercut_template(
@@ -376,21 +370,21 @@ def craft_avoidance_block(
     adversary attacks.  Otherwise one greedy pack of the pool less the
     claim sums the fees.  The first set B is the pool's memoized greedy
     pack, and the pool's fee and size are its view's ``totals``, which a
-    chain keeps, so a block costs O(|B|) for the prefix sums, plus one
-    pack for a memo miss, one for the second set's fee at a depth with
-    ``lone_set_split``, and one per candidate that neither shortcut
-    decides; each is ``MempoolView.fee_left``, which reads the columns
-    of the pool's head and never the pool's transactions.  The accepted
-    claim is B's template at the claimed positions, given the fee and
-    size its prefix sums hold, so nothing is summed twice.
+    chain keeps, so a block costs O(|B|) for the prefix sums over B's
+    ``column`` lists, plus one pack for a memo miss, one for the second
+    set's fee at a depth with ``lone_set_split``, and one per candidate
+    that neither shortcut decides; each is ``MempoolView.fee_left``,
+    which reads the columns of the pool's head.  The accepted claim is
+    B's template at the claimed positions, given the fee and size its
+    prefix sums (or, for the lone-set half, the same column lists) hold,
+    so nothing is summed twice.
 
     ``experimental`` reproduces the cheaper procedure used in the profit
     experiments: derive a target fee from the visible fees in the first
     two bandwidth sets and claim it from the current set without
     recomputing what the leftovers repack into, which can leave the
     condition satisfiable and hands the attacker a small edge.  It
-    makes one pack for the second set's fee and never reads the pool's
-    transactions.
+    makes one pack for the second set's fee and walks B's columns.
 
     ``strict`` scales the experimental target down by ``strict_factor``.
 
@@ -419,14 +413,13 @@ def craft_avoidance_block(
         # positions in claim order, a range for a prefix or a suffix and
         # an insertion-ordered dict for the lone-set part, so both iterate
         # in claim order and answer membership in O(1).
-        first_txs = first.pending
-        fee_at = [0, *accumulate(t.fee for t in first_txs)]
-        size_at = [0, *accumulate(t.size for t in first_txs)]
+        fees, sizes = first.column("fees"), first.column("sizes")
+        fee_at = [0, *accumulate(fees)]
+        size_at = [0, *accumulate(sizes)]
         lone_claim = None
         if lone:
             part = _lightest_part(first, 2, params)
-            chosen = [first_txs[i] for i in part]
-            lone_claim = (_fee(chosen), sum(t.size for t in chosen), dict.fromkeys(part))
+            lone_claim = (sum(map(fees.__getitem__, part)), sum(map(sizes.__getitem__, part)), dict.fromkeys(part))
         # take the richest claim that the assumed adversary would not fork
         pool_fee, pool_size = pool.totals
         for fee, size, claimed in _claims_richest_first(fee_at, size_at, lone_claim):

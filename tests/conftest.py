@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,20 @@ def ranked_view(pool, offset):
     mine = pool.ids()
     ranks = np.array([r for r, t in enumerate(table.txs) if t.id in mine], dtype=np.intp)
     return MempoolView(table, ranks)
+
+
+@contextmanager
+def pending_reads():
+    """Collect every view whose ``pending`` is read inside the block."""
+    reads = []
+    read = MempoolView.pending.fget
+
+    def spy(view):
+        reads.append(view)
+        return read(view)
+
+    with mock.patch.object(MempoolView, "pending", property(spy)):
+        yield reads
 
 
 def template_of(view, txs):

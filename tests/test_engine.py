@@ -38,7 +38,7 @@ from undercut.mempool import (
 from undercut.strategy import craft_avoidance_block, undercut_template
 from undercut.trace import preset, synthesize_trace
 
-from conftest import template_of, tx, whale_trace
+from conftest import pending_reads, template_of, tx, whale_trace
 
 PARAMS = ChainParams(block_size_limit=10_000, block_interval=600.0)
 NO_RANKS = np.empty(0, dtype=np.intp)
@@ -174,7 +174,8 @@ def test_a_head_published_in_split_order_is_attacked_as_its_sorted_view(depth):
     trace = [tx("a", 1, 4), tx("b", 10, 9), tx("c", 5, 4), tx("d", 2, 4), tx("e", 8, 9)]
     table = RankTable(trace)
     rank = {t.id: r for r, t in enumerate(table.txs)}
-    published = [t for part in split_equal_fee(trace, 2, PARAMS) for t in part]
+    whole = MempoolView(table, np.arange(len(trace)))
+    published = [whole.pending[i] for part in split_equal_fee(whole, 2, PARAMS) for i in part]
     ranks = np.array([rank[t.id] for t in published], dtype=np.intp)
     assert np.any(np.diff(ranks) < 0)
     head = Block(
@@ -191,7 +192,9 @@ def test_a_head_published_in_split_order_is_attacked_as_its_sorted_view(depth):
     sim.update_miners(sim.main, head)
     assert sim.attack_branches == {"negligible-mempool": 1}
     block = sim.fork.committed
-    lightest = min(split_equal_fee(published, depth + 1, PARAMS), key=lambda p: sum(t.fee for t in p))
+    view = MempoolView.of(published)
+    parts = [[view.pending[i] for i in part] for part in split_equal_fee(view, depth + 1, PARAMS)]
+    lightest = min(parts, key=lambda p: sum(t.fee for t in p))
     assert block.tx_ids == tuple(t.id for t in lightest)
     assert [table.txs[r].id for r in block.ranks] == list(block.tx_ids)
     # the head returns to the fork's pool, by its ranks
@@ -210,7 +213,8 @@ def pool_histories(draw):
 def test_a_congested_pool_is_packed_and_scanned_from_its_head():
     # a backlog of twelve blocks: templates, gammas, claimable fees and
     # both avoidance modes read the head of the pool and the chain's
-    # totals, never all of it
+    # totals, and the columns by position; the transactions of no view
+    # longer than one block are read
     rng = np.random.default_rng(3)
     sizes, fees = rng.integers(1500, 2501, 6000).tolist(), rng.integers(1, 61, 6000).tolist()
     table = RankTable(tx(f"t{i:04d}", size, fee, float(i)) for i, (size, fee) in enumerate(zip(sizes, fees)))
@@ -218,14 +222,19 @@ def test_a_congested_pool_is_packed_and_scanned_from_its_head():
     chain.add_pending(table.arrivals)
     view = chain.view()
     params = preset("bitcoin16")[1]
-    bandwidth_set(view, params)
-    gamma_ratio(view, 1_000, params)
-    claimable_fees(view, params, 3)
-    craft_avoidance_block(view, params, depth=2, mode="experimental")
-    for depth in (1, 2):
-        craft_avoidance_block(view, params, depth=depth, mode="exact")
-    undercut_template(2, 3, "limited-mempool", params, view, MempoolView(table, view.ranks[:0]))
-    assert view._pending is None and chain.view() is view
+    limit = params.block_size_limit
+    with pending_reads() as reads:
+        bandwidth_set(view, params)
+        view.fee_left(range(3), limit)
+        gamma_ratio(view, 1_000, params)
+        claimable_fees(view, params, 3)
+        craft_avoidance_block(view, params, depth=2, mode="experimental")
+        for depth in (1, 2):
+            craft_avoidance_block(view, params, depth=depth, mode="exact")
+        undercut_template(2, 3, "limited-mempool", params, view, MempoolView(table, view.ranks[:0]))
+        undercut_template(1, 1, "negligible-mempool", params, view, view.packed(limit))
+    assert [read.totals[1] for read in reads if read.totals[1] > limit] == []
+    assert chain.view() is view
 
 
 @settings(max_examples=150, deadline=None)

@@ -40,6 +40,11 @@ def test_transaction_validation():
     with pytest.raises(ValueError):
         tx("a", 3, -1)
     assert tx("a", 3, 0).fee_rate == 0.0
+    # RankTable's integer columns would truncate a float: fee 4.7 would pack as 4
+    for size, fee in [(3, 4.7), (3.0, 4), (True, 4), (3, False)]:
+        with pytest.raises(TypeError, match=f"transaction 'b': size and fee must be integers, got {size} and {fee}"):
+            Transaction("b", 0.0, size, fee)
+    assert tx("b", np.int64(3), np.int32(4)).fee_rate == 4 / 3
 
 
 @pytest.mark.parametrize(
@@ -63,6 +68,11 @@ def test_unpickled_transactions_are_validated_again():
 def test_chain_params_validation():
     with pytest.raises(ValueError):
         ChainParams(block_size_limit=0, block_interval=600)
+    # a float limit would fail as a slice bound only once a pool overflows a block
+    for bad in (10.0, True):
+        with pytest.raises(ValueError, match=f"block_size_limit must be a positive integer, got {bad}"):
+            ChainParams(block_size_limit=bad, block_interval=600)
+    assert ChainParams(block_size_limit=np.int64(10), block_interval=600).block_size_limit == 10
     with pytest.raises(ValueError):
         ChainParams(block_size_limit=10, block_interval=0)
     with pytest.raises(ValueError):
@@ -180,13 +190,18 @@ def test_gamma_ratio_scale_invariance():
             )
 
 
+def part_txs(view, parts):
+    """The transactions of each part of a split of ``view``, in assignment order."""
+    return [[view.pending[i] for i in part] for part in parts]
+
+
 def test_split_equal_fee_examples(params):
-    txs = [tx("a", 1, 4), tx("b", 1, 3), tx("c", 1, 2), tx("d", 1, 1)]
-    assert split_equal_fee(txs, 1, params) == [txs]
-    parts = split_equal_fee(txs, 2, params)
+    pool = pool_of(tx("a", 1, 4), tx("b", 1, 3), tx("c", 1, 2), tx("d", 1, 1))
+    assert split_equal_fee(pool, 1, params) == [[0, 1, 2, 3]]
+    parts = part_txs(pool, split_equal_fee(pool, 2, params))
     assert sorted(sum(t.fee for t in p) for p in parts) == [5, 5]
-    thirds = split_equal_fee([tx("a", 1, 3), tx("b", 1, 3), tx("c", 1, 3)], 3, params)
-    assert [sum(t.fee for t in p) for p in thirds] == [3, 3, 3]
+    thirds = pool_of(tx("a", 1, 3), tx("b", 1, 3), tx("c", 1, 3))
+    assert [sum(t.fee for t in p) for p in part_txs(thirds, split_equal_fee(thirds, 3, params))] == [3, 3, 3]
 
 
 def test_split_equal_fee_partition_property(params):
@@ -197,7 +212,8 @@ def test_split_equal_fee_partition_property(params):
             for i in range(int(rng.integers(1, 12)))
         ]
         k = int(rng.integers(1, 4))
-        parts = split_equal_fee(txs, k, params)
+        pool = pool_of(*txs)
+        parts = part_txs(pool, split_equal_fee(pool, k, params))
         assert len(parts) == k
         flat = [t for p in parts for t in p]
         assert sorted(t.id for t in flat) == sorted(t.id for t in txs)
@@ -208,7 +224,7 @@ def test_split_equal_fee_partition_property(params):
 def test_split_equal_fee_unsplittable():
     params = ChainParams(block_size_limit=3, block_interval=600)
     with pytest.raises(UnsplittableError):
-        split_equal_fee([tx("a", 3, 1), tx("b", 3, 1), tx("c", 3, 1)], 2, params)
+        split_equal_fee(pool_of(tx("a", 3, 1), tx("b", 3, 1), tx("c", 3, 1)), 2, params)
 
 
 def reference_split(txs, k):
@@ -234,14 +250,16 @@ def split_cases(draw):
 
 
 @settings(max_examples=600, deadline=None)
-@given(split_cases())
-def test_split_equal_fee_matches_the_sort_based_split(case):
+@given(split_cases(), st.one_of(st.none(), st.integers(0, 3)))
+def test_split_equal_fee_matches_the_sort_based_split(case, offset):
+    # a ranked view is a strict subset of its table, so positions are not ranks
     txs, k, params = case
+    view = pool_of(*txs) if offset is None else ranked_view(pool_of(*txs), offset)
     if sum(t.size for t in txs) > params.block_size_limit:
         with pytest.raises(UnsplittableError):
-            split_equal_fee(txs, k, params)
+            split_equal_fee(view, k, params)
         return
-    assert split_equal_fee(txs, k, params) == reference_split(txs, k)
+    assert part_txs(view, split_equal_fee(view, k, params)) == reference_split(txs, k)
 
 
 @st.composite

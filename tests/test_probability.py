@@ -47,6 +47,13 @@ def test_win_prob_series_degenerate_limits():
     assert win_prob_series_truncated(RacePoint(1.0, 2, -1)) == 1.0
 
 
+@pytest.mark.parametrize("cutoff", [0.0, -1e-12, math.nan])
+def test_truncated_series_rejects_a_cutoff_that_is_not_positive(cutoff):
+    # terms underflow to 0.0, which no cutoff at or below zero stops; NaN stops at once
+    with pytest.raises(ValueError, match="term_cutoff must be positive"):
+        win_prob_series_truncated(RacePoint(0.3, 2), cutoff)
+
+
 def test_closed_form_matches_truncated_series():
     for a in np.arange(0.05, 0.96, 0.05):
         for depth in (1, 2):

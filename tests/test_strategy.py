@@ -12,7 +12,6 @@ from undercut import strategy
 from undercut.mempool import (
     EMPTY_TEMPLATE,
     ChainParams,
-    MempoolView,
     bandwidth_set,
     gamma_of_fees,
     gamma_ratio,
@@ -40,7 +39,15 @@ from undercut.strategy import (
     undercut_template,
 )
 
-from conftest import assert_carries_its_ranks, full_scan_pack, pool_of, ranked_view, template_of, tx
+from conftest import (
+    assert_carries_its_ranks,
+    full_scan_pack,
+    pending_reads,
+    pool_of,
+    ranked_view,
+    template_of,
+    tx,
+)
 
 
 def split_of(bu, bh):
@@ -381,13 +388,15 @@ def reference_exact_claim(pool, params, depth, assumed_honest_power, tried=None)
     def fee(txs):
         return sum(t.fee for t in txs)
 
-    first = pool.packed(params.block_size_limit).pending
+    pack = pool.packed(params.block_size_limit)
+    first = pack.pending
     second = pool.without(t.id for t in first).packed(params.block_size_limit).pending
     if fee(first) == 0:
         return EMPTY_TEMPLATE
     candidates = []
     if DEPTHS[depth].lone_set_split and fee(second) <= params.negligible_fee_threshold * fee(first):
-        candidates.append(min(split_equal_fee(first, 2, params), key=fee))
+        halves = [[first[i] for i in part] for part in split_equal_fee(pack, 2, params)]
+        candidates.append(min(halves, key=fee))
     candidates.extend(first[:k] for k in range(len(first), 0, -1))
     candidates.extend(first[j:] for j in range(1, len(first)))
     candidates.sort(key=lambda c: -fee(c))
@@ -469,7 +478,7 @@ def test_fee_left_reads_the_repacked_pool_fee(case, data):
 
 @st.composite
 def crowded_heads(draw):
-    """A view, a size budget, and whether ``pending`` is read before packing.
+    """A view and a size budget.
 
     Fee-dense transactions rank first, and all but one of them are too
     large to share the budget, so their skips can push a greedy scan past
@@ -483,29 +492,28 @@ def crowded_heads(draw):
         *(tx(f"s{i:02d}", size, fee) for i, (size, fee) in enumerate(sparse)),
     )
     offset = draw(st.one_of(st.none(), st.integers(0, 3)))
-    return (pool if offset is None else ranked_view(pool, offset)), budget, draw(st.booleans())
+    return (pool if offset is None else ranked_view(pool, offset)), budget
 
 
 @settings(max_examples=300, deadline=None)
 @given(crowded_heads(), st.data())
 def test_head_scans_equal_full_scans(case, data):
-    view, budget, read_first = case
-    reference = MempoolView(view.table, view.ranks)
-    if read_first:
-        assert view.pending == reference.pending
-    pack = view.packed(budget)
-    txs = pack.pending
-    expected = full_scan_pack(reference.pending, budget)
-    assert pack.template() == template_of(reference, expected)
-    assert_carries_its_ranks(pack.template(), view)
+    view, budget = case
+    txs = full_scan_pack(view.pending, budget)
     lo = data.draw(st.integers(0, len(txs)))
     hi = data.draw(st.integers(lo, len(txs)))
-    for span in (range(lo, hi), range(len(txs))):
+    spans = (range(lo, hi), range(len(txs)))
+    # packing and fee_left read the columns: no view's pending is built
+    with pending_reads() as reads:
+        pack = view.packed(budget)
+        lefts = [view.fee_left(span, budget) for span in spans]
+    assert reads == []
+    assert pack.template() == template_of(view, txs)
+    assert_carries_its_ranks(pack.template(), view)
+    for span, left in zip(spans, lefts):
         claimed = {txs[i].id for i in span}
-        left = full_scan_pack([t for t in reference.pending if t.id not in claimed], budget)
-        assert view.fee_left(span, budget) == sum(t.fee for t in left)
-    # packing and fee_left read the columns: the pool's pending is built only if read
-    assert (view._pending is not None) == read_first
+        rest = full_scan_pack([t for t in view.pending if t.id not in claimed], budget)
+        assert left == sum(t.fee for t in rest)
 
 
 @settings(max_examples=200, deadline=None)
@@ -536,12 +544,15 @@ def test_strategy_leaves_pool_mechanics_to_mempool():
     # strategy decides on fees: how a pool is scanned, packed and cut into
     # templates stays behind MempoolView's methods
     tree = ast.parse(Path(strategy.__file__).read_text())
-    internals = {"scan", "_scan", "size_floor", "_pending"}
+    # strategy reads fees and sizes by position through MempoolView.column
+    # and never touches a transaction
+    internals = {"scan", "_scan", "size_floor", "_pending", "pending", "table"}
     read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in internals]
     built = [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "BandwidthSetResult"
     ]
-    assert read == [] and built == []
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert read == [] and built == [] and "Transaction" not in imported
     assert not hasattr(strategy, "_fee_left")
