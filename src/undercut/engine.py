@@ -12,13 +12,15 @@ Runs are deterministic per seed, also across processes: no result
 depends on ``PYTHONHASHSEED``.  Runs may share one immutable
 ``mempool.RankTable``, the trace numbered in selection order.
 
-Inside a run a transaction is named by its rank in that table.  A
-chain's pool is a set of ranks, and ``Chain.view`` hands them to a
+Inside a run a transaction is named by its rank in that table alone.
+A chain's pool is a set of ranks, and ``Chain.view`` hands them to a
 ``MempoolView`` over the table; every template built from the view
-carries the ranks of its transactions, and a published block keeps
-them: the engine confirms a block, and forks a head, by ranks alone and
-never maps an id back to a rank.  An attacked head is handed to the
-strategy as the view of its ranks, sorted.
+holds the ranks of its transactions, and a published block keeps them:
+the engine confirms a block, and forks a head, by ranks alone and never
+maps an id back to a rank.  No template or block stores an id; their
+``tx_ids`` are gathered from the table for a reader outside the run.
+An attacked head is handed to the strategy as the view of its ranks,
+sorted, with the block's fee and size as its totals.
 
 A chain keeps its pool's fee and size totals beside its mask, so no
 decision sums a pool.  The totals follow the mask: every rank an arrival
@@ -81,18 +83,24 @@ class StalledSimulationError(RuntimeError):
 class Block:
     """A published block: owner, claimed transactions, position.
 
-    ``ranks`` holds the rank of each of ``tx_ids``, from the template the
-    engine published (genesis holds none); it is not part of the block's
-    value.
+    ``ranks`` holds the rank in ``table`` of each claimed transaction,
+    in the order of the template the engine published (genesis holds
+    none, and needs no table).  The block stores no ids: ``tx_ids``
+    gathers them from the table on each read.  Neither is part of the
+    block's value.
     """
 
     owner: str
-    tx_ids: tuple[str, ...]
     fee_total: int
     size_total: int
     creation_time: float
     height: int
     ranks: np.ndarray = field(compare=False, repr=False)
+    table: RankTable | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def tx_ids(self) -> tuple[str, ...]:
+        return self.table.ids(self.ranks) if len(self.ranks) else ()
 
 
 @dataclass(frozen=True)
@@ -366,7 +374,7 @@ class Simulation:
             EVENT_CAP_MARGIN * (math.ceil(span / params.block_interval) + len(table.txs)) + EVENT_CAP_FLOOR
         )
         no_ranks = np.empty(0, dtype=np.intp)
-        genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=t0, height=0, ranks=no_ranks)
+        genesis = Block(owner="", fee_total=0, size_total=0, creation_time=t0, height=0, ranks=no_ranks)
         self.main = Chain(blocks=[genesis], workers={m.id for m in miners}, table=table)
         self.fork: Chain | None = None
         self.attacks = 0
@@ -460,12 +468,12 @@ class Simulation:
             template = bandwidth_set(chain.view(), self.params)
         block = Block(
             owner=miner_id,
-            tx_ids=template.tx_ids,
             fee_total=template.total_fee,
             size_total=template.total_size,
             creation_time=now,
             height=chain.tip.height + 1,
             ranks=template.ranks.copy(),  # a slice would keep its whole pool alive
+            table=self.table,
         )
         chain.remove_pending(template)
         if self.next_arrival >= len(self.table.times) and self.fork is None:
@@ -560,7 +568,7 @@ class Simulation:
         if action == "stay":
             return
         # stable: numpy's default sort maps in SIMD code, ~0.4 MiB more peak RSS
-        head = MempoolView(self.table, np.sort(block.ranks, kind="stable"))
+        head = MempoolView(self.table, np.sort(block.ranks, kind="stable"), (block.fee_total, block.size_total))
         tag, template = undercut_template(self.depth, branch, tag, self.params, pool, head)
         self.attacks += 1
         self.attack_branches[tag] += 1

@@ -7,6 +7,12 @@ pool, a greedy pack of it, or an attacked head.  Everything that crafts
 a block (honest packing, attack templates, splits, avoidance claims)
 reads fees and sizes by position through ``MempoolView.column``, and
 every template comes from ``MempoolView.template``.
+
+Inside a run a transaction is named by its rank in a ``RankTable``
+alone: a view is a set of ranks, a template holds the ranks of its
+transactions, and a split orders a view by the table's ``id_order``
+column.  No selector reads a ``Transaction``, and ids are gathered from
+the table only when a caller asks for a template's ``tx_ids``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter, eq
 from typing import Collection, Iterable, Iterator, Sequence
@@ -121,18 +127,22 @@ class RankTable:
     set of ranks read in increasing order is a pool in selection order
     (a ``MempoolView``).  ``txs[r]`` is the transaction of rank ``r``, and
     ``fees[r]`` and ``sizes[r]`` its fee and size: the columns that packs
-    and pool totals read without touching a transaction.  ``arrivals[i]``
-    is the rank of the i-th arrival, at ``times[i]``, and ``size_floor``
-    the smallest size, a lower bound for every view.  The table maps no
-    id to a rank: templates carry the ranks of their transactions.  Runs
-    may share one table.
+    and pool totals read without touching a transaction.  ``id_order[r]``
+    is its position in id order, the column a split breaks fee ties by.
+    ``arrivals[i]`` is the rank of the i-th arrival, at ``times[i]``, and
+    ``size_floor`` the smallest size, a lower bound for every view.  The
+    table maps no id to a rank: templates carry the ranks of their
+    transactions, and ``ids`` gathers the ids of ranks.  Runs may share
+    one table.
 
-    It is the one place a pool is sorted and checked for repeated ids.
-    The build makes one Python sort, by id, and orders everything else
-    with stable array sorts over that id order, so every tie falls back
-    to the id: one ``np.lexsort`` on (fee rate, fee) descending gives
-    exactly ``selection_key`` order, and one stable ``np.argsort`` on the
-    times gives ``(arrival_time, id)`` order.  Ids are compared as Python
+    It is the one place a pool is sorted and checked: for repeated ids,
+    and for an arrival time that is not finite (an inf or NaN time has no
+    place in the arrival order, and no run could reach it).  The build
+    makes one Python sort, by id, and orders everything else with stable
+    array sorts over that id order, so every tie falls back to the id:
+    one ``np.lexsort`` on (fee rate, fee) descending gives exactly
+    ``selection_key`` order, and one stable ``np.argsort`` on the times
+    gives ``(arrival_time, id)`` order.  Ids are compared as Python
     strings (a numpy ``'U'`` array would drop trailing NULs).  A repeated
     id shows as two equal neighbours in the id order.
 
@@ -143,7 +153,7 @@ class RankTable:
     rates are Python's own quotients, and every sort and sum stays exact.
     """
 
-    __slots__ = ("txs", "fees", "sizes", "size_floor", "arrivals", "times", "total_fee")
+    __slots__ = ("txs", "fees", "sizes", "id_order", "size_floor", "arrivals", "times", "total_fee")
 
     def __init__(self, trace: Iterable[Transaction]):
         by_id = sorted(trace, key=attrgetter("id"))
@@ -158,7 +168,7 @@ class RankTable:
         else:
             rates = fees / sizes
         np.negative(rates, out=rates)  # selection_key's -fee_rate, then -fee; ties keep id order
-        ordered = np.lexsort((-fees, rates))
+        self.id_order = ordered = np.lexsort((-fees, rates))
         del rates
         self.fees = fees[ordered]
         self.sizes = sizes[ordered]
@@ -167,14 +177,21 @@ class RankTable:
         self.total_fee = int(self.fees.sum())
         self.txs = np.fromiter(by_id, dtype=object, count=n)[ordered]
         times = np.fromiter((tx.arrival_time for tx in by_id), float, n)
-        del by_id
+        finite = np.isfinite(times)
+        if not finite.all():
+            bad = by_id[int(finite.argmin())]
+            raise ValueError(f"transaction {bad.id!r}: arrival_time must be finite, got {bad.arrival_time}")
+        del by_id, finite
         arriving = np.argsort(times, kind="stable")
         self.times = times[arriving]
         del times
         rank = np.empty(n, dtype=np.intp)
         rank[ordered] = np.arange(n)
-        del ordered
         self.arrivals = rank[arriving]
+
+    def ids(self, ranks: np.ndarray | Sequence[int]) -> tuple[str, ...]:
+        """The ids of the transactions of ``ranks``, in that order."""
+        return tuple(map(attrgetter("id"), self.txs[ranks].tolist()))
 
     def totals(self, ranks: np.ndarray | Sequence[int]) -> tuple[int, int]:
         """The fee and size of the transactions of ``ranks``, summed from the columns.
@@ -280,7 +297,7 @@ class MempoolView:
         return cls(table, np.arange(len(table.txs), dtype=np.intp))
 
     def ids(self) -> frozenset[str]:
-        return frozenset(tx.id for tx in self.pending)
+        return frozenset(self.table.ids(self.ranks))
 
     def packed(self, size_budget: int) -> "MempoolView":
         """The view of the greedy pack of the pool within ``size_budget``, memoized.
@@ -328,8 +345,7 @@ class MempoolView:
         ranks = self.ranks if positions is None else self.ranks[_index(positions)]
         if totals is None:
             totals = self.totals if positions is None else self.table.totals(ranks)
-        ids = tuple(map(attrgetter("id"), self.table.txs[ranks].tolist()))
-        return BandwidthSetResult(ids, *totals, ranks)
+        return BandwidthSetResult(self.table, ranks, *totals)
 
     def without(self, tx_ids: Iterable[str]) -> "MempoolView":
         """Pool after the given transactions were mined on this chain."""
@@ -374,28 +390,37 @@ def _index(positions: Collection[int]) -> slice | np.ndarray:
     return np.fromiter(positions, np.intp, len(positions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandwidthSetResult:
-    """A block template: selected ids plus fee/size totals.
+    """A block template: the ranks of its transactions in a ``RankTable``, plus fee/size totals.
 
-    ``tx_ids`` preserves selection order (fee-rate descending for the
+    ``ranks`` preserves selection order (fee-rate descending for the
     greedy path), which callers use to carve prefixes off a template.
-
-    ``ranks`` holds the rank of each of ``tx_ids``, in the same order.
     ``MempoolView.template`` fills it from the ranks of its view, and the
-    engine removes a published template by them.  It is not part of the
-    template's value.
+    engine removes a published template by them.  The template stores
+    no ids: ``tx_ids`` gathers them from ``table`` on each read, and is
+    ``()`` for no ranks (``EMPTY_TEMPLATE`` has no table).
+
+    Two templates are equal when their ``tx_ids``, ``total_fee`` and
+    ``total_size`` are, whatever their tables; a template is not hashable.
     """
 
-    tx_ids: tuple[str, ...]
+    table: RankTable | None
+    ranks: np.ndarray
     total_fee: int
     total_size: int
-    ranks: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def tx_ids(self) -> tuple[str, ...]:
+        return self.table.ids(self.ranks) if len(self.ranks) else ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tx_ids, self.total_fee, self.total_size) == (other.tx_ids, other.total_fee, other.total_size)
 
 
-EMPTY_TEMPLATE = BandwidthSetResult(
-    tx_ids=(), total_fee=0, total_size=0, ranks=np.empty(0, dtype=np.intp)
-)
+EMPTY_TEMPLATE = BandwidthSetResult(table=None, ranks=np.empty(0, dtype=np.intp), total_fee=0, total_size=0)
 
 
 def _exact_best_subset(fees: Sequence[int], sizes: Sequence[int], limit: int) -> list[int]:
@@ -517,11 +542,12 @@ def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list
     """Partition a view that fits one block into ``k`` fee-balanced parts of its positions.
 
     Longest-processing-time heuristic: assign in descending fee order
-    (ties by id) to the part with the least fee, the lowest-numbered
-    part on a fee tie.  Each part lists positions in ``pool`` in the
-    order they were assigned.  Every caller splits a set that fits one
-    block (a head block or a bandwidth set), so every part fits one too;
-    a view larger than ``block_size_limit`` raises ``UnsplittableError``.
+    (ties by id, read from the table's ``id_order``) to the part with the
+    least fee, the lowest-numbered part on a fee tie.  Each part lists
+    positions in ``pool`` in the order they were assigned.  Every caller
+    splits a set that fits one block (a head block or a bandwidth set),
+    so every part fits one too; a view larger than ``block_size_limit``
+    raises ``UnsplittableError``.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
@@ -531,10 +557,10 @@ def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list
             f"cannot split {len(pool.ranks)} transactions of size {size} over the block size limit "
             f"{params.block_size_limit}"
         )
-    fees = pool.column("fees")
-    ids = [tx.id for tx in pool.pending]
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    order.sort(key=fees.__getitem__, reverse=True)  # stable: a fee tie keeps id order
+    table, ranks = pool.table, pool.ranks
+    fees = table.fees[ranks]
+    order = np.lexsort((table.id_order[ranks], -fees)).tolist()  # by fee descending, then id
+    fees = fees.tolist()
     parts: list[list[int]] = [[] for _ in range(k)]
     loads = [0] * k
     for i in order:

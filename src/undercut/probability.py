@@ -9,6 +9,7 @@ finishes first.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -36,10 +37,18 @@ class RacePoint:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fork_power <= 1.0:
             raise ValueError("fork_power must lie in [0, 1]")
+        _check_integer("safe_depth", self.safe_depth)
+        _check_integer("lead", self.lead)
         if self.safe_depth < 1:
             raise ValueError("safe_depth must be at least 1")
         if abs(self.lead) >= self.safe_depth:
             raise ValueError("|lead| must be smaller than safe_depth")
+
+
+def _check_integer(name: str, value: object) -> None:
+    # block counts: an int or a numpy integer; bool is an int subclass but no count
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def win_prob_d1(fork_power: float, shift_delta: float) -> float:
@@ -99,6 +108,7 @@ def deep_catchup_bound(fork_power: float, gap: int) -> float:
     """
     if not 0.0 <= fork_power <= 0.5:
         raise ValueError("fork_power must lie in [0, 0.5]")
+    _check_integer("gap", gap)
     if gap < 5:
         raise ValueError("gap must be at least 5")
     return win_prob_series(RacePoint(fork_power, gap))

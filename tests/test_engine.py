@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
 from operator import mul
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from undercut.engine import (
     select_next_block_miner,
 )
 from undercut.mempool import (
+    BandwidthSetResult,
     ChainParams,
     MempoolView,
     RankTable,
@@ -49,11 +52,11 @@ def two_miners():
 
 
 def make_chain(height, workers, t=math.inf):
-    genesis = Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=0.0, height=0, ranks=NO_RANKS)
+    genesis = Block(owner="", fee_total=0, size_total=0, creation_time=0.0, height=0, ranks=NO_RANKS)
     chain = Chain(blocks=[genesis], workers=set(workers), table=RankTable(()))
     for h in range(1, height + 1):
         chain.blocks.append(
-            Block(owner="", tx_ids=(), fee_total=0, size_total=0, creation_time=float(h), height=h, ranks=NO_RANKS)
+            Block(owner="", fee_total=0, size_total=0, creation_time=float(h), height=h, ranks=NO_RANKS)
         )
     chain.next_time = t
     return chain
@@ -119,7 +122,7 @@ def drive_update(depth, main_height, fork_height):
     sim.fork = fork
     main.workers = {"h"}
     block = Block(
-        owner="h", tx_ids=(), fee_total=0, size_total=0, creation_time=9.0, height=main_height, ranks=NO_RANKS
+        owner="h", fee_total=0, size_total=0, creation_time=9.0, height=main_height, ranks=NO_RANKS
     )
     sim.update_chains(main, block)
     return sim
@@ -140,7 +143,7 @@ def test_update_chains_fork_win():
     main.workers = {"h"}
     fork = make_chain(1, {"u"})
     sim.fork = fork
-    block = Block(owner="u", tx_ids=(), fee_total=0, size_total=0, creation_time=2.0, height=1, ranks=NO_RANKS)
+    block = Block(owner="u", fee_total=0, size_total=0, creation_time=2.0, height=1, ranks=NO_RANKS)
     sim.update_chains(fork, block)
     assert sim.chains == (fork,) and sim.main is fork and sim.fork is None and sim.fork_wins == 1
     assert fork.workers == {"h", "u"}
@@ -159,7 +162,7 @@ def test_honest_miners_follow_longest_chain_first_seen_ties():
     assert "h" in main.workers
 
     fork.blocks.append(
-        Block(owner="u", tx_ids=(), fee_total=0, size_total=0, creation_time=3.0, height=2, ranks=NO_RANKS)
+        Block(owner="u", fee_total=0, size_total=0, creation_time=3.0, height=2, ranks=NO_RANKS)
     )
     sim.update_miners(fork, fork.tip)  # fork now longer: honest switches
     assert "h" in fork.workers and "h" not in main.workers
@@ -180,12 +183,12 @@ def test_a_head_published_in_split_order_is_attacked_as_its_sorted_view(depth):
     assert np.any(np.diff(ranks) < 0)
     head = Block(
         owner="h",
-        tx_ids=tuple(t.id for t in published),
         fee_total=sum(t.fee for t in published),
         size_total=sum(t.size for t in published),
         creation_time=1.0,
         height=1,
         ranks=ranks,
+        table=table,
     )
     sim = Simulation(table, two_miners(), PARAMS, depth=depth)
     sim.main.blocks.append(head)
@@ -313,7 +316,9 @@ def test_rank_table_matches_sorted_reference(trace):
     ordered = sorted(trace, key=selection_key)
     by_arrival = sorted(trace, key=lambda t: (t.arrival_time, t.id))
     rank = {t.id: r for r, t in enumerate(ordered)}
+    by_id = {i: p for p, i in enumerate(sorted(rank))}
     assert table.txs.tolist() == ordered
+    assert table.id_order.tolist() == [by_id[t.id] for t in ordered]
     assert table.arrivals.tolist() == [rank[t.id] for t in by_arrival]
     assert table.times.tolist() == [t.arrival_time for t in by_arrival]
     assert table.size_floor == min((t.size for t in trace), default=1)
@@ -328,6 +333,14 @@ def test_rank_table_of_an_empty_trace_and_duplicate_ids():
     assert [t.id for t in RankTable([tx("a\x00", 1, 1), tx("a", 1, 1)]).txs] == ["a", "a\x00"]
     with pytest.raises(ValueError, match="duplicate transaction ids"):
         RankTable([tx("b", 1, 1), tx("a", 1, 1, t=1.0), tx("a", 2, 9)])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_trace_with_a_time_that_is_not_finite_is_rejected_by_name(bad):
+    # the first such id in id order is named, before any run starts
+    trace = [tx("c", 1, 5, t=-math.inf), tx("a", 1, 5), tx("b", 1, 5, t=bad)]
+    with pytest.raises(ValueError, match="transaction 'b': arrival_time must be finite"):
+        run(trace, two_miners(), PARAMS)
 
 
 def test_update_mempool_boundary_inclusive():
@@ -568,6 +581,42 @@ def test_published_blocks_carry_their_ranks_and_pools_match_a_set_model(depth, a
         if depth == 2:  # rational miners weigh what they own after the fork
             assert sim.owned_calls > 0
     assert result == Simulation(table, miners, PARAMS, depth=depth, avoidance=policy, seed=17).run()
+
+
+@pytest.mark.parametrize("avoidance", ["off", "experimental", "exact", "strict"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_run_names_transactions_by_their_ranks_alone(depth, avoidance):
+    # no template or block stores an id tuple, and inside a run no view's
+    # transactions and no template's or block's ids are read: every
+    # selector, the split included, reads the table's columns by rank
+    for cls in (BandwidthSetResult, Block):
+        assert "tx_ids" not in {f.name for f in dataclasses.fields(cls)}
+    records = whale_trace(13, 600, 60_000, dust_rate=5.0, whale_rate=0.4)
+    dist, _ = preset("bitcoin16")
+    miners = profiles(dist.with_honest_fraction(0.3).entries)
+    sim = Simulation(RankTable(records), miners, PARAMS, depth=depth, avoidance=parse_avoidance(avoidance), seed=17)
+    id_reads = []
+
+    def spying(cls):
+        read = cls.tx_ids.fget
+
+        def spy(holder):
+            id_reads.append(holder)
+            return read(holder)
+
+        return mock.patch.object(cls, "tx_ids", property(spy))
+
+    with (
+        pending_reads() as reads,
+        spying(BandwidthSetResult),
+        spying(Block),
+        mock.patch("undercut.strategy.split_equal_fee", wraps=split_equal_fee) as split,
+    ):
+        result = sim.run()
+    assert result.confirmed_fee > 0
+    if avoidance == "off":  # the run attacks, and a drained pool splits the head
+        assert result.attacks > 0 and split.call_count > 0
+    assert reads == [] and id_reads == []
 
 
 @st.composite

@@ -238,12 +238,21 @@ def reference_split(txs, k):
     return parts
 
 
+# ids whose string order is neither their numeric order ("t10" < "t9")
+# nor their creation order (a case draws them shuffled), and that differ
+# only in a trailing NUL
+SPLIT_IDS = ("t9", "t10", "t1", "t1\x00", "t2", "t20", "t0\x00", "t0", "t11", "t100")
+
+
 @st.composite
 def split_cases(draw):
     # few distinct fees make ties; a limit near the total size sends
-    # some sets under it and some over it
+    # some sets under it and some over it; fees scaled past 2**63 put
+    # the table's columns in Python ints
     n = draw(st.integers(0, 10))
-    txs = [tx(f"t{i}", draw(st.integers(1, 9)), draw(st.sampled_from((0, 1, 2, 5, 9)))) for i in range(n)]
+    ids = draw(st.permutations(SPLIT_IDS))[:n]
+    scale = draw(st.sampled_from((1, 2**63 + 1)))
+    txs = [tx(i, draw(st.integers(1, 9)), draw(st.sampled_from((0, 1, 2, 5, 9))) * scale) for i in ids]
     k = draw(st.sampled_from((1, 2, 3)))
     limit = max(1, sum(t.size for t in txs) + draw(st.integers(-6, 6)))
     return txs, k, ChainParams(block_size_limit=limit, block_interval=600.0)

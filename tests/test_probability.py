@@ -30,6 +30,23 @@ def test_race_point_validation():
         RacePoint(fork_power=0.5, safe_depth=2, lead=2)
     with pytest.raises(ValueError):
         RacePoint(fork_power=0.5, safe_depth=0)
+    # numpy integers are block counts too
+    assert RacePoint(0.3, np.int64(2), np.int32(-1)) == RacePoint(0.3, 2, -1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"safe_depth": 2.5}, "safe_depth"),
+        ({"safe_depth": 2.0}, "safe_depth"),
+        ({"safe_depth": True}, "safe_depth"),
+        ({"safe_depth": 2, "lead": 0.5}, "lead"),
+        ({"safe_depth": 2, "lead": False}, "lead"),
+    ],
+)
+def test_race_point_rejects_a_block_count_that_is_no_integer(kwargs, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        RacePoint(fork_power=0.3, **kwargs)
 
 
 def test_win_prob_series_tie_values():
@@ -84,6 +101,9 @@ def test_deep_catchup_bound():
         deep_catchup_bound(0.6, 5)
     with pytest.raises(ValueError):
         deep_catchup_bound(0.4, 4)
+    for gap in (5.5, 6.0, True):
+        with pytest.raises(ValueError, match="gap must be an integer"):
+            deep_catchup_bound(0.3, gap)
 
 
 def test_monte_carlo_race_matches_d1_probability():
