@@ -47,6 +47,7 @@ from .mempool import (
     MempoolView,
     RankTable,
     Transaction,
+    _is_integer,
     bandwidth_set,
     claimable_fees,
     gamma_ratio,
@@ -61,6 +62,7 @@ from .strategy import (
     undercut_decision_d2,
     undercut_template,
 )
+from .trace import MINER_KINDS
 
 # Consecutive zero-fee blocks after the trace is consumed before a run
 # is declared stuck on unclaimable dust.
@@ -112,7 +114,7 @@ class MinerProfile:
     kind: str  # "honest" | "rational" | "undercutter"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("honest", "rational", "undercutter"):
+        if self.kind not in MINER_KINDS:
             raise ValueError(f"unknown miner kind {self.kind!r}")
         if not self.power >= 0.0:
             raise ValueError(f"power must be non-negative, got {self.power}")
@@ -323,7 +325,7 @@ def sample_next_block_time(
 
 def check_seed(seed: object) -> None:
     """Reject a seed that numpy's generators cannot take, or a bool, with a named message."""
-    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (_is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import AvoidancePolicy, RunResult, Simulation, check_seed, profiles
-from .mempool import ChainParams, RankTable, Transaction
+from .mempool import ChainParams, RankTable, Transaction, _is_integer
 from .strategy import DEPTHS
 from .trace import PowerDistribution
 
@@ -118,8 +118,7 @@ class ExperimentSummary:
 
 
 def _check_count(name: str, value: object) -> None:
-    # a bool is an int to Python, but no count
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
 
 

@@ -52,7 +52,9 @@ class Transaction:
     so that conservation checks never see floating-point drift.  Sizes
     are integers in whatever unit the trace declares (bytes or weight
     units), one convention per trace; ``RankTable``'s columns would
-    truncate a float, so a float or bool fee or size is rejected.
+    truncate a float, so a float or bool fee or size is rejected.  The
+    arrival time is a real number, not a bool: ``RankTable`` reads times
+    into a float column, which would parse a string.
 
     A run holds one object per trace row, so the class has slots and no
     per-object ``__dict__``.  ``__reduce__`` rebuilds a pickled or copied
@@ -67,9 +69,11 @@ class Transaction:
     fee: int
 
     def __post_init__(self) -> None:
-        size, fee = self.size, self.fee
+        size, fee, t = self.size, self.fee, self.arrival_time
         if not (type(size) is int and type(fee) is int or _is_integer(size) and _is_integer(fee)):
             raise TypeError(f"transaction {self.id!r}: size and fee must be integers, got {size!r} and {fee!r}")
+        if type(t) is not float and (isinstance(t, bool) or not isinstance(t, numbers.Real)):
+            raise TypeError(f"transaction {self.id!r}: arrival_time must be a real number, got {t!r}")
         if size <= 0:
             raise ValueError(f"transaction {self.id!r}: size must be positive, got {size}")
         if fee < 0:
@@ -539,15 +543,17 @@ def gamma_of_fees(next_fee: int, head_block_fee: int) -> float:
 
 
 def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list[int]]:
-    """Partition a view that fits one block into ``k`` fee-balanced parts of its positions.
+    """Split a view that fits one block into ``k`` fee-balanced parts of its positions, lightest first.
 
     Longest-processing-time heuristic: assign in descending fee order
     (ties by id, read from the table's ``id_order``) to the part with the
-    least fee, the lowest-numbered part on a fee tie.  Each part lists
-    positions in ``pool`` in the order they were assigned.  Every caller
-    splits a set that fits one block (a head block or a bandwidth set),
-    so every part fits one too; a view larger than ``block_size_limit``
-    raises ``UnsplittableError``.
+    least fee, the lowest-numbered part on a fee tie.  The parts come
+    back in (fee, part number) order, so ``[0]`` is the lightest part,
+    the one every attack template takes.  Each part lists positions in
+    ``pool`` in the order they were assigned.  Every caller splits a set
+    that fits one block (a head block or a bandwidth set), so every part
+    fits one too; a view larger than ``block_size_limit`` raises
+    ``UnsplittableError``.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
@@ -567,7 +573,7 @@ def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list
         j = loads.index(min(loads))
         parts[j].append(i)
         loads[j] += fees[i]
-    return parts
+    return [parts[j] for j in sorted(range(k), key=loads.__getitem__)]
 
 
 def claim_partial(pool: MempoolView, target_fee: int, params: ChainParams) -> BandwidthSetResult:

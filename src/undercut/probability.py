@@ -9,8 +9,9 @@ finishes first.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
+
+from .mempool import _is_integer
 
 
 class InvalidShiftError(ValueError):
@@ -46,8 +47,7 @@ class RacePoint:
 
 
 def _check_integer(name: str, value: object) -> None:
-    # block counts: an int or a numpy integer; bool is an int subclass but no count
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -231,12 +231,6 @@ def _lone_set(first_fee: int, second_fee: int, params: ChainParams) -> bool:
     return first_fee > 0 and second_fee <= params.negligible_fee_threshold * first_fee
 
 
-def _lightest_part(view: MempoolView, k: int, params: ChainParams) -> list[int]:
-    # the positions in the view of the lightest of k equal-fee parts, in split order
-    fees = view.column("fees")
-    return min(split_equal_fee(view, k, params), key=lambda part: sum(map(fees.__getitem__, part)))
-
-
 def undercut_template(
     depth: int,
     branch: int,
@@ -253,16 +247,17 @@ def undercut_template(
     bandwidth set, leaving the head's fees on the table; at a depth with
     ``lone_set_split``, a pool of one non-negligible set is the lone-set
     branch instead, and the block takes the lighter half of that set.
+    Either part is the first that ``split_equal_fee`` returns.
 
     ``pool`` and the attacked ``head`` are views over one table, and the
     block is a template of one of them.  A split orders its input by fee
     and id, so the parts do not depend on the order of ``head``.
     """
     if branch == 1:
-        return tag, head.template(_lightest_part(head, depth + 1, params))
+        return tag, head.template(split_equal_fee(head, depth + 1, params)[0])
     if DEPTHS[depth].lone_set_split and one_set_left(pool, params):
         first = pool.packed(params.block_size_limit)
-        return "lone-set", first.template(_lightest_part(first, 2, params))
+        return "lone-set", first.template(split_equal_fee(first, 2, params)[0])
     return tag, bandwidth_set(pool, params)
 
 
@@ -411,15 +406,14 @@ def craft_avoidance_block(
     if mode == "exact":
         # A candidate is (fee, size, claimed): ``claimed`` holds first-set
         # positions in claim order, a range for a prefix or a suffix and
-        # an insertion-ordered dict for the lone-set part, so both iterate
-        # in claim order and answer membership in O(1).
+        # a list for the lone-set part, the lighter half of a split.
         fees, sizes = first.column("fees"), first.column("sizes")
         fee_at = [0, *accumulate(fees)]
         size_at = [0, *accumulate(sizes)]
         lone_claim = None
         if lone:
-            part = _lightest_part(first, 2, params)
-            lone_claim = (sum(map(fees.__getitem__, part)), sum(map(sizes.__getitem__, part)), dict.fromkeys(part))
+            part = split_equal_fee(first, 2, params)[0]
+            lone_claim = (sum(map(fees.__getitem__, part)), sum(map(sizes.__getitem__, part)), part)
         # take the richest claim that the assumed adversary would not fork
         pool_fee, pool_size = pool.totals
         for fee, size, claimed in _claims_richest_first(fee_at, size_at, lone_claim):

@@ -209,18 +209,21 @@ def write_trace(records: Iterable[Transaction], path: str | Path, fmt: str = "cs
     elif fmt == "json-lines":
         with path.open("w", encoding="utf-8") as fh:
             for tx in records:
-                fh.write(
-                    json.dumps(
-                        {"id": tx.id, "timestamp": tx.arrival_time, "size": tx.size, "fee": tx.fee}
-                    )
-                    + "\n"
-                )
+                time, size, fee = _plain(tx.arrival_time), int(tx.size), int(tx.fee)
+                fh.write(json.dumps({"id": tx.id, "timestamp": time, "size": size, "fee": fee}) + "\n")
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
 
 
+def _plain(x: float) -> float:
+    # the Python number equal to x: a numpy scalar's repr names its type,
+    # which no loader reads, and json refuses one
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def _format_time(t: float) -> str:
-    return str(int(t)) if float(t).is_integer() else repr(t)
+    # a numpy float is written as the equal Python float
+    return str(int(t)) if float(t).is_integer() else repr(float(t))
 
 
 def load_powers(path: str | Path) -> PowerDistribution:
@@ -260,7 +263,7 @@ def write_powers(dist: PowerDistribution, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("# miner_id,power,kind\n")
         for mid, power, kind in dist.entries:
-            fh.write(f"{mid},{power!r},{kind}\n")
+            fh.write(f"{mid},{_plain(power)!r},{kind}\n")
 
 
 # ---------------------------------------------------------------------------

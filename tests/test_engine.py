@@ -496,6 +496,13 @@ class PartitionCheckedSimulation(Simulation):
             assert not (chain.workers & seen), "miner on two chains"
             seen |= chain.workers
         assert seen == set(self.miners), "miner lost from every chain"
+        # Conservation and no double confirmation: every transaction that
+        # has arrived is confirmed by one of a chain's blocks or pending on
+        # it, once.  The mask is read directly, so the view cache is untouched.
+        arrived = np.sort(self.table.arrivals[: self.next_arrival])
+        for chain in self.chains:
+            held = np.concatenate([*(block.ranks for block in chain.blocks), np.flatnonzero(chain.pending)])
+            assert np.array_equal(np.sort(held), arrived), "a chain lost or repeated a transaction"
         fork = self.fork
         if fork is not None:
             assert fork is not self.main

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +47,13 @@ def test_transaction_validation():
         with pytest.raises(TypeError, match=f"transaction 'b': size and fee must be integers, got {size} and {fee}"):
             Transaction("b", 0.0, size, fee)
     assert tx("b", np.int64(3), np.int32(4)).fee_rate == 4 / 3
+    # RankTable's float time column would parse "5" and read True as 1.0
+    for time in ["5", True, np.True_, None, b"5", 1j]:
+        message = f"transaction 'a': arrival_time must be a real number, got {time!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            Transaction("a", time, 10, 5)
+    for time in [5, np.int64(5), np.float32(5.5), np.float64(5.5), Fraction(11, 2)]:
+        assert Transaction("a", time, 10, 5).arrival_time == time
 
 
 @pytest.mark.parametrize(
@@ -229,13 +238,14 @@ def test_split_equal_fee_unsplittable():
 
 def reference_split(txs, k):
     """The sort-based split: parts re-sorted by (fee, index) for every
-    transaction, in fee order.  For a set that fits one block."""
+    transaction, in fee order, and returned in that order.  For a set
+    that fits one block."""
     parts, fees = [[] for _ in range(k)], [0] * k
     for t in sorted(txs, key=lambda t: (-t.fee, t.id)):
         j = sorted(range(k), key=lambda j: (fees[j], j))[0]
         parts[j].append(t)
         fees[j] += t.fee
-    return parts
+    return [parts[j] for j in sorted(range(k), key=lambda j: (fees[j], j))]
 
 
 # ids whose string order is neither their numeric order ("t10" < "t9")
@@ -268,7 +278,13 @@ def test_split_equal_fee_matches_the_sort_based_split(case, offset):
         with pytest.raises(UnsplittableError):
             split_equal_fee(view, k, params)
         return
-    assert part_txs(view, split_equal_fee(view, k, params)) == reference_split(txs, k)
+    parts = part_txs(view, split_equal_fee(view, k, params))
+    reference = reference_split(txs, k)
+    assert parts == reference
+    # the first part is the lightest, the one every attack template takes
+    fees = [sum(t.fee for t in part) for part in parts]
+    assert fees[0] == min(fees)
+    assert parts[0] == min(reference, key=lambda part: sum(t.fee for t in part))
 
 
 @st.composite

@@ -556,3 +556,14 @@ def test_strategy_leaves_pool_mechanics_to_mempool():
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert read == [] and built == [] and "Transaction" not in imported
     assert not hasattr(strategy, "_fee_left")
+    # a split names its lightest part first, so only exact avoidance, which
+    # takes prefix sums, reads a column
+    readers = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "column"
+    ]
+    assert set(readers) == {"craft_avoidance_block"}
+    assert not hasattr(strategy, "_lightest_part")

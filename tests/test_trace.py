@@ -9,9 +9,11 @@ import pytest
 from scipy import stats
 
 import undercut
+from undercut.mempool import Transaction
 from undercut.trace import (
     BITCOIN_PARAMS,
     MONERO_PARAMS,
+    TRACE_FORMATS,
     PowerDistribution,
     TraceError,
     load_powers,
@@ -42,6 +44,23 @@ def test_load_trace_roundtrip_jsonl(tmp_path):
     assert load_trace(path, fmt="json-lines") == sorted(
         records, key=lambda t: (t.arrival_time, t.id)
     )
+
+
+@pytest.mark.parametrize("fmt", TRACE_FORMATS)
+def test_a_trace_of_numpy_scalars_reads_back(tmp_path, fmt):
+    # written as the equal Python numbers: a numpy float's repr names its
+    # type, and json refuses numpy scalars
+    records = [
+        Transaction("a", np.float64(1.5), np.int64(3), np.int64(7)),
+        Transaction("b", np.float32(2.25), np.int32(4), np.uint8(0)),
+        Transaction("c", np.int64(3), 5, 2**70),
+    ]
+    path = tmp_path / "trace"
+    write_trace(records, path, fmt=fmt)
+    assert load_trace(path, fmt=fmt) == records
+    plain = [Transaction("a", 1.5, 3, 7), Transaction("b", 2.25, 4, 0), Transaction("c", 3, 5, 2**70)]
+    write_trace(plain, tmp_path / "plain", fmt=fmt)
+    assert path.read_bytes() == (tmp_path / "plain").read_bytes()
 
 
 def test_load_trace_empty_file(tmp_path):
@@ -367,6 +386,10 @@ def test_powers_file_roundtrip(tmp_path):
     dist, _ = preset("monero")
     path = tmp_path / "powers.txt"
     write_powers(dist, path)
+    assert load_powers(path) == dist
+    # numpy powers are written as the equal Python floats
+    numpy_dist = PowerDistribution(tuple((mid, np.float64(power), kind) for mid, power, kind in dist.entries))
+    write_powers(numpy_dist, path)
     assert load_powers(path) == dist
 
 
