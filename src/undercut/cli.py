@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import engine, experiment, strategy, trace
-from .mempool import ChainParams, check_negligible
+from .mempool import ChainParams, RankTable, check_negligible
 from .probability import RacePoint, win_prob_d1, win_prob_series
 
 
@@ -95,7 +95,7 @@ def _population(args) -> tuple[trace.PowerDistribution, ChainParams]:
     return dist, dataclasses.replace(params, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _load_trace(args) -> list:
+def _load_trace(args) -> RankTable:
     path = Path(args.trace)
     if not path.exists():
         raise FileNotFoundError(f"trace file not found: {path}")

@@ -9,8 +9,10 @@ which chain to work on.  A race ends once one side leads by the give-up
 depth, and earnings settle from the blocks of the main chain.
 
 Runs are deterministic per seed, also across processes: no result
-depends on ``PYTHONHASHSEED``.  Runs may share one immutable
-``mempool.RankTable``, the trace numbered in selection order.
+depends on ``PYTHONHASHSEED``.  Runs share one immutable
+``mempool.RankTable``, the trace as columns numbered in selection order:
+``trace.load_trace`` returns it, and ``run`` builds one only for a trace
+that is a plain list.
 
 Inside a run a transaction is named by its rank in that table alone.
 A chain's pool is a set of ranks, and ``Chain.view`` hands them to a
@@ -18,7 +20,8 @@ A chain's pool is a set of ranks, and ``Chain.view`` hands them to a
 holds the ranks of its transactions, and a published block keeps them:
 the engine confirms a block, and forks a head, by ranks alone and never
 maps an id back to a rank.  No template or block stores an id; their
-``tx_ids`` are gathered from the table for a reader outside the run.
+``tx_ids`` are gathered from the table's id column for a reader outside
+the run, and no run builds a ``Transaction``.
 An attacked head is handed to the strategy as the view of its ranks,
 sorted, with the block's fee and size as its totals.
 
@@ -102,7 +105,7 @@ class Block:
 
     @property
     def tx_ids(self) -> tuple[str, ...]:
-        return self.table.ids(self.ranks) if len(self.ranks) else ()
+        return tuple(self.table.ids[self.ranks].tolist()) if len(self.ranks) else ()
 
 
 @dataclass(frozen=True)
@@ -224,7 +227,7 @@ class Chain:
         self.blocks = blocks
         self.table = table
         if parent is None:
-            self.pending = np.zeros(len(table.txs), dtype=bool)
+            self.pending = np.zeros(len(table), dtype=bool)
             self.pool_fee = self.pool_size = 0
         else:
             self.pending = parent.pending.copy()
@@ -373,7 +376,7 @@ class Simulation:
         t0 = float(table.times[0]) if len(table.times) else 0.0
         span = float(table.times[-1]) - t0 if len(table.times) else 0.0
         self.max_events = (
-            EVENT_CAP_MARGIN * (math.ceil(span / params.block_interval) + len(table.txs)) + EVENT_CAP_FLOOR
+            EVENT_CAP_MARGIN * (math.ceil(span / params.block_interval) + len(table)) + EVENT_CAP_FLOOR
         )
         no_ranks = np.empty(0, dtype=np.intp)
         genesis = Block(owner="", fee_total=0, size_total=0, creation_time=t0, height=0, ranks=no_ranks)
@@ -617,5 +620,9 @@ def run(
     avoidance: AvoidancePolicy | None = None,
     seed: int = 0,
 ) -> RunResult:
-    """One seeded simulation; see Simulation for the event semantics."""
-    return Simulation(RankTable(trace), miners, params, depth=depth, avoidance=avoidance, seed=seed).run()
+    """One seeded simulation; see Simulation for the event semantics.
+
+    A ``RankTable`` (what ``trace.load_trace`` returns) is run as it is;
+    any other sequence of transactions is prepared into one first.
+    """
+    return Simulation(RankTable.of(trace), miners, params, depth=depth, avoidance=avoidance, seed=seed).run()

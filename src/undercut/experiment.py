@@ -188,7 +188,7 @@ _worker: tuple[ExperimentConfig, RankTable] | None = None
 
 def _start_worker(config: ExperimentConfig, trace: Sequence[Transaction]) -> None:
     global _worker
-    _worker = (config, RankTable(trace))
+    _worker = (config, RankTable.of(trace))
 
 
 def _run_task(index: int, depth: int, hf: float, first: int, end: int) -> list[RunResult]:
@@ -201,14 +201,17 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Execute repetitions x cells seeded runs and aggregate per cell.
 
-    With ``jobs`` > 1 a pool of up to ``jobs`` worker processes runs the
-    cells in chunks of contiguous repetitions.  Each worker receives the
-    trace once, when it starts (it inherits it under the ``fork`` start
-    method), and prepares one RankTable for all of its chunks; a task
-    carries only indices.  The parent puts the runs back in (cell,
-    repetition) order and aggregates them as ``jobs=1`` does, so the
-    output is identical for any job count: every run's seed is a pure
-    function of its cell and repetition indices.
+    Every run of a process reads one prepared trace: ``trace`` itself
+    when it is a ``RankTable`` (what ``trace.load_trace`` returns), else
+    the table built from it once.  With ``jobs`` > 1 a pool of up to
+    ``jobs`` worker processes runs the cells in chunks of contiguous
+    repetitions.  Each worker receives the trace once, when it starts (it
+    inherits it under the ``fork`` start method; a table pickles as its
+    columns), and builds a table only from a plain list; a task carries
+    only indices.  The parent puts the runs back in (cell, repetition)
+    order and aggregates them as ``jobs=1`` does, so the output is
+    identical for any job count: every run's seed is a pure function of
+    its cell and repetition indices.
     """
     _check_count("jobs", jobs)
     cells = config.cells()
@@ -219,7 +222,7 @@ def run_experiment(
         ) as pool:
             chunks = list(pool.map(_run_task, *zip(*tasks)))
     else:
-        table = RankTable(trace)  # one prepared trace for every cell
+        table = RankTable.of(trace)
         chunks = [_run_reps(config, table, i, d, h, range(first, end)) for i, d, h, first, end in tasks]
     runs: dict[int, list[RunResult]] = {i: [] for i, _, _ in cells}
     for (i, *_), chunk in zip(tasks, chunks):

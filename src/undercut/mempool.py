@@ -8,11 +8,15 @@ a block (honest packing, attack templates, splits, avoidance claims)
 reads fees and sizes by position through ``MempoolView.column``, and
 every template comes from ``MempoolView.template``.
 
-Inside a run a transaction is named by its rank in a ``RankTable``
-alone: a view is a set of ranks, a template holds the ranks of its
-transactions, and a split orders a view by the table's ``id_order``
-column.  No selector reads a ``Transaction``, and ids are gathered from
-the table only when a caller asks for a template's ``tx_ids``.
+A trace is prepared once as a ``RankTable``: its transactions as
+columns (ids, fees, sizes, times), numbered in selection order.  Inside a
+run a transaction is named by its rank in that table alone: a view is a
+set of ranks, a template holds the ranks of its transactions, and a split
+orders a view by the table's ``id_order`` column.  No selector reads a
+``Transaction``, and none is built during a run: ids are gathered from
+the table's id column only when a caller asks for a template's
+``tx_ids``, and a view's ``pending`` transactions are built from the
+columns only when a caller outside the run reads them.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heapreplace
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from itertools import chain
-from operator import attrgetter, eq
-from typing import Collection, Iterable, Iterator, Sequence
+from operator import eq
 
 import numpy as np
 
@@ -56,11 +61,12 @@ class Transaction:
     arrival time is a real number, not a bool: ``RankTable`` reads times
     into a float column, which would parse a string.
 
-    A run holds one object per trace row, so the class has slots and no
-    per-object ``__dict__``.  ``__reduce__`` rebuilds a pickled or copied
-    transaction through the constructor: a sweep worker that unpickles
-    its trace then holds the same compact, validated objects as the
-    process that loaded it.
+    A trace held as a list holds one object per row, so the class has
+    slots and no per-object ``__dict__`` (a loaded trace is a
+    ``RankTable`` and holds none).  ``__reduce__`` rebuilds a pickled or
+    copied transaction through the constructor: a sweep worker that
+    unpickles a list trace then holds the same compact, validated
+    objects as the process that built it.
     """
 
     id: str
@@ -124,78 +130,123 @@ def selection_key(tx: Transaction) -> tuple:
     return (-tx.fee_rate, -tx.fee, tx.id)
 
 
-class RankTable:
-    """An immutable prepared set of transactions, numbered once in selection order.
+class RankTable(Sequence):
+    """A prepared trace: its transactions as columns, numbered once in selection order.
 
-    A transaction's rank is its position in ``selection_key`` order, so a
-    set of ranks read in increasing order is a pool in selection order
-    (a ``MempoolView``).  ``txs[r]`` is the transaction of rank ``r``, and
-    ``fees[r]`` and ``sizes[r]`` its fee and size: the columns that packs
-    and pool totals read without touching a transaction.  ``id_order[r]``
-    is its position in id order, the column a split breaks fee ties by.
-    ``arrivals[i]`` is the rank of the i-th arrival, at ``times[i]``, and
-    ``size_floor`` the smallest size, a lower bound for every view.  The
-    table maps no id to a rank: templates carry the ranks of their
-    transactions, and ``ids`` gathers the ids of ranks.  Runs may share
-    one table.
+    As a sequence, the table is the trace in ``(arrival_time, id)``
+    order: ``len``, indexing and iteration build each ``Transaction``
+    from the columns, and a table equals any sequence of equal
+    transactions (a list, a tuple, another table).  ``trace.load_trace``
+    returns one, parsed straight into columns, so runs on a loaded trace
+    share it and no run builds a table of its own.  A table pickles as
+    its columns.
 
-    It is the one place a pool is sorted and checked: for repeated ids,
-    and for an arrival time that is not finite (an inf or NaN time has no
-    place in the arrival order, and no run could reach it).  The build
-    makes one Python sort, by id, and orders everything else with stable
-    array sorts over that id order, so every tie falls back to the id:
-    one ``np.lexsort`` on (fee rate, fee) descending gives exactly
-    ``selection_key`` order, and one stable ``np.argsort`` on the times
-    gives ``(arrival_time, id)`` order.  Ids are compared as Python
-    strings (a numpy ``'U'`` array would drop trailing NULs).  A repeated
-    id shows as two equal neighbours in the id order.
+    Inside a run a transaction is its rank: its position in
+    ``selection_key`` order, so a set of ranks read in increasing order is
+    a pool in selection order (a ``MempoolView``).  ``ids[r]``,
+    ``fees[r]`` and ``sizes[r]`` are the id, fee and size of rank ``r``:
+    the columns that packs, pool totals and ``tx_ids`` read.
+    ``id_order[r]`` is its position in id order, the column a split
+    breaks fee ties by.  ``arrivals[i]`` is the rank of the i-th arrival,
+    at ``times[i]``, and ``size_floor`` the smallest size, a lower bound
+    for every view.  The table maps no id to a rank: templates carry the
+    ranks of their transactions.  ``txs[r]``, the ``Transaction`` of rank
+    ``r``, is built from the columns the first time it is read (by
+    ``MempoolView.pending``); no run reads it.
 
-    The columns are int64, and the fee rates their float64 quotients,
-    while every fee and size lies below 2**53 (so float64 holds it, and
-    divides it with the one rounding Python's ``fee / size`` makes) and
-    no sum of them can pass int64.  Otherwise they hold Python ints, the
-    rates are Python's own quotients, and every sort and sum stays exact.
+    Both constructors go through one build from columns:
+    ``RankTable(transactions)`` reads the columns of its transactions,
+    and ``from_columns`` takes them parsed.  The build is the one place a
+    pool is sorted and checked: for repeated ids, and for an arrival time
+    that is not finite (an inf or NaN time has no place in the arrival
+    order, and no run could reach it).  It makes one Python sort, by id,
+    and orders everything else with stable array sorts over that id
+    order, so every tie falls back to the id: one ``np.lexsort`` on (fee
+    rate, fee) descending gives exactly ``selection_key`` order, and one
+    stable ``np.argsort`` on the times gives ``(arrival_time, id)`` order.
+    Ids are kept and compared as Python strings (a numpy ``'U'`` array
+    would drop trailing NULs).  A repeated id shows as two equal
+    neighbours in the id order.  Times are read into a float64 column.
+
+    The fee and size columns are int64, and the fee rates their float64
+    quotients, while every fee and size lies below 2**53 (so float64
+    holds it, and divides it with the one rounding Python's ``fee /
+    size`` makes) and no sum of them can pass int64.  Otherwise they hold
+    Python ints, the rates are Python's own quotients, and every sort and
+    sum stays exact.
     """
 
-    __slots__ = ("txs", "fees", "sizes", "id_order", "size_floor", "arrivals", "times", "total_fee")
+    __slots__ = ("ids", "fees", "sizes", "id_order", "size_floor", "arrivals", "times", "total_fee", "_txs")
+    _COLUMNS = __slots__[:-1]
 
     def __init__(self, trace: Iterable[Transaction]):
-        by_id = sorted(trace, key=attrgetter("id"))
-        ids = [tx.id for tx in by_id]
-        if any(map(eq, ids, ids[1:])):
+        txs = list(trace)
+        times = np.fromiter((tx.arrival_time for tx in txs), float, len(txs))
+        self._build([tx.id for tx in txs], times, [tx.size for tx in txs], [tx.fee for tx in txs])
+
+    @classmethod
+    def from_columns(
+        cls, ids: list[str], times: np.ndarray, sizes: Sequence[int], fees: Sequence[int]
+    ) -> "RankTable":
+        """The table of the rows whose id, time, size and fee these are, in any order.
+
+        The rows must be ones ``Transaction`` accepts: integer sizes and
+        fees, sizes positive and fees non-negative.
+        """
+        table = cls.__new__(cls)
+        table._build(ids, times, sizes, fees)
+        return table
+
+    @classmethod
+    def of(cls, trace: Iterable[Transaction]) -> "RankTable":
+        """``trace`` itself if it is a table, else the table built from it."""
+        return trace if isinstance(trace, cls) else cls(trace)
+
+    def _build(self, ids: list[str], times: np.ndarray, sizes: Sequence[int], fees: Sequence[int]) -> None:
+        n = len(ids)
+        by_id = np.fromiter(sorted(range(n), key=ids.__getitem__), np.intp, n)
+        ids = np.array(ids, dtype=object)[by_id]
+        if (ids[1:] == ids[:-1]).any():
             raise ValueError("duplicate transaction ids in trace")
-        del ids  # each temporary goes once read, which keeps the build's peak memory low
-        n = len(by_id)
-        fees, sizes = _columns(by_id)
+        # each temporary goes once read, which keeps the build's peak memory low
+        fees, sizes = _int_columns(fees, sizes)
+        fees, sizes, times = fees[by_id], sizes[by_id], times[by_id]
+        del by_id
+        finite = np.isfinite(times)
+        if not finite.all():
+            bad = int(finite.argmin())
+            raise ValueError(f"transaction {ids[bad]!r}: arrival_time must be finite, got {times[bad]}")
+        del finite
         if fees.dtype == object:
-            rates = np.array([tx.fee / tx.size for tx in by_id])
+            rates = np.array([fee / size for fee, size in zip(fees.tolist(), sizes.tolist())], dtype=float)
         else:
             rates = fees / sizes
         np.negative(rates, out=rates)  # selection_key's -fee_rate, then -fee; ties keep id order
         self.id_order = ordered = np.lexsort((-fees, rates))
         del rates
+        self.ids = ids[ordered]
         self.fees = fees[ordered]
         self.sizes = sizes[ordered]
-        del fees, sizes
+        del ids, fees, sizes
         self.size_floor = int(self.sizes.min()) if n else 1
         self.total_fee = int(self.fees.sum())
-        self.txs = np.fromiter(by_id, dtype=object, count=n)[ordered]
-        times = np.fromiter((tx.arrival_time for tx in by_id), float, n)
-        finite = np.isfinite(times)
-        if not finite.all():
-            bad = by_id[int(finite.argmin())]
-            raise ValueError(f"transaction {bad.id!r}: arrival_time must be finite, got {bad.arrival_time}")
-        del by_id, finite
         arriving = np.argsort(times, kind="stable")
         self.times = times[arriving]
         del times
         rank = np.empty(n, dtype=np.intp)
         rank[ordered] = np.arange(n)
         self.arrivals = rank[arriving]
+        self._txs = None
 
-    def ids(self, ranks: np.ndarray | Sequence[int]) -> tuple[str, ...]:
-        """The ids of the transactions of ``ranks``, in that order."""
-        return tuple(map(attrgetter("id"), self.txs[ranks].tolist()))
+    @property
+    def txs(self) -> np.ndarray:
+        """The ``Transaction`` of each rank, built from the columns on first read."""
+        if self._txs is None:
+            times = np.empty_like(self.times)
+            times[self.arrivals] = self.times
+            columns = (self.ids.tolist(), times.tolist(), self.sizes.tolist(), self.fees.tolist())
+            self._txs = np.fromiter(map(Transaction, *columns), object, len(self))
+        return self._txs
 
     def totals(self, ranks: np.ndarray | Sequence[int]) -> tuple[int, int]:
         """The fee and size of the transactions of ``ranks``, summed from the columns.
@@ -205,6 +256,41 @@ class RankTable:
         """
         return sum(self.fees[ranks].tolist()), sum(self.sizes[ranks].tolist())
 
+    # -- the trace as a sequence, in (arrival_time, id) order ---------------
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index: int | slice) -> Transaction | list[Transaction]:
+        at = range(len(self))[index]  # IndexError past either end
+        if isinstance(at, range):
+            return [self[i] for i in at]
+        r = self.arrivals[at]
+        return Transaction(self.ids[r], float(self.times[at]), int(self.sizes[r]), int(self.fees[r]))
+
+    def __iter__(self) -> Iterator[Transaction]:
+        at = self.arrivals
+        columns = (self.ids[at].tolist(), self.times.tolist(), self.sizes[at].tolist(), self.fees[at].tolist())
+        return map(Transaction, *columns)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({list(self)!r})"
+
+    def __getstate__(self) -> dict[str, object]:
+        return {name: getattr(self, name) for name in self._COLUMNS}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._txs = None
+
 
 # Below this, an integer and its float64 are equal, so a quotient of two
 # such integers rounds once in numpy as it does in Python.
@@ -212,22 +298,20 @@ _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
 
 
-def _columns(txs: Sequence[Transaction]) -> tuple[np.ndarray, np.ndarray]:
-    # The fee and size columns of txs, int64 where RankTable's fast path
-    # is exact for them, else Python ints.
-    n = len(txs)
+def _int_columns(fees: Sequence[int], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    # The fee and size columns, int64 where RankTable's fast path is
+    # exact for them, else Python ints.
+    n = len(fees)
     try:
-        fees = np.fromiter((tx.fee for tx in txs), np.int64, n)
-        sizes = np.fromiter((tx.size for tx in txs), np.int64, n)
+        fee_column = np.fromiter(fees, np.int64, n)
+        size_column = np.fromiter(sizes, np.int64, n)
     except OverflowError:  # past int64
         pass
     else:
-        top = int(max(fees.max(initial=0), sizes.max(initial=0)))
+        top = int(max(fee_column.max(initial=0), size_column.max(initial=0)))
         if top < _FLOAT_EXACT and top * n < _INT64_LIMIT:
-            return fees, sizes
-    fees = np.fromiter((tx.fee for tx in txs), object, n)
-    sizes = np.fromiter((tx.size for tx in txs), object, n)
-    return fees, sizes
+            return fee_column, size_column
+    return np.fromiter(fees, object, n), np.fromiter(sizes, object, n)
 
 
 class MempoolView:
@@ -236,10 +320,12 @@ class MempoolView:
     ``ranks`` holds them in increasing order, so position ``i`` of a view
     is rank ``ranks[i]``, in selection order.  Its fee and size are
     ``column("fees")[i]`` and ``column("sizes")[i]``, and its transaction
-    is ``pending[i]`` (``table.txs[ranks]``, gathered on each read).
-    Every selector (packing, ``fee_left``, claims, splits, avoidance)
-    reads the columns by position, and ``template`` builds the template
-    of a set of positions, which carries their ranks.  ``of`` builds a
+    is ``pending[i]`` (``table.txs[ranks]``, gathered on each read; the
+    table builds ``txs`` from its columns on the first, so tests and
+    diagnostics read ``pending`` and runs never do).  Every selector
+    (packing, ``fee_left``, claims, splits, avoidance) reads the columns
+    by position, and ``template`` builds the template of a set of
+    positions, which carries their ranks.  ``of`` builds a
     table of a list and views all of it, ``without`` drops transactions,
     and ``engine.Chain.view`` views the ranks a chain holds; a greedy pack
     (``packed``) and an attacked head are views too.  A view is never
@@ -298,10 +384,10 @@ class MempoolView:
     def of(cls, txs: Iterable[Transaction]) -> "MempoolView":
         """A view of all of ``txs``, over a table built from them."""
         table = RankTable(txs)
-        return cls(table, np.arange(len(table.txs), dtype=np.intp))
+        return cls(table, np.arange(len(table), dtype=np.intp))
 
     def ids(self) -> frozenset[str]:
-        return frozenset(self.table.ids(self.ranks))
+        return frozenset(self.table.ids[self.ranks].tolist())
 
     def packed(self, size_budget: int) -> "MempoolView":
         """The view of the greedy pack of the pool within ``size_budget``, memoized.
@@ -403,7 +489,8 @@ class BandwidthSetResult:
     ``MempoolView.template`` fills it from the ranks of its view, and the
     engine removes a published template by them.  The template stores
     no ids: ``tx_ids`` gathers them from ``table`` on each read, and is
-    ``()`` for no ranks (``EMPTY_TEMPLATE`` has no table).
+    ``()`` for no ranks (``EMPTY_TEMPLATE`` has no table); they are read
+    from the table's ``ids`` column.
 
     Two templates are equal when their ``tx_ids``, ``total_fee`` and
     ``total_size`` are, whatever their tables; a template is not hashable.
@@ -416,7 +503,7 @@ class BandwidthSetResult:
 
     @property
     def tx_ids(self) -> tuple[str, ...]:
-        return self.table.ids(self.ranks) if len(self.ranks) else ()
+        return tuple(self.table.ids[self.ranks].tolist()) if len(self.ranks) else ()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -547,7 +634,8 @@ def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list
 
     Longest-processing-time heuristic: assign in descending fee order
     (ties by id, read from the table's ``id_order``) to the part with the
-    least fee, the lowest-numbered part on a fee tie.  The parts come
+    least fee, the lowest-numbered part on a fee tie: the top of a heap of
+    (fee, part number), one ``heapreplace`` per transaction.  The parts come
     back in (fee, part number) order, so ``[0]`` is the lightest part,
     the one every attack template takes.  Each part lists positions in
     ``pool`` in the order they were assigned.  Every caller splits a set
@@ -568,12 +656,12 @@ def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list
     order = np.lexsort((table.id_order[ranks], -fees)).tolist()  # by fee descending, then id
     fees = fees.tolist()
     parts: list[list[int]] = [[] for _ in range(k)]
-    loads = [0] * k
+    loads = [(0, j) for j in range(k)]  # (fee, part number): a heap, lightest and then lowest-numbered on top
     for i in order:
-        j = loads.index(min(loads))
+        load, j = loads[0]
         parts[j].append(i)
-        loads[j] += fees[i]
-    return [parts[j] for j in sorted(range(k), key=loads.__getitem__)]
+        heapreplace(loads, (load + fees[i], j))
+    return [parts[j] for _, j in sorted(loads)]
 
 
 def claim_partial(pool: MempoolView, target_fee: int, params: ChainParams) -> BandwidthSetResult:

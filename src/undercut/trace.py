@@ -2,8 +2,11 @@
 
 Traces are flat files of (id, timestamp, size, fee) rows, pre-extracted
 from a chain by whatever collection script the user runs; reconstructed
-pools are only as faithful as that extraction.  Synthetic traces cover
-desk-scale testing.  Presets carry the standard populations: a 16-pool
+pools are only as faithful as that extraction.  ``load_trace`` parses a
+file straight into columns and returns them as a ``mempool.RankTable``,
+the prepared trace every run reads, so the runs of a sweep over one
+file share one table and build none.  Synthetic traces cover desk-scale
+testing.  Presets carry the standard populations: a 16-pool
 Bitcoin distribution anchored at 0.6% and 17.6%, a hypothetical strong
 attacker at 45%, and a Monero-style 35% attacker.
 """
@@ -16,13 +19,12 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
-from .mempool import ChainParams, Transaction
+from .mempool import ChainParams, RankTable, Transaction
 
 MINER_KINDS = ("honest", "rational", "undercutter")
 
@@ -111,8 +113,8 @@ def _reject(line_no: int, timestamp: float, size: int, fee: int) -> NoReturn:
     raise TraceError(f"line {line_no}: fee must be non-negative, got {fee}")
 
 
-def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
-    """Load, validate and time-sort a transaction trace.
+def load_trace(path: str | Path, fmt: str = "csv") -> RankTable:
+    """Load and validate a transaction trace as the ``RankTable`` every run reads.
 
     CSV files need the header ``id,timestamp,size,fee``; json-lines
     files carry one object with those keys per line, with the id a JSON
@@ -121,27 +123,42 @@ def load_trace(path: str | Path, fmt: str = "csv") -> list[Transaction]:
     non-positive sizes are rejected with the offending line number.  The
     file is read once, front to back, so it may be a pipe; the error
     names the first bad line.
+
+    Rows are parsed straight into columns (ids as Python strings, times
+    as floats, sizes and fees as Python ints) and no ``Transaction`` is
+    built.  The table is a sequence of the trace in ``(arrival_time,
+    id)`` order, equal to the list of those transactions.
     """
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
-    records: list[Transaction] = []
+    ids: list[str] = []
+    times = array("d")
+    sizes: list[int] = []
+    fees: list[int] = []
     seen: set[str] = set()
-    # each record's line, read back only to name where a repeated id first
+    # each row's line, read back only to name where a repeated id first
     # came; a set and an array hold less than a dict of id to line
     lines = array("q")
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        for line_no, tx in _csv_rows(fh) if fmt == "csv" else _json_rows(fh):
-            if tx.id in seen:
-                first = lines[next(i for i, kept in enumerate(records) if kept.id == tx.id)]
-                raise TraceError(f"line {line_no}: duplicate transaction id {tx.id!r} (first on line {first})")
-            seen.add(tx.id)
+        for line_no, id_, timestamp, size, fee in _csv_rows(fh) if fmt == "csv" else _json_rows(fh):
+            if id_ in seen:
+                raise TraceError(
+                    f"line {line_no}: duplicate transaction id {id_!r} (first on line {lines[ids.index(id_)]})"
+                )
+            seen.add(id_)
             lines.append(line_no)
-            records.append(tx)
-    records.sort(key=attrgetter("arrival_time", "id"))
-    return records
+            ids.append(id_)
+            times.append(timestamp)
+            sizes.append(size)
+            fees.append(fee)
+    del seen, lines  # freed before the build's own temporaries
+    return RankTable.from_columns(ids, np.array(times, dtype=float), sizes, fees)
 
 
-def _csv_rows(fh: TextIO) -> Iterator[tuple[int, Transaction]]:
+Row = tuple[int, str, float, int, int]  # (line, id, timestamp, size, fee)
+
+
+def _csv_rows(fh: TextIO) -> Iterator[Row]:
     # each valid row of a CSV trace with the line it starts on (the header
     # is line 1); a quoted field may span lines, so records are not lines
     isfinite = math.isfinite
@@ -163,10 +180,10 @@ def _csv_rows(fh: TextIO) -> Iterator[tuple[int, Transaction]]:
             raise TraceError(f"line {line_no}: malformed row: {exc}") from None
         if not (isfinite(timestamp) and size > 0 and fee >= 0):
             _reject(line_no, timestamp, size, fee)
-        yield line_no, Transaction(id_, timestamp, size, fee)
+        yield line_no, id_, timestamp, size, fee
 
 
-def _json_rows(fh: TextIO) -> Iterator[tuple[int, Transaction]]:
+def _json_rows(fh: TextIO) -> Iterator[Row]:
     # each valid row of a json-lines trace with its line number
     isfinite = math.isfinite
     for line_no, line in enumerate(fh, start=1):
@@ -195,21 +212,30 @@ def _json_rows(fh: TextIO) -> Iterator[tuple[int, Transaction]]:
         # str() alone would also make ids of null, true and [1]
         if type(id_) not in (str, int):
             raise TraceError(f"line {line_no}: id must be a JSON string or integer, got {json.dumps(id_)}")
-        yield line_no, Transaction(str(id_), timestamp, size, fee)
+        yield line_no, str(id_), timestamp, size, fee
 
 
 def write_trace(records: Iterable[Transaction], path: str | Path, fmt: str = "csv") -> None:
-    """Write a trace in the load_trace file contract."""
+    """Write a trace in the load_trace file contract.
+
+    Both formats write a time as the same number: an integral time as
+    its integer digits, any other as the repr of the nearest float.
+    """
     path = Path(path)
     if fmt == "csv":
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
+            # the writer quotes a field holding "\n" but not a lone "\r",
+            # where the reader also ends a line: such an id is quoted
+            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
             writer.writerow(TRACE_COLUMNS)
-            writer.writerows([tx.id, _format_time(tx.arrival_time), tx.size, tx.fee] for tx in records)
+            for tx in records:
+                row = [tx.id, _time_number(tx.arrival_time), tx.size, tx.fee]
+                (quoted if "\r" in tx.id else writer).writerow(row)
     elif fmt == "json-lines":
         with path.open("w", encoding="utf-8") as fh:
             for tx in records:
-                time, size, fee = _plain(tx.arrival_time), int(tx.size), int(tx.fee)
+                time, size, fee = _time_number(tx.arrival_time), int(tx.size), int(tx.fee)
                 fh.write(json.dumps({"id": tx.id, "timestamp": time, "size": size, "fee": fee}) + "\n")
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
@@ -221,9 +247,11 @@ def _plain(x: float) -> float:
     return x.item() if isinstance(x, np.generic) else x
 
 
-def _format_time(t: float) -> str:
-    # a numpy float is written as the equal Python float
-    return str(int(t)) if float(t).is_integer() else repr(float(t))
+def _time_number(t: float) -> int | float:
+    # the Python int or float a time is written as, whatever real type it
+    # has (a numpy scalar, a Fraction): the integer of an integral time,
+    # else the nearest float, whose str is its repr
+    return int(t) if float(t).is_integer() else float(t)
 
 
 def load_powers(path: str | Path) -> PowerDistribution:

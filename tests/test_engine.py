@@ -32,6 +32,7 @@ from undercut.mempool import (
     ChainParams,
     MempoolView,
     RankTable,
+    Transaction,
     bandwidth_set,
     claimable_fees,
     gamma_ratio,
@@ -39,7 +40,7 @@ from undercut.mempool import (
     split_equal_fee,
 )
 from undercut.strategy import craft_avoidance_block, undercut_template
-from undercut.trace import preset, synthesize_trace
+from undercut.trace import load_trace, preset, synthesize_trace, write_trace
 
 from conftest import pending_reads, template_of, tx, whale_trace
 
@@ -624,6 +625,43 @@ def test_a_run_names_transactions_by_their_ranks_alone(depth, avoidance):
     if avoidance == "off":  # the run attacks, and a drained pool splits the head
         assert result.attacks > 0 and split.call_count > 0
     assert reads == [] and id_reads == []
+
+
+def loaded_whale_trace(path):
+    """The whale trace of the tests above, written to ``path`` and loaded back."""
+    write_trace(whale_trace(13, 600, 60_000, dust_rate=5.0, whale_rate=0.4), path)
+    return load_trace(path)
+
+
+def test_a_run_over_a_loaded_table_builds_no_transaction(tmp_path, monkeypatch):
+    # a loaded trace is its table's columns: no run builds a Transaction,
+    # nor the table's txs (which would build one per rank)
+    table = loaded_whale_trace(tmp_path / "trace.csv")
+    dist, _ = preset("bitcoin16")
+    miners = profiles(dist.with_honest_fraction(0.3).entries)
+
+    def refuse(transaction):
+        raise AssertionError(f"a run built transaction {transaction.id!r}")
+
+    monkeypatch.setattr(Transaction, "__post_init__", refuse)
+    attacks = 0
+    for depth in (1, 2):
+        for avoidance in ("off", "experimental", "exact", "strict"):
+            result = run(table, miners, PARAMS, depth=depth, avoidance=parse_avoidance(avoidance), seed=17)
+            assert result.confirmed_fee > 0
+            attacks += result.attacks
+    assert attacks > 0
+    assert table._txs is None
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_run_over_a_loaded_table_equals_a_run_over_its_list(tmp_path, depth):
+    table = loaded_whale_trace(tmp_path / "trace.csv")
+    dist, _ = preset("bitcoin16")
+    miners = profiles(dist.with_honest_fraction(0.3).entries)
+    result = run(table, miners, PARAMS, depth=depth, seed=17)
+    assert result.attacks > 0
+    assert result == run(list(table), miners, PARAMS, depth=depth, seed=17)
 
 
 @st.composite

@@ -23,7 +23,7 @@ from undercut.experiment import (
     _run_reps,
 )
 from undercut.mempool import RankTable, Transaction
-from undercut.trace import preset
+from undercut.trace import load_trace, preset, write_trace
 
 from conftest import whale_trace
 
@@ -254,6 +254,15 @@ def test_sweep_results_do_not_depend_on_jobs(sweep):
     config, trace, jobs = sweep
     assert len(config.cells()) in (1, 2)
     assert run_experiment(config, trace, jobs=1) == run_experiment(config, trace, jobs=jobs)
+
+
+def test_a_sweep_over_a_loaded_table_does_not_depend_on_jobs(tmp_path, config, small_trace):
+    path = tmp_path / "trace.csv"
+    write_trace(small_trace, path)
+    table = load_trace(path)
+    summary = run_experiment(config, table, jobs=1)
+    assert summary.cells[0].attacks > 0
+    assert run_experiment(config, table, jobs=2) == summary == run_experiment(config, small_trace, jobs=1)
 
 
 def test_a_cell_is_its_repetition_chunks_in_order(config, small_trace):

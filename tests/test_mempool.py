@@ -287,6 +287,50 @@ def test_split_equal_fee_matches_the_sort_based_split(case, offset):
     assert parts[0] == min(reference, key=lambda part: sum(t.fee for t in part))
 
 
+def index_loop_split(fees, order, k):
+    """The LPT loop as the split ran it before its heap: each position in
+    ``order`` goes to the first least-loaded part, ``loads.index(min(loads))``,
+    and the parts come back by (load, part number)."""
+    parts, loads = [[] for _ in range(k)], [0] * k
+    for i in order:
+        j = loads.index(min(loads))
+        parts[j].append(i)
+        loads[j] += fees[i]
+    return [parts[j] for j in sorted(range(k), key=loads.__getitem__)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), max_size=30),
+    st.sampled_from((1, 2, 3)),
+    st.sampled_from((1, 2**63 + 1)),
+)
+def test_split_equal_fee_heap_matches_the_index_loop(fee_steps, k, scale):
+    # few distinct fees tie loads often, where the lowest-numbered part must win
+    txs = [tx(f"t{i:02d}", 1, fee * scale) for i, fee in enumerate(fee_steps)]
+    view = pool_of(*txs)
+    params = ChainParams(block_size_limit=max(1, len(txs)), block_interval=600.0)
+    fees = view.column("fees")
+    order = sorted(range(len(txs)), key=lambda i: (-fees[i], view.pending[i].id))
+    assert split_equal_fee(view, k, params) == index_loop_split(fees, order, k)
+
+
+def test_a_rank_table_is_its_trace_in_arrival_order():
+    trace = [tx("b", 3, 7, t=2.0), tx("a", 5, 0, t=2.0), tx("c", 1, 2, t=0.5)]
+    table = RankTable(trace)
+    in_order = sorted(trace, key=lambda t: (t.arrival_time, t.id))
+    assert len(table) == 3 and list(table) == in_order
+    assert table[0] == in_order[0] and table[-1] == in_order[-1] and table[1:] == in_order[1:]
+    with pytest.raises(IndexError):
+        table[3]
+    # equal to any sequence of equal transactions, from either side
+    assert table == in_order and in_order == table and table == tuple(in_order) and table == RankTable(in_order)
+    assert table != in_order[:2] and table != trace and RankTable([]) == []
+    assert (table == 3) is False
+    with pytest.raises(TypeError):
+        hash(table)
+
+
 @st.composite
 def pools_and_budgets(draw):
     n = draw(st.integers(0, 12))

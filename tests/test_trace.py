@@ -1,15 +1,19 @@
 import ast
 import json
 import math
+import pickle
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import undercut
-from undercut.mempool import Transaction
+from undercut.mempool import RankTable, Transaction
 from undercut.trace import (
     BITCOIN_PARAMS,
     MONERO_PARAMS,
@@ -61,6 +65,60 @@ def test_a_trace_of_numpy_scalars_reads_back(tmp_path, fmt):
     plain = [Transaction("a", 1.5, 3, 7), Transaction("b", 2.25, 4, 0), Transaction("c", 3, 5, 2**70)]
     write_trace(plain, tmp_path / "plain", fmt=fmt)
     assert path.read_bytes() == (tmp_path / "plain").read_bytes()
+
+
+def test_a_fraction_time_is_written_as_the_same_number_in_both_formats(tmp_path):
+    # json refused a Fraction; both formats now write what the CSV writer did
+    records = [Transaction("a", Fraction(1, 3), 3, 4), Transaction("b", Fraction(14, 2), 2, 1)]
+    loaded = []
+    for fmt in TRACE_FORMATS:
+        write_trace(records, tmp_path / fmt, fmt=fmt)
+        loaded.append(load_trace(tmp_path / fmt, fmt=fmt))
+    assert loaded[0] == loaded[1] == [Transaction("a", 1 / 3, 3, 4), Transaction("b", 7.0, 2, 1)]
+    assert (tmp_path / "csv").read_text().splitlines()[1:] == ["a,0.3333333333333333,3,4", "b,7,2,1"]
+
+
+TABLE_COLUMNS = ("ids", "fees", "sizes", "id_order", "arrivals", "times")
+
+
+def assert_same_columns(table, other):
+    """The two tables hold equal columns of equal dtypes, and equal totals."""
+    for name in TABLE_COLUMNS:
+        a, b = getattr(table, name), getattr(other, name)
+        assert (name, a.dtype, a.tolist()) == (name, b.dtype, b.tolist())
+    assert (table.size_floor, table.total_fee) == (other.size_floor, other.total_fee)
+
+
+@st.composite
+def written_traces(draw):
+    """Traces whose ids need quoting (commas, quotes, line breaks) or end
+    in a NUL, with tied times and fees and sizes past int64."""
+    text = st.text(alphabet='a,"\n\r é', max_size=4)
+    ids = draw(st.lists(st.builds(str.__add__, text, st.sampled_from(("", "\x00"))), unique=True, max_size=12))
+    time = st.sampled_from((0.0, 0.5, 1 / 3, 7.0, 1e20, 2.0**60 + 2**8))
+    fee = st.one_of(st.integers(0, 60), st.integers(2**63 - 2, 2**80))
+    size = st.one_of(st.integers(1, 5), st.just(2**64))
+    return [Transaction(i, draw(time), draw(size), draw(fee)) for i in ids]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(written_traces(), st.sampled_from(TRACE_FORMATS))
+def test_a_written_trace_loads_back_as_the_table_of_its_transactions(tmp_path, records, fmt):
+    path = tmp_path / "trace"
+    write_trace(records, path, fmt=fmt)
+    loaded = load_trace(path, fmt=fmt)
+    assert_same_columns(loaded, RankTable(records))
+    assert list(loaded) == sorted(records, key=lambda t: (t.arrival_time, t.id))
+
+
+def test_a_loaded_table_pickles_as_its_columns(tmp_path):
+    records = [Transaction("b\x00", 2.5, 3, 7), Transaction("a,b", 0.5, 5, 2**70), Transaction("c", 0.5, 1, 0)]
+    write_trace(records, tmp_path / "trace.csv")
+    table = load_trace(tmp_path / "trace.csv")
+    back = pickle.loads(pickle.dumps(table))
+    assert back == table and isinstance(back, RankTable)
+    assert_same_columns(back, table)
+    assert back.txs.tolist() == table.txs.tolist()
 
 
 def test_load_trace_empty_file(tmp_path):
