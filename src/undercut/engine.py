@@ -26,11 +26,14 @@ An attacked head is handed to the strategy as the view of its ranks,
 sorted, with the block's fee and size as its totals.
 
 A chain keeps its pool's fee and size totals beside its mask, so no
-decision sums a pool.  The totals follow the mask: every rank an arrival
-or an attacked head sets adds its fee and size, read from the table's
-columns, every published template subtracts its ``total_fee`` and
-``total_size`` as its ranks are cleared, and a fork copies its parent's
-mask and totals together.
+decision sums a pool.  The totals follow the mask, and each change comes
+with the totals an earlier step already summed: the arrivals of an event
+add the difference of the table's arrival prefix sums (worked out once,
+for every live chain), an attacked head adds its block's ``fee_total``
+and ``size_total``, every published template subtracts its
+``total_fee`` and ``total_size`` as its ranks are cleared, and a fork
+copies its parent's mask and totals together.  No event gathers a
+column to sum it, save for the template of a split part.
 """
 
 from __future__ import annotations
@@ -198,8 +201,8 @@ class Chain:
 
     ``pool_fee`` and ``pool_size`` are the totals of the set ranks, kept
     beside the mask, so no event rescans the pool: ``add_pending`` adds
-    the sums of the ``table``'s fee and size columns over the ranks it
-    sets, ``remove_pending`` subtracts the ``total_fee`` and
+    the totals it is handed with the ranks it sets (an event's arrivals,
+    or an attacked head), ``remove_pending`` subtracts the ``total_fee`` and
     ``total_size`` of the published template whose ranks it clears, and
     a fork starts from its parent's totals.
 
@@ -242,12 +245,12 @@ class Chain:
     def tip(self) -> Block:
         return self.blocks[-1]
 
-    def add_pending(self, ranks: Sequence[int]) -> None:
-        """Add the transactions of ``ranks``, none of them pending here yet."""
+    def add_pending(self, ranks: Sequence[int], totals: tuple[int, int]) -> None:
+        """Add the transactions of ``ranks``, none of them pending here yet, of (fee, size) ``totals``."""
         # most events bring no arrival: an empty slice keeps the cached view
         if len(ranks):
             self.pending[ranks] = True
-            fee, size = self.table.totals(ranks)
+            fee, size = totals
             self.pool_fee += fee
             self.pool_size += size
             self._view = None
@@ -579,7 +582,7 @@ class Simulation:
         self.attack_branches[tag] += 1
         fork = Chain(ext.blocks[:-1], {self.undercutter_id}, self.table, parent=ext)
         fork.base_height = block.height - 1
-        fork.add_pending(head.ranks)
+        fork.add_pending(head.ranks, head.totals)
         fork.committed = template
         ext.workers.discard(self.undercutter_id)
         self.fork = fork
@@ -589,10 +592,12 @@ class Simulation:
         return sum(b.fee_total for b in chain.blocks[base + 1 :] if b.owner == miner_id)
 
     def update_mempool(self, now: float) -> None:
-        """Feed arrivals up to the event time into every live chain."""
-        end = max(self.next_arrival, int(self.table.times.searchsorted(now, "right")))
+        """Feed arrivals up to the event time, and their totals, into every live chain."""
+        table, start = self.table, self.next_arrival
+        end = max(start, int(table.times.searchsorted(now, "right")))
+        ranks, totals = table.arrivals[start:end], table.arrival_totals(start, end)
         for chain in self.chains:
-            chain.add_pending(self.table.arrivals[self.next_arrival : end])
+            chain.add_pending(ranks, totals)
         self.next_arrival = end
 
     def _resample(self, now: float) -> None:

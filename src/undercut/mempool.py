@@ -145,14 +145,18 @@ class RankTable(Sequence):
     ``selection_key`` order, so a set of ranks read in increasing order is
     a pool in selection order (a ``MempoolView``).  ``ids[r]``,
     ``fees[r]`` and ``sizes[r]`` are the id, fee and size of rank ``r``:
-    the columns that packs, pool totals and ``tx_ids`` read.
+    the columns that packs, templates and ``tx_ids`` read.
     ``id_order[r]`` is its position in id order, the column a split
     breaks fee ties by.  ``arrivals[i]`` is the rank of the i-th arrival,
     at ``times[i]``, and ``size_floor`` the smallest size, a lower bound
-    for every view.  The table maps no id to a rank: templates carry the
-    ranks of their transactions.  ``txs[r]``, the ``Transaction`` of rank
-    ``r``, is built from the columns the first time it is read (by
-    ``MempoolView.pending``); no run reads it.
+    for every view.  ``arrived_fee[i]`` and ``arrived_size[i]`` are the
+    fee and size of the first ``i`` arrivals, n + 1 prefix sums each, so
+    ``arrival_totals`` sums any run of arrivals with two differences (the
+    totals every arrival hands a chain), and ``total_fee``, the trace's
+    fee, is the last fee prefix.  The table maps no id to a rank:
+    templates carry the ranks of their transactions.  ``txs[r]``, the
+    ``Transaction`` of rank ``r``, is built from the columns the first
+    time it is read (by ``MempoolView.pending``); no run reads it.
 
     Both constructors go through one build from columns:
     ``RankTable(transactions)`` reads the columns of its transactions,
@@ -173,10 +177,21 @@ class RankTable(Sequence):
     holds it, and divides it with the one rounding Python's ``fee /
     size`` makes) and no sum of them can pass int64.  Otherwise they hold
     Python ints, the rates are Python's own quotients, and every sort and
-    sum stays exact.
+    sum stays exact.  Each prefix column has its column's dtype.
     """
 
-    __slots__ = ("ids", "fees", "sizes", "id_order", "size_floor", "arrivals", "times", "total_fee", "_txs")
+    __slots__ = (
+        "ids",
+        "fees",
+        "sizes",
+        "id_order",
+        "size_floor",
+        "arrivals",
+        "times",
+        "arrived_fee",
+        "arrived_size",
+        "_txs",
+    )
     _COLUMNS = __slots__[:-1]
 
     def __init__(self, trace: Iterable[Transaction]):
@@ -229,14 +244,26 @@ class RankTable(Sequence):
         self.sizes = sizes[ordered]
         del ids, fees, sizes
         self.size_floor = int(self.sizes.min()) if n else 1
-        self.total_fee = int(self.fees.sum())
         arriving = np.argsort(times, kind="stable")
         self.times = times[arriving]
         del times
         rank = np.empty(n, dtype=np.intp)
         rank[ordered] = np.arange(n)
         self.arrivals = rank[arriving]
+        del rank, arriving
+        self.arrived_fee = _prefix_sums(self.fees[self.arrivals])
+        self.arrived_size = _prefix_sums(self.sizes[self.arrivals])
         self._txs = None
+
+    @property
+    def total_fee(self) -> int:
+        """The fee of the whole trace: the last arrival prefix."""
+        return int(self.arrived_fee[-1])
+
+    def arrival_totals(self, start: int, end: int) -> tuple[int, int]:
+        """The fee and size of the arrivals ``start`` to ``end - 1``: a difference of two prefixes each."""
+        fee, size = self.arrived_fee, self.arrived_size
+        return int(fee[end] - fee[start]), int(size[end] - size[start])
 
     @property
     def txs(self) -> np.ndarray:
@@ -252,7 +279,9 @@ class RankTable(Sequence):
         """The fee and size of the transactions of ``ranks``, summed from the columns.
 
         Python sums over ``tolist``: exact for either dtype, and on the few
-        ranks most callers pass cheaper than two numpy reductions.
+        ranks callers pass cheaper than two numpy reductions.  Inside a run
+        only the template of a split part sums its ranks; every other set
+        carries the totals some earlier step summed (see ``MempoolView``).
         """
         return sum(self.fees[ranks].tolist()), sum(self.sizes[ranks].tolist())
 
@@ -298,6 +327,14 @@ _FLOAT_EXACT = 2**53
 _INT64_LIMIT = 2**63
 
 
+def _prefix_sums(column: np.ndarray) -> np.ndarray:
+    # 0, then the running sums of column, summed in place into the array
+    # returned; an object column sums exact Python ints
+    sums = np.zeros(len(column) + 1, dtype=column.dtype)
+    np.cumsum(column, out=sums[1:])
+    return sums
+
+
 def _int_columns(fees: Sequence[int], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     # The fee and size columns, int64 where RankTable's fast path is
     # exact for them, else Python ints.
@@ -331,12 +368,16 @@ class MempoolView:
     (``packed``) and an attacked head are views too.  A view is never
     changed after it is made.
 
-    ``totals`` is the view's (fee, size): the totals a chain keeps, or
-    summed from the columns the first time they are read.  A view that
-    fits the budget packs whole, with no scan.  Otherwise the pack takes
-    the longest prefix that fits, cut by one ``cumsum`` over the sizes of
-    the pool's head (no pack holds more than ``budget // size_floor``
-    transactions), and scans on in Python only past the first skip.
+    ``totals`` is the view's (fee, size): the totals a chain keeps, a
+    block's for an attacked head, a pack's from its cut, or, for a view
+    built outside a run, summed from the columns the first time they are
+    read.  A view that fits the budget packs whole, with no scan, and its
+    pack has its totals.  Otherwise the pack takes the longest prefix that
+    fits, cut by one ``cumsum`` over the sizes of the pool's head (no pack
+    holds more than ``budget // size_floor`` transactions), and scans on
+    in Python only past the first skip; the cut gives the pack's totals:
+    its size is the budget less the room left, and its fee one sum over
+    the prefix's fees and one over those the scan picked.
 
     The view's value is ``pending``: ``table``, ``ranks``, ``totals`` and
     the memo of ``packed`` (the greedy pack of each size budget asked
@@ -397,31 +438,35 @@ class MempoolView:
         """
         pack = self._packs.get(size_budget)
         if pack is None:
-            table, ranks = self.table, self.ranks
-            if self.totals[1] <= size_budget:
-                pack = MempoolView(table, ranks[:], self._totals)
+            table, ranks, totals = self.table, self.ranks, self.totals
+            if totals[1] <= size_budget:
+                pack = MempoolView(table, ranks[:], totals)
             else:
-                pack = MempoolView(table, _first_fit(table, ranks, size_budget))
+                picked, fee, size = _first_fit(table, ranks, size_budget)
+                pack = MempoolView(table, picked, (fee, size))
             self._packs[size_budget] = pack
         return pack
 
     def fee_left(self, claimed: Collection[int], size_budget: int) -> int:
         """The fee greedy packs within ``size_budget`` once the ``claimed`` positions of its pack are mined.
 
-        The pack is this view's memoized ``packed(size_budget)``.  The fee
-        is that of the bandwidth set of ``without`` them (with all claimed,
-        the second set's), packed from the pool's ranks less the claimed
-        ones, without building a view.  When the pool fits the budget,
-        greedy packs all that is left, so the fee is the pool's less the
-        claimed transactions'.
+        The pack is this view's memoized ``packed(size_budget)``, and
+        ``claimed`` holds distinct positions in it.  The fee is that of the
+        bandwidth set of ``without`` them (with all claimed, the second
+        set's), packed from the pool's ranks less the claimed ones, without
+        building a view, and read from the cut of that pack.  When the pool
+        fits the budget, greedy packs all that is left, so the fee is the
+        pool's less the claimed transactions': the pack's own fee when all
+        are claimed.
         """
         table = self.table
         pack = self.packed(size_budget)
-        gone = pack.ranks[_index(claimed)]
+        whole = len(claimed) == len(pack.ranks)
+        gone = pack.ranks if whole else pack.ranks[_index(claimed)]
         if len(pack.ranks) == len(self.ranks):
-            return self.totals[0] - table.totals(gone)[0]
+            return self.totals[0] - (pack.totals[0] if whole else sum(table.fees[gone].tolist()))
         rest = np.delete(self.ranks, self.ranks.searchsorted(gone))
-        return table.totals(_first_fit(table, rest, size_budget))[0]
+        return _first_fit(table, rest, size_budget)[1]
 
     def template(
         self, positions: Collection[int] | None = None, totals: tuple[int, int] | None = None
@@ -444,20 +489,24 @@ class MempoolView:
         return MempoolView(self.table, self.ranks[keep])
 
 
-def _first_fit(table: RankTable, ranks: np.ndarray, budget: int) -> np.ndarray:
+def _first_fit(table: RankTable, ranks: np.ndarray, budget: int) -> tuple[np.ndarray, int, int]:
     # The ranks first fit packs within budget from ranks, which are in
-    # increasing order: the longest prefix that fits, cut by one cumsum
-    # over the sizes of the head that no pack outgrows (no transaction is
-    # smaller than size_floor), then a Python scan on past the transaction
-    # that prefix skipped, until the room left is below size_floor.  The
-    # scan reads sizes past the head only if it gets there.
+    # increasing order, with their fee and size: the longest prefix that
+    # fits, cut by one cumsum over the sizes of the head that no pack
+    # outgrows (no transaction is smaller than size_floor), then a Python
+    # scan on past the transaction that prefix skipped, until the room
+    # left is below size_floor.  The scan reads sizes past the head only
+    # if it gets there.  The size is the budget less the room left, and
+    # the fee one sum over the prefix (exact for either dtype: an int64
+    # column's sums fit int64) plus one over what the scan picked.
     floor = table.size_floor
     head = ranks[: budget // floor + 1]
     filled = np.cumsum(table.sizes[head])
     n = int(filled.searchsorted(budget, "right"))
     room = budget - (int(filled[n - 1]) if n else 0)
+    fee = int(table.fees[ranks[:n]].sum())
     if room < floor:
-        return ranks[:n]
+        return ranks[:n], fee, budget - room
     picked: list[int] = []
     sizes = chain(table.sizes[head[n + 1 :]].tolist(), _column_from(table.sizes, ranks, len(head)))
     for i, size in enumerate(sizes, n + 1):
@@ -466,7 +515,10 @@ def _first_fit(table: RankTable, ranks: np.ndarray, budget: int) -> np.ndarray:
             room -= size
             if room < floor:
                 break
-    return np.concatenate((ranks[:n], ranks[picked])) if picked else ranks[:n]
+    if not picked:
+        return ranks[:n], fee, budget - room
+    extra = ranks[picked]
+    return np.concatenate((ranks[:n], extra)), fee + sum(table.fees[extra].tolist()), budget - room
 
 
 def _column_from(column: np.ndarray, ranks: np.ndarray, start: int) -> Iterator[int]:

@@ -116,7 +116,8 @@ def _reject(line_no: int, timestamp: float, size: int, fee: int) -> NoReturn:
 def load_trace(path: str | Path, fmt: str = "csv") -> RankTable:
     """Load and validate a transaction trace as the ``RankTable`` every run reads.
 
-    CSV files need the header ``id,timestamp,size,fee``; json-lines
+    CSV files need the header ``id,timestamp,size,fee``, which an empty
+    trace holds too (a zero-byte file is rejected); json-lines
     files carry one object with those keys per line, with the id a JSON
     string or integer, the timestamp a JSON number and size and fee JSON
     integers.  Duplicate ids, non-finite timestamps, non-integer and
@@ -164,7 +165,7 @@ def _csv_rows(fh: TextIO) -> Iterator[Row]:
     isfinite = math.isfinite
     reader = csv.reader(fh)
     header = next(reader, None)
-    if header is not None and tuple(h.strip() for h in header) != TRACE_COLUMNS:
+    if header is None or tuple(h.strip() for h in header) != TRACE_COLUMNS:  # None: a zero-byte file
         raise TraceError(f"line 1: expected header {','.join(TRACE_COLUMNS)}")
     end = reader.line_num  # the last line of the record read before
     for row in reader:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from operator import mul
 from pathlib import Path
 from unittest import mock
@@ -223,7 +224,7 @@ def test_a_congested_pool_is_packed_and_scanned_from_its_head():
     sizes, fees = rng.integers(1500, 2501, 6000).tolist(), rng.integers(1, 61, 6000).tolist()
     table = RankTable(tx(f"t{i:04d}", size, fee, float(i)) for i, (size, fee) in enumerate(zip(sizes, fees)))
     chain = Chain(blocks=[], workers=set(), table=table)
-    chain.add_pending(table.arrivals)
+    chain.add_pending(table.arrivals, table.arrival_totals(0, len(table)))
     view = chain.view()
     params = preset("bitcoin16")[1]
     limit = params.block_size_limit
@@ -257,7 +258,7 @@ def test_chain_pool_matches_a_sorted_model(history):
         k = pick % len(chains)
         if op == "arrive" and arrived < len(txs):
             for chain, model in zip(chains, pending):
-                chain.add_pending([rank[txs[arrived].id]])
+                chain.add_pending([rank[txs[arrived].id]], (txs[arrived].fee, txs[arrived].size))
                 model.add(txs[arrived])
             arrived += 1
         elif op == "remove":
@@ -268,7 +269,7 @@ def test_chain_pool_matches_a_sorted_model(history):
         elif op == "fork":
             head = [t for i, t in enumerate(sorted(confirmed[k], key=selection_key)) if pick >> i & 1]
             fork = Chain(blocks=[], workers=set(), table=table, parent=chains[k])
-            fork.add_pending([rank[t.id] for t in head])
+            fork.add_pending([rank[t.id] for t in head], (sum(t.fee for t in head), sum(t.size for t in head)))
             chains.append(fork)
             pending.append(pending[k] | set(head))
             confirmed.append(confirmed[k] - set(head))
@@ -276,14 +277,17 @@ def test_chain_pool_matches_a_sorted_model(history):
             view = chain.view()
             assert view.pending == tuple(sorted(model, key=selection_key))
             assert view.table is table and table.txs[view.ranks].tolist() == list(view.pending)
-            assert_keeps_its_totals(chain)
+            assert_keeps_its_totals(chain, limit=10)  # most pools of a few dozen size units cut their pack
 
 
-def assert_keeps_its_totals(chain):
-    """The chain's kept pool totals are the sums over the transactions its mask holds."""
+def assert_keeps_its_totals(chain, limit=PARAMS.block_size_limit):
+    """The chain's kept pool totals are the sums over the transactions its mask holds,
+    and the totals its view's pack within ``limit`` carries are those of the pack's ranks."""
     txs = chain.table.txs[chain.pending].tolist()
     assert (chain.pool_fee, chain.pool_size) == (sum(t.fee for t in txs), sum(t.size for t in txs))
     assert chain.view().totals == (chain.pool_fee, chain.pool_size)
+    pack = chain.view().packed(limit)
+    assert pack.totals == chain.table.totals(pack.ranks)
 
 
 @st.composite
@@ -525,25 +529,33 @@ def test_every_miner_works_exactly_one_chain():
 
 
 class TotalsCheckedSimulation(Simulation):
-    """Checks every live chain's kept pool totals against its mask after every event."""
+    """Checks every live chain's kept pool totals, and those of its pack, after every event.
 
-    checks = 0
+    ``cuts`` counts the checks of a pack that the pool did not fit, whose
+    totals come from ``_first_fit``."""
+
+    checks = cuts = 0
 
     def _resample(self, now):
         for chain in self.chains:
             assert_keeps_its_totals(chain)
+            self.cuts += chain.pool_size > PARAMS.block_size_limit
         self.checks += 1
         super()._resample(now)
 
 
+@pytest.mark.parametrize("avoidance", ["off", "experimental", "exact", "strict"])
 @pytest.mark.parametrize("depth", [1, 2])
-def test_pool_totals_follow_the_mask_after_every_event(depth):
+def test_pool_totals_follow_the_mask_after_every_event(depth, avoidance):
     records = whale_trace(13, 600, 60_000, dust_rate=5.0, whale_rate=0.4)
     dist, _ = preset("bitcoin16")
     miners = profiles(dist.with_honest_fraction(0.3).entries)
-    sim = TotalsCheckedSimulation(RankTable(records), miners, PARAMS, depth=depth, seed=17)
+    policy = parse_avoidance(avoidance)
+    sim = TotalsCheckedSimulation(RankTable(records), miners, PARAMS, depth=depth, avoidance=policy, seed=17)
     result = sim.run()
-    assert result.attacks > 0 and sim.fork_wins + sim.fork_losses > 0
+    if policy is None:
+        assert result.attacks > 0 and sim.fork_wins + sim.fork_losses > 0
+    assert result.confirmed_fee > 0 and sim.cuts > 0
     assert sim.checks > result.blocks  # the set-up's, and one per event
 
 
@@ -652,6 +664,33 @@ def test_a_run_over_a_loaded_table_builds_no_transaction(tmp_path, monkeypatch):
             attacks += result.attacks
     assert attacks > 0
     assert table._txs is None
+
+
+def test_a_run_sums_no_column_but_for_the_template_of_a_split_part(monkeypatch):
+    # arrivals, attacked heads and packs carry the totals an earlier step
+    # summed: no pool change, pack or fee_left gathers a column to sum it,
+    # and only MempoolView.template, for a split part, sums its ranks
+    records = whale_trace(13, 600, 60_000, dust_rate=5.0, whale_rate=0.4)
+    dist, _ = preset("bitcoin16")
+    miners = profiles(dist.with_honest_fraction(0.3).entries)
+    table = RankTable(records)
+    callers = Counter()
+    totals = RankTable.totals
+
+    def recording(self, ranks):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return totals(self, ranks)
+
+    monkeypatch.setattr(RankTable, "totals", recording)
+    attacks = 0
+    for depth in (1, 2):
+        for avoidance in ("off", "experimental", "exact", "strict"):
+            result = run(table, miners, PARAMS, depth=depth, avoidance=parse_avoidance(avoidance), seed=17)
+            assert result.confirmed_fee > 0
+            attacks += result.attacks
+    assert attacks > 0
+    # so none from Chain.add_pending, MempoolView.packed, _first_fit or MempoolView.fee_left
+    assert set(callers) == {"template"}
 
 
 @pytest.mark.parametrize("depth", [1, 2])

@@ -410,6 +410,50 @@ def test_fee_left_packs_a_view_it_reads_first(case, offset, data):
             assert view.packed(budget).pending == tuple(first)
 
 
+@st.composite
+def tables_and_views(draw):
+    """A table and a view of some of its ranks.  Fees scaled past 2**63 put
+    the table's fee column, and its prefix sums, in Python ints; tied
+    times tie arrivals, which fall back to the id."""
+    n = draw(st.integers(0, 12))
+    scale = draw(st.sampled_from((1, 2**63 + 1)))
+    size, fee, time = st.integers(1, 8), st.integers(0, 20), st.sampled_from((0.0, 1.0, 2.5))
+    txs = [tx(f"t{i:02d}", draw(size), draw(fee) * scale, draw(time)) for i in range(n)]
+    table = RankTable(txs)
+    big = any(t.fee > 2**63 for t in txs)
+    columns = (table.fees, table.sizes, table.arrived_fee, table.arrived_size)
+    assert {c.dtype for c in columns} == {np.dtype(object) if big else np.dtype(np.int64)}
+    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return table, MempoolView(table, np.flatnonzero(kept))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_and_views(), st.data())
+def test_arrival_prefix_sums_total_every_run_of_arrivals(case, data):
+    table, _ = case
+    start = data.draw(st.integers(0, len(table)))
+    end = data.draw(st.integers(start, len(table)))
+    assert table.arrival_totals(start, end) == table.totals(table.arrivals[start:end])
+    assert table.total_fee == sum(t.fee for t in table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_views(), st.data())
+def test_a_pack_carries_the_totals_of_its_cut_and_fee_left_matches_a_copied_pool(case, data):
+    # every budget up to the view's size: ones it fits, ones that cut only
+    # a prefix, and ones whose pack scans past the first skip
+    table, view = case
+    for budget in range(view.totals[1] + 1):
+        pack = view.packed(budget)
+        assert pack.pending == tuple(full_scan_pack(view.pending, budget))
+        assert pack.totals == table.totals(pack.ranks)
+        n = len(pack.ranks)
+        some = data.draw(st.lists(st.integers(0, n - 1), unique=True) if n else st.just([]))
+        for claimed in (some, range(n)):
+            left = full_scan_pack(view.without(pack.pending[i].id for i in claimed).pending, budget)
+            assert view.fee_left(claimed, budget) == sum(t.fee for t in left)
+
+
 def test_claim_partial_examples():
     params = ChainParams(block_size_limit=6, block_interval=600)
     pool = pool_of(tx("a", 2, 10), tx("b", 2, 8), tx("c", 2, 4))

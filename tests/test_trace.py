@@ -78,7 +78,7 @@ def test_a_fraction_time_is_written_as_the_same_number_in_both_formats(tmp_path)
     assert (tmp_path / "csv").read_text().splitlines()[1:] == ["a,0.3333333333333333,3,4", "b,7,2,1"]
 
 
-TABLE_COLUMNS = ("ids", "fees", "sizes", "id_order", "arrivals", "times")
+TABLE_COLUMNS = ("ids", "fees", "sizes", "id_order", "arrivals", "times", "arrived_fee", "arrived_size")
 
 
 def assert_same_columns(table, other):
@@ -125,6 +125,13 @@ def test_load_trace_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("id,timestamp,size,fee\n")
     assert load_trace(path) == []
+
+
+def test_a_zero_byte_csv_trace_lacks_its_header(tmp_path):
+    path = tmp_path / "zero.csv"
+    path.write_bytes(b"")
+    with pytest.raises(TraceError, match="^line 1: expected header id,timestamp,size,fee$"):
+        load_trace(path)
 
 
 def test_load_trace_errors_carry_line_numbers(tmp_path):
