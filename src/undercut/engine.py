@@ -53,8 +53,8 @@ from .mempool import (
     MempoolView,
     RankTable,
     Transaction,
-    _is_integer,
     bandwidth_set,
+    check_integer,
     claimable_fees,
     gamma_ratio,
 )
@@ -329,12 +329,6 @@ def sample_next_block_time(
 # ---------------------------------------------------------------------------
 
 
-def check_seed(seed: object) -> None:
-    """Reject a seed that numpy's generators cannot take, or a bool, with a named message."""
-    if not (_is_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-
-
 class Simulation:
     """One seeded run: ``main``, and ``fork`` while a race is live; a winning fork becomes ``main``."""
 
@@ -349,7 +343,7 @@ class Simulation:
     ):
         if depth not in DEPTHS:
             raise ValueError("depth must be 1 or 2")
-        check_seed(seed)
+        check_integer("seed", seed, 0)  # what numpy's generators take, and no bool
         total_power = sum(m.power for m in miners)
         if abs(total_power - 1.0) > 1e-9:
             raise ValueError(f"miner powers must sum to 1, got {total_power}")

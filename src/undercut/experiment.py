@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import AvoidancePolicy, RunResult, Simulation, check_seed, profiles
-from .mempool import ChainParams, RankTable, Transaction, _is_integer
+from .engine import AvoidancePolicy, RunResult, Simulation, profiles
+from .mempool import ChainParams, RankTable, Transaction, check_integer
 from .strategy import DEPTHS
 from .trace import PowerDistribution
 
@@ -58,8 +58,8 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_count("repetitions", self.repetitions)
-        check_seed(self.base_seed)
+        check_integer("repetitions", self.repetitions, 1)
+        check_integer("seed", self.base_seed, 0)
         if not self.depths or any(d not in DEPTHS for d in self.depths):
             raise ValueError("depths must be drawn from {1, 2}")
         if not self.honest_fractions:
@@ -115,11 +115,6 @@ class CellResult:
 @dataclass(frozen=True)
 class ExperimentSummary:
     cells: tuple[CellResult, ...]
-
-
-def _check_count(name: str, value: object) -> None:
-    if not _is_integer(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
 
 
 def derive_seed(base_seed: int, cell_index: int, repetition: int) -> int:
@@ -213,7 +208,7 @@ def run_experiment(
     identical for any job count: every run's seed is a pure function of
     its cell and repetition indices.
     """
-    _check_count("jobs", jobs)
+    check_integer("jobs", jobs, 1)
     cells = config.cells()
     tasks = _tasks(config, jobs)
     if jobs > 1 and len(tasks) > 1:

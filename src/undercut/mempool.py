@@ -3,10 +3,12 @@
 The central object is the "bandwidth set": the subset of pending
 transactions that maximizes total fees while fitting the block size
 limit.  Every set a block is cut from is a ``MempoolView``: a chain's
-pool, a greedy pack of it, or an attacked head.  Everything that crafts
-a block (honest packing, attack templates, splits, avoidance claims)
-reads fees and sizes by position through ``MempoolView.column``, and
-every template comes from ``MempoolView.template``.
+pool, a greedy pack of it, or an attacked head.  One first-fit walk,
+``_first_fit``, packs by size (greedy packs, ``fee_left``) and claims by
+fee (``claim_partial``, whose template holds the ranks it picked); every
+other template comes from ``MempoolView.template``, and everything else
+that crafts a block (attack templates, splits, exact avoidance) reads
+fees and sizes by position through ``MempoolView.column``.
 
 A trace is prepared once as a ``RankTable``: its transactions as
 columns (ids, fees, sizes, times), numbered in selection order.  Inside a
@@ -102,8 +104,7 @@ class ChainParams:
     negligible_fee_threshold: float = 0.01
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.block_size_limit) or self.block_size_limit <= 0:
-            raise ValueError(f"block_size_limit must be a positive integer, got {self.block_size_limit!r}")
+        check_integer("block_size_limit", self.block_size_limit, 1)
         if not 0.0 < self.block_interval < math.inf:
             raise ValueError(f"block_interval must be positive and finite, got {self.block_interval}")
         check_negligible(self.negligible_fee_threshold)
@@ -112,6 +113,19 @@ class ChainParams:
 def _is_integer(value: object) -> bool:
     # an int or a numpy integer; bool is an int subclass but no count
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+_INTEGER_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+
+
+def check_integer(name: str, value: object, least: int | None = None) -> None:
+    """Reject a value that is no integer (a bool included), or one below ``least``, with a named message.
+
+    ``least`` is None, 0 or 1; the message names the value by its ``repr``.
+    """
+    if (type(value) is int or _is_integer(value)) and (least is None or value >= least):
+        return
+    raise ValueError(f"{name} must be {_INTEGER_KINDS[least]}, got {value!r}")
 
 
 def check_negligible(threshold: float) -> None:
@@ -359,10 +373,11 @@ class MempoolView:
     ``column("fees")[i]`` and ``column("sizes")[i]``, and its transaction
     is ``pending[i]`` (``table.txs[ranks]``, gathered on each read; the
     table builds ``txs`` from its columns on the first, so tests and
-    diagnostics read ``pending`` and runs never do).  Every selector
-    (packing, ``fee_left``, claims, splits, avoidance) reads the columns
-    by position, and ``template`` builds the template of a set of
-    positions, which carries their ranks.  ``of`` builds a
+    diagnostics read ``pending`` and runs never do).  Packs, ``fee_left``
+    and fee claims run ``_first_fit`` over the table's columns at the
+    view's ranks; splits and avoidance read the columns by position, and
+    ``template`` builds the template of a set of positions, which carries
+    their ranks.  ``of`` builds a
     table of a list and views all of it, ``without`` drops transactions,
     and ``engine.Chain.view`` views the ranks a chain holds; a greedy pack
     (``packed``) and an attacked head are views too.  A view is never
@@ -442,7 +457,7 @@ class MempoolView:
             if totals[1] <= size_budget:
                 pack = MempoolView(table, ranks[:], totals)
             else:
-                picked, fee, size = _first_fit(table, ranks, size_budget)
+                picked, size, fee = _first_fit(table.sizes, table.fees, ranks, size_budget, table.size_floor)
                 pack = MempoolView(table, picked, (fee, size))
             self._packs[size_budget] = pack
         return pack
@@ -466,7 +481,7 @@ class MempoolView:
         if len(pack.ranks) == len(self.ranks):
             return self.totals[0] - (pack.totals[0] if whole else sum(table.fees[gone].tolist()))
         rest = np.delete(self.ranks, self.ranks.searchsorted(gone))
-        return _first_fit(table, rest, size_budget)[1]
+        return _first_fit(table.sizes, table.fees, rest, size_budget, table.size_floor)[2]
 
     def template(
         self, positions: Collection[int] | None = None, totals: tuple[int, int] | None = None
@@ -489,36 +504,38 @@ class MempoolView:
         return MempoolView(self.table, self.ranks[keep])
 
 
-def _first_fit(table: RankTable, ranks: np.ndarray, budget: int) -> tuple[np.ndarray, int, int]:
-    # The ranks first fit packs within budget from ranks, which are in
-    # increasing order, with their fee and size: the longest prefix that
-    # fits, cut by one cumsum over the sizes of the head that no pack
-    # outgrows (no transaction is smaller than size_floor), then a Python
-    # scan on past the transaction that prefix skipped, until the room
-    # left is below size_floor.  The scan reads sizes past the head only
-    # if it gets there.  The size is the budget less the room left, and
-    # the fee one sum over the prefix (exact for either dtype: an int64
-    # column's sums fit int64) plus one over what the scan picked.
-    floor = table.size_floor
-    head = ranks[: budget // floor + 1]
-    filled = np.cumsum(table.sizes[head])
+def _first_fit(
+    weights: np.ndarray, others: np.ndarray, ranks: np.ndarray, budget: int, floor: int
+) -> tuple[np.ndarray, int, int]:
+    # The one first-fit walk: the ranks it picks from ranks (in increasing
+    # order) within budget of the weights column, the budget they use and
+    # their sum of the others column.  Packs weigh sizes with floor
+    # size_floor; a fee claim weighs fees with floor 0, which bounds no head
+    # (a fee may be 0).  No pick outgrows the head of budget // floor + 1
+    # ranks: one cumsum over its weights cuts the longest prefix that fits,
+    # then a Python scan goes on past the rank it skipped until the room
+    # left is below floor, reading weights past the head only if it gets
+    # there.  The others' sum is one sum over the prefix (exact for either
+    # dtype: an int64 column's sums fit int64) plus one over the scan's.
+    head = ranks[: budget // floor + 1] if floor else ranks
+    filled = np.cumsum(weights[head])
     n = int(filled.searchsorted(budget, "right"))
     room = budget - (int(filled[n - 1]) if n else 0)
-    fee = int(table.fees[ranks[:n]].sum())
+    other = int(others[ranks[:n]].sum())
     if room < floor:
-        return ranks[:n], fee, budget - room
+        return ranks[:n], budget - room, other
     picked: list[int] = []
-    sizes = chain(table.sizes[head[n + 1 :]].tolist(), _column_from(table.sizes, ranks, len(head)))
-    for i, size in enumerate(sizes, n + 1):
-        if size <= room:
+    scanned = chain(weights[head[n + 1 :]].tolist(), _column_from(weights, ranks, len(head)))
+    for i, weight in enumerate(scanned, n + 1):
+        if weight <= room:
             picked.append(i)
-            room -= size
+            room -= weight
             if room < floor:
                 break
     if not picked:
-        return ranks[:n], fee, budget - room
+        return ranks[:n], budget - room, other
     extra = ranks[picked]
-    return np.concatenate((ranks[:n], extra)), fee + sum(table.fees[extra].tolist()), budget - room
+    return np.concatenate((ranks[:n], extra)), budget - room, other + sum(others[extra].tolist())
 
 
 def _column_from(column: np.ndarray, ranks: np.ndarray, start: int) -> Iterator[int]:
@@ -667,8 +684,7 @@ def gamma_ratio(pool: MempoolView, head_block_fee: int, params: ChainParams) -> 
     Returns ``inf`` when the head carries no fees but the pool does, and
     0.0 when nothing claimable remains.
     """
-    if head_block_fee < 0:
-        raise ValueError("head_block_fee must be non-negative")
+    check_integer("head_block_fee", head_block_fee, 0)
     return gamma_of_fees(claimable_fees(pool, params, 1), head_block_fee)
 
 
@@ -695,6 +711,7 @@ def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list
     fits one too; a view larger than ``block_size_limit`` raises
     ``UnsplittableError``.
     """
+    check_integer("k", k)
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     size = pool.totals[1]
@@ -717,28 +734,19 @@ def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list
 
 
 def claim_partial(pool: MempoolView, target_fee: int, params: ChainParams) -> BandwidthSetResult:
-    """Claim from ``pool``, in selection order, without exceeding ``target_fee``.
+    """Claim from the bandwidth set of ``pool``, in selection order, without exceeding ``target_fee``.
 
-    A transaction that would burst the fee target or the size budget is
-    skipped and the walk goes on, so a claim can reach around an
-    indivisible wealthy transaction.  The claim is a template of the
-    view, so it carries the ranks of its transactions.
+    A first fit by fee over ``pool.packed(block_size_limit)``, which fits
+    one block: a transaction that would burst the target is skipped and the
+    walk goes on, so a claim can reach around an indivisible wealthy
+    transaction, and zero-fee ones are claimed once the target is met.  The
+    template holds the ranks picked.
     """
-    if target_fee < 0:
-        raise ValueError("target_fee must be non-negative")
-    chosen: list[int] = []
-    fee = 0
-    room = params.block_size_limit
-    fees, sizes = pool.column("fees"), pool.column("sizes")
-    for i, (tx_fee, size) in enumerate(zip(fees, sizes)):
-        if size <= room and fee + tx_fee <= target_fee:
-            chosen.append(i)
-            fee += tx_fee
-            room -= size
-    # dropped before the template, which outlives the claim, is built: kept to
-    # the return, they raised a congested run's peak RSS 0.6-0.9 MiB (2-core x86-64)
-    del fees, sizes
-    return pool.template(chosen, (fee, params.block_size_limit - room))
+    check_integer("target_fee", target_fee, 0)
+    table = pool.table
+    first = pool.packed(params.block_size_limit)
+    picked, fee, size = _first_fit(table.fees, table.sizes, first.ranks, target_fee, 0)
+    return BandwidthSetResult(table, picked, fee, size)
 
 
 def claimable_fees(pool: MempoolView, params: ChainParams, blocks: int) -> int:
@@ -747,6 +755,7 @@ def claimable_fees(pool: MempoolView, params: ChainParams, blocks: int) -> int:
     Single budget of ``blocks * block_size_limit``: the horizon a miner
     weighs when deciding which side of a fork can still pay it.
     """
+    check_integer("blocks", blocks)
     if blocks <= 0:
         return 0
     return pool.packed(blocks * params.block_size_limit).totals[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mempool import _is_integer
+from .mempool import check_integer
 
 
 class InvalidShiftError(ValueError):
@@ -38,17 +38,12 @@ class RacePoint:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fork_power <= 1.0:
             raise ValueError("fork_power must lie in [0, 1]")
-        _check_integer("safe_depth", self.safe_depth)
-        _check_integer("lead", self.lead)
+        check_integer("safe_depth", self.safe_depth)
+        check_integer("lead", self.lead)
         if self.safe_depth < 1:
             raise ValueError("safe_depth must be at least 1")
         if abs(self.lead) >= self.safe_depth:
             raise ValueError("|lead| must be smaller than safe_depth")
-
-
-def _check_integer(name: str, value: object) -> None:
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def win_prob_d1(fork_power: float, shift_delta: float) -> float:
@@ -108,7 +103,7 @@ def deep_catchup_bound(fork_power: float, gap: int) -> float:
     """
     if not 0.0 <= fork_power <= 0.5:
         raise ValueError("fork_power must lie in [0, 0.5]")
-    _check_integer("gap", gap)
+    check_integer("gap", gap)
     if gap < 5:
         raise ValueError("gap must be at least 5")
     return win_prob_series(RacePoint(fork_power, gap))

@@ -379,7 +379,8 @@ def craft_avoidance_block(
     two bandwidth sets and claim it from the current set without
     recomputing what the leftovers repack into, which can leave the
     condition satisfiable and hands the attacker a small edge.  It
-    makes one pack for the second set's fee and walks B's columns.
+    makes one pack for the second set's fee, and ``claim_partial`` claims
+    the target from B, the pool's memoized pack, by one first fit by fee.
 
     ``strict`` scales the experimental target down by ``strict_factor``.
 
@@ -440,7 +441,7 @@ def craft_avoidance_block(
     if mode == "strict":
         target *= strict_factor
     target = min(target, float(first_fee))
-    return claim_partial(first, int(target), params)
+    return claim_partial(pool, int(target), params)
 
 
 @cache

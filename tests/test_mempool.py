@@ -1,13 +1,18 @@
+import ast
 import copy
+import math
 import pickle
 import re
 from fractions import Fraction
+from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from undercut import mempool
 from undercut.mempool import (
     ChainParams,
     InstanceTooLargeError,
@@ -376,7 +381,7 @@ def test_template_is_the_template_of_the_views_transactions_at_the_positions(cas
     pool, budgets = case
     view = ranked_view(pool, offset)
     for part in (view, *(view.packed(budget) for budget in budgets)):
-        # a pack holds the table's own objects: fee_left finds them by identity
+        # a view's pending are the table's own objects, read at its ranks
         own = part.table.txs[part.ranks].tolist()
         assert len(part.pending) == len(own) and all(a is b for a, b in zip(part.pending, own))
         n = len(part.pending)
@@ -472,6 +477,89 @@ def test_claim_partial_never_exceeds_target():
         claim = claim_partial(pool, target, params)
         assert claim.total_fee <= target
         assert claim.total_size <= params.block_size_limit
+
+
+def first_fit_by_fee(txs, target):
+    """Reference fee claim: walks every transaction, skipping one that would burst the target."""
+    chosen, room = [], target
+    for t in txs:
+        if t.fee <= room:
+            chosen.append(t)
+            room -= t.fee
+    return chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_views(), st.data())
+def test_claim_partial_is_a_first_fit_by_fee_over_the_bandwidth_set(case, data):
+    # limits below the view's size claim from its bandwidth set; targets
+    # equal to a prefix sum of the set's fees leave no room, and the
+    # zero-fee transactions after it are still claimed
+    _, view = case
+    size = view.totals[1]
+    for limit in {size + 1, *data.draw(st.lists(st.integers(1, size + 1), min_size=1, max_size=3))}:
+        params = ChainParams(block_size_limit=limit, block_interval=600)
+        first = full_scan_pack(view.pending, limit)
+        prefixes = list(accumulate((t.fee for t in first), initial=0))
+        drawn = data.draw(st.lists(st.integers(0, prefixes[-1] + 1), max_size=3))
+        for target in {*prefixes, prefixes[-1] + 1, *drawn}:
+            claim = claim_partial(view, target, params)
+            expected = first_fit_by_fee(first, target)
+            assert claim.tx_ids == tuple(t.id for t in expected)
+            assert claim.total_fee == sum(t.fee for t in expected)
+            assert claim.total_size == sum(t.size for t in expected)
+            assert_carries_its_ranks(claim, view)
+
+
+def test_claim_partial_keeps_no_walk_of_its_own():
+    # a fee claim is _first_fit by fee, the walk that packs by size
+    tree = ast.parse(Path(mempool.__file__).read_text())
+    (claim,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "claim_partial"]
+    loops = [node.lineno for node in ast.walk(claim) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    called = [node.func for node in ast.walk(claim) if isinstance(node, ast.Call)]
+    assert loops == [] and "_first_fit" in [func.id for func in called if isinstance(func, ast.Name)]
+
+
+SELECTOR_CALLS = {
+    "blocks": lambda pool, params, value: claimable_fees(pool, params, value),
+    "target_fee": lambda pool, params, value: claim_partial(pool, value, params),
+    "head_block_fee": lambda pool, params, value: gamma_ratio(pool, value, params),
+    "k": lambda pool, params, value: split_equal_fee(pool, value, params),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("blocks", 1.5),  # failed deep in the pack on a slice bound
+        ("blocks", True),  # counted as one block
+        ("target_fee", 9.5),
+        ("target_fee", True),
+        ("target_fee", math.nan),
+        ("target_fee", math.inf),
+        ("target_fee", -1),
+        ("head_block_fee", math.nan),  # gave a gamma of nan
+        ("head_block_fee", 2.5),
+        ("head_block_fee", -1),
+        ("k", True),  # split as if k were 1
+        ("k", 2.0),
+    ],
+)
+def test_the_selectors_reject_a_count_or_fee_that_is_no_integer(params, name, value):
+    pool = pool_of(tx("a", 50, 3), tx("b", 80, 2))
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        SELECTOR_CALLS[name](pool, params, value)
+
+
+def test_check_integer_names_the_argument_and_its_bound():
+    for least, kind in ((None, "an integer"), (0, "a non-negative integer"), (1, "a positive integer")):
+        with pytest.raises(ValueError, match=re.escape(f"x must be {kind}, got '3'")):
+            mempool.check_integer("x", "3", least)
+        mempool.check_integer("x", np.int64(1), least)
+    with pytest.raises(ValueError, match="^x must be a non-negative integer, got -1$"):
+        mempool.check_integer("x", -1, 0)
+    with pytest.raises(ValueError, match="^x must be a positive integer, got 0$"):
+        mempool.check_integer("x", 0, 1)
 
 
 def test_size_floor_is_exact_for_lists_and_inherited_by_without():
