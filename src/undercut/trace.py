@@ -318,19 +318,26 @@ def synthesize_trace(
     must be finite, a pareto shape and scale positive, and a uniform
     ``lo`` or fixed value at least the draw's minimum (0 for fees, 1 for
     sizes), with ``lo <= hi``; they are checked before any draw.
-    Deterministic per seed.
+
+    Deterministic per seed, and the draws are a contract: each arrival
+    draws its exponential gap, then its fee, then its size, all from one
+    ``numpy.random.default_rng(seed)``.  A uniform integer is the value
+    ``Generator.integers(lo, hi + 1)`` would draw, read straight from the
+    PCG64 words that call would read, so the fee and size draws share
+    the half word ``integers`` keeps for its next 32-bit draw.  A numpy
+    whose integer stream differs fails the draw-for-draw test in
+    ``tests/test_trace.py`` before any trace changes unnoticed.
     """
     for name, value in (("rate", rate), ("duration", duration)):
         if not 0.0 <= value < math.inf:  # an infinite or NaN bound never ends the arrival loop
             raise ValueError(f"{name} must be non-negative and finite, got {value}")
     rng = np.random.default_rng(seed)
-    draw_fee = _sampler(rng, "fee", fee_dist, fee_args, minimum=0)
-    draw_size = _sampler(rng, "size", size_dist, size_args, minimum=1)
+    next32 = _raw32(rng)
+    draw_fee = _sampler(rng, next32, "fee", fee_dist, fee_args, minimum=0)
+    draw_size = _sampler(rng, next32, "size", size_dist, size_args, minimum=1)
     records: list[Transaction] = []
     if rate == 0 or duration == 0:
         return records
-    # one arrival draws its gap, then its fee, then its size: the order
-    # that fixes every seeded trace
     exponential, mean_gap = rng.exponential, 1.0 / rate
     t = 0.0
     index = 0
@@ -345,17 +352,93 @@ def synthesize_trace(
     return records
 
 
+def synthesize_whale_trace(
+    seed: int, duration: float, dust_rate: float, whale_rate: float = 0.25, interval: float = 600.0
+) -> list[Transaction]:
+    """Dust floor plus rare heavy-tailed whales, merged in arrival order.
+
+    The regime in which wealthy heads appear and attack conditions fire.
+    Rates are in transactions per block ``interval``.  Dust (ids ``d…``)
+    has uniform fees 1..60 and sizes 1,500..2,500 and is drawn from
+    ``seed``; whales (ids ``w…``) have Pareto(1.5, 2,000,000) fees, so
+    one dwarfs a block full of dust, and sizes 2,000..4,000, drawn from
+    ``seed + 1``.  Ties in time are broken by id.
+    """
+    dust = synthesize_trace(
+        rate=dust_rate / interval,
+        duration=duration,
+        seed=seed,
+        fee_dist="uniform",
+        fee_args=(1, 60),
+        size_dist="uniform",
+        size_args=(1500, 2500),
+        id_prefix="d",
+    )
+    whales = synthesize_trace(
+        rate=whale_rate / interval,
+        duration=duration,
+        seed=seed + 1,
+        fee_dist="pareto",
+        fee_args=(1.5, 2_000_000),
+        size_dist="uniform",
+        size_args=(2000, 4000),
+        id_prefix="w",
+    )
+    return sorted(dust + whales, key=lambda t: (t.arrival_time, t.id))
+
+
 # The values each distribution takes, in order.
 _DIST_ARGS = {"uniform": ("lo", "hi"), "pareto": ("shape", "scale"), "fixed": ("value",)}
 _INT64_MAX = 2**63 - 1
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
+
+
+def _raw32(rng: np.random.Generator) -> Callable[[], int]:
+    # PCG64's next_uint32 over rng's raw words: the low half of a fresh
+    # word, then the high half it kept.  Whole-word draws (exponential,
+    # pareto, 64-bit integers) read past a kept half without using it.
+    raw = rng.bit_generator.random_raw
+
+    def halves() -> Iterator[int]:
+        while True:
+            word = raw()
+            yield word & _MASK32
+            yield word >> 32
+
+    return halves().__next__
+
+
+def _uniform(rng: np.random.Generator, next32: Callable[[], int], lo: int, hi: int) -> Callable[[], int]:
+    # Generator.integers(lo, hi + 1), drawn as numpy draws it: nothing for
+    # one value, else Lemire's multiply-and-reject on 32-bit halves when
+    # the range fits them (at 2**32 values it takes a half as it is), on
+    # whole words past that
+    span = hi - lo
+    if span == 0:
+        return lambda: lo
+    if span <= _MASK32:
+        bits, draw_bits, mask = 32, next32, _MASK32
+    else:
+        bits, draw_bits, mask = 64, rng.bit_generator.random_raw, _MASK64
+    count = span + 1
+    threshold = (mask - span) % count  # 2**bits mod count: the low products that bias the draw
+
+    def draw() -> int:
+        product = draw_bits() * count
+        while product & mask < threshold:
+            product = draw_bits() * count
+        return lo + (product >> bits)
+
+    return draw
 
 
 def _sampler(
-    rng: np.random.Generator, name: str, dist: str, args: Sequence[float], minimum: int
+    rng: np.random.Generator, next32: Callable[[], int], name: str, dist: str, args: Sequence[float], minimum: int
 ) -> Callable[[], int]:
-    # One integer draw from ``dist`` per call, floored at ``minimum``; the
-    # distribution is read, its arguments checked and the generator method
-    # bound once per trace.  ``name`` (fee or size) labels the errors.
+    # One integer draw from ``dist`` per call, at least ``minimum``; the
+    # distribution is read, its arguments checked and the draw bound once
+    # per trace.  ``next32`` is the trace's shared 32-bit reader (see
+    # _raw32).  ``name`` (fee or size) labels the errors.
     names = _DIST_ARGS.get(dist)
     if names is None:
         raise ValueError(f"unknown distribution {dist!r}")
@@ -368,11 +451,9 @@ def _sampler(
         lo, hi = args
         if not minimum <= lo <= hi:
             raise ValueError(f"{name} uniform needs {minimum} <= lo <= hi, got lo={lo}, hi={hi}")
-        if int(hi) > _INT64_MAX:  # the generator draws int64
+        if int(hi) > _INT64_MAX:  # Generator.integers draws int64
             raise ValueError(f"{name} uniform hi must be at most {_INT64_MAX}, got {hi}")
-        lo, hi = int(lo), int(hi) + 1
-        integers = rng.integers
-        return lambda: max(minimum, int(integers(lo, hi)))
+        return _uniform(rng, next32, int(lo), int(hi))
     if dist == "pareto":
         for arg, value in zip(names, args):
             if value <= 0:

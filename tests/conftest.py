@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from undercut.mempool import BandwidthSetResult, ChainParams, MempoolView, RankTable, Transaction
-from undercut.trace import synthesize_trace
+from undercut.trace import synthesize_whale_trace
 
 
 @pytest.fixture
@@ -103,26 +103,5 @@ def oracle_best_fee(pool, params):
 
 
 def whale_trace(seed, interval, duration, dust_rate=20.0, whale_rate=0.25):
-    """Dust floor plus rare heavy-tailed whales: the regime in which
-    wealthy heads appear and attack conditions actually fire."""
-    dust = synthesize_trace(
-        rate=dust_rate / interval,
-        duration=duration,
-        seed=seed,
-        fee_dist="uniform",
-        fee_args=(1, 60),
-        size_dist="uniform",
-        size_args=(1500, 2500),
-        id_prefix="d",
-    )
-    whales = synthesize_trace(
-        rate=whale_rate / interval,
-        duration=duration,
-        seed=seed + 1,
-        fee_dist="pareto",
-        fee_args=(1.5, 2_000_000),
-        size_dist="uniform",
-        size_args=(2000, 4000),
-        id_prefix="w",
-    )
-    return sorted(dust + whales, key=lambda t: (t.arrival_time, t.id))
+    """``trace.synthesize_whale_trace`` with the interval second, as the tests pass it."""
+    return synthesize_whale_trace(seed, duration, dust_rate, whale_rate, interval)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import pickle
@@ -20,10 +21,13 @@ from undercut.trace import (
     TRACE_FORMATS,
     PowerDistribution,
     TraceError,
+    _raw32,
+    _sampler,
     load_powers,
     load_trace,
     preset,
     synthesize_trace,
+    synthesize_whale_trace,
     write_powers,
     write_trace,
 )
@@ -369,6 +373,92 @@ def test_synthesize_trace_draws_up_to_the_int64_bound_and_names_an_overflowing_d
     # (draw + 1) * scale overflows a float once the draw passes about 0.8
     with pytest.raises(ValueError, match=r"fee pareto draw overflows: shape=1.5, scale=1e\+308"):
         synthesize_trace(rate=0.1, duration=6000.0, seed=1, fee_dist="pareto", fee_args=(1.5, 1e308))
+
+
+@pytest.mark.parametrize(
+    "fee, size",
+    [
+        # a range of 0 draws nothing; fee and size share each word's halves
+        (("uniform", (7, 7)), ("uniform", (1, 60))),
+        (("uniform", (1, 60)), ("uniform", (1500, 2500))),
+        # near half of all draws rejected; a range of 2**32 - 1 takes a half as is
+        (("uniform", (0, 2**31 + 1)), ("uniform", (9, 9 + 2**32 - 1))),
+        # whole words past 32 bits, while a fee keeps its half across them
+        (("uniform", (3, 3 + 2**32)), ("uniform", (1, 2**63 - 1))),
+        (("uniform", (0, 2**63 - 1)), ("uniform", (5, 40))),
+        # a Pareto fee reads whole words, so a size's kept half crosses arrivals
+        (("pareto", (1.5, 2_000_000)), ("uniform", (2000, 4000))),
+    ],
+)
+def test_uniform_draws_are_generator_integers_draw_for_draw(fee, size):
+    # the uniform draws read raw PCG64 words; a twin generator draws the
+    # same gap, fee and size through numpy's own calls
+    def twin_draw(twin, dist, args):
+        if dist == "uniform":
+            return int(twin.integers(args[0], args[1] + 1))
+        return int((twin.pareto(args[0]) + 1.0) * args[1])
+
+    for seed in range(3):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        next32 = _raw32(rng)
+        draw_fee = _sampler(rng, next32, "fee", *fee, minimum=0)
+        draw_size = _sampler(rng, next32, "size", *size, minimum=1)
+        for _ in range(1_000):
+            assert rng.exponential(3.0) == twin.exponential(3.0)
+            assert draw_fee() == twin_draw(twin, *fee)
+            assert draw_size() == twin_draw(twin, *size)
+        # both read the same number of words
+        assert rng.bit_generator.state["state"] == twin.bit_generator.state["state"]
+
+
+# sha256 of each trace as write_trace writes it, recorded while uniform
+# draws were still Generator.integers calls
+GOLDEN_TRACES = [
+    pytest.param(
+        lambda: synthesize_trace(0.5, 2_000, 11),
+        "14d2886f06a3d2c29220664f71be9b16df197e3410f9a15fc6ee36ac5a2bc575",
+        id="uniform-uniform",
+    ),
+    pytest.param(
+        lambda: synthesize_trace(0.5, 2_000, 12, fee_dist="pareto", fee_args=(1.5, 2_000_000)),
+        "75cb172a49fb08844f889052525c1e0ca45c00e598d6004197046141949bff10",
+        id="pareto-uniform",
+    ),
+    pytest.param(
+        lambda: synthesize_trace(0.5, 2_000, 13, size_dist="fixed", size_args=(250,)),
+        "36feedc52f021af5ec87d0677a20fddbcdf2446196f0bc6a7a20a42e956a47c4",
+        id="uniform-fixed",
+    ),
+    pytest.param(
+        lambda: synthesize_trace(0.5, 2_000, 14, fee_args=(0, 2**31), size_args=(1, 2**31 + 1)),
+        "fe8c1a53fbb1fb524072272abb5c485ec5612e48339d27a71d1109be8edf0eeb",
+        id="heavy-rejection",
+    ),
+    pytest.param(
+        lambda: synthesize_trace(0.5, 2_000, 15, fee_args=(7, 2**63 - 1), size_args=(1, 2**40)),
+        "af9045ed943a62b12469ea56a97d9cc7aae5b2a2bc2d9eac171c568738dbb25e",
+        id="64-bit",
+    ),
+    pytest.param(
+        lambda: synthesize_whale_trace(5, 60_000, 20.0),
+        "c05ab8e87ed74a1693fc7f2dfb68f99baa749e6af10051cef49798f57931ba8b",
+        id="whale",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, digest", GOLDEN_TRACES)
+def test_seeded_traces_keep_their_bytes(tmp_path, make, digest):
+    path = tmp_path / "trace.csv"
+    write_trace(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_trace_draws_no_integer_through_the_generator():
+    # a uniform integer per Generator.integers call costs about four times
+    # the raw-word draw that gives the same value
+    tree = ast.parse(Path(undercut.trace.__file__).read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "integers"] == []
 
 
 def test_synthesized_interarrivals_are_exponential():
