@@ -25,7 +25,6 @@ from .mempool import (
     BandwidthSetResult,
     ChainParams,
     InstanceTooLargeError,
-    InvalidCandidateError,
     MempoolView,
     RankTable,
     Transaction,
@@ -34,7 +33,6 @@ from .mempool import (
     claim_partial,
     claimable_fees,
     gamma_ratio,
-    is_near_bandwidth_set,
     split_equal_fee,
 )
 from .probability import (

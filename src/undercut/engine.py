@@ -12,7 +12,8 @@ Runs are deterministic per seed, also across processes: no result
 depends on ``PYTHONHASHSEED``.  Runs share one immutable
 ``mempool.RankTable``, the trace as columns numbered in selection order:
 ``trace.load_trace`` returns it, and ``run`` builds one only for a trace
-that is a plain list.
+given as ``Transaction`` objects.  A table is columns, not a sequence:
+the engine reads its columns and its ``len``.
 
 Inside a run a transaction is named by its rank in that table alone.
 A chain's pool is a set of ranks, and ``Chain.view`` hands them to a
@@ -62,6 +63,7 @@ from .strategy import (
     AVOIDANCE_MODES,
     DEPTHS,
     PowerSplit,
+    check_depth,
     craft_avoidance_block,
     rational_shift_general,
     undercut_decision_d1,
@@ -341,8 +343,7 @@ class Simulation:
         avoidance: AvoidancePolicy | None = None,
         seed: int = 0,
     ):
-        if depth not in DEPTHS:
-            raise ValueError("depth must be 1 or 2")
+        check_depth(depth)
         check_integer("seed", seed, 0)  # what numpy's generators take, and no bool
         total_power = sum(m.power for m in miners)
         if abs(total_power - 1.0) > 1e-9:
@@ -612,7 +613,7 @@ def profiles(entries: Iterable[tuple[str, float, str]]) -> list[MinerProfile]:
 
 
 def run(
-    trace: Sequence[Transaction],
+    trace: Iterable[Transaction],
     miners: Sequence[MinerProfile],
     params: ChainParams,
     depth: int = 1,
@@ -622,6 +623,6 @@ def run(
     """One seeded simulation; see Simulation for the event semantics.
 
     A ``RankTable`` (what ``trace.load_trace`` returns) is run as it is;
-    any other sequence of transactions is prepared into one first.
+    any other iterable of transactions is prepared into one first.
     """
     return Simulation(RankTable.of(trace), miners, params, depth=depth, avoidance=avoidance, seed=seed).run()

@@ -15,13 +15,13 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .engine import AvoidancePolicy, RunResult, Simulation, profiles
 from .mempool import ChainParams, RankTable, Transaction, check_integer
-from .strategy import DEPTHS
+from .strategy import check_depth
 from .trace import PowerDistribution
 
 # Normal-approximation 95% interval; swap the constant for a t quantile
@@ -60,8 +60,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         check_integer("repetitions", self.repetitions, 1)
         check_integer("seed", self.base_seed, 0)
-        if not self.depths or any(d not in DEPTHS for d in self.depths):
+        if not self.depths:
             raise ValueError("depths must be drawn from {1, 2}")
+        for depth in self.depths:
+            check_depth(depth, "depths must be drawn from {1, 2}")
         if not self.honest_fractions:
             raise ValueError("honest fractions must not be empty")
         # a repeated value would run its cells twice, with other seeds
@@ -143,9 +145,10 @@ def _run_reps(
 
 def _cell_result(config: ExperimentConfig, depth: int, hf: float, runs: Sequence[RunResult]) -> CellResult:
     """Aggregate one cell's runs, given in repetition order."""
-    miners = profiles(config.powers.with_honest_fraction(hf).entries)
-    undercutter = next(m.id for m in miners if m.kind == "undercutter")
-    per_miner = {m.id: [result.share(m.id) for result in runs] for m in miners}
+    # an honest fraction reassigns kinds only: the ids, their order and the undercutter stay
+    entries = config.powers.entries
+    undercutter = next(mid for mid, _, kind in entries if kind == "undercutter")
+    per_miner = {mid: [result.share(mid) for result in runs] for mid, _, _ in entries}
     branches: Counter[str] = Counter()
     for result in runs:
         branches.update(result.attack_branches)
@@ -181,7 +184,7 @@ def _tasks(config: ExperimentConfig, jobs: int) -> list[tuple[int, int, float, i
 _worker: tuple[ExperimentConfig, RankTable] | None = None
 
 
-def _start_worker(config: ExperimentConfig, trace: Sequence[Transaction]) -> None:
+def _start_worker(config: ExperimentConfig, trace: Iterable[Transaction]) -> None:
     global _worker
     _worker = (config, RankTable.of(trace))
 
@@ -192,7 +195,7 @@ def _run_task(index: int, depth: int, hf: float, first: int, end: int) -> list[R
 
 
 def run_experiment(
-    config: ExperimentConfig, trace: Sequence[Transaction], jobs: int = 1
+    config: ExperimentConfig, trace: Iterable[Transaction], jobs: int = 1
 ) -> ExperimentSummary:
     """Execute repetitions x cells seeded runs and aggregate per cell.
 

@@ -17,8 +17,9 @@ set of ranks, a template holds the ranks of its transactions, and a split
 orders a view by the table's ``id_order`` column.  No selector reads a
 ``Transaction``, and none is built during a run: ids are gathered from
 the table's id column only when a caller asks for a template's
-``tx_ids``, and a view's ``pending`` transactions are built from the
-columns only when a caller outside the run reads them.
+``tx_ids``.  Tables and views compare by identity; a ``Transaction`` is
+built from the columns only for a reader outside a run, which iterates a
+table or reads a view's ``pending``.
 """
 
 from __future__ import annotations
@@ -30,17 +31,12 @@ from dataclasses import dataclass
 from heapq import heapreplace
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from itertools import chain
-from operator import eq
 
 import numpy as np
 
 
 class InstanceTooLargeError(ValueError):
     """Exact selection requested on a pool too big to enumerate."""
-
-
-class InvalidCandidateError(ValueError):
-    """Candidate set references transactions not in the pool, or oversized."""
 
 
 class UnsplittableError(ValueError):
@@ -90,10 +86,6 @@ class Transaction:
     def __reduce__(self):
         return type(self), (self.id, self.arrival_time, self.size, self.fee)
 
-    @property
-    def fee_rate(self) -> float:
-        return self.fee / self.size
-
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -134,32 +126,24 @@ def check_negligible(threshold: float) -> None:
         raise ValueError(f"negligible_fee_threshold must lie in [0, 1), got {threshold}")
 
 
-def selection_key(tx: Transaction) -> tuple:
-    """Selection order: the order of every pool, in which templates are packed greedily.
-
-    Highest fee rate first; ties broken by higher absolute fee, then by
-    id, so replays are deterministic.  ``RankTable`` numbers its
-    transactions in this order with array sorts.
-    """
-    return (-tx.fee_rate, -tx.fee, tx.id)
-
-
-class RankTable(Sequence):
+class RankTable:
     """A prepared trace: its transactions as columns, numbered once in selection order.
 
-    As a sequence, the table is the trace in ``(arrival_time, id)``
-    order: ``len``, indexing and iteration build each ``Transaction``
-    from the columns, and a table equals any sequence of equal
-    transactions (a list, a tuple, another table).  ``trace.load_trace``
-    returns one, parsed straight into columns, so runs on a loaded trace
-    share it and no run builds a table of its own.  A table pickles as
-    its columns.
+    ``trace.load_trace`` returns one, parsed straight into columns, so
+    runs on a loaded trace share it and no run builds a table of its own.
+    ``len`` is the number of transactions, and iterating a table builds
+    them from the columns in ``(arrival_time, id)`` order, as
+    ``write_trace`` writes them.  A table pickles as its columns and
+    compares by identity.
 
-    Inside a run a transaction is its rank: its position in
-    ``selection_key`` order, so a set of ranks read in increasing order is
-    a pool in selection order (a ``MempoolView``).  ``ids[r]``,
-    ``fees[r]`` and ``sizes[r]`` are the id, fee and size of rank ``r``:
-    the columns that packs, templates and ``tx_ids`` read.
+    Selection order is the order of every pool, in which templates are
+    packed greedily: highest fee rate first, ties broken by higher
+    absolute fee, then by id, so replays are deterministic.  Inside a run
+    a transaction is its rank: its position in selection order, so a set
+    of ranks read in increasing order is a pool in selection order (a
+    ``MempoolView``).  ``ids[r]``, ``fees[r]`` and ``sizes[r]`` are the
+    id, fee and size of rank ``r``: the columns that packs, templates and
+    ``tx_ids`` read.
     ``id_order[r]`` is its position in id order, the column a split
     breaks fee ties by.  ``arrivals[i]`` is the rank of the i-th arrival,
     at ``times[i]``, and ``size_floor`` the smallest size, a lower bound
@@ -180,7 +164,7 @@ class RankTable(Sequence):
     order, and no run could reach it).  It makes one Python sort, by id,
     and orders everything else with stable array sorts over that id
     order, so every tie falls back to the id: one ``np.lexsort`` on (fee
-    rate, fee) descending gives exactly ``selection_key`` order, and one
+    rate, fee) descending gives exactly selection order, and one
     stable ``np.argsort`` on the times gives ``(arrival_time, id)`` order.
     Ids are kept and compared as Python strings (a numpy ``'U'`` array
     would drop trailing NULs).  A repeated id shows as two equal
@@ -250,7 +234,7 @@ class RankTable(Sequence):
             rates = np.array([fee / size for fee, size in zip(fees.tolist(), sizes.tolist())], dtype=float)
         else:
             rates = fees / sizes
-        np.negative(rates, out=rates)  # selection_key's -fee_rate, then -fee; ties keep id order
+        np.negative(rates, out=rates)  # rate descending, then fee descending; ties keep id order
         self.id_order = ordered = np.lexsort((-fees, rates))
         del rates
         self.ids = ids[ordered]
@@ -299,32 +283,14 @@ class RankTable(Sequence):
         """
         return sum(self.fees[ranks].tolist()), sum(self.sizes[ranks].tolist())
 
-    # -- the trace as a sequence, in (arrival_time, id) order ---------------
-
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, index: int | slice) -> Transaction | list[Transaction]:
-        at = range(len(self))[index]  # IndexError past either end
-        if isinstance(at, range):
-            return [self[i] for i in at]
-        r = self.arrivals[at]
-        return Transaction(self.ids[r], float(self.times[at]), int(self.sizes[r]), int(self.fees[r]))
-
     def __iter__(self) -> Iterator[Transaction]:
+        """The trace's transactions in ``(arrival_time, id)`` order, built from the columns."""
         at = self.arrivals
         columns = (self.ids[at].tolist(), self.times.tolist(), self.sizes[at].tolist(), self.fees[at].tolist())
         return map(Transaction, *columns)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({list(self)!r})"
 
     def __getstate__(self) -> dict[str, object]:
         return {name: getattr(self, name) for name in self._COLUMNS}
@@ -370,18 +336,13 @@ class MempoolView:
 
     ``ranks`` holds them in increasing order, so position ``i`` of a view
     is rank ``ranks[i]``, in selection order.  Its fee and size are
-    ``column("fees")[i]`` and ``column("sizes")[i]``, and its transaction
-    is ``pending[i]`` (``table.txs[ranks]``, gathered on each read; the
-    table builds ``txs`` from its columns on the first, so tests and
-    diagnostics read ``pending`` and runs never do).  Packs, ``fee_left``
+    ``column("fees")[i]`` and ``column("sizes")[i]``.  Packs, ``fee_left``
     and fee claims run ``_first_fit`` over the table's columns at the
     view's ranks; splits and avoidance read the columns by position, and
     ``template`` builds the template of a set of positions, which carries
-    their ranks.  ``of`` builds a
-    table of a list and views all of it, ``without`` drops transactions,
-    and ``engine.Chain.view`` views the ranks a chain holds; a greedy pack
-    (``packed``) and an attacked head are views too.  A view is never
-    changed after it is made.
+    their ranks.  ``engine.Chain.view`` views the ranks a chain holds; a
+    greedy pack (``packed``) and an attacked head are views too.  A view
+    is never changed after it is made, and compares by identity.
 
     ``totals`` is the view's (fee, size): the totals a chain keeps, a
     block's for an attacked head, a pack's from its cut, or, for a view
@@ -394,11 +355,13 @@ class MempoolView:
     its size is the budget less the room left, and its fee one sum over
     the prefix's fees and one over those the scan picked.
 
-    The view's value is ``pending``: ``table``, ``ranks``, ``totals`` and
-    the memo of ``packed`` (the greedy pack of each size budget asked
-    for, so a snapshot that ``bandwidth_set``, ``gamma_ratio`` and
-    ``claimable_fees`` all read is packed once per budget) are left out
-    of equality, hashing and ``repr``.
+    ``packed`` memoizes the greedy pack of each size budget asked for, so
+    a snapshot that ``bandwidth_set``, ``gamma_ratio`` and
+    ``claimable_fees`` all read is packed once per budget.
+
+    No run reads ``pending``, the view's transactions (``table.txs`` at
+    its ranks, gathered on each read), or ``without``, which drops
+    transactions by id; benchmark tracing and tests do.
     """
 
     __slots__ = ("table", "ranks", "_totals", "_packs")
@@ -411,6 +374,7 @@ class MempoolView:
 
     @property
     def pending(self) -> tuple[Transaction, ...]:
+        """The view's transactions, in selection order."""
         return tuple(self.table.txs[self.ranks].tolist())
 
     @property
@@ -424,26 +388,6 @@ class MempoolView:
     def column(self, name: str) -> list[int]:
         """The table's ``"fees"`` or ``"sizes"`` column at the view's ranks: a list by position."""
         return getattr(self.table, name)[self.ranks].tolist()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pending == other.pending
-
-    def __hash__(self) -> int:
-        return hash((self.pending,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(pending={self.pending!r})"
-
-    @classmethod
-    def of(cls, txs: Iterable[Transaction]) -> "MempoolView":
-        """A view of all of ``txs``, over a table built from them."""
-        table = RankTable(txs)
-        return cls(table, np.arange(len(table), dtype=np.intp))
-
-    def ids(self) -> frozenset[str]:
-        return frozenset(self.table.ids[self.ranks].tolist())
 
     def packed(self, size_budget: int) -> "MempoolView":
         """The view of the greedy pack of the pool within ``size_budget``, memoized.
@@ -647,35 +591,6 @@ def bandwidth_set(pool: MempoolView, params: ChainParams, mode: str = "greedy") 
         best = _exact_best_subset(pool.column("fees"), pool.column("sizes"), params.block_size_limit)
         return pool.template(best)
     raise ValueError(f"unknown selection mode {mode!r}")
-
-
-def is_near_bandwidth_set(
-    candidate: Iterable[str],
-    pool: MempoolView,
-    params: ChainParams,
-    proportion: float,
-) -> bool:
-    """True when a size-feasible subset carries at least ``proportion`` of
-    the exact bandwidth set's fees (measured on the overlap).
-
-    Diagnostic predicate only; no decision logic depends on it, and no
-    default proportion is baked in.
-    """
-    if not 0.0 < proportion <= 1.0:
-        raise ValueError("proportion must lie in (0, 1]")
-    candidate_ids = frozenset(candidate)
-    by_id = {tx.id: tx for tx in pool.pending}
-    unknown = candidate_ids - by_id.keys()
-    if unknown:
-        raise InvalidCandidateError(f"candidate ids not in pool: {sorted(unknown)[:3]}")
-    cand_size = sum(by_id[i].size for i in candidate_ids)
-    if cand_size > params.block_size_limit:
-        raise InvalidCandidateError(
-            f"candidate size {cand_size} exceeds block size limit {params.block_size_limit}"
-        )
-    reference = bandwidth_set(pool, params, mode="exact")
-    overlap_fee = sum(by_id[i].fee for i in candidate_ids & set(reference.tx_ids))
-    return overlap_fee >= proportion * reference.total_fee
 
 
 def gamma_ratio(pool: MempoolView, head_block_fee: int, params: ChainParams) -> float:

@@ -55,12 +55,14 @@ def win_prob_d1(fork_power: float, shift_delta: float) -> float:
 
 
 def win_prob_series(point: RacePoint) -> float:
-    """Decision-model probability that the fork closes a multi-block gap.
+    """The paper's probability that the fork closes a multi-block gap.
 
     Closed form of the geometric series with per-step fork probability
-    ``a``: a**(D - lead) / (1 - a*(1 - a)).  This is the quantity the
-    strategy layer reasons with; the simulated race in the engine is the
-    ground truth it is checked against.
+    ``a``: a**(D - lead) / (1 - a*(1 - a)), the quantity the strategy
+    layer reasons with.  It is not the engine's race, and no test compares
+    the two: the engine ends a race once either side leads by D, and at
+    D=2 that walk is won more often than the series says (from a tie at
+    fork power 0.3, 0.155 against the series' 0.114).
     """
     a = point.fork_power
     if a == 0.0:
@@ -98,8 +100,9 @@ def deep_catchup_bound(fork_power: float, gap: int) -> float:
     """Probability of closing a gap of five-plus blocks; capped by 1/24.
 
     For any fork power at or below one half the value never exceeds
-    1/24, which is why races deeper than two confirmations are not worth
-    modelling.
+    1/24.  That races deeper than two confirmations are not worth
+    modelling rests on this bound, and so on ``win_prob_series``, which
+    at D=2 already gives less than the engine's race.
     """
     if not 0.0 <= fork_power <= 0.5:
         raise ValueError("fork_power must lie in [0, 0.5]")

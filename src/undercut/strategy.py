@@ -30,6 +30,7 @@ from .mempool import (
     ChainParams,
     MempoolView,
     bandwidth_set,
+    check_integer,
     claim_partial,
     gamma_of_fees,
     split_equal_fee,
@@ -221,6 +222,18 @@ DEPTHS = {
 }
 
 
+def check_depth(depth: object, rule: str = "depth must be 1 or 2") -> None:
+    """Reject a give-up depth that is no integer key of ``DEPTHS``, naming the value.
+
+    ``True`` and ``2.0`` are keys by equality alone, and a run on them
+    would fail at its first attack, so the integer check comes first.
+    ``rule`` opens the message for a depth that is no key.
+    """
+    check_integer("depth", depth)
+    if depth not in DEPTHS:
+        raise ValueError(f"{rule}, got {depth!r}")
+
+
 def one_set_left(pool: MempoolView, params: ChainParams) -> bool:
     """True when removing one bandwidth set leaves only negligible fees."""
     first = pool.packed(params.block_size_limit)
@@ -290,8 +303,9 @@ def rational_shift_general(
     miner's power share on that side.  Maximized over a uniform grid;
     ties resolve toward staying.
     """
-    if grid < 1:
-        raise ValueError("grid must be positive")
+    check_integer("lead", lead)
+    check_integer("depth", depth)
+    check_integer("grid", grid, 1)
     if abs(lead) >= depth:
         raise ValueError("race already decided: |lead| >= depth")
     if movable is None:
@@ -387,8 +401,7 @@ def craft_avoidance_block(
     Whatever the mode, the claim never exceeds the bandwidth-set fee,
     and a pool with nothing claimable yields the empty template (wait).
     """
-    if depth not in DEPTHS:
-        raise ValueError("depth must be 1 or 2")
+    check_depth(depth)
     if mode not in AVOIDANCE_MODES:
         raise ValueError(f"unknown avoidance mode {mode!r}")
     # the assumed adversary plus assumed honest mass cannot exceed 1

@@ -17,8 +17,20 @@ def tx(id_, size, fee, t=0.0):
     return Transaction(id=id_, arrival_time=t, size=size, fee=fee)
 
 
+def selection_key(t):
+    """Reference selection order, which ``RankTable`` numbers its ranks in:
+    highest fee rate first, then higher fee, then id."""
+    return (-t.fee / t.size, -t.fee, t.id)
+
+
 def pool_of(*txs):
-    return MempoolView.of(txs)
+    """A view of all of ``txs``, over a table built from them."""
+    return MempoolView(RankTable(txs), np.arange(len(txs), dtype=np.intp))
+
+
+def view_ids(view):
+    """The ids of a view's transactions, read from its table's id column."""
+    return frozenset(view.table.ids[view.ranks].tolist())
 
 
 def ranked_view(pool, offset):
@@ -32,7 +44,7 @@ def ranked_view(pool, offset):
     lead = [tx(f"~lead{i}", 1, 10**9) for i in range(offset)]
     twins = [tx(f"{t.id}~", t.size, t.fee) for t in pool.pending]
     table = RankTable([*pool.pending, *lead, *twins])
-    mine = pool.ids()
+    mine = view_ids(pool)
     ranks = np.array([r for r, t in enumerate(table.txs) if t.id in mine], dtype=np.intp)
     return MempoolView(table, ranks)
 
@@ -60,6 +72,17 @@ def template_of(view, txs):
         total_fee=sum(t.fee for t in txs),
         total_size=sum(t.size for t in txs),
     )
+
+
+TABLE_COLUMNS = ("ids", "fees", "sizes", "id_order", "arrivals", "times", "arrived_fee", "arrived_size")
+
+
+def assert_same_columns(table, other):
+    """The two tables hold equal columns of equal dtypes, and equal totals."""
+    for name in TABLE_COLUMNS:
+        a, b = getattr(table, name), getattr(other, name)
+        assert (name, a.dtype, a.tolist()) == (name, b.dtype, b.tolist())
+    assert (table.size_floor, table.total_fee) == (other.size_floor, other.total_fee)
 
 
 def assert_carries_its_ranks(template, view):

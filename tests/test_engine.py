@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -37,13 +38,12 @@ from undercut.mempool import (
     bandwidth_set,
     claimable_fees,
     gamma_ratio,
-    selection_key,
     split_equal_fee,
 )
 from undercut.strategy import craft_avoidance_block, undercut_template
 from undercut.trace import load_trace, preset, synthesize_trace, write_trace
 
-from conftest import pending_reads, template_of, tx, whale_trace
+from conftest import pending_reads, pool_of, selection_key, template_of, tx, view_ids, whale_trace
 
 PARAMS = ChainParams(block_size_limit=10_000, block_interval=600.0)
 NO_RANKS = np.empty(0, dtype=np.intp)
@@ -197,7 +197,7 @@ def test_a_head_published_in_split_order_is_attacked_as_its_sorted_view(depth):
     sim.update_miners(sim.main, head)
     assert sim.attack_branches == {"negligible-mempool": 1}
     block = sim.fork.committed
-    view = MempoolView.of(published)
+    view = pool_of(*published)
     parts = [[view.pending[i] for i in part] for part in split_equal_fee(view, depth + 1, PARAMS)]
     lightest = min(parts, key=lambda p: sum(t.fee for t in p))
     assert block.tx_ids == tuple(t.id for t in lightest)
@@ -348,13 +348,20 @@ def test_a_trace_with_a_time_that_is_not_finite_is_rejected_by_name(bad):
         run(trace, two_miners(), PARAMS)
 
 
+@pytest.mark.parametrize("depth", [True, 2.0, 3])
+def test_a_run_rejects_a_depth_that_is_not_the_integer_1_or_2(depth):
+    # True and 2.0 equal keys of DEPTHS; 2.0 ran until its first attack
+    with pytest.raises(ValueError, match=rf"^depth must be (an integer|1 or 2), got {re.escape(repr(depth))}$"):
+        run([tx("a", 1, 5)], two_miners(), PARAMS, depth=depth)
+
+
 def test_update_mempool_boundary_inclusive():
     records = [tx("a", 1, 1, t=5.0), tx("b", 1, 1, t=6.0)]
     sim = Simulation(RankTable(records), two_miners(), PARAMS, depth=1)
     sim.update_mempool(5.0)
-    assert sim.chains[0].view().ids() == {"a"}
+    assert view_ids(sim.chains[0].view()) == {"a"}
     sim.update_mempool(6.0)
-    assert sim.chains[0].view().ids() == {"a", "b"}
+    assert view_ids(sim.chains[0].view()) == {"a", "b"}
 
     # unsorted input, tied timestamps, selection order against arrival order
     records = [tx("e", 1, 1, t=6.0), tx("c", 1, 3, t=6.0), tx("d", 1, 2, t=5.0), tx("a", 1, 5, t=7.0)]
@@ -363,7 +370,7 @@ def test_update_mempool_boundary_inclusive():
     assert table.times.tolist() == [5.0, 6.0, 6.0, 7.0] and table.total_fee == 11
     sim = Simulation(table, two_miners(), PARAMS, depth=1)
     sim.update_mempool(4.9)
-    assert sim.chains[0].view().ids() == frozenset()
+    assert view_ids(sim.chains[0].view()) == frozenset()
     sim.update_mempool(6.0)
     assert [t.id for t in sim.chains[0].view().pending] == ["c", "d", "e"]
     sim.update_mempool(7.0)
@@ -576,7 +583,7 @@ class RankCheckedSimulation(Simulation):
             confirmed = {i for b in c.blocks for i in b.tx_ids}
             if c is chain:
                 confirmed |= set(block.tx_ids)
-            assert c.view().ids() == arrived - confirmed
+            assert view_ids(c.view()) == arrived - confirmed
         return block
 
     def _owned_after_fork(self, miner_id, chain, base):

@@ -25,7 +25,7 @@ from undercut.experiment import (
 from undercut.mempool import RankTable, Transaction
 from undercut.trace import load_trace, preset, write_trace
 
-from conftest import whale_trace
+from conftest import assert_same_columns, whale_trace
 
 HEADER = ",".join(RESULT_COLUMNS)
 
@@ -58,6 +58,15 @@ def test_derive_seed_is_pure_and_spread():
     assert derive_seed(7, 2, 3) == derive_seed(7, 2, 3)
     seeds = {derive_seed(7, c, r) for c in range(4) for r in range(10)}
     assert len(seeds) == 40
+
+
+@pytest.mark.parametrize("depth", [True, 2.0, 3])
+def test_config_rejects_a_depth_that_is_not_the_integer_1_or_2(depth):
+    # True ran and wrote a row that read_results rejects
+    dist, params = preset("bitcoin16")
+    message = rf"^depths? must be (an integer|drawn from {{1, 2}}), got {re.escape(repr(depth))}$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(powers=dist, params=params, depths=(1, depth))
 
 
 def test_config_validation():
@@ -184,9 +193,12 @@ def test_run_experiment_rejects_a_job_count_that_is_not_a_positive_integer(confi
 
 
 def test_run_cell_is_equal_on_an_unpickled_trace(config, small_trace):
-    # run_experiment pickles the trace to its workers
-    unpickled = pickle.loads(pickle.dumps(small_trace))
-    assert unpickled == small_trace
+    # run_experiment pickles the trace to its workers: a list as its
+    # transactions, a table as its columns
+    assert pickle.loads(pickle.dumps(small_trace)) == small_trace
+    table = RankTable(small_trace)
+    unpickled = pickle.loads(pickle.dumps(table))
+    assert_same_columns(unpickled, table)
     assert run_cell(config, unpickled, 1, 1, 0.3) == run_cell(config, small_trace, 1, 1, 0.3)
 
 

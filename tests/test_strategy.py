@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -243,6 +244,25 @@ def test_shift_general_trivial_and_dominant_cases():
             rational_shift_general(lead, 0.3, split, depth, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("lead", 0.5),  # returned 1.0
+        ("lead", True),
+        ("depth", 2.0),
+        ("depth", True),
+        ("grid", 2.5),  # a bare TypeError from range
+        ("grid", math.nan),
+        ("grid", True),
+        ("grid", 0),
+    ],
+)
+def test_shift_general_rejects_a_lead_depth_or_grid_that_is_no_integer(name, value):
+    args = {"lead": 0, "depth": 2, "grid": 3, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be (an|a positive) integer, got {re.escape(repr(value))}$"):
+        rational_shift_general(args["lead"], 0.3, split_of(0.3, 0.2), args["depth"], 0, 0, 0, 0, grid=args["grid"])
+
+
 def test_shift_general_reduces_to_join_rule_at_depth_one():
     rng = np.random.default_rng(55)
     for _ in range(300):
@@ -280,6 +300,13 @@ def test_craft_avoidance_wait_on_empty_pool(params):
         craft_avoidance_block(zero, params, mode="bogus")
     with pytest.raises(ValueError, match="depth"):
         craft_avoidance_block(zero, params, depth=3)
+
+
+@pytest.mark.parametrize("depth", [True, 2.0, 3])
+def test_craft_avoidance_rejects_a_depth_that_is_not_the_integer_1_or_2(params, depth):
+    pool = pool_of(tx("a", 1, 5))
+    with pytest.raises(ValueError, match=rf"^depth must be (an integer|1 or 2), got {re.escape(repr(depth))}$"):
+        craft_avoidance_block(pool, params, depth=depth)
 
 
 def test_craft_avoidance_lone_set_halves():

@@ -32,7 +32,7 @@ from undercut.trace import (
     write_trace,
 )
 
-from conftest import tx
+from conftest import assert_same_columns, tx
 
 
 def test_load_trace_roundtrip_csv(tmp_path):
@@ -40,18 +40,16 @@ def test_load_trace_roundtrip_csv(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(sorted(records, key=lambda t: t.id), path)
     loaded = load_trace(path)
-    assert loaded == sorted(records, key=lambda t: (t.arrival_time, t.id))
+    assert list(loaded) == sorted(records, key=lambda t: (t.arrival_time, t.id))
     write_trace(loaded, path)
-    assert load_trace(path) == loaded
+    assert_same_columns(load_trace(path), loaded)
 
 
 def test_load_trace_roundtrip_jsonl(tmp_path):
     records = [tx("x", 2, 9, t=1.25), tx("y", 4, 1, t=0.5)]
     path = tmp_path / "trace.jsonl"
     write_trace(records, path, fmt="json-lines")
-    assert load_trace(path, fmt="json-lines") == sorted(
-        records, key=lambda t: (t.arrival_time, t.id)
-    )
+    assert list(load_trace(path, fmt="json-lines")) == sorted(records, key=lambda t: (t.arrival_time, t.id))
 
 
 @pytest.mark.parametrize("fmt", TRACE_FORMATS)
@@ -65,7 +63,7 @@ def test_a_trace_of_numpy_scalars_reads_back(tmp_path, fmt):
     ]
     path = tmp_path / "trace"
     write_trace(records, path, fmt=fmt)
-    assert load_trace(path, fmt=fmt) == records
+    assert list(load_trace(path, fmt=fmt)) == records
     plain = [Transaction("a", 1.5, 3, 7), Transaction("b", 2.25, 4, 0), Transaction("c", 3, 5, 2**70)]
     write_trace(plain, tmp_path / "plain", fmt=fmt)
     assert path.read_bytes() == (tmp_path / "plain").read_bytes()
@@ -78,19 +76,9 @@ def test_a_fraction_time_is_written_as_the_same_number_in_both_formats(tmp_path)
     for fmt in TRACE_FORMATS:
         write_trace(records, tmp_path / fmt, fmt=fmt)
         loaded.append(load_trace(tmp_path / fmt, fmt=fmt))
-    assert loaded[0] == loaded[1] == [Transaction("a", 1 / 3, 3, 4), Transaction("b", 7.0, 2, 1)]
+    assert_same_columns(loaded[0], loaded[1])
+    assert list(loaded[0]) == [Transaction("a", 1 / 3, 3, 4), Transaction("b", 7.0, 2, 1)]
     assert (tmp_path / "csv").read_text().splitlines()[1:] == ["a,0.3333333333333333,3,4", "b,7,2,1"]
-
-
-TABLE_COLUMNS = ("ids", "fees", "sizes", "id_order", "arrivals", "times", "arrived_fee", "arrived_size")
-
-
-def assert_same_columns(table, other):
-    """The two tables hold equal columns of equal dtypes, and equal totals."""
-    for name in TABLE_COLUMNS:
-        a, b = getattr(table, name), getattr(other, name)
-        assert (name, a.dtype, a.tolist()) == (name, b.dtype, b.tolist())
-    assert (table.size_floor, table.total_fee) == (other.size_floor, other.total_fee)
 
 
 @st.composite
@@ -120,7 +108,7 @@ def test_a_loaded_table_pickles_as_its_columns(tmp_path):
     write_trace(records, tmp_path / "trace.csv")
     table = load_trace(tmp_path / "trace.csv")
     back = pickle.loads(pickle.dumps(table))
-    assert back == table and isinstance(back, RankTable)
+    assert isinstance(back, RankTable)
     assert_same_columns(back, table)
     assert back.txs.tolist() == table.txs.tolist()
 
@@ -128,7 +116,7 @@ def test_a_loaded_table_pickles_as_its_columns(tmp_path):
 def test_load_trace_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("id,timestamp,size,fee\n")
-    assert load_trace(path) == []
+    assert list(load_trace(path)) == []
 
 
 def test_a_zero_byte_csv_trace_lacks_its_header(tmp_path):
@@ -228,7 +216,8 @@ def test_load_trace_jsonl_requires_a_string_or_integer_id(tmp_path, value):
 def test_load_trace_jsonl_reads_an_integer_id_as_its_digits(tmp_path):
     path = tmp_path / "ok.jsonl"
     path.write_text('{"id": 7, "timestamp": 1, "size": 10, "fee": 5}\n')
-    assert load_trace(path, fmt="json-lines")[0].id == "7"
+    [record] = load_trace(path, fmt="json-lines")
+    assert record.id == "7"
     # the integer 7 and the string "7" are one id, and both lines are named
     path.write_text(path.read_text() + '{"id": "7", "timestamp": 2, "size": 10, "fee": 5}\n')
     with pytest.raises(TraceError, match=r"^line 2: duplicate transaction id '7' \(first on line 1\)$"):
@@ -290,7 +279,8 @@ def test_load_trace_names_the_first_bad_line_in_file_order(tmp_path, fmt):
 def test_load_trace_jsonl_keeps_fees_past_int64(tmp_path):
     path = tmp_path / "big.jsonl"
     path.write_text(f'{{"id": "a", "timestamp": 1, "size": 10, "fee": {2**70}}}\n')
-    assert load_trace(path, fmt="json-lines")[0].fee == 2**70
+    [record] = load_trace(path, fmt="json-lines")
+    assert record.fee == 2**70
 
 
 @pytest.mark.parametrize(
