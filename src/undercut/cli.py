@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
 from . import engine, experiment, strategy, trace
 from .mempool import ChainParams, RankTable, check_negligible
-from .probability import RacePoint, win_prob_d1, win_prob_series
+from .probability import RacePoint, race_win, win_prob_d1, win_prob_series
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,13 +45,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="write a synthetic Poisson-arrival trace")
     p_synth.add_argument("--output", required=True, help="trace CSV path")
-    p_synth.add_argument("--rate", type=float, required=True, help="transactions per second")
+    p_synth.add_argument(
+        "--rate", type=float, required=True, help="transactions per second (with --whales: the dust's)"
+    )
     p_synth.add_argument("--duration", type=float, required=True, help="trace length in seconds")
     p_synth.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_synth.add_argument("--fee-dist", default="uniform", choices=("uniform", "pareto"))
-    p_synth.add_argument("--fee-args", default="1000,100000", help="lo,hi or shape,scale")
-    p_synth.add_argument("--size-dist", default="uniform", choices=("uniform", "fixed"))
-    p_synth.add_argument("--size-args", default="200,2000", help="lo,hi or size")
+    p_synth.add_argument(
+        "--whales",
+        type=float,
+        help="whales per 600 s block interval: the whale regime over dust, with its own fees and sizes",
+    )
+    # no defaults here, so a --whales run can tell an option given from one left out
+    p_synth.add_argument("--fee-dist", choices=("uniform", "pareto"), help="default uniform")
+    p_synth.add_argument("--fee-args", help="lo,hi or shape,scale (default 1000,100000)")
+    p_synth.add_argument("--size-dist", choices=("uniform", "fixed"), help="default uniform")
+    p_synth.add_argument("--size-args", help="lo,hi or size (default 200,2000)")
 
     p_check = sub.add_parser("check", help="evaluate the analytical attack conditions")
     p_check.add_argument("--bu", type=float, required=True, help="undercutter power fraction")
@@ -160,15 +169,26 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    records = trace.synthesize_trace(
-        rate=args.rate,
-        duration=args.duration,
-        seed=args.seed,
-        fee_dist=args.fee_dist,
-        fee_args=_numbers("--fee-args", args.fee_args),
-        size_dist=args.size_dist,
-        size_args=_numbers("--size-args", args.size_args),
-    )
+    if args.whales is not None:
+        names = ("fee_dist", "fee_args", "size_dist", "size_args")
+        given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--whales fixes the fees and sizes; it takes no {', '.join(given)}")
+        for name, value in (("rate", args.rate), ("whales", args.whales)):
+            if not 0.0 <= value < math.inf:  # named before the library scales them to per-interval rates
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+        # --rate is the dust's per second; the library takes rates per 600 s interval
+        records = trace.synthesize_whale_trace(args.seed, args.duration, args.rate * 600.0, args.whales)
+    else:
+        records = trace.synthesize_trace(
+            rate=args.rate,
+            duration=args.duration,
+            seed=args.seed,
+            fee_dist=args.fee_dist or "uniform",
+            fee_args=_numbers("--fee-args", args.fee_args or "1000,100000"),
+            size_dist=args.size_dist or "uniform",
+            size_args=_numbers("--size-args", args.size_args or "200,2000"),
+        )
     trace.write_trace(records, args.output)
     print(f"wrote {len(records)} transactions to {args.output}")
     return 0
@@ -213,6 +233,7 @@ def _cmd_check(args) -> int:
         point = RacePoint(fork_power=effective, safe_depth=2, lead=0)
         print(f"rational join at tie: x={join:g}")
         print(f"fork win probability at tie (series): {win_prob_series(point):.6g}")
+        print(f"fork win probability at tie (walk): {race_win(effective, 2):.6g}")
     print(f"expected returns: attack={returns.attack_return:.6g} baseline={returns.baseline_return:.6g}")
     return 0
 

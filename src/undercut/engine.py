@@ -146,7 +146,8 @@ class AvoidancePolicy:
             raise ValueError(f"strict factor must lie in (0, 1], got {self.factor}")
 
     def label(self) -> str:
-        return f"strict:{self.factor:g}" if self.mode == "strict" else self.mode
+        """The mode, or ``strict:`` and the factor's float repr, which keeps every digit."""
+        return f"strict:{float(self.factor)!r}" if self.mode == "strict" else self.mode
 
 
 def parse_avoidance(text: str) -> AvoidancePolicy | None:

@@ -3,9 +3,10 @@
 The central object is the "bandwidth set": the subset of pending
 transactions that maximizes total fees while fitting the block size
 limit.  Every set a block is cut from is a ``MempoolView``: a chain's
-pool, a greedy pack of it, or an attacked head.  One first-fit walk,
-``_first_fit``, packs by size (greedy packs, ``fee_left``) and claims by
-fee (``claim_partial``, whose template holds the ranks it picked); every
+pool, a greedy pack of it, or an attacked head.  One first fit,
+``_first_fit``, a loop of vectorized cuts that walks no position in
+Python, packs by size (greedy packs, ``fee_left``) and claims by fee
+(``claim_partial``, whose template holds the ranks it picked); every
 other template comes from ``MempoolView.template``, and everything else
 that crafts a block (attack templates, splits, exact avoidance) reads
 fees and sizes by position through ``MempoolView.column``.
@@ -30,7 +31,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapreplace
 from collections.abc import Collection, Iterable, Iterator, Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -347,13 +347,14 @@ class MempoolView:
     ``totals`` is the view's (fee, size): the totals a chain keeps, a
     block's for an attacked head, a pack's from its cut, or, for a view
     built outside a run, summed from the columns the first time they are
-    read.  A view that fits the budget packs whole, with no scan, and its
+    read.  A view that fits the budget packs whole, with no cut, and its
     pack has its totals.  Otherwise the pack takes the longest prefix that
     fits, cut by one ``cumsum`` over the sizes of the pool's head (no pack
-    holds more than ``budget // size_floor`` transactions), and scans on
-    in Python only past the first skip; the cut gives the pack's totals:
-    its size is the budget less the room left, and its fee one sum over
-    the prefix's fees and one over those the scan picked.
+    holds more than ``budget // size_floor`` transactions).  Past the
+    first skip it goes on in vectorized cuts, one per run of picked
+    positions, each over the positions left that still fit the room (see
+    ``_first_fit``).  The cuts give the pack's totals: its size is the
+    budget less the room left, and its fee one sum over the picks' fees.
 
     ``packed`` memoizes the greedy pack of each size budget asked for, so
     a snapshot that ``bandwidth_set``, ``gamma_ratio`` and
@@ -451,39 +452,45 @@ class MempoolView:
 def _first_fit(
     weights: np.ndarray, others: np.ndarray, ranks: np.ndarray, budget: int, floor: int
 ) -> tuple[np.ndarray, int, int]:
-    # The one first-fit walk: the ranks it picks from ranks (in increasing
+    # The one first fit: the ranks it picks from ranks (in increasing
     # order) within budget of the weights column, the budget they use and
     # their sum of the others column.  Packs weigh sizes with floor
     # size_floor; a fee claim weighs fees with floor 0, which bounds no head
     # (a fee may be 0).  No pick outgrows the head of budget // floor + 1
     # ranks: one cumsum over its weights cuts the longest prefix that fits,
-    # then a Python scan goes on past the rank it skipped until the room
-    # left is below floor, reading weights past the head only if it gets
-    # there.  The others' sum is one sum over the prefix (exact for either
-    # dtype: an int64 column's sums fit int64) plus one over the scan's.
+    # a slice of ranks.  Past the rank that cut skips, the fit goes on in
+    # vectorized steps while the room left is at least floor.  A step keeps
+    # the ranks left whose weight fits the room (one heavier can never fit
+    # later, as the room only shrinks), picks the longest prefix of them
+    # whose cumsum fits, and skips the one after it, which does not.  The
+    # weights past the head are read only once the head's are spent.  Every
+    # step but the last picks a rank, so the steps number at most the picks
+    # after the first skip plus one, each O(ranks left).  The others' sum
+    # is one sum over the picks: exact for either dtype, as an object
+    # column sums Python ints and an int64 column's sums fit int64.
     head = ranks[: budget // floor + 1] if floor else ranks
     filled = np.cumsum(weights[head])
     n = int(filled.searchsorted(budget, "right"))
     room = budget - (int(filled[n - 1]) if n else 0)
-    other = int(others[ranks[:n]].sum())
-    if room < floor:
-        return ranks[:n], budget - room, other
-    picked: list[int] = []
-    scanned = chain(weights[head[n + 1 :]].tolist(), _column_from(weights, ranks, len(head)))
-    for i, weight in enumerate(scanned, n + 1):
-        if weight <= room:
-            picked.append(i)
-            room -= weight
-            if room < floor:
-                break
-    if not picked:
-        return ranks[:n], budget - room, other
-    extra = ranks[picked]
-    return np.concatenate((ranks[:n], extra)), budget - room, other + sum(others[extra].tolist())
-
-
-def _column_from(column: np.ndarray, ranks: np.ndarray, start: int) -> Iterator[int]:
-    yield from column[ranks[start:]].tolist()
+    picks = [ranks[:n]]
+    left, rest = head[n + 1 :], ranks[len(head) :]
+    weight = weights[left]
+    while room >= floor:
+        fits = weight <= room
+        if not fits.any() and len(rest):
+            left, rest = rest, rest[:0]
+            weight = weights[left]
+            fits = weight <= room
+        left, weight = left[fits], weight[fits]
+        if not len(left):
+            break
+        filled = np.cumsum(weight)
+        k = int(filled.searchsorted(room, "right"))
+        picks.append(left[:k])
+        room -= int(filled[k - 1])
+        left, weight = left[k + 1 :], weight[k + 1 :]
+    picked = picks[0] if len(picks) == 1 else np.concatenate(picks)
+    return picked, budget - room, int(others[picked].sum())
 
 
 def _index(positions: Collection[int]) -> slice | np.ndarray:

@@ -59,10 +59,10 @@ def win_prob_series(point: RacePoint) -> float:
 
     Closed form of the geometric series with per-step fork probability
     ``a``: a**(D - lead) / (1 - a*(1 - a)), the quantity the strategy
-    layer reasons with.  It is not the engine's race, and no test compares
-    the two: the engine ends a race once either side leads by D, and at
-    D=2 that walk is won more often than the series says (from a tie at
-    fork power 0.3, 0.155 against the series' 0.114).
+    layer reasons with.  It is not the engine's race, which is
+    ``race_win``: the engine ends a race once either side leads by D, and
+    at D=2 that walk is won more often than the series says (from a tie
+    at fork power 0.3, 0.155 against the series' 0.114).
     """
     a = point.fork_power
     if a == 0.0:
@@ -71,6 +71,34 @@ def win_prob_series(point: RacePoint) -> float:
         return 1.0
     gap = point.safe_depth - point.lead
     return a**gap / (1.0 - a * (1.0 - a))
+
+
+def race_win(fork_power: float, depth: int, lead: int = 0) -> float:
+    """The probability that the fork wins the engine's race: a ±1 walk from ``lead`` to ±``depth``.
+
+    With fixed powers each block extends the fork with probability
+    ``a = fork_power``, and the race ends once either side leads by
+    ``depth``.  Gambler's ruin gives (1 − r^(D+L)) / (1 − r^(2D)) with
+    r = (1 − a)/a, and (D + L)/(2D) at a = 1/2.  At D=1 from a tie that
+    is ``a``, ``win_prob_d1`` with no shift.  Every power is taken of the
+    ratio below one, (1 − a)/a or a/(1 − a), so no power overflows
+    however deep the race.  ``|lead|`` may equal ``depth``: a race that
+    is already decided.
+    """
+    if not 0.0 <= fork_power <= 1.0:
+        raise ValueError(f"fork_power must lie in [0, 1], got {fork_power}")
+    check_integer("depth", depth, 1)
+    check_integer("lead", lead)
+    if abs(lead) > depth:
+        raise ValueError(f"|lead| must be at most depth, got lead={lead}, depth={depth}")
+    a, span = fork_power, 2 * depth
+    if a == 0.5:
+        return (depth + lead) / span
+    if a > 0.5:
+        r = (1.0 - a) / a
+        return (1.0 - r ** (depth + lead)) / (1.0 - r**span)
+    s = a / (1.0 - a)  # 1/r: the same law times s^(2D) over s^(2D)
+    return (s ** (depth - lead) - s**span) / (1.0 - s**span)
 
 
 def win_prob_series_truncated(point: RacePoint, term_cutoff: float = SERIES_TERM_CUTOFF) -> float:

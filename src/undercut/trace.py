@@ -317,7 +317,9 @@ def synthesize_trace(
     ``size_dist`` is ``uniform(lo, hi)`` or ``fixed(value)``.  Arguments
     must be finite, a pareto shape and scale positive, and a uniform
     ``lo`` or fixed value at least the draw's minimum (0 for fees, 1 for
-    sizes), with ``lo <= hi``; they are checked before any draw.
+    sizes), with ``lo <= hi``, and uniform bounds and a fixed value
+    integral (``2.0`` passes, ``2.2`` does not); they are checked before
+    any draw.
 
     Deterministic per seed, and the draws are a contract: each arrival
     draws its exponential gap, then its fee, then its size, all from one
@@ -453,6 +455,7 @@ def _sampler(
             raise ValueError(f"{name} uniform needs {minimum} <= lo <= hi, got lo={lo}, hi={hi}")
         if int(hi) > _INT64_MAX:  # Generator.integers draws int64
             raise ValueError(f"{name} uniform hi must be at most {_INT64_MAX}, got {hi}")
+        _check_integral(name, dist, names, args)
         return _uniform(rng, next32, int(lo), int(hi))
     if dist == "pareto":
         for arg, value in zip(names, args):
@@ -470,8 +473,18 @@ def _sampler(
         return draw_pareto
     if args[0] < minimum:
         raise ValueError(f"{name} fixed value must be at least {minimum}, got {args[0]}")
+    _check_integral(name, dist, names, args)
     value = int(args[0])
     return lambda: value
+
+
+def _check_integral(name: str, dist: str, names: Sequence[str], args: Sequence[float]) -> None:
+    # A uniform bound or fixed value is an integer: int() would truncate
+    # 2.2 to 2, and draw outside the stated range.  An integral float (the
+    # CLI reads 1000 as 1000.0) passes.
+    for arg, value in zip(names, args):
+        if value != int(value):
+            raise ValueError(f"{name} {dist} {arg} must be an integer, got {value}")
 
 
 # ---------------------------------------------------------------------------

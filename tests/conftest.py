@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -99,6 +100,41 @@ def full_scan_pack(txs, budget):
             chosen.append(t)
             room -= t.size
     return chosen
+
+
+def walk_first_fit(weights, others, ranks, budget, floor):
+    """Reference ``mempool._first_fit``: its earlier walk, position by position in Python past the first skip.
+
+    The ranks it picks from ranks within budget of the weights column, the
+    budget they use and their sum of the others column.  One cumsum over
+    the head of budget // floor + 1 ranks (the whole view at floor 0) cuts
+    the longest prefix that fits; a Python scan goes on past the rank it
+    skipped until the room left is below floor.
+    """
+    head = ranks[: budget // floor + 1] if floor else ranks
+    filled = np.cumsum(weights[head])
+    n = int(filled.searchsorted(budget, "right"))
+    room = budget - (int(filled[n - 1]) if n else 0)
+    other = int(others[ranks[:n]].sum())
+    if room < floor:
+        return ranks[:n], budget - room, other
+    picked = []
+    scanned = chain(weights[head[n + 1 :]].tolist(), _column_from(weights, ranks, len(head)))
+    for i, weight in enumerate(scanned, n + 1):
+        if weight <= room:
+            picked.append(i)
+            room -= weight
+            if room < floor:
+                break
+    if not picked:
+        return ranks[:n], budget - room, other
+    extra = ranks[picked]
+    return np.concatenate((ranks[:n], extra)), budget - room, other + sum(others[extra].tolist())
+
+
+def _column_from(column, ranks, start):
+    # read only once the scan gets past the head
+    yield from column[ranks[start:]].tolist()
 
 
 def random_pool(rng, n_max=15, size_max=10, fee_max=40):

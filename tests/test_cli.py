@@ -7,7 +7,7 @@ import pytest
 
 import undercut
 from undercut.cli import build_parser, main
-from undercut.trace import load_trace
+from undercut.trace import load_trace, synthesize_whale_trace, write_trace
 
 # every externally promised flag must be documented in some subcommand's help
 PROMISED_FLAGS = (
@@ -56,6 +56,14 @@ def test_check_depth_two(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "undercut (branch 3)" in out
+
+
+def test_check_depth_two_prints_the_series_and_the_walk_law(capsys):
+    # effective fork power 0.3 + 0.2 at a tie: the series' 0.762 against the walk's 0.941
+    assert main(["check", "--bu", "0.3", "--bh", "0.2", "--gamma", "0.05", "--depth", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "fork win probability at tie (series): 0.761905\n" in out
+    assert "fork win probability at tie (walk): 0.941176\n" in out
 
 
 def test_check_stay(capsys):
@@ -328,6 +336,56 @@ def test_synth_names_a_bad_distribution_argument(tmp_path, capsys):
     assert main(["synth", "--output", str(out_path)] + args) == 1
     captured = capsys.readouterr()
     assert "error: fee pareto scale must be finite, got inf" in captured.err and captured.out == ""
+    assert not out_path.exists()
+
+
+def test_synth_whales_writes_the_whale_trace_of_the_library(tmp_path, capsys):
+    out_path, expected_path = tmp_path / "t.csv", tmp_path / "expected.csv"
+    args = ["--rate", "0.05", "--duration", "30000", "--seed", "4", "--whales", "0.5"]
+    assert main(["synth", "--output", str(out_path)] + args) == 0
+    # --rate is the dust's per second, the library's dust rate per 600 s interval
+    records = synthesize_whale_trace(4, 30000.0, dust_rate=0.05 * 600.0, whale_rate=0.5)
+    write_trace(records, expected_path)
+    assert out_path.read_bytes() == expected_path.read_bytes()
+    assert capsys.readouterr().out == f"wrote {len(records)} transactions to {out_path}\n"
+    assert {t.id[0] for t in records} == {"d", "w"}
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--fee-dist", "pareto"], "--whales fixes the fees and sizes; it takes no --fee-dist"),
+        (["--size-args", "1,2", "--fee-args", "1,2"], "it takes no --fee-args, --size-args"),
+        (["--size-dist", "uniform"], "it takes no --size-dist"),
+        (["--whales", "-1"], "whales must be non-negative and finite, got -1.0"),
+        (["--whales", "nan"], "whales must be non-negative and finite, got nan"),
+        (["--rate", "-1"], "rate must be non-negative and finite, got -1.0"),
+    ],
+)
+def test_synth_whales_rejects_a_distribution_option_or_a_bad_rate(tmp_path, capsys, extra, message):
+    out_path = tmp_path / "t.csv"
+    args = ["--rate", "0.05", "--duration", "6000", "--whales", "0.5"] + extra
+    assert main(["synth", "--output", str(out_path)] + args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--fee-args", "2.2,2.7"], "fee uniform lo must be an integer, got 2.2"),
+        (["--fee-args", "2,2.7"], "fee uniform hi must be an integer, got 2.7"),
+        (["--size-dist", "fixed", "--size-args", "2.5"], "size fixed value must be an integer, got 2.5"),
+    ],
+)
+def test_synth_rejects_a_bound_that_is_no_integer(tmp_path, capsys, args, message):
+    out_path = tmp_path / "t.csv"
+    argv = ["synth", "--output", str(out_path), "--rate", "0.1", "--duration", "600"] + args
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
     assert not out_path.exists()
 
 

@@ -762,6 +762,14 @@ def test_all_honest_population_mines_fair_shares():
         assert abs(float(np.mean(shares[m.id])) - m.power) < 0.04
 
 
+def test_a_strict_label_keeps_every_digit_of_its_factor():
+    # "{:g}" kept six significant digits, so these two wrote one label
+    near, far = AvoidancePolicy("strict", 0.1234567), AvoidancePolicy("strict", 0.1234568)
+    assert (near.label(), far.label()) == ("strict:0.1234567", "strict:0.1234568")
+    for policy in (near, far):
+        assert parse_avoidance(policy.label()) == policy
+
+
 def test_profiles_and_policy_parsing():
     assert parse_avoidance("off") is None
     assert parse_avoidance("exact").mode == "exact"

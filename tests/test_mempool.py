@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from conftest import (
     selection_key,
     template_of,
     tx,
+    walk_first_fit,
 )
 
 
@@ -493,6 +495,85 @@ def test_claim_partial_keeps_no_walk_of_its_own():
     loops = [node.lineno for node in ast.walk(claim) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     called = [node.func for node in ast.walk(claim) if isinstance(node, ast.Call)]
     assert loops == [] and "_first_fit" in [func.id for func in called if isinstance(func, ast.Name)]
+
+
+@st.composite
+def first_fit_columns(draw):
+    """A weights and an others column, a view of some of their ranks, and budgets.
+
+    Three shapes: random weights, zeros among them when ``lo`` is 0;
+    alternating weights, where a 1 fits and the weight after it fits the
+    room before that pick but not after, so every step picks one rank;
+    and stuck weights, a prefix that fits and then weights that never
+    fit, so the steps read the whole tail.  Budgets lie below, at and
+    above the view's total.  Scaling past 2**63 puts both columns in
+    Python ints.
+    """
+    shape = draw(st.sampled_from(("random", "alternating", "stuck")))
+    if shape == "random":
+        lo = draw(st.integers(0, 3))
+        weights = draw(st.lists(st.integers(lo, 12), max_size=40))
+        kept = np.flatnonzero(draw(st.lists(st.booleans(), min_size=len(weights), max_size=len(weights))))
+        budgets = draw(st.lists(st.integers(0, sum(weights) + 2), max_size=4))
+    elif shape == "alternating":
+        room = draw(st.integers(2, 30))
+        weights = [w for left in range(room, 1, -1) for w in (1, left)]
+        kept, budgets = np.arange(len(weights)), [room]
+    else:
+        room, fit = draw(st.integers(1, 20)), draw(st.integers(0, 20))
+        weights = [1] * fit + [room + 1] * draw(st.integers(1, 40))
+        kept, budgets = np.arange(len(weights)), [fit + room]
+    scale = draw(st.sampled_from((1, 2**63 + 1)))
+    dtype = object if scale > 1 else np.int64
+    others = draw(st.lists(st.integers(0, 50), min_size=len(weights), max_size=len(weights)))
+    columns = (np.array([w * scale for w in column], dtype=dtype) for column in (weights, others))
+    total = sum(weights[r] for r in kept.tolist())
+    budgets = {*(b * scale for b in budgets), total * scale, total * scale + 1}
+    return *columns, kept.astype(np.intp), sorted(budgets)
+
+
+@settings(max_examples=400, deadline=None)
+@given(first_fit_columns(), st.booleans())
+def test_first_fit_cuts_pick_what_the_walk_picks(case, by_floor):
+    # floor 0, as a fee claim, or the columns' least weight, as a pack's
+    # size_floor: its head of budget // floor + 1 ranks is often shorter
+    # than the view
+    weights, others, ranks, budgets = case
+    floor = int(weights.min()) if by_floor and len(weights) else 0
+    for budget in budgets:
+        picked, used, other = mempool._first_fit(weights, others, ranks, budget, floor)
+        expected, expected_used, expected_other = walk_first_fit(weights, others, ranks, budget, floor)
+        assert picked.tolist() == expected.tolist() and picked.dtype == np.intp
+        assert (used, other) == (expected_used, expected_other)
+        assert type(used) is int and type(other) is int
+
+
+@pytest.mark.parametrize("floor", [0, 1])
+def test_first_fit_takes_one_step_per_pick_past_the_first_skip(floor):
+    # each step picks a 1 and skips the weight after it; one cumsum cuts
+    # the prefix, and each step that picks takes one more
+    room = 300
+    weights = np.array([w for left in range(room, 1, -1) for w in (1, left)], dtype=np.int64)
+    ranks = np.arange(len(weights), dtype=np.intp)
+    with mock.patch.object(mempool.np, "cumsum", wraps=np.cumsum) as cumsum:
+        picked, used, other = mempool._first_fit(weights, weights, ranks, room, floor)
+    assert picked.tolist() == list(range(0, len(weights), 2)) and used == other == room - 1
+    assert cumsum.call_count == len(picked)
+    # nothing fits after the cut: the steps read the whole tail once and pick nothing
+    stuck = np.array([1, 1, 1] + [5] * 400, dtype=np.int64)
+    ranks = np.arange(len(stuck), dtype=np.intp)
+    with mock.patch.object(mempool.np, "cumsum", wraps=np.cumsum) as cumsum:
+        picked, used, _ = mempool._first_fit(stuck, stuck, ranks, 7, floor)
+    assert picked.tolist() == [0, 1, 2] and used == 3 and cumsum.call_count == 1
+
+
+def test_first_fit_walks_no_position_in_python():
+    tree = ast.parse(Path(mempool.__file__).read_text())
+    (fit,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_first_fit"]
+    loops = [node.lineno for node in ast.walk(fit) if isinstance(node, (ast.For, ast.comprehension))]
+    called = [node.func for node in ast.walk(fit) if isinstance(node, ast.Call)]
+    methods = [func.attr for func in called if isinstance(func, ast.Attribute)]
+    assert loops == [] and "tolist" not in methods
 
 
 SELECTOR_CALLS = {

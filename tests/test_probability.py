@@ -7,6 +7,7 @@ from undercut.probability import (
     InvalidShiftError,
     RacePoint,
     deep_catchup_bound,
+    race_win,
     win_prob_d1,
     win_prob_series,
     win_prob_series_truncated,
@@ -125,3 +126,73 @@ def test_exponential_clock_means():
     assert 594 <= float(np.mean(draws)) <= 606
     draws_half = rng.exponential(600.0 / 0.5, 100_000)
     assert math.isclose(float(np.mean(draws_half)), 1200.0, rel_tol=0.01)
+
+
+@pytest.mark.parametrize("fork_power", [0.0, 0.1, 0.176, 0.3, 0.5, 0.7, 1.0])
+def test_race_win_at_depth_one_from_a_tie_is_the_fork_power(fork_power):
+    assert race_win(fork_power, 1, 0) == pytest.approx(win_prob_d1(fork_power, 0.0), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "fork_power, lead, expected",
+    [(0.176, 0, 0.044), (0.3, -1, 0.047), (0.3, 0, 0.155), (0.45, 0, 0.401), (0.704, 0, 0.850)],
+)
+def test_race_win_matches_the_walk_law_table(fork_power, lead, expected):
+    assert round(race_win(fork_power, 2, lead), 3) == expected
+
+
+def test_race_win_is_the_gamblers_ruin_law_and_decided_races_are_decided():
+    for a in (0.2, 0.5, 0.8):
+        for depth in (1, 2, 3):
+            # from each lead, the walk's next step averages its two neighbours
+            for lead in range(1 - depth, depth):
+                step = a * race_win(a, depth, lead + 1) + (1 - a) * race_win(a, depth, lead - 1)
+                assert race_win(a, depth, lead) == pytest.approx(step, abs=1e-12)
+            assert (race_win(a, depth, depth), race_win(a, depth, -depth)) == (1.0, 0.0)
+            # the fork's and the main chain's chances sum to one
+            assert race_win(a, depth, 0) + race_win(1 - a, depth, 0) == pytest.approx(1.0)
+    assert race_win(0.5, 2, -1) == 0.25 and race_win(0.5, 4, 2) == 0.75
+
+
+def test_race_win_does_not_overflow_at_large_depth():
+    # r ** (2D) alone overflows a float at these depths
+    for a in (0.01, 0.3, 0.49, 0.51, 0.7, 0.99):
+        for lead in (-1999, 0, 1999):
+            p = race_win(a, 2000, lead)
+            assert 0.0 <= p <= 1.0 and math.isfinite(p)
+    assert race_win(0.3, 2000, 0) == 0.0 and race_win(0.7, 2000, 0) == 1.0
+    # one block short of winning, the fork climbs one step with probability a/(1−a)
+    assert race_win(0.3, 2000, 1999) == pytest.approx(3 / 7)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.2, 2, 0), r"fork_power must lie in \[0, 1\], got 1.2"),
+        ((math.nan, 2, 0), r"fork_power must lie in \[0, 1\], got nan"),
+        ((0.3, 0, 0), "depth must be a positive integer, got 0"),
+        ((0.3, 2.0, 0), "depth must be a positive integer, got 2.0"),
+        ((0.3, 2, 0.5), "lead must be an integer, got 0.5"),
+        ((0.3, 2, True), "lead must be an integer, got True"),
+        ((0.3, 2, -3), r"\|lead\| must be at most depth, got lead=-3, depth=2"),
+    ],
+)
+def test_race_win_rejects_bad_arguments_by_name(args, message):
+    with pytest.raises(ValueError, match=message):
+        race_win(*args)
+
+
+def test_monte_carlo_walk_matches_race_win():
+    # a seeded ±1 walk, each step +1 with the fork's power, ended at ±depth
+    rng = np.random.default_rng(2007)
+    n = 40_000
+    for fork_power, depth, lead in [(0.3, 2, 0), (0.3, 2, -1), (0.45, 2, 0), (0.6, 3, 1)]:
+        position = np.full(n, lead)
+        live = np.ones(n, dtype=bool)
+        while live.any():
+            steps = np.where(rng.random(live.sum()) < fork_power, 1, -1)
+            position[live] += steps
+            live &= np.abs(position) < depth
+        freq = float(np.mean(position == depth))
+        p = race_win(fork_power, depth, lead)
+        assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / n)

@@ -356,6 +356,29 @@ def test_synthesize_trace_checks_distribution_arguments_up_front(kwargs, message
             synthesize_trace(rate=rate, duration=100.0, seed=1, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"fee_args": (2.2, 2.7)}, "fee uniform lo must be an integer, got 2.2"),
+        ({"fee_args": (2, 2.7)}, "fee uniform hi must be an integer, got 2.7"),
+        ({"size_args": (1.5, 9)}, "size uniform lo must be an integer, got 1.5"),
+        ({"size_dist": "fixed", "size_args": (2.5,)}, "size fixed value must be an integer, got 2.5"),
+    ],
+)
+def test_synthesize_trace_rejects_a_bound_that_is_no_integer_up_front(kwargs, message):
+    # int() truncated these: fee_args (2.2, 2.7) drew only fees of 2
+    for rate in (0.0, 0.5):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synthesize_trace(rate=rate, duration=100.0, seed=1, **kwargs)
+
+
+def test_synthesize_trace_takes_integral_floats_as_their_integers():
+    # the CLI reads 1000 as 1000.0
+    as_floats = synthesize_trace(0.5, 400.0, 3, fee_args=(2.0, 9.0), size_dist="fixed", size_args=(5.0,))
+    assert as_floats == synthesize_trace(0.5, 400.0, 3, fee_args=(2, 9), size_dist="fixed", size_args=(5,))
+    assert {t.size for t in as_floats} == {5} and all(2 <= t.fee <= 9 for t in as_floats)
+
+
 def test_synthesize_trace_draws_up_to_the_int64_bound_and_names_an_overflowing_draw():
     top = 2**63 - 1
     fees = synthesize_trace(rate=0.5, duration=100.0, seed=1, fee_args=(top - 1, top))
