@@ -36,10 +36,8 @@ from .mempool import (
     split_equal_fee,
 )
 from .probability import (
-    InvalidShiftError,
-    RacePoint,
     deep_catchup_bound,
-    win_prob_d1,
+    race_win,
     win_prob_series,
     win_prob_series_truncated,
 )

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import engine, experiment, strategy, trace
 from .mempool import ChainParams, RankTable, check_negligible
-from .probability import RacePoint, race_win, win_prob_d1, win_prob_series
+from .probability import race_win, win_prob_series
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--gamma", type=float, required=True, help="bandwidth-set / head fee ratio")
     p_check.add_argument("--depth", type=int, default=1, choices=tuple(strategy.DEPTHS), help="give-up depth D")
     p_check.add_argument("--negligible", type=float, default=0.01, help="negligible gamma bound")
-    p_check.add_argument("--grid", type=int, default=100, help="shift-objective grid resolution")
 
     return parser
 
@@ -195,8 +194,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.grid < 1:
-        raise ValueError("grid must be positive")
     check_negligible(args.negligible)
     split = strategy.PowerSplit.of(args.bu, args.bh)
     gamma = args.gamma
@@ -204,6 +201,7 @@ def _cmd_check(args) -> int:
     action, branch, tag = model.branches(split, gamma, args.negligible)
     threshold = model.join_threshold(split)
     join = 1.0 if gamma < threshold else 0.0
+    effective = min(split.undercutter + split.rational * join, 1.0)
     if args.depth == 1:
         returns = strategy.expected_returns_d1(split, gamma, delta=split.rational * join)
     else:
@@ -218,21 +216,19 @@ def _cmd_check(args) -> int:
         canonical = strategy.rational_shift_general(
             0,
             split.undercutter,
-            split,
             depth=1,
             claimable_main=gamma,
             claimable_fork=1.0,
             owned_main=split.rational / (1.0 - split.undercutter) if split.undercutter < 1 else 0.0,
             owned_fork=0.0,
-            grid=args.grid,
+            movable=max(split.rational, 0.0),  # PowerSplit lets rounding take it a hair below 0
         )
-        print(f"rational join at tie: x={join:g} (grid scan: x={canonical:g})")
-        print(f"fork win probability at tie: {win_prob_d1(split.undercutter, split.rational * join):.6g}")
+        print(f"rational join at tie: x={join:g} (shift objective: x={canonical:g})")
+        # race_win(p, 1) from a tie is p, up to a rounding that can move the sixth digit
+        print(f"fork win probability at tie: {effective:.6g}")
     else:
-        effective = min(split.undercutter + split.rational * join, 1.0)
-        point = RacePoint(fork_power=effective, safe_depth=2, lead=0)
         print(f"rational join at tie: x={join:g}")
-        print(f"fork win probability at tie (series): {win_prob_series(point):.6g}")
+        print(f"fork win probability at tie (series): {win_prob_series(effective, 2):.6g}")
         print(f"fork win probability at tie (walk): {race_win(effective, 2):.6g}")
     print(f"expected returns: attack={returns.attack_return:.6g} baseline={returns.baseline_return:.6g}")
     return 0

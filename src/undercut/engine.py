@@ -550,13 +550,11 @@ class Simulation:
             x = rational_shift_general(
                 lead,
                 self.owners(ext).power,
-                self.split,
                 self.depth,
                 claimable_main=claimable_main,
                 claimable_fork=claimable_fork,
                 owned_main=self._owned_after_fork(mid, other, base),
                 owned_fork=self._owned_after_fork(mid, ext, base),
-                grid=1,
                 movable=self.powers[mid],
             )
             if x >= 1.0:

@@ -47,7 +47,7 @@ RESULT_COLUMNS = tuple(name for name, _ in RESULT_FIELDS)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: population, chain constants, and the cell grid."""
+    """One sweep: population, chain constants, and the cells to run."""
 
     powers: PowerDistribution
     params: ChainParams
@@ -184,9 +184,9 @@ def _tasks(config: ExperimentConfig, jobs: int) -> list[tuple[int, int, float, i
 _worker: tuple[ExperimentConfig, RankTable] | None = None
 
 
-def _start_worker(config: ExperimentConfig, trace: Iterable[Transaction]) -> None:
+def _start_worker(config: ExperimentConfig, table: RankTable) -> None:
     global _worker
-    _worker = (config, RankTable.of(trace))
+    _worker = (config, table)
 
 
 def _run_task(index: int, depth: int, hf: float, first: int, end: int) -> list[RunResult]:
@@ -199,28 +199,27 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Execute repetitions x cells seeded runs and aggregate per cell.
 
-    Every run of a process reads one prepared trace: ``trace`` itself
-    when it is a ``RankTable`` (what ``trace.load_trace`` returns), else
-    the table built from it once.  With ``jobs`` > 1 a pool of up to
-    ``jobs`` worker processes runs the cells in chunks of contiguous
-    repetitions.  Each worker receives the trace once, when it starts (it
-    inherits it under the ``fork`` start method; a table pickles as its
-    columns), and builds a table only from a plain list; a task carries
-    only indices.  The parent puts the runs back in (cell, repetition)
-    order and aggregates them as ``jobs=1`` does, so the output is
+    Every run reads one prepared trace: ``trace`` itself when it is a
+    ``RankTable`` (what ``trace.load_trace`` returns), else the table
+    built from it once, here.  With ``jobs`` > 1 a pool of up to ``jobs``
+    worker processes runs the cells in chunks of contiguous repetitions.
+    Each worker receives the table once, when it starts (it inherits it
+    under the ``fork`` start method; a table pickles as its columns); a
+    task carries only indices.  The parent puts the runs back in (cell,
+    repetition) order and aggregates them as ``jobs=1`` does, so the output is
     identical for any job count: every run's seed is a pure function of
     its cell and repetition indices.
     """
     check_integer("jobs", jobs, 1)
     cells = config.cells()
     tasks = _tasks(config, jobs)
+    table = RankTable.of(trace)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)), initializer=_start_worker, initargs=(config, trace)
+            max_workers=min(jobs, len(tasks)), initializer=_start_worker, initargs=(config, table)
         ) as pool:
             chunks = list(pool.map(_run_task, *zip(*tasks)))
     else:
-        table = RankTable.of(trace)
         chunks = [_run_reps(config, table, i, d, h, range(first, end)) for i, d, h, first, end in tasks]
     runs: dict[int, list[RunResult]] = {i: [] for i, _, _ in cells}
     for (i, *_), chunk in zip(tasks, chunks):

@@ -62,9 +62,8 @@ class Transaction:
     A trace held as a list holds one object per row, so the class has
     slots and no per-object ``__dict__`` (a loaded trace is a
     ``RankTable`` and holds none).  ``__reduce__`` rebuilds a pickled or
-    copied transaction through the constructor: a sweep worker that
-    unpickles a list trace then holds the same compact, validated
-    objects as the process that built it.
+    copied transaction through the constructor, so the copy is the same
+    compact, validated object as the one it was made from.
     """
 
     id: str

@@ -4,73 +4,49 @@ Block discovery is a Poisson process; splitting mining power across
 competing chains thins it into independent Poisson sub-processes whose
 rates are proportional to the power on each chain.  The functions below
 give the probability that the trailing or leading side of a race
-finishes first.
+finishes first.  Each takes the race as ``(fork_power, depth, lead)``:
+the power mining the fork, the give-up depth D, and fork height minus
+main height.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .mempool import check_integer
-
-
-class InvalidShiftError(ValueError):
-    """Effective fork power left the [0, 1] range."""
-
 
 # Per-term cutoff for the diagnostic series evaluation.
 SERIES_TERM_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
-class RacePoint:
-    """Snapshot of a two-chain race for the decision model.
-
-    ``fork_power`` is the effective power mining the fork (base power
-    plus any shift).  ``lead`` is fork height minus main height; a race
-    is only live while ``|lead| < safe_depth``.
-    """
-
-    fork_power: float
-    safe_depth: int
-    lead: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fork_power <= 1.0:
-            raise ValueError("fork_power must lie in [0, 1]")
-        check_integer("safe_depth", self.safe_depth)
-        check_integer("lead", self.lead)
-        if self.safe_depth < 1:
-            raise ValueError("safe_depth must be at least 1")
-        if abs(self.lead) >= self.safe_depth:
-            raise ValueError("|lead| must be smaller than safe_depth")
+def _check_race(fork_power: float, depth: int, lead: int, decided: bool) -> None:
+    """Reject race arguments by name; ``|lead| == depth`` (a decided race) only when ``decided`` is false."""
+    if not 0.0 <= fork_power <= 1.0:
+        raise ValueError(f"fork_power must lie in [0, 1], got {fork_power}")
+    check_integer("depth", depth, 1)
+    check_integer("lead", lead)
+    if abs(lead) > depth:
+        raise ValueError(f"|lead| must be at most depth, got lead={lead}, depth={depth}")
+    if abs(lead) == depth and not decided:
+        raise ValueError(f"race already decided: lead={lead}, depth={depth}")
 
 
-def win_prob_d1(fork_power: float, shift_delta: float) -> float:
-    """Fork-win probability in a one-confirmation tie: power plus shift."""
-    p = fork_power + shift_delta
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise InvalidShiftError(f"effective fork power {p} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
-def win_prob_series(point: RacePoint) -> float:
+def win_prob_series(fork_power: float, depth: int, lead: int = 0) -> float:
     """The paper's probability that the fork closes a multi-block gap.
 
     Closed form of the geometric series with per-step fork probability
-    ``a``: a**(D - lead) / (1 - a*(1 - a)), the quantity the strategy
-    layer reasons with.  It is not the engine's race, which is
-    ``race_win``: the engine ends a race once either side leads by D, and
-    at D=2 that walk is won more often than the series says (from a tie
-    at fork power 0.3, 0.155 against the series' 0.114).
+    ``a = fork_power``: a**(D - lead) / (1 - a*(1 - a)), for a race still
+    live (``|lead| < depth``).  ``deep_catchup_bound`` and ``undercut-sim
+    check`` read it; no decision does.  It is not the engine's race,
+    which is ``race_win``: the engine ends a race once either side leads
+    by D, and at D=2 that walk is won more often than the series says
+    (from a tie at fork power 0.3, 0.155 against the series' 0.114).
     """
-    a = point.fork_power
+    _check_race(fork_power, depth, lead, decided=False)
+    a = fork_power
     if a == 0.0:
         return 0.0
     if a == 1.0:
         return 1.0
-    gap = point.safe_depth - point.lead
-    return a**gap / (1.0 - a * (1.0 - a))
+    return a ** (depth - lead) / (1.0 - a * (1.0 - a))
 
 
 def race_win(fork_power: float, depth: int, lead: int = 0) -> float:
@@ -80,17 +56,12 @@ def race_win(fork_power: float, depth: int, lead: int = 0) -> float:
     ``a = fork_power``, and the race ends once either side leads by
     ``depth``.  Gambler's ruin gives (1 − r^(D+L)) / (1 − r^(2D)) with
     r = (1 − a)/a, and (D + L)/(2D) at a = 1/2.  At D=1 from a tie that
-    is ``a``, ``win_prob_d1`` with no shift.  Every power is taken of the
-    ratio below one, (1 − a)/a or a/(1 − a), so no power overflows
-    however deep the race.  ``|lead|`` may equal ``depth``: a race that
-    is already decided.
+    is ``a``: the one-block race, whose fork power after a shift is the
+    base power plus the shift.  Every power is taken of the ratio below
+    one, (1 − a)/a or a/(1 − a), so no power overflows however deep the
+    race.  ``|lead|`` may equal ``depth``: a race that is already decided.
     """
-    if not 0.0 <= fork_power <= 1.0:
-        raise ValueError(f"fork_power must lie in [0, 1], got {fork_power}")
-    check_integer("depth", depth, 1)
-    check_integer("lead", lead)
-    if abs(lead) > depth:
-        raise ValueError(f"|lead| must be at most depth, got lead={lead}, depth={depth}")
+    _check_race(fork_power, depth, lead, decided=True)
     a, span = fork_power, 2 * depth
     if a == 0.5:
         return (depth + lead) / span
@@ -101,23 +72,25 @@ def race_win(fork_power: float, depth: int, lead: int = 0) -> float:
     return (s ** (depth - lead) - s**span) / (1.0 - s**span)
 
 
-def win_prob_series_truncated(point: RacePoint, term_cutoff: float = SERIES_TERM_CUTOFF) -> float:
+def win_prob_series_truncated(
+    fork_power: float, depth: int, lead: int = 0, *, term_cutoff: float = SERIES_TERM_CUTOFF
+) -> float:
     """Direct summation of the race series, stopping below ``term_cutoff``.
 
     Exists to cross-check the closed form; production code uses
     win_prob_series.  A cutoff that is not positive (NaN included) is
     rejected: the terms underflow to 0.0, which never falls below it.
     """
+    _check_race(fork_power, depth, lead, decided=False)
     if not term_cutoff > 0.0:
         raise ValueError(f"term_cutoff must be positive, got {term_cutoff}")
-    a = point.fork_power
+    a = fork_power
     if a == 0.0:
         return 0.0
     if a == 1.0:
         return 1.0
-    gap = point.safe_depth - point.lead
     total = 0.0
-    term = a**gap
+    term = a ** (depth - lead)
     while term >= term_cutoff:
         total += term
         term *= a * (1.0 - a)
@@ -137,4 +110,4 @@ def deep_catchup_bound(fork_power: float, gap: int) -> float:
     check_integer("gap", gap)
     if gap < 5:
         raise ValueError("gap must be at least 5")
-    return win_prob_series(RacePoint(fork_power, gap))
+    return win_prob_series(fork_power, gap)

@@ -282,16 +282,14 @@ def undercut_template(
 def rational_shift_general(
     lead: int,
     fork_power: float,
-    split: PowerSplit,
     depth: int,
     claimable_main: float,
     claimable_fork: float,
     owned_main: float,
     owned_fork: float,
-    grid: int = 100,
-    movable: float | None = None,
+    movable: float,
 ) -> float:
-    """Optimal fraction of movable rational power to shift onto the fork.
+    """Fraction of the ``movable`` rational power to shift onto the fork: 1.0 or 0.0.
 
     ``lead`` is fork height minus main height and ``fork_power`` the
     power mining the fork, oriented so the deciding miner sits on the
@@ -300,16 +298,16 @@ def rational_shift_general(
     each side still needs to win.  The objective weighs fees already
     owned and fees still claimable on each side by rough win
     probabilities (power raised to the remaining block count) and by the
-    miner's power share on that side.  Maximized over a uniform grid;
-    ties resolve toward staying.
+    miner's power share on that side.  Every term is a non-negative
+    product of linear factors in the shifted fraction that all grow, or
+    all shrink, as it grows, so with non-negative fees the objective is
+    convex and its maximum lies at an endpoint.  Moving wins only if it
+    beats staying; a tie stays.
     """
     check_integer("lead", lead)
     check_integer("depth", depth)
-    check_integer("grid", grid, 1)
     if abs(lead) >= depth:
         raise ValueError("race already decided: |lead| >= depth")
-    if movable is None:
-        movable = max(0.0, 1.0 - fork_power - split.honest)
     movable = min(movable, 1.0 - fork_power)
 
     def objective(x: float) -> float:
@@ -326,14 +324,7 @@ def rational_shift_general(
             + claimable_fork * move_share * p_fork
         )
 
-    best_x = 0.0
-    best_value = objective(0.0)
-    for i in range(1, grid + 1):
-        x = i / grid
-        value = objective(x)
-        if value > best_value:
-            best_x, best_value = x, value
-    return best_x
+    return 1.0 if objective(1.0) > objective(0.0) else 0.0
 
 
 # ---------------------------------------------------------------------------

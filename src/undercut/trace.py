@@ -289,6 +289,16 @@ def load_powers(path: str | Path) -> PowerDistribution:
 
 
 def write_powers(dist: PowerDistribution, path: str | Path) -> None:
+    """Write a power file that ``load_powers`` reads back as an equal distribution.
+
+    An id that would read back as another or break its line is rejected
+    before the file is opened: one that holds a comma or a line break,
+    starts with ``#`` (a comment line) or has surrounding whitespace
+    (which the reader strips).
+    """
+    for mid, _, _ in dist.entries:
+        if "," in mid or "\n" in mid or "\r" in mid or mid.startswith("#") or mid != mid.strip():
+            raise ValueError(f"miner id {mid!r} cannot be written to a power file")
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("# miner_id,power,kind\n")
         for mid, power, kind in dist.entries:

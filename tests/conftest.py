@@ -137,6 +137,44 @@ def _column_from(column, ranks, start):
     yield from column[ranks[start:]].tolist()
 
 
+def shift_objective(lead, fork_power, depth, claimable_main, claimable_fork, owned_main, owned_fork, movable):
+    """The objective ``strategy.rational_shift_general`` compares at x = 0 and x = 1, as a function of x."""
+    movable = min(movable, 1.0 - fork_power)
+
+    def objective(x):
+        on_fork = fork_power + x * movable
+        on_main = 1.0 - on_fork
+        p_fork = on_fork ** (depth - lead)
+        p_main = on_main ** (depth + lead)
+        stay_share = (1.0 - x) * movable / on_main if on_main > 0.0 else 0.0
+        move_share = x * movable / on_fork if on_fork > 0.0 else 0.0
+        return (
+            owned_main * p_main
+            + owned_fork * p_fork
+            + claimable_main * stay_share * p_main
+            + claimable_fork * move_share * p_fork
+        )
+
+    return objective
+
+
+def scan_shift(*args, grid=100):
+    """Reference ``strategy.rational_shift_general``: its earlier scan of the objective over grid + 1 points.
+
+    The best of x = 0, 1/grid, ..., 1; ties resolve toward the smaller
+    x, so toward staying.
+    """
+    objective = shift_objective(*args)
+    best_x = 0.0
+    best_value = objective(0.0)
+    for i in range(1, grid + 1):
+        x = i / grid
+        value = objective(x)
+        if value > best_value:
+            best_x, best_value = x, value
+    return best_x
+
+
 def random_pool(rng, n_max=15, size_max=10, fee_max=40):
     n = int(rng.integers(1, n_max + 1))
     txs = [

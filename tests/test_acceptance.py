@@ -15,7 +15,7 @@ import pytest
 from undercut.engine import AvoidancePolicy, profiles, run
 from undercut.experiment import ExperimentConfig, run_experiment
 from undercut.mempool import bandwidth_set, gamma_ratio
-from undercut.probability import RacePoint, deep_catchup_bound, win_prob_d1, win_prob_series, win_prob_series_truncated
+from undercut.probability import deep_catchup_bound, race_win, win_prob_series, win_prob_series_truncated
 from undercut.strategy import (
     PowerSplit,
     craft_avoidance_block,
@@ -40,8 +40,8 @@ def test_criterion_1_series_closed_form_equivalence():
             for lead in (-1, 0, 1):
                 if abs(lead) >= depth:
                     continue
-                point = RacePoint(float(a), depth, lead)
-                worst = max(worst, abs(win_prob_series(point) - win_prob_series_truncated(point)))
+                point = (float(a), depth, lead)
+                worst = max(worst, abs(win_prob_series(*point) - win_prob_series_truncated(*point)))
     elapsed = time.perf_counter() - start
     _report(1, worst < 1e-9 and elapsed < 1.0, f"max |closed - series| = {worst:.2e}, {elapsed:.3f}s")
 
@@ -65,7 +65,7 @@ def test_criterion_3_monte_carlo_tie_race():
         fork_times = rng.exponential(600.0 / effective, n)
         main_times = rng.exponential(600.0 / (1.0 - effective), n)
         freq = float(np.mean(fork_times < main_times))
-        worst = max(worst, abs(freq - win_prob_d1(fork_power, shift)))
+        worst = max(worst, abs(freq - race_win(effective, 1)))
     elapsed = time.perf_counter() - start
     _report(3, worst <= 0.01 and elapsed < 60.0, f"max |freq - p| = {worst:.4f}, {elapsed:.2f}s")
 

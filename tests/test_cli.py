@@ -22,7 +22,6 @@ PROMISED_FLAGS = (
     "--interval",
     "--block-limit",
     "--negligible",
-    "--grid",
     "--output",
     "--jobs",
 )
@@ -66,20 +65,38 @@ def test_check_depth_two_prints_the_series_and_the_walk_law(capsys):
     assert "fork win probability at tie (walk): 0.941176\n" in out
 
 
+CHECK_OUTPUTS = {
+    "1": (
+        "depth=1 bu=0.2 bh=0.5 gamma=0.3\n"
+        "decision: undercut (branch 3) [sufficient-mempool]\n"
+        "thresholds: limited=0.25 sufficient=0.4 join=0.625\n"
+        "rational join at tie: x=1 (shift objective: x=1)\n"
+        "fork win probability at tie: 0.5\n"
+        "expected returns: attack=0.07 baseline=0.06\n"
+    ),
+    "2": (
+        "depth=2 bu=0.2 bh=0.5 gamma=0.3\n"
+        "decision: stay\n"
+        "thresholds: limited=0.03125 sufficient=0.0208333 tie=0.0208333\n"
+        "rational join at tie: x=0\n"
+        "fork win probability at tie (series): 0.047619\n"
+        "fork win probability at tie (walk): 0.0588235\n"
+        "expected returns: attack=0.0380952 baseline=0.12\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("depth", sorted(CHECK_OUTPUTS))
+def test_check_prints_its_whole_report(capsys, depth):
+    assert main(["check", "--bu", "0.2", "--bh", "0.5", "--gamma", "0.3", "--depth", depth]) == 0
+    assert capsys.readouterr().out == CHECK_OUTPUTS[depth]
+
+
 def test_check_stay(capsys):
     code = main(["check", "--bu", "0.2", "--bh", "0.1", "--gamma", "0.6", "--depth", "1"])
     out = capsys.readouterr().out
     assert code == 0
     assert "decision: stay" in out
-
-
-@pytest.mark.parametrize("depth", ["1", "2"])
-def test_check_rejects_nonpositive_grid_before_printing(capsys, depth):
-    code = main(["check", "--bu", "0.3", "--bh", "0.2", "--gamma", "0.05", "--depth", depth, "--grid", "0"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "error: grid must be positive" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -193,8 +193,7 @@ def test_run_experiment_rejects_a_job_count_that_is_not_a_positive_integer(confi
 
 
 def test_run_cell_is_equal_on_an_unpickled_trace(config, small_trace):
-    # run_experiment pickles the trace to its workers: a list as its
-    # transactions, a table as its columns
+    # run_experiment pickles its table to spawned workers, as its columns
     assert pickle.loads(pickle.dumps(small_trace)) == small_trace
     table = RankTable(small_trace)
     unpickled = pickle.loads(pickle.dumps(table))
@@ -323,22 +322,27 @@ def test_the_parent_pickles_the_trace_at_most_once_per_worker(monkeypatch, confi
     context = multiprocessing.get_context(method)
     pool = functools.partial(ProcessPoolExecutor, mp_context=context)
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", pool)
-    pickled = 0
-    reduce = Transaction.__reduce__
+    pickled = {"tables": 0, "transactions": 0}
+    getstate, reduce = RankTable.__getstate__, Transaction.__reduce__
 
-    def counting_reduce(tx):
-        nonlocal pickled
-        pickled += 1
-        return reduce(tx)
+    def counting(kind, method):
+        def count(obj):
+            pickled[kind] += 1
+            return method(obj)
 
-    monkeypatch.setattr(Transaction, "__reduce__", counting_reduce)
+        return count
+
+    monkeypatch.setattr(RankTable, "__getstate__", counting("tables", getstate))
+    monkeypatch.setattr(Transaction, "__reduce__", counting("transactions", reduce))
     summary = run_experiment(config, small_trace, jobs=2)
     monkeypatch.undo()
     assert summary == run_experiment(config, small_trace, jobs=1)
+    # the parent builds the list trace's table once and sends the table, not the list
+    assert pickled["transactions"] == 0
     if method == "fork":
-        assert pickled == 0  # the workers inherit the trace
+        assert pickled["tables"] == 0  # the workers inherit the table
     else:
-        assert 0 < pickled <= 2 * len(small_trace)
+        assert 0 < pickled["tables"] <= 2
 
 
 def test_config_rejects_a_negative_base_seed():

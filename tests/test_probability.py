@@ -1,75 +1,75 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import undercut
+from undercut import probability
 from undercut.probability import (
-    InvalidShiftError,
-    RacePoint,
     deep_catchup_bound,
     race_win,
-    win_prob_d1,
     win_prob_series,
     win_prob_series_truncated,
 )
 
+SERIES = (win_prob_series, win_prob_series_truncated)
 
-def test_win_prob_d1():
-    assert win_prob_d1(0.3, 0.1) == pytest.approx(0.4)
-    assert win_prob_d1(0.5, 0.0) == pytest.approx(0.5)
-    assert win_prob_d1(0.176, 0.324) == pytest.approx(0.5)
-    with pytest.raises(InvalidShiftError):
-        win_prob_d1(0.8, 0.3)
-    with pytest.raises(InvalidShiftError):
-        win_prob_d1(0.1, -0.2)
-
-
-def test_race_point_validation():
-    with pytest.raises(ValueError):
-        RacePoint(fork_power=1.2, safe_depth=2)
-    with pytest.raises(ValueError):
-        RacePoint(fork_power=0.5, safe_depth=2, lead=2)
-    with pytest.raises(ValueError):
-        RacePoint(fork_power=0.5, safe_depth=0)
-    # numpy integers are block counts too
-    assert RacePoint(0.3, np.int64(2), np.int32(-1)) == RacePoint(0.3, 2, -1)
+# (fork_power, depth, lead) that every race function rejects, and the message naming the argument
+BAD_RACE_ARGS = [
+    ((1.2, 2, 0), r"fork_power must lie in \[0, 1\], got 1.2"),
+    ((math.nan, 2, 0), r"fork_power must lie in \[0, 1\], got nan"),
+    ((0.3, 0, 0), "depth must be a positive integer, got 0"),
+    ((0.3, 2.0, 0), "depth must be a positive integer, got 2.0"),
+    ((0.3, 2, 0.5), "lead must be an integer, got 0.5"),
+    ((0.3, 2, True), "lead must be an integer, got True"),
+    ((0.3, 2, -3), r"\|lead\| must be at most depth, got lead=-3, depth=2"),
+    ((-0.1, 2, 0), r"fork_power must lie in \[0, 1\], got -0.1"),
+    ((0.3, 2.5, 0), "depth must be a positive integer, got 2.5"),
+    ((0.3, True, 0), "depth must be a positive integer, got True"),
+    ((0.3, 2, False), "lead must be an integer, got False"),
+]
 
 
-@pytest.mark.parametrize(
-    "kwargs, name",
-    [
-        ({"safe_depth": 2.5}, "safe_depth"),
-        ({"safe_depth": 2.0}, "safe_depth"),
-        ({"safe_depth": True}, "safe_depth"),
-        ({"safe_depth": 2, "lead": 0.5}, "lead"),
-        ({"safe_depth": 2, "lead": False}, "lead"),
-    ],
-)
-def test_race_point_rejects_a_block_count_that_is_no_integer(kwargs, name):
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        RacePoint(fork_power=0.3, **kwargs)
+@pytest.mark.parametrize("series", SERIES)
+@pytest.mark.parametrize("args, message", BAD_RACE_ARGS)
+def test_the_series_reject_the_arguments_race_win_rejects(series, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        series(*args)
+
+
+@pytest.mark.parametrize("race", (race_win, *SERIES))
+def test_every_race_function_takes_numpy_block_counts(race):
+    assert race(0.3, np.int64(2), np.int32(-1)) == race(0.3, 2, -1)
+
+
+@pytest.mark.parametrize("series", SERIES)
+@pytest.mark.parametrize("lead", [2, -2])
+def test_the_series_reject_a_decided_race_which_race_win_accepts(series, lead):
+    with pytest.raises(ValueError, match=f"^race already decided: lead={lead}, depth=2$"):
+        series(0.5, 2, lead)
+    assert race_win(0.5, 2, lead) == (lead > 0)
 
 
 def test_win_prob_series_tie_values():
     # truncated-summation oracle at one-half power: 1/3, 1/6, 2/3
     for lead, expected in [(0, 1 / 3), (-1, 1 / 6), (1, 2 / 3)]:
-        point = RacePoint(fork_power=0.5, safe_depth=2, lead=lead)
-        assert win_prob_series_truncated(point) == pytest.approx(expected, abs=1e-9)
-        assert win_prob_series(point) == pytest.approx(expected)
+        assert win_prob_series_truncated(0.5, 2, lead) == pytest.approx(expected, abs=1e-9)
+        assert win_prob_series(0.5, 2, lead) == pytest.approx(expected)
 
 
 def test_win_prob_series_degenerate_limits():
-    assert win_prob_series(RacePoint(0.0, 2, 0)) == 0.0
-    assert win_prob_series(RacePoint(1.0, 2, 0)) == 1.0
-    assert win_prob_series_truncated(RacePoint(0.0, 2, 1)) == 0.0
-    assert win_prob_series_truncated(RacePoint(1.0, 2, -1)) == 1.0
+    assert win_prob_series(0.0, 2, 0) == 0.0
+    assert win_prob_series(1.0, 2, 0) == 1.0
+    assert win_prob_series_truncated(0.0, 2, 1) == 0.0
+    assert win_prob_series_truncated(1.0, 2, -1) == 1.0
 
 
 @pytest.mark.parametrize("cutoff", [0.0, -1e-12, math.nan])
 def test_truncated_series_rejects_a_cutoff_that_is_not_positive(cutoff):
     # terms underflow to 0.0, which no cutoff at or below zero stops; NaN stops at once
     with pytest.raises(ValueError, match="term_cutoff must be positive"):
-        win_prob_series_truncated(RacePoint(0.3, 2), cutoff)
+        win_prob_series_truncated(0.3, 2, term_cutoff=cutoff)
 
 
 def test_closed_form_matches_truncated_series():
@@ -78,17 +78,17 @@ def test_closed_form_matches_truncated_series():
             for lead in (-1, 0, 1):
                 if abs(lead) >= depth:
                     continue
-                point = RacePoint(fork_power=float(a), safe_depth=depth, lead=lead)
-                assert abs(win_prob_series(point) - win_prob_series_truncated(point)) < 1e-9
+                point = (float(a), depth, lead)
+                assert abs(win_prob_series(*point) - win_prob_series_truncated(*point)) < 1e-9
 
 
 def test_win_prob_series_monotone():
     grid = np.arange(0.05, 0.96, 0.05)
     for depth, lead in [(1, 0), (2, -1), (2, 0), (2, 1)]:
-        values = [win_prob_series(RacePoint(float(a), depth, lead)) for a in grid]
+        values = [win_prob_series(float(a), depth, lead) for a in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
     for a in grid:
-        by_lead = [win_prob_series(RacePoint(float(a), 2, lead)) for lead in (-1, 0, 1)]
+        by_lead = [win_prob_series(float(a), 2, lead) for lead in (-1, 0, 1)]
         assert by_lead[0] < by_lead[1] < by_lead[2]
 
 
@@ -117,7 +117,7 @@ def test_monte_carlo_race_matches_d1_probability():
         fork_times = rng.exponential(1 / fork_rate, n)
         main_times = rng.exponential(1 / main_rate, n)
         freq = float(np.mean(fork_times < main_times))
-        assert abs(freq - win_prob_d1(fork_power, shift)) < 0.01
+        assert abs(freq - race_win(fork_power + shift, 1)) < 0.01
 
 
 def test_exponential_clock_means():
@@ -130,7 +130,7 @@ def test_exponential_clock_means():
 
 @pytest.mark.parametrize("fork_power", [0.0, 0.1, 0.176, 0.3, 0.5, 0.7, 1.0])
 def test_race_win_at_depth_one_from_a_tie_is_the_fork_power(fork_power):
-    assert race_win(fork_power, 1, 0) == pytest.approx(win_prob_d1(fork_power, 0.0), abs=1e-15)
+    assert race_win(fork_power, 1, 0) == pytest.approx(fork_power, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -165,18 +165,7 @@ def test_race_win_does_not_overflow_at_large_depth():
     assert race_win(0.3, 2000, 1999) == pytest.approx(3 / 7)
 
 
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        ((1.2, 2, 0), r"fork_power must lie in \[0, 1\], got 1.2"),
-        ((math.nan, 2, 0), r"fork_power must lie in \[0, 1\], got nan"),
-        ((0.3, 0, 0), "depth must be a positive integer, got 0"),
-        ((0.3, 2.0, 0), "depth must be a positive integer, got 2.0"),
-        ((0.3, 2, 0.5), "lead must be an integer, got 0.5"),
-        ((0.3, 2, True), "lead must be an integer, got True"),
-        ((0.3, 2, -3), r"\|lead\| must be at most depth, got lead=-3, depth=2"),
-    ],
-)
+@pytest.mark.parametrize("args, message", BAD_RACE_ARGS)
 def test_race_win_rejects_bad_arguments_by_name(args, message):
     with pytest.raises(ValueError, match=message):
         race_win(*args)
@@ -196,3 +185,14 @@ def test_monte_carlo_walk_matches_race_win():
         freq = float(np.mean(position == depth))
         p = race_win(fork_power, depth, lead)
         assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+
+def test_the_package_exports_every_public_probability_function():
+    public = [
+        name
+        for name, function in inspect.getmembers(probability, inspect.isfunction)
+        if not name.startswith("_") and function.__module__ == probability.__name__
+    ]
+    assert "race_win" in public
+    for name in public:
+        assert getattr(undercut, name, None) is getattr(probability, name), name

@@ -46,6 +46,8 @@ from conftest import (
     pending_reads,
     pool_of,
     ranked_view,
+    scan_shift,
+    shift_objective,
     template_of,
     tx,
 )
@@ -232,16 +234,11 @@ def test_decision_matches_return_formulas_d1():
 
 
 def test_shift_general_trivial_and_dominant_cases():
-    split = split_of(0.3, 0.2)
-    assert rational_shift_general(0, 0.3, split, 2, 0, 0, 0, 0, grid=3) == 0.0
-    assert (
-        rational_shift_general(0, 0.3, split, 2, 10.0, 10.0, 0.0, 500.0, grid=3) == 1.0
-    )
-    with pytest.raises(ValueError, match="grid"):
-        rational_shift_general(0, 0.3, split, 2, 0, 0, 0, 0, grid=0)
+    assert rational_shift_general(0, 0.3, 2, 0, 0, 0, 0, 0.5) == 0.0
+    assert rational_shift_general(0, 0.3, 2, 10.0, 10.0, 0.0, 500.0, 0.5) == 1.0
     for lead, depth in ((1, 1), (-1, 1), (2, 2), (-2, 2)):
         with pytest.raises(ValueError, match="race already decided"):
-            rational_shift_general(lead, 0.3, split, depth, 0, 0, 0, 0)
+            rational_shift_general(lead, 0.3, depth, 0, 0, 0, 0, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -251,16 +248,37 @@ def test_shift_general_trivial_and_dominant_cases():
         ("lead", True),
         ("depth", 2.0),
         ("depth", True),
-        ("grid", 2.5),  # a bare TypeError from range
-        ("grid", math.nan),
-        ("grid", True),
-        ("grid", 0),
     ],
 )
 def test_shift_general_rejects_a_lead_depth_or_grid_that_is_no_integer(name, value):
-    args = {"lead": 0, "depth": 2, "grid": 3, name: value}
-    with pytest.raises(ValueError, match=rf"^{name} must be (an|a positive) integer, got {re.escape(repr(value))}$"):
-        rational_shift_general(args["lead"], 0.3, split_of(0.3, 0.2), args["depth"], 0, 0, 0, 0, grid=args["grid"])
+    args = {"lead": 0, "depth": 2, name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        rational_shift_general(args["lead"], 0.3, args["depth"], 0, 0, 0, 0, 0.5)
+
+
+@st.composite
+def shift_cases(draw):
+    depth = draw(st.integers(1, 3))
+    lead = draw(st.integers(1 - depth, depth - 1))
+    fork_power = draw(st.floats(0.0, 1.0))
+    fee = st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_subnormal=False))
+    fees = [draw(fee) for _ in range(4)]
+    movable = draw(st.one_of(st.just(1.0 - fork_power), st.floats(0.0, 1.0)))
+    return (lead, fork_power, depth, *fees, movable)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(shift_cases())
+def test_shift_general_is_the_best_point_of_a_scan(args):
+    # the objective is convex in the shifted fraction, so no grid point beats both endpoints
+    x, best = rational_shift_general(*args), scan_shift(*args)
+    if best in (0.0, 1.0):
+        assert x == best
+    else:
+        # only rounding: a flat objective, such as 3(1 - a) + 3a for equal owned fees at
+        # depth 1, reads a few ulps of the fees above its endpoints between them
+        objective = shift_objective(*args)
+        assert objective(best) <= objective(x) + 1e-12 * sum(args[3:7])
 
 
 def test_shift_general_reduces_to_join_rule_at_depth_one():
@@ -273,15 +291,13 @@ def test_shift_general_reduces_to_join_rule_at_depth_one():
         x = rational_shift_general(
             0,
             bu,
-            split,
             1,
             claimable_main=gamma,
             claimable_fork=1.0,
             owned_main=split.rational / (1.0 - bu),
             owned_fork=0.0,
-            grid=100,
+            movable=split.rational,
         )
-        assert x in (0.0, 1.0)
         assert x == (1.0 if gamma < join_threshold_d1(split) else 0.0)
 
 

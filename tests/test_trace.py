@@ -561,6 +561,33 @@ def test_powers_file_roundtrip(tmp_path):
     assert load_powers(path) == dist
 
 
+def _population(ids):
+    return PowerDistribution(tuple(zip(ids, (0.25, 0.35, 0.4), ("undercutter", "honest", "rational"))))
+
+
+@pytest.mark.parametrize("mid", [" m ", "m ", "#m", "a,b", "a\nb", "a\rb", "m\n"])
+def test_write_powers_rejects_an_id_that_would_not_read_back(tmp_path, mid):
+    # load_powers would read ' m ' as 'm' and '#m' as a comment line, and fail on 'a,b'
+    path = tmp_path / "powers.txt"
+    with pytest.raises(ValueError, match=f"^miner id {re.escape(repr(mid))} cannot be written"):
+        write_powers(_population(["u", mid, "r"]), path)
+    assert not path.exists()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.text(max_size=6), min_size=3, max_size=3, unique=True))
+def test_every_id_write_powers_accepts_reads_back_as_itself(tmp_path, ids):
+    dist = _population(ids)
+    path = tmp_path / "powers.txt"
+    path.unlink(missing_ok=True)
+    try:
+        write_powers(dist, path)
+    except ValueError:
+        assert not path.exists()
+        return
+    assert load_powers(path) == dist
+
+
 def test_powers_file_errors(tmp_path):
     path = tmp_path / "powers.txt"
     path.write_text("a,0.5\n")
