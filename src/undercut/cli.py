@@ -224,8 +224,7 @@ def _cmd_check(args) -> int:
             movable=max(split.rational, 0.0),  # PowerSplit lets rounding take it a hair below 0
         )
         print(f"rational join at tie: x={join:g} (shift objective: x={canonical:g})")
-        # race_win(p, 1) from a tie is p, up to a rounding that can move the sixth digit
-        print(f"fork win probability at tie: {effective:.6g}")
+        print(f"fork win probability at tie: {race_win(effective, 1):.6g}")
     else:
         print(f"rational join at tie: x={join:g}")
         print(f"fork win probability at tie (series): {win_prob_series(effective, 2):.6g}")

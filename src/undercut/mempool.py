@@ -30,7 +30,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapreplace
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -357,7 +357,9 @@ class MempoolView:
 
     ``packed`` memoizes the greedy pack of each size budget asked for, so
     a snapshot that ``bandwidth_set``, ``gamma_ratio`` and
-    ``claimable_fees`` all read is packed once per budget.
+    ``claimable_fees`` all read is packed once per budget.  ``fee_bound``
+    bounds ``fee_left`` from above for a run of pack positions with no
+    pack at all, so exact avoidance packs only claims the bound lets pass.
 
     No run reads ``pending``, the view's transactions (``table.txs`` at
     its ranks, gathered on each read), or ``without``, which drops
@@ -426,6 +428,61 @@ class MempoolView:
             return self.totals[0] - (pack.totals[0] if whole else sum(table.fees[gone].tolist()))
         rest = np.delete(self.ranks, self.ranks.searchsorted(gone))
         return _first_fit(table.sizes, table.fees, rest, size_budget, table.size_floor)[2]
+
+    def fee_bound(self, size_budget: int) -> Callable[[int, int], int]:
+        """``bound(start, stop)``: an upper bound on ``fee_left(range(start, stop), size_budget)``.
+
+        The bound is a fractional-knapsack fill of the pool less the
+        claimed run of pack positions: it takes the pool in selection
+        order, which is fee-rate order, and a fraction of the first
+        transaction that does not fit.  That fill bounds every pack of the
+        same transactions, the greedy one included.  Building costs O(pool)
+        for the prefix sums of the pool's sizes and fees, over all of it
+        and over the transactions outside its pack; each bound then costs
+        one binary search.  The claimed positions sit in the pool in
+        increasing order, so the size left before pool position p (the
+        pool's, less the claimed) is monotone in p, and it has three pieces:
+        the pool's alone before the claim's first position, the unpacked
+        transactions' plus the pack's ``start`` ones within the claim's
+        span, and the pool's less the claim's after it.  Everything is in
+        integers.  When the pool less the claim fits the budget, the bound is
+        its fee, which is exact.
+
+        Selection order sorts by float64 rate, so a transaction the fill
+        cuts can precede one of a slightly higher exact rate whose rate
+        rounds to the same float.  The greedy pack can then take that one
+        into the room the fill cuts, beyond the fractional value by less
+        than the cut fee times 2**-52 (one float's spacing, relative to the
+        rate); the bound adds ``cut_fee >> 51`` and one for it.
+        """
+        table, ranks = self.table, self.ranks
+        pack = self.packed(size_budget)
+        fees, sizes = table.fees[ranks], table.sizes[ranks]
+        at = ranks.searchsorted(pack.ranks)  # the pool position of each pack position
+        outside = np.ones(len(ranks), dtype=bool)
+        outside[at] = False
+        fee_pool, size_pool = _prefix_sums(fees), _prefix_sums(sizes)
+        fee_in, size_in = _prefix_sums(fees[at]), _prefix_sums(sizes[at])
+        fee_out, size_out = _prefix_sums(np.where(outside, fees, 0)), _prefix_sums(np.where(outside, sizes, 0))
+
+        def bound(start: int, stop: int) -> int:
+            first, end = int(at[start]), int(at[stop - 1]) + 1  # the claim's span of pool positions
+            if size_pool[first] > size_budget:  # the fill cuts before the claim
+                p = int(size_pool.searchsorted(size_budget, "right")) - 1
+                fee, size = int(fee_pool[p]), int(size_pool[p])
+            elif size_out[end] + size_in[start] > size_budget:  # within its span
+                p = int(size_out.searchsorted(size_budget - int(size_in[start]), "right")) - 1
+                fee, size = int(fee_out[p] + fee_in[start]), int(size_out[p] + size_in[start])
+            else:  # past it
+                claimed_fee, claimed_size = int(fee_in[stop] - fee_in[start]), int(size_in[stop] - size_in[start])
+                p = int(size_pool.searchsorted(size_budget + claimed_size, "right")) - 1
+                fee, size = int(fee_pool[p]) - claimed_fee, int(size_pool[p]) - claimed_size
+                if p == len(ranks):
+                    return fee
+            cut_fee = int(fees[p])
+            return fee + cut_fee * (size_budget - size) // int(sizes[p]) + (cut_fee >> 51) + 1
+
+        return bound
 
     def template(
         self, positions: Collection[int] | None = None, totals: tuple[int, int] | None = None

@@ -11,6 +11,8 @@ main height.
 
 from __future__ import annotations
 
+import math
+
 from .mempool import check_integer
 
 # Per-term cutoff for the diagnostic series evaluation.
@@ -56,20 +58,29 @@ def race_win(fork_power: float, depth: int, lead: int = 0) -> float:
     ``a = fork_power``, and the race ends once either side leads by
     ``depth``.  Gambler's ruin gives (1 − r^(D+L)) / (1 − r^(2D)) with
     r = (1 − a)/a, and (D + L)/(2D) at a = 1/2.  At D=1 from a tie that
-    is ``a``: the one-block race, whose fork power after a shift is the
-    base power plus the shift.  Every power is taken of the ratio below
-    one, (1 − a)/a or a/(1 − a), so no power overflows however deep the
-    race.  ``|lead|`` may equal ``depth``: a race that is already decided.
+    is ``a``, returned as it is: the one-block race, whose fork power
+    after a shift is the base power plus the shift.  ``|lead|`` may
+    equal ``depth``: a race that is already decided.
+
+    Every power is taken of the ratio below one, (1 − a)/a or a/(1 − a),
+    so no power overflows however deep the race.  Near a = 1/2 that ratio
+    is close to one, and 1 − ratio^k would cancel, so each such difference
+    is ``-expm1(k * log1p(x))``, where x = ratio − 1 is (1 − 2a)/a or
+    (2a − 1)/(1 − a), and 1 − 2a and 2a − 1 are exact.
     """
     _check_race(fork_power, depth, lead, decided=True)
     a, span = fork_power, 2 * depth
+    if abs(lead) == depth:
+        return float(lead > 0)
     if a == 0.5:
         return (depth + lead) / span
+    if depth == 1:
+        return a
     if a > 0.5:
-        r = (1.0 - a) / a
-        return (1.0 - r ** (depth + lead)) / (1.0 - r**span)
-    s = a / (1.0 - a)  # 1/r: the same law times s^(2D) over s^(2D)
-    return (s ** (depth - lead) - s**span) / (1.0 - s**span)
+        log_r = math.log1p((1.0 - 2.0 * a) / a)
+        return math.expm1((depth + lead) * log_r) / math.expm1(span * log_r)
+    log_s = math.log1p((2.0 * a - 1.0) / (1.0 - a))  # s = 1/r: the same law times s^(2D) over s^(2D)
+    return math.exp((depth - lead) * log_s) * math.expm1((depth + lead) * log_s) / math.expm1(span * log_s)
 
 
 def win_prob_series_truncated(

@@ -19,6 +19,7 @@ All functions are pure over immutable snapshots.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -359,23 +360,36 @@ def craft_avoidance_block(
     (recomputed residual bandwidth set against the claimed fee) makes
     every decision ladder stay for an adversary of
     ``AVOIDANCE_ADVERSARY_POWER``.  Its candidates are the prefixes and
-    suffixes of the first bandwidth set (plus, at depth 2, the lighter
-    half of a lone set), tried richest first.  A walk over prefix sums
-    yields them lazily, each with its fee and size in O(1), and the
-    search stops at the first claim the ladder lets stand.  When the
-    pool less the claim fits one block, the residual fee is the pool fee
-    less the claim: greedy packing takes every transaction that is left,
-    so this is exact.  When the pool less the claim holds less fee than
-    the claim, that bound already puts gamma below 1, where the
-    adversary attacks.  Otherwise one greedy pack of the pool less the
-    claim sums the fees.  The first set B is the pool's memoized greedy
-    pack, and the pool's fee and size are its view's ``totals``, which a
-    chain keeps, so a block costs O(|B|) for the prefix sums over B's
-    ``column`` lists, plus one pack for a memo miss, one for the second
-    set's fee at a depth with ``lone_set_split``, and one per candidate
-    that neither shortcut decides; each is ``MempoolView.fee_left``,
-    which reads the columns of the pool's head.  The accepted claim is
-    B's template at the claimed positions, given the fee and size its
+    suffixes of the first bandwidth set B (plus, at depth 2, the lighter
+    half of a lone set), tried richest first, and the search stops at the
+    first claim the ladder lets stand.  The ladder stays on an
+    upward-closed set of gammas, so a claim whose gamma on an upper bound
+    of its fee left attacks needs no exact value; the search puts a claim
+    to a pack only when the ladder stays on its bounds.
+
+    * Bound A is the pool's fee less the claim's.  It is exact when the
+      pool less the claim fits one block, as greedy packing then takes
+      all of it.  Its gamma falls as the claim's fee grows, so the claims
+      the ladder attacks on it are the richest ones.  A bisection over
+      B's prefix sums, and one over the few suffixes it leaves open, start
+      the walk past all of them in O(log |B|) ladder calls, and the walk
+      yields only claims that bound A lets stand: a claim whose rest fits
+      one block is accepted as it comes.
+    * Bound B, for a prefix or a suffix whose rest overflows a block, is
+      the fractional-knapsack fill of the pool less the claim
+      (``MempoolView.fee_bound``): built once per block, on the first
+      such claim, in O(pool), then one binary search per claim.  Only a
+      claim that it, too, lets stand, and the lone-set part, take one
+      greedy pack of the pool less the claim (``MempoolView.fee_left``).
+
+    B is the pool's memoized greedy pack, and the pool's fee and size are
+    its view's ``totals``, which a chain keeps, so a block costs O(|B|)
+    for the prefix sums over B's ``column`` lists, O(log |B|) ladder
+    calls, one pack for a memo miss, one for the second set's fee at a
+    depth with ``lone_set_split``, and, over a backlog, bound B's prefix
+    sums and one bound and a ladder call per claim the walk yields.  On a
+    backlog the bounds leave about one pack a block.  The accepted claim
+    is B's template at the claimed positions, given the fee and size its
     prefix sums (or, for the lone-set half, the same column lists) hold,
     so nothing is summed twice.
 
@@ -419,22 +433,31 @@ def craft_avoidance_block(
         if lone:
             part = split_equal_fee(first, 2, params)[0]
             lone_claim = (sum(map(fees.__getitem__, part)), sum(map(sizes.__getitem__, part)), part)
-        # take the richest claim that the assumed adversary would not fork
         pool_fee, pool_size = pool.totals
-        for fee, size, claimed in _claims_richest_first(fee_at, size_at, lone_claim):
+        negligible = params.negligible_fee_threshold
+
+        def stays(left: int, fee: int) -> bool:
             # One ladder decides for both depths: at adversary power 0.5 the
             # depth-1 bounds are limited 1 and sufficient at most 1, every
             # depth-2 bound lies at or below 1, and the negligible test is
-            # shared.  So the ladder attacks every gamma below 1, and a
-            # residual that cannot reach the claim needs no exact value.
-            left = pool_fee - fee
-            if pool_size - size > limit and left >= fee:
-                left = pool.fee_left(claimed, limit)
-            gamma_after = gamma_of_fees(left, fee)
-            if undercut_decision_d1(split, gamma_after, params.negligible_fee_threshold)[0] == "stay":
-                # the prefix sums hold its fee and size; summing them again
-                # in template costs a few percent of a small pool's crafting
-                return first.template(claimed, (fee, size))
+            # shared.  It stays on an upward-closed set of gammas, so a claim
+            # it attacks on a bound of its fee left it attacks on that fee.
+            return undercut_decision_d1(split, gamma_of_fees(left, fee), negligible)[0] == "stay"
+
+        # take the richest claim that the assumed adversary would not fork;
+        # the walk yields only claims that bound A lets stand
+        bound = None
+        for fee, size, claimed in _claims_richest_first(fee_at, size_at, lone_claim, lambda f: stays(pool_fee - f, f)):
+            if pool_size - size > limit:
+                if isinstance(claimed, range):
+                    bound = bound or pool.fee_bound(limit)
+                    if not stays(bound(claimed.start, claimed.stop), fee):
+                        continue
+                if not stays(pool.fee_left(claimed, limit), fee):
+                    continue
+            # the prefix sums hold its fee and size; summing them again in
+            # template costs a few percent of a small pool's crafting
+            return first.template(claimed, (fee, size))
         return EMPTY_TEMPLATE
 
     if lone:
@@ -455,21 +478,45 @@ def _avoidance_split(honest: float) -> PowerSplit:
 
 
 def _claims_richest_first(
-    fee_at: Sequence[int], size_at: Sequence[int], lone: tuple[int, int, Collection[int]] | None
+    fee_at: Sequence[int],
+    size_at: Sequence[int],
+    lone: tuple[int, int, Collection[int]] | None,
+    safe: Callable[[int], bool],
 ) -> Iterator[tuple[int, int, Collection[int]]]:
     # Exact avoidance's candidate claims, richest first, as (fee, size,
-    # claimed): every prefix and every proper suffix of the first set,
-    # plus the lone-set part if there is one.  Prefixes keep the densest
-    # transactions, suffixes claim around an indivisible wealthy one.
-    # ``fee_at`` and ``size_at`` are the set's prefix sums.  The prefix
-    # fees (longest first) and the suffix fees (longest first) are both
-    # non-increasing, so two pointers merge them lazily; on a fee tie the
-    # lone-set part comes first, then the prefix, then the suffix.
+    # claimed): every prefix and every proper suffix of the first set, plus
+    # the lone-set part if there is one, less every claim whose fee is not
+    # ``safe``.  Prefixes keep the densest transactions, suffixes claim
+    # around an indivisible wealthy one.  ``fee_at`` and ``size_at`` are
+    # the set's prefix sums.  The prefix fees (longest first) and the
+    # suffix fees (longest first) are both non-increasing, so two pointers
+    # merge them lazily; on a fee tie the lone-set part comes first, then
+    # the prefix, then the suffix.
+    #
+    # ``safe`` holds on a downward-closed set of fees, so the claims it
+    # rejects lead each sequence, and the pointers start past them.  One
+    # bisection over the prefix sums finds k, the longest safe prefix: every
+    # fee up to fee_at[k] is safe, and every fee from fee_at[k + 1] up is
+    # not.  Only the suffixes whose fees fall between are left open, found
+    # by plain bisection.  The richest of them is asked first: when B's
+    # first transaction is a whale that no safe prefix can hold, no suffix
+    # holds it either, and that one call usually finds them all safe.
+    # Otherwise a bisection settles the rest.  So the pointers cost
+    # O(log n) calls of ``safe``, and every claim the walk yields is safe.
     n = len(fee_at) - 1
-    k, j = n, 1  # the next prefix is range(k), the next suffix range(j, n)
+    total = fee_at[n]
+    k = bisect_left(fee_at, True, 1, n + 1, key=lambda fee: not safe(fee)) - 1  # the next prefix is range(k)
+    unsafe = fee_at[k + 1] if k < n else math.inf
+    lo = bisect_right(fee_at, total - unsafe, 1, n)  # suffixes before lo are unsafe
+    hi = bisect_left(fee_at, total - fee_at[k], lo, n) if k else n  # and from hi on safe
+    j = lo  # the next suffix is range(j, n)
+    if lo < hi and not safe(total - fee_at[lo]):
+        j = bisect_left(fee_at, True, lo + 1, hi, key=lambda fee: safe(total - fee))
+    if lone is not None and not safe(lone[0]):
+        lone = None
     while k > 0 or j < n:
         prefix = fee_at[k] if k > 0 else -1
-        suffix = fee_at[n] - fee_at[j] if j < n else -1
+        suffix = total - fee_at[j] if j < n else -1
         if lone is not None and lone[0] >= max(prefix, suffix):
             yield lone
             lone = None

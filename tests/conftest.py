@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from undercut.mempool import BandwidthSetResult, ChainParams, MempoolView, RankTable, Transaction
-from undercut.trace import synthesize_whale_trace
+from undercut.trace import synthesize_trace, synthesize_whale_trace
 
 
 @pytest.fixture
@@ -202,3 +202,20 @@ def oracle_best_fee(pool, params):
 def whale_trace(seed, interval, duration, dust_rate=20.0, whale_rate=0.25):
     """``trace.synthesize_whale_trace`` with the interval second, as the tests pass it."""
     return synthesize_whale_trace(seed, duration, dust_rate, whale_rate, interval)
+
+
+def backlog_trace(seed, intervals, dust_rate, whale_scale, whale_rate=0.25, interval=600.0):
+    """A backlog regime: dust with uniform fees 1..600 and sizes 150..650
+    (ids ``d…``, drawn from ``seed``), plus Pareto(1.5, ``whale_scale``)
+    whales of sizes 2,000..4,000 (ids ``w…``, from ``seed + 1``), over
+    ``intervals`` block intervals.  Rates are per interval.  At 3,000 dust
+    an interval, a scale of 2,000,000 and a 1 MB limit it is the chain-scale
+    backlog of ROADMAP item 11; about 1.2 blocks of dust arrive per block."""
+    duration = intervals * interval
+    dust = synthesize_trace(
+        dust_rate / interval, duration, seed, "uniform", (1, 600), "uniform", (150, 650), id_prefix="d"
+    )
+    whales = synthesize_trace(
+        whale_rate / interval, duration, seed + 1, "pareto", (1.5, whale_scale), "uniform", (2000, 4000), id_prefix="w"
+    )
+    return sorted(dust + whales, key=lambda t: (t.arrival_time, t.id))

@@ -14,12 +14,13 @@ current code, run ``PYTHONPATH=src:tests python tests/test_golden_blocks.py``.
 
 import hashlib
 from collections import Counter
+from unittest import mock
 
 from undercut.engine import Simulation, parse_avoidance, profiles
-from undercut.mempool import ChainParams, RankTable
+from undercut.mempool import ChainParams, MempoolView, RankTable
 from undercut.trace import preset
 
-from conftest import whale_trace
+from conftest import backlog_trace, whale_trace
 
 # name: (dust per interval, block size limit, seeds)
 TRACES = {
@@ -151,6 +152,44 @@ def test_main_chains_match_their_recorded_digests():
     assert set(branches) == {"negligible-mempool", "limited-mempool", "sufficient-mempool", "lone-set"}
 
 
+# A tenth of the chain-scale backlog trace, for 36 intervals: the pool
+# backs up for dozens of blocks, and whales in the first set make exact
+# avoidance reject most of its claims, each of which used to cost a pack.
+# Digests and pack counts per depth, recorded before the search skipped
+# claims by fee bounds.
+BACKLOG_GOLDEN = {1: ("3c5259eac463b75f", 3609), 2: ("68306c0352f55dd1", 3667)}
+
+
+def backlog_runs():
+    """(depth, digest, ``fee_left`` packs, crafted blocks) of each exact-avoidance backlog run."""
+    table = RankTable(backlog_trace(1, 36, 300.0, 200_000))
+    dist, _ = preset("bitcoin16")
+    params = ChainParams(block_size_limit=100_000, block_interval=600.0)
+    miners = profiles(dist.with_honest_fraction(0.3).entries)
+    fee_left = MempoolView.fee_left
+    for depth in (1, 2):
+        calls = Counter()
+
+        def counted(view, claimed, budget):
+            calls["packs"] += 1
+            return fee_left(view, claimed, budget)
+
+        sim = Simulation(table, miners, params, depth=depth, avoidance=parse_avoidance("exact"), seed=0)
+        with mock.patch.object(MempoolView, "fee_left", counted):
+            result = sim.run()
+        yield depth, chain_digest(sim.main.blocks), calls["packs"], result.blocks
+
+
+def test_deep_backlog_exact_chains_keep_their_blocks_with_fewer_packs():
+    for depth, digest, packs, blocks in backlog_runs():
+        recorded, recorded_packs = BACKLOG_GOLDEN[depth]
+        assert digest == recorded
+        assert recorded_packs >= 20 * blocks  # the regime packs for most claims it tries
+        assert packs < 2 * blocks
+
+
 if __name__ == "__main__":
     for key, digest, _ in golden_runs():
         print(f'    "{key}": "{digest}",')
+    for depth, digest, packs, blocks in backlog_runs():
+        print(f'    {depth}: ("{digest}", {packs}),  # {blocks} blocks')

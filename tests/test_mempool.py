@@ -436,6 +436,58 @@ def test_a_pack_carries_the_totals_of_its_cut_and_fee_left_matches_a_copied_pool
             assert view.fee_left(claimed, budget) == sum(t.fee for t in left)
 
 
+@st.composite
+def bound_cases(draw):
+    """A view and a size budget for the fee bounds of exact avoidance.
+
+    Fees are zero, tie on a few values, or are scaled to 2**50 or 2**70 plus
+    a small offset: past 2**53 the columns hold Python ints, and there the
+    rates of different exact values round to one float, so selection order
+    can put a transaction of a lower exact rate first."""
+    n = draw(st.integers(1, 20))
+    scale = draw(st.sampled_from((1, 2**50, 2**70)))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    steps = st.one_of(st.just(0), st.sampled_from((3, 6, 12)), st.integers(1, 60))
+    fees = [step * scale + draw(st.integers(0, 3)) for step in draw(st.lists(steps, min_size=n, max_size=n))]
+    pool = pool_of(*(tx(f"t{i:02d}", size, fee) for i, (size, fee) in enumerate(zip(sizes, fees))))
+    budget = max(1, draw(st.integers(1, 3)) * sum(sizes) // draw(st.integers(2, 6)))
+    return ranked_view(pool, draw(st.integers(0, 3))), budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_cases())
+def test_fee_bounds_are_never_below_the_fee_left(case):
+    # bound A, the pool's fee less the claim's, and bound B, the fractional
+    # fill, for every prefix and every suffix of the pack
+    view, budget = case
+    pack = view.packed(budget)
+    fees = pack.column("fees")
+    bound = view.fee_bound(budget)
+    pool_fee, pool_size = view.totals
+    n = len(pack.ranks)
+    for claimed in [range(k) for k in range(1, n + 1)] + [range(j, n) for j in range(1, n)]:
+        left = view.fee_left(claimed, budget)
+        bound_a = pool_fee - sum(fees[i] for i in claimed)
+        assert bound(claimed.start, claimed.stop) >= left and bound_a >= left
+        if pool_size - sum(pack.column("sizes")[i] for i in claimed) <= budget:
+            assert bound(claimed.start, claimed.stop) == bound_a == left
+
+
+def test_fee_bound_covers_a_float_rate_tie():
+    # t and u have exact rates k + 1/3 and k + 1/2, which round to one
+    # float at k = 2**51, so t (the larger fee) ranks first.  Once c is
+    # claimed, the fill cuts t at room 2 (a fee of 2k) where greedy packs u
+    # (2k + 1): the fractional value alone is one below the fee left.
+    k = 2**51
+    pool = pool_of(tx("c", 1, 2**52), tx("t", 3, 3 * k + 1), tx("u", 2, 2 * k + 1))
+    assert pool.table.fees.dtype == np.int64
+    assert [t.id for t in pool.pending] == ["c", "t", "u"]
+    assert [t.id for t in pool.packed(2).pending] == ["c"]
+    left = pool.fee_left(range(1), 2)
+    assert left == 2 * k + 1 > (3 * k + 1) * 2 // 3
+    assert pool.fee_bound(2)(0, 1) >= left
+
+
 def test_claim_partial_examples():
     params = ChainParams(block_size_limit=6, block_interval=600)
     pool = pool_of(tx("a", 2, 10), tx("b", 2, 8), tx("c", 2, 4))

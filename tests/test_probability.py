@@ -1,5 +1,6 @@
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,7 +131,31 @@ def test_exponential_clock_means():
 
 @pytest.mark.parametrize("fork_power", [0.0, 0.1, 0.176, 0.3, 0.5, 0.7, 1.0])
 def test_race_win_at_depth_one_from_a_tie_is_the_fork_power(fork_power):
-    assert race_win(fork_power, 1, 0) == pytest.approx(fork_power, abs=1e-15)
+    assert race_win(fork_power, 1, 0) == fork_power
+
+
+def test_race_win_at_depth_one_is_the_fork_power_bit_for_bit():
+    powers = np.random.default_rng(68).random(200_000).tolist()
+    assert [race_win(p, 1) for p in powers] == powers
+
+
+def _ruin(a, depth, lead):
+    # the gambler's-ruin law in exact rationals
+    if a == Fraction(1, 2):
+        return Fraction(depth + lead, 2 * depth)
+    r = (1 - a) / a
+    return (1 - r ** (depth + lead)) / (1 - r ** (2 * depth))
+
+
+@pytest.mark.parametrize("offset", [1e-9, -1e-9, 1e-12, -1e-12, 2**-50, -(2**-50)])
+def test_race_win_keeps_its_digits_near_one_half(offset):
+    # 1 − r^k cancels as r nears one; within a few roundings of the exact law
+    a = 0.5 + offset
+    for depth in (1, 2, 3):
+        for lead in range(1 - depth, depth):
+            exact = _ruin(Fraction(a), depth, lead)
+            assert abs(Fraction(race_win(a, depth, lead)) / exact - 1) <= 2**-50, (depth, lead)
+    assert race_win(0.500000001, 2) == pytest.approx(0.500000002, rel=1e-15)
 
 
 @pytest.mark.parametrize(

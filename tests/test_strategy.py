@@ -13,6 +13,7 @@ from undercut import strategy
 from undercut.mempool import (
     EMPTY_TEMPLATE,
     ChainParams,
+    MempoolView,
     bandwidth_set,
     gamma_of_fees,
     gamma_ratio,
@@ -473,24 +474,48 @@ def avoidance_cases(draw):
 @given(avoidance_cases())
 def test_craft_avoidance_exact_matches_pool_copying_reference(case):
     pool, params, depth, honest = case
-    # the lazy walk puts claims of the same fees to the ladder, in the same
-    # order and as often: each ladder call follows one gamma of its claim
-    fees, calls, expected = [], [], []
+    # The search skips every claim that a bound on its fee left already
+    # rejects, so it asks the ladder about other claims than the
+    # reference's walk, and never skips the claim the walk accepts.  It
+    # packs only claims the walk tries, in the walk's order.
+    fees, packed, tried = [], [], []
+    column = pool.packed(params.block_size_limit).column("fees")
+    fee_left = MempoolView.fee_left
 
     def gamma(left, fee):
         fees.append(fee)
         return gamma_of_fees(left, fee)
 
-    def ladder(*args):
-        calls.append(args)
-        return undercut_decision_d1(*args)
+    def pack(view, claimed, budget):
+        if fees:  # at depth 2 the second set's fee is packed before the search
+            packed.append(sum(column[i] for i in claimed))
+        return fee_left(view, claimed, budget)
 
-    with mock.patch("undercut.strategy.gamma_of_fees", gamma), mock.patch(
-        "undercut.strategy.undercut_decision_d1", ladder
-    ):
+    with mock.patch("undercut.strategy.gamma_of_fees", gamma), mock.patch.object(MempoolView, "fee_left", pack):
         claim = craft_avoidance_block(pool, params, depth=depth, assumed_honest_power=honest, mode="exact")
-    assert claim == reference_exact_claim(pool, params, depth, honest, expected)
-    assert fees == expected and len(calls) == len(expected)
+    assert claim == reference_exact_claim(pool, params, depth, honest, tried)
+    walk = iter(tried)
+    assert all(fee in walk for fee in packed)  # a subsequence, in the walk's order
+
+
+def test_craft_avoidance_exact_searches_a_pool_that_fits_one_block_by_bisection():
+    # every claim's fee left is the pool's less the claim, so two
+    # bisections find the answer and the walk accepts the first claim
+    rng = np.random.default_rng(5)
+    txs = [tx(f"t{i:04d}", int(rng.integers(1, 10)), int(rng.integers(0, 1000))) for i in range(1000)]
+    pool = pool_of(*txs)
+    params = ChainParams(block_size_limit=sum(t.size for t in txs), block_interval=600)
+    for depth in (1, 2):
+        calls = []
+
+        def ladder(*args):
+            calls.append(args)
+            return undercut_decision_d1(*args)
+
+        with mock.patch("undercut.strategy.undercut_decision_d1", ladder):
+            claim = craft_avoidance_block(pool, params, depth=depth)
+        assert claim == reference_exact_claim(pool, params, depth, 0.0)
+        assert 0 < claim.total_fee and len(calls) <= 2 * math.ceil(math.log2(1001)) + 2
 
 
 def test_craft_avoidance_exact_at_the_whole_pool_boundary():
