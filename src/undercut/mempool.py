@@ -47,7 +47,7 @@ class UnsplittableError(ValueError):
 EXACT_SELECTION_LIMIT = 25
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Transaction:
     """One fee-bearing transaction: the atom of pools and blocks.
 
@@ -63,7 +63,10 @@ class Transaction:
     slots and no per-object ``__dict__`` (a loaded trace is a
     ``RankTable`` and holds none).  ``__reduce__`` rebuilds a pickled or
     copied transaction through the constructor, so the copy is the same
-    compact, validated object as the one it was made from.
+    compact, validated object as the one it was made from.  The
+    constructor is written by hand: it checks its arguments, then sets
+    the four slots through their own descriptors, so a build is one call
+    with no ``__post_init__`` and no frozen ``__setattr__`` round trip.
     """
 
     id: str
@@ -71,19 +74,29 @@ class Transaction:
     size: int
     fee: int
 
-    def __post_init__(self) -> None:
-        size, fee, t = self.size, self.fee, self.arrival_time
+    def __init__(self, id: str, arrival_time: float, size: int, fee: int) -> None:
         if not (type(size) is int and type(fee) is int or _is_integer(size) and _is_integer(fee)):
-            raise TypeError(f"transaction {self.id!r}: size and fee must be integers, got {size!r} and {fee!r}")
+            raise TypeError(f"transaction {id!r}: size and fee must be integers, got {size!r} and {fee!r}")
+        t = arrival_time
         if type(t) is not float and (isinstance(t, bool) or not isinstance(t, numbers.Real)):
-            raise TypeError(f"transaction {self.id!r}: arrival_time must be a real number, got {t!r}")
+            raise TypeError(f"transaction {id!r}: arrival_time must be a real number, got {t!r}")
         if size <= 0:
-            raise ValueError(f"transaction {self.id!r}: size must be positive, got {size}")
+            raise ValueError(f"transaction {id!r}: size must be positive, got {size}")
         if fee < 0:
-            raise ValueError(f"transaction {self.id!r}: fee must be non-negative, got {fee}")
+            raise ValueError(f"transaction {id!r}: fee must be non-negative, got {fee}")
+        _set_id(self, id)
+        _set_arrival_time(self, t)
+        _set_size(self, size)
+        _set_fee(self, fee)
 
     def __reduce__(self):
         return type(self), (self.id, self.arrival_time, self.size, self.fee)
+
+
+# the slots' member descriptors set a field past the frozen __setattr__
+_set_id, _set_arrival_time, _set_size, _set_fee = (
+    Transaction.__dict__[name].__set__ for name in ("id", "arrival_time", "size", "fee")
+)
 
 
 @dataclass(frozen=True)
@@ -203,7 +216,8 @@ class RankTable:
         """The table of the rows whose id, time, size and fee these are, in any order.
 
         The rows must be ones ``Transaction`` accepts: integer sizes and
-        fees, sizes positive and fees non-negative.
+        fees, sizes positive and fees non-negative.  Sizes and fees are
+        sequences of integers or int64 arrays.
         """
         table = cls.__new__(cls)
         table._build(ids, times, sizes, fees)
@@ -316,17 +330,23 @@ def _prefix_sums(column: np.ndarray) -> np.ndarray:
 
 def _int_columns(fees: Sequence[int], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     # The fee and size columns, int64 where RankTable's fast path is
-    # exact for them, else Python ints.
+    # exact for them, else Python ints.  int64 arrays (a plain CSV's
+    # parse) are taken as they are.
     n = len(fees)
-    try:
-        fee_column = np.fromiter(fees, np.int64, n)
-        size_column = np.fromiter(sizes, np.int64, n)
-    except OverflowError:  # past int64
-        pass
+    if isinstance(fees, np.ndarray):
+        fee_column, size_column = fees, sizes
     else:
+        try:
+            fee_column = np.fromiter(fees, np.int64, n)
+            size_column = np.fromiter(sizes, np.int64, n)
+        except OverflowError:  # past int64
+            fee_column = None
+    if fee_column is not None:
         top = int(max(fee_column.max(initial=0), size_column.max(initial=0)))
         if top < _FLOAT_EXACT and top * n < _INT64_LIMIT:
             return fee_column, size_column
+    if isinstance(fees, np.ndarray):  # Python ints: an np.int64 would wrap in the prefix sums
+        fees, sizes = fees.tolist(), sizes.tolist()
     return np.fromiter(fees, object, n), np.fromiter(sizes, object, n)
 
 

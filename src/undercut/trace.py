@@ -5,10 +5,24 @@ from a chain by whatever collection script the user runs; reconstructed
 pools are only as faithful as that extraction.  ``load_trace`` parses a
 file straight into columns and returns them as a ``mempool.RankTable``,
 the prepared trace every run reads, so the runs of a sweep over one
-file share one table and build none.  Synthetic traces cover desk-scale
-testing.  Presets carry the standard populations: a 16-pool
-Bitcoin distribution anchored at 0.6% and 17.6%, a hypothetical strong
-attacker at 45%, and a Monero-style 35% attacker.
+file share one table and build none.
+
+A CSV trace has two readers.  A plain one, a seekable file whose first
+line is exactly ``id,timestamp,size,fee`` and a newline, is parsed in one
+``np.loadtxt`` pass, with no Python loop over its rows.  That pass
+refuses a text it might read otherwise than the row loop does or that
+is bad: a numpy error or warning, an id holding a quote or ``"\r"``, a
+time that is not finite, a size that is not positive, a negative fee,
+or a repeated id.  A refused text, a pipe and every json-lines trace are
+read by the row loop (``_csv_rows`` or ``_json_rows``), which accepts
+what ``csv.reader`` and Python's ``int`` and ``float`` read, and names
+the first bad line.  Both readers give the same table for any text the
+fast pass accepts.  ``write_trace`` writes what the plain pass reads
+unless an id needs quoting.
+
+Synthetic traces cover desk-scale testing.  Presets carry the standard
+populations: a 16-pool Bitcoin distribution anchored at 0.6% and 17.6%,
+a hypothetical strong attacker at 45%, and a Monero-style 35% attacker.
 """
 
 from __future__ import annotations
@@ -16,9 +30,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -121,17 +137,60 @@ def load_trace(path: str | Path, fmt: str = "csv") -> RankTable:
     files carry one object with those keys per line, with the id a JSON
     string or integer, the timestamp a JSON number and size and fee JSON
     integers.  Duplicate ids, non-finite timestamps, non-integer and
-    non-positive sizes are rejected with the offending line number.  The
-    file is read once, front to back, so it may be a pipe; the error
-    names the first bad line.
+    non-positive sizes are rejected with the offending line number.  A
+    file may start with a UTF-8 byte order mark, which is skipped.  A
+    file that cannot seek (a pipe) is read once, front to back; the
+    error names the first bad line.
 
-    Rows are parsed straight into columns (ids as Python strings, times
-    as floats, sizes and fees as Python ints) and no ``Transaction`` is
-    built.  The table is a sequence of the trace in ``(arrival_time,
-    id)`` order, equal to the list of those transactions.
+    A plain CSV file is parsed in one numpy pass (see the module
+    docstring); any other file, or a plain one that pass refuses, is read
+    row by row.  Either way rows go straight into columns (ids as Python
+    strings, times as floats, sizes and fees as integers) and no
+    ``Transaction`` is built.  The table holds the trace's rows; iterating
+    it builds their transactions in ``(arrival_time, id)`` order.
     """
     if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+        if fmt == "csv" and fh.seekable():
+            table = _plain_csv_table(fh)
+            if table is not None:
+                return table
+            fh.seek(0)  # the decoder skips a byte order mark again
+        return _row_table(_csv_rows(fh) if fmt == "csv" else _json_rows(fh))
+
+
+_PLAIN_HEADER = ",".join(TRACE_COLUMNS) + "\n"
+_PLAIN_ROW = [("id", object), ("timestamp", float), ("size", np.int64), ("fee", np.int64)]
+
+
+def _plain_csv_table(fh: TextIO) -> RankTable | None:
+    # The table of a plain CSV text, read in one np.loadtxt pass, or None
+    # where that pass refuses it (see the module docstring); numpy errs on
+    # a field it cannot parse as its column's type or a row of other than
+    # 4 fields, and warns on a text with no rows.
+    if fh.readline() != _PLAIN_HEADER:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(fh, delimiter=",", dtype=_PLAIN_ROW, comments=None, ndmin=1)
+    except (ValueError, Warning):  # UnicodeDecodeError too, which the row loop raises again
+        return None
+    ids, times, sizes, fees = rows["id"].tolist(), rows["timestamp"], rows["size"], rows["fee"]
+    joined = "".join(ids)
+    if '"' in joined or "\r" in joined:
+        return None
+    if not (np.isfinite(times).all() and (sizes > 0).all() and (fees >= 0).all()):
+        return None
+    try:
+        return RankTable.from_columns(ids, times, sizes, fees)
+    except ValueError:  # a repeated id, which the row loop names with its lines
+        return None
+
+
+def _row_table(rows: Iterator[Row]) -> RankTable:
+    # the table of the rows a row loop yields, which names a repeated id
     ids: list[str] = []
     times = array("d")
     sizes: list[int] = []
@@ -140,18 +199,17 @@ def load_trace(path: str | Path, fmt: str = "csv") -> RankTable:
     # each row's line, read back only to name where a repeated id first
     # came; a set and an array hold less than a dict of id to line
     lines = array("q")
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for line_no, id_, timestamp, size, fee in _csv_rows(fh) if fmt == "csv" else _json_rows(fh):
-            if id_ in seen:
-                raise TraceError(
-                    f"line {line_no}: duplicate transaction id {id_!r} (first on line {lines[ids.index(id_)]})"
-                )
-            seen.add(id_)
-            lines.append(line_no)
-            ids.append(id_)
-            times.append(timestamp)
-            sizes.append(size)
-            fees.append(fee)
+    for line_no, id_, timestamp, size, fee in rows:
+        if id_ in seen:
+            raise TraceError(
+                f"line {line_no}: duplicate transaction id {id_!r} (first on line {lines[ids.index(id_)]})"
+            )
+        seen.add(id_)
+        lines.append(line_no)
+        ids.append(id_)
+        times.append(timestamp)
+        sizes.append(size)
+        fees.append(fee)
     del seen, lines  # freed before the build's own temporaries
     return RankTable.from_columns(ids, np.array(times, dtype=float), sizes, fees)
 
@@ -225,14 +283,12 @@ def write_trace(records: Iterable[Transaction], path: str | Path, fmt: str = "cs
     path = Path(path)
     if fmt == "csv":
         with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            # the writer quotes a field holding "\n" but not a lone "\r",
-            # where the reader also ends a line: such an id is quoted
-            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-            writer.writerow(TRACE_COLUMNS)
-            for tx in records:
-                row = [tx.id, _time_number(tx.arrival_time), tx.size, tx.fee]
-                (quoted if "\r" in tx.id else writer).writerow(row)
+            fh.write(_PLAIN_HEADER)
+            rows = iter(records)
+            # one joined string a chunk: one for the whole file would hold
+            # the text of every row at once
+            while text := "".join(map(_csv_line, islice(rows, _CHUNK_ROWS))):
+                fh.write(text)
     elif fmt == "json-lines":
         with path.open("w", encoding="utf-8") as fh:
             for tx in records:
@@ -240,6 +296,19 @@ def write_trace(records: Iterable[Transaction], path: str | Path, fmt: str = "cs
                 fh.write(json.dumps({"id": tx.id, "timestamp": time, "size": size, "fee": fee}) + "\n")
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
+
+
+_CHUNK_ROWS = 4096
+
+
+def _csv_line(tx: Transaction) -> str:
+    # the row of a transaction as csv.writer writes it, each field as its
+    # str; the id is quoted, its quotes doubled, when it holds a comma, a
+    # quote or a line break, "\r" included, where the reader also ends a line
+    id_ = tx.id
+    if "," in id_ or '"' in id_ or "\n" in id_ or "\r" in id_:
+        id_ = '"' + id_.replace('"', '""') + '"'
+    return f"{id_},{_time_number(tx.arrival_time)!s},{tx.size!s},{tx.fee!s}\n"
 
 
 def _plain(x: float) -> float:
@@ -347,21 +416,22 @@ def synthesize_trace(
     next32 = _raw32(rng)
     draw_fee = _sampler(rng, next32, "fee", fee_dist, fee_args, minimum=0)
     draw_size = _sampler(rng, next32, "size", size_dist, size_args, minimum=1)
-    records: list[Transaction] = []
     if rate == 0 or duration == 0:
-        return records
+        return []
     exponential, mean_gap = rng.exponential, 1.0 / rate
+    times: list[float] = []
+    sizes: list[int] = []
+    fees: list[int] = []
     t = 0.0
-    index = 0
     while True:
         t += exponential(mean_gap)
         if t > duration:
             break
-        fee = draw_fee()
-        size = draw_size()
-        records.append(Transaction(f"{id_prefix}{index:07d}", t, size, fee))
-        index += 1
-    return records
+        fees.append(draw_fee())
+        sizes.append(draw_size())
+        times.append(t)
+    ids = [f"{id_prefix}{index:07d}" for index in range(len(times))]
+    return list(map(Transaction, ids, times, sizes, fees))
 
 
 def synthesize_whale_trace(

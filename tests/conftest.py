@@ -1,3 +1,4 @@
+import csv
 from contextlib import contextmanager
 from itertools import chain
 from unittest import mock
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from undercut.mempool import BandwidthSetResult, ChainParams, MempoolView, RankTable, Transaction
-from undercut.trace import synthesize_trace, synthesize_whale_trace
+from undercut.trace import TRACE_COLUMNS, _time_number, synthesize_trace, synthesize_whale_trace
 
 
 @pytest.fixture
@@ -219,3 +220,19 @@ def backlog_trace(seed, intervals, dust_rate, whale_scale, whale_rate=0.25, inte
         whale_rate / interval, duration, seed + 1, "pareto", (1.5, whale_scale), "uniform", (2000, 4000), id_prefix="w"
     )
     return sorted(dust + whales, key=lambda t: (t.arrival_time, t.id))
+
+
+def csv_writer_trace(records, path):
+    """Reference CSV ``trace.write_trace``: its earlier writer, one ``csv.writer`` row per transaction.
+
+    A csv.writer quotes a field holding "\\n" but not a lone "\\r", where
+    the reader also ends a line, so an id holding "\\r" goes through a
+    second writer that quotes every field that is no number.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+        writer.writerow(TRACE_COLUMNS)
+        for t in records:
+            row = [t.id, _time_number(t.arrival_time), t.size, t.fee]
+            (quoted if "\r" in t.id else writer).writerow(row)

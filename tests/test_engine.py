@@ -659,10 +659,10 @@ def test_a_run_over_a_loaded_table_builds_no_transaction(tmp_path, monkeypatch):
     dist, _ = preset("bitcoin16")
     miners = profiles(dist.with_honest_fraction(0.3).entries)
 
-    def refuse(transaction):
-        raise AssertionError(f"a run built transaction {transaction.id!r}")
+    def refuse(transaction, *fields, **named):
+        raise AssertionError(f"a run built a transaction of {fields or named}")
 
-    monkeypatch.setattr(Transaction, "__post_init__", refuse)
+    monkeypatch.setattr(Transaction, "__init__", refuse)
     attacks = 0
     for depth in (1, 2):
         for avoidance in ("off", "experimental", "exact", "strict"):

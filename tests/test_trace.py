@@ -2,8 +2,10 @@ import ast
 import hashlib
 import json
 import math
+import os
 import pickle
 import re
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import undercut
+import undercut.trace as trace_module
 from undercut.mempool import RankTable, Transaction
 from undercut.trace import (
     BITCOIN_PARAMS,
@@ -32,7 +35,7 @@ from undercut.trace import (
     write_trace,
 )
 
-from conftest import assert_same_columns, tx
+from conftest import assert_same_columns, csv_writer_trace, tx
 
 
 def test_load_trace_roundtrip_csv(tmp_path):
@@ -281,6 +284,181 @@ def test_load_trace_jsonl_keeps_fees_past_int64(tmp_path):
     path.write_text(f'{{"id": "a", "timestamp": 1, "size": 10, "fee": {2**70}}}\n')
     [record] = load_trace(path, fmt="json-lines")
     assert record.fee == 2**70
+
+
+# ---------------------------------------------------------------------------
+# the plain CSV pass, the row loop and the chunked writer
+# ---------------------------------------------------------------------------
+
+
+def row_loop_table(path):
+    """The table the row loop alone reads from a CSV file, as it reads a pipe."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        return trace_module._row_table(trace_module._csv_rows(fh))
+
+
+def outcome(load, path):
+    """What ``load(path)`` gives: a table, or the type and message of what it raised."""
+    try:
+        return load(path)
+    except Exception as exc:  # both readers must fail alike, whatever they raise
+        return type(exc), str(exc)
+
+
+# a hostile alphabet: what numpy and Python parse differently, or not at all
+CSV_TOKENS = (*"0123456789", "+", "-", ".", "_", "e", "nan", "inf", ",", " ", "\t", "#", '"', "\r", "\n")
+CSV_TOKENS += ("\x0b", "\x0c", "\x00", "٣", "a")
+csv_noise = st.lists(st.sampled_from(CSV_TOKENS), max_size=4).map("".join)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV trace texts, half of them plain rows of good values.  In the
+    other half, a field may be drawn from a hostile alphabet, padded or
+    negative, a separator may be another, and the header may be one the
+    plain pass refuses; an id may repeat in both (one in four has no
+    row number)."""
+    hostile = draw(st.booleans())
+    # integers past 2**53 fall back to object columns, and past 2**63 refuse the plain pass
+    top = draw(st.sampled_from((3000, 3000, 2**63 - 1, 2**70)))
+    integers = st.one_of(st.integers(0, 3000), st.integers(0, top))
+    times = st.one_of(st.integers(0, 3000), st.floats(0, 1e6), st.floats() if hostile else st.nothing())
+
+    def sometimes(*choices):
+        return draw(st.sampled_from(("",) * 6 + choices)) if hostile else ""
+
+    def field(value):
+        if hostile and draw(st.integers(0, 9)) == 0:
+            return draw(csv_noise)
+        return sometimes(" ", "+", "-", "\t", "0", "\x0b") + str(value) + sometimes(" ", "\x0c")
+
+    header = "id,timestamp,size,fee" + (sometimes("\r", " ", ",") or "") + "\n"
+    lines = []
+    for i in range(draw(st.integers(0, 6))):
+        id_ = draw(st.text(alphabet="abcd #\x00٣", max_size=3)) + (str(i) if draw(st.integers(0, 3)) else "")
+        fields = [field(id_), field(draw(times)), field(draw(integers)), field(draw(integers))]
+        lines.append((sometimes(", ", ";") or ",").join(fields) + (sometimes("\r\n", "\r", "\n\n", "\n\t\n") or "\n"))
+    return header + "".join(lines)
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts())
+def test_the_plain_pass_reads_every_text_as_the_row_loop_does(tmp_path, text):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, expected = outcome(load_trace, path), outcome(row_loop_table, path)
+    if isinstance(expected, RankTable):
+        assert isinstance(got, RankTable), got
+        assert_same_columns(got, expected)
+    else:
+        assert got == expected
+
+
+def test_a_plain_trace_loads_in_one_numpy_pass(tmp_path, monkeypatch):
+    records = synthesize_whale_trace(5, 60_000, 20.0)
+    path = tmp_path / "trace.csv"
+    write_trace(records, path)
+
+    def refuse(fh):
+        raise AssertionError("the row loop read a plain trace")
+
+    monkeypatch.setattr(trace_module, "_csv_rows", refuse)
+    assert_same_columns(load_trace(path), RankTable(records))
+
+
+def write_to_pipe(path, text):
+    """A thread that writes ``text`` into the FIFO at ``path`` once a reader opens it."""
+    writer = threading.Thread(target=path.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
+    return writer
+
+
+def test_a_pipe_is_read_by_the_row_loop_alone(tmp_path, monkeypatch):
+    text = "id,timestamp,size,fee\nb,2.5,3,7\na,0.5,5,9\n"
+    (tmp_path / "trace.csv").write_text(text, encoding="utf-8")
+    expected = load_trace(tmp_path / "trace.csv")
+
+    def refuse(fh):
+        raise AssertionError("a pipe went to the plain pass")
+
+    monkeypatch.setattr(trace_module, "_plain_csv_table", refuse)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = write_to_pipe(pipe, text)
+    table = load_trace(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert_same_columns(table, expected)
+    writer = write_to_pipe(pipe, text + "c,1,0,5\n")
+    with pytest.raises(TraceError, match="^line 4: size must be positive, got 0$"):
+        load_trace(pipe)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_fees_past_the_float_range_load_as_python_ints(tmp_path):
+    # int64 columns that fall back to objects hold Python ints: two fees
+    # of 2**62 sum past int64, where np.int64 scalars would wrap
+    path = tmp_path / "trace.csv"
+    path.write_text(f"id,timestamp,size,fee\na,1,10,{2**62}\nb,2,10,{2**62}\n")
+    table = load_trace(path)
+    assert_same_columns(table, row_loop_table(path))
+    for column in (table.fees, table.arrived_fee):
+        assert column.dtype == object and {type(value) for value in column.tolist()} == {int}
+    assert table.arrived_fee.tolist() == [0, 2**62, 2**63]
+
+
+BYTE_ORDER_MARK = "\ufeff"
+
+
+@pytest.mark.parametrize("fmt", TRACE_FORMATS)
+@pytest.mark.parametrize("mark", ["", BYTE_ORDER_MARK], ids=["plain", "bom"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain-ids", "quoted-id"])
+def test_a_trace_may_start_with_a_byte_order_mark(tmp_path, fmt, mark, quoted):
+    # spreadsheet tools write one; a quoted id sends the CSV text back to
+    # the row loop, which reads it again from the start, past the mark
+    records = [Transaction("a,b" if quoted else "ab", 0.5, 5, 9), Transaction("c", 2.5, 3, 7)]
+    path = tmp_path / "trace"
+    write_trace(records, path, fmt=fmt)
+    path.write_text(mark + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert_same_columns(load_trace(path, fmt=fmt), RankTable(records))
+
+
+# the time values of written_traces
+WRITTEN_TIMES = (0.0, 0.5, 1 / 3, 7.0, 1e20, 2.0**60 + 2**8)
+INTEGER_TYPES = (int, np.int64, np.int32, np.uint8, np.uint64)
+
+
+@st.composite
+def numpy_scalar_traces(draw):
+    """Traces with any ids but surrogates, the times of written_traces,
+    and sizes and fees that are numpy scalars or Python ints."""
+
+    def integer(least):
+        kind = draw(st.sampled_from(INTEGER_TYPES))
+        return kind(draw(st.integers(least, 2**70 if kind is int else 200)))
+
+    ids = st.text(st.characters(blacklist_categories=("Cs",)))
+    return [
+        Transaction(draw(ids), draw(st.sampled_from(WRITTEN_TIMES)), integer(1), integer(0))
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(numpy_scalar_traces())
+def test_write_trace_writes_the_bytes_the_csv_writers_wrote(tmp_path, records):
+    write_trace(records, tmp_path / "trace.csv")
+    csv_writer_trace(records, tmp_path / "reference.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_write_trace_writes_a_long_trace_in_chunks_with_the_same_bytes(tmp_path):
+    records = synthesize_trace(0.5, 20_000, 21, id_prefix='q"')
+    assert len(records) > 2 * trace_module._CHUNK_ROWS
+    write_trace(records, tmp_path / "trace.csv")
+    csv_writer_trace(records, tmp_path / "reference.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
