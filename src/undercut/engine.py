@@ -58,6 +58,7 @@ from .mempool import (
     check_integer,
     claimable_fees,
     gamma_ratio,
+    slot_setters,
 )
 from .strategy import (
     AVOIDANCE_MODES,
@@ -89,7 +90,7 @@ class StalledSimulationError(RuntimeError):
     """No live chain can produce another block."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Block:
     """A published block: owner, claimed transactions, position.
 
@@ -98,6 +99,11 @@ class Block:
     none, and needs no table).  The block stores no ids: ``tx_ids``
     gathers them from the table on each read.  Neither is part of the
     block's value.
+
+    Every event publishes one, so the class has slots, and its
+    constructor is written by hand, as ``mempool.Transaction``'s is: it
+    sets the seven slots through their own descriptors, with no frozen
+    ``__setattr__`` round trip.
     """
 
     owner: str
@@ -108,9 +114,32 @@ class Block:
     ranks: np.ndarray = field(compare=False, repr=False)
     table: RankTable | None = field(default=None, compare=False, repr=False)
 
+    def __init__(
+        self,
+        owner: str,
+        fee_total: int,
+        size_total: int,
+        creation_time: float,
+        height: int,
+        ranks: np.ndarray,
+        table: RankTable | None = None,
+    ) -> None:
+        _set_owner(self, owner)
+        _set_fee_total(self, fee_total)
+        _set_size_total(self, size_total)
+        _set_creation_time(self, creation_time)
+        _set_height(self, height)
+        _set_ranks(self, ranks)
+        _set_table(self, table)
+
     @property
     def tx_ids(self) -> tuple[str, ...]:
         return tuple(self.table.ids[self.ranks].tolist()) if len(self.ranks) else ()
+
+
+_set_owner, _set_fee_total, _set_size_total, _set_creation_time, _set_height, _set_ranks, _set_table = (
+    slot_setters(Block)
+)
 
 
 @dataclass(frozen=True)
@@ -214,6 +243,11 @@ class Chain:
     handed the chain's totals, so every template built from it carries
     the ranks that ``remove_pending`` takes.  A chain starts from a copy
     of the pool of the ``parent`` it is given (a fork), or an empty one.
+
+    ``workers`` is a frozenset, frozen from the workers the chain is
+    given, so ``Simulation.owners`` keys its owner draws by the set itself.
+    A move never changes a set in place: it rebinds ``workers`` to a new
+    one (``-=`` and ``|=``).
     """
 
     __slots__ = (
@@ -229,7 +263,7 @@ class Chain:
         "_view",
     )
 
-    def __init__(self, blocks: list[Block], workers: set[str], table: RankTable, parent: Chain | None = None):
+    def __init__(self, blocks: list[Block], workers: Iterable[str], table: RankTable, parent: Chain | None = None):
         self.blocks = blocks
         self.table = table
         if parent is None:
@@ -238,7 +272,7 @@ class Chain:
         else:
             self.pending = parent.pending.copy()
             self.pool_fee, self.pool_size = parent.pool_fee, parent.pool_size
-        self.workers = workers
+        self.workers = frozenset(workers)
         self.next_time = math.inf
         self.committed: BandwidthSetResult | None = None
         self.base_height = 0  # fork point height; 0 for the original chain
@@ -440,11 +474,15 @@ class Simulation:
         )
 
     def owners(self, chain: Chain) -> OwnerDraw:
-        """The owner draw of the chain's current worker set, built once per set."""
-        key = frozenset(chain.workers)
-        draw = self._draws.get(key)
+        """The owner draw of the chain's current worker set, built once per set.
+
+        The set itself is the key: a frozenset caches its hash, so a
+        lookup builds nothing.
+        """
+        workers = chain.workers
+        draw = self._draws.get(workers)
         if draw is None:
-            draw = self._draws[key] = OwnerDraw.of(key, self.powers)
+            draw = self._draws[workers] = OwnerDraw.of(workers, self.powers)
         return draw
 
     @property
@@ -537,8 +575,9 @@ class Simulation:
             # tip is still the head the fork undercut: one gamma decides for all
             gamma = gamma_ratio(other.view(), other.tip.fee_total, self.params)
             if gamma < DEPTHS[self.depth].join_threshold(self.split):
-                other.workers.difference_update(candidates)
-                ext.workers.update(candidates)
+                moved = frozenset(candidates)
+                other.workers -= moved
+                ext.workers |= moved
             return
         # General state: endpoint evaluation of the shift objective with
         # each miner's own power as the movable mass (all-or-nothing).
@@ -558,8 +597,8 @@ class Simulation:
                 movable=self.powers[mid],
             )
             if x >= 1.0:
-                other.workers.discard(mid)
-                ext.workers.add(mid)
+                other.workers -= {mid}
+                ext.workers |= {mid}
 
     def _consider_attack(self, ext: Chain, block: Block) -> None:
         pool = ext.view()
@@ -578,7 +617,7 @@ class Simulation:
         fork.base_height = block.height - 1
         fork.add_pending(head.ranks, head.totals)
         fork.committed = template
-        ext.workers.discard(self.undercutter_id)
+        ext.workers -= {self.undercutter_id}
         self.fork = fork
 
     def _owned_after_fork(self, miner_id: str, chain: Chain, base: int) -> int:

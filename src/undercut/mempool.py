@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
-from heapq import heapreplace
+from dataclasses import dataclass, fields
 from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -93,10 +92,17 @@ class Transaction:
         return type(self), (self.id, self.arrival_time, self.size, self.fee)
 
 
-# the slots' member descriptors set a field past the frozen __setattr__
-_set_id, _set_arrival_time, _set_size, _set_fee = (
-    Transaction.__dict__[name].__set__ for name in ("id", "arrival_time", "size", "fee")
-)
+def slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
+    """The ``__set__`` of each field's slot of a frozen, slotted dataclass, in field order.
+
+    A member descriptor sets its slot past the frozen ``__setattr__``: the
+    one way a hand-written ``__init__`` fills a frozen instance in one
+    call per field.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+_set_id, _set_arrival_time, _set_size, _set_fee = slot_setters(Transaction)
 
 
 @dataclass(frozen=True)
@@ -576,7 +582,7 @@ def _index(positions: Collection[int]) -> slice | np.ndarray:
     return np.fromiter(positions, np.intp, len(positions))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class BandwidthSetResult:
     """A block template: the ranks of its transactions in a ``RankTable``, plus fee/size totals.
 
@@ -590,12 +596,23 @@ class BandwidthSetResult:
 
     Two templates are equal when their ``tx_ids``, ``total_fee`` and
     ``total_size`` are, whatever their tables; a template is not hashable.
+
+    Crafting builds a template per block, so the class has slots, and its
+    constructor is written by hand, as ``Transaction``'s is: it sets the
+    four slots through their own descriptors, with no frozen
+    ``__setattr__`` round trip.
     """
 
     table: RankTable | None
     ranks: np.ndarray
     total_fee: int
     total_size: int
+
+    def __init__(self, table: RankTable | None, ranks: np.ndarray, total_fee: int, total_size: int) -> None:
+        _set_table(self, table)
+        _set_ranks(self, ranks)
+        _set_total_fee(self, total_fee)
+        _set_total_size(self, total_size)
 
     @property
     def tx_ids(self) -> tuple[str, ...]:
@@ -606,6 +623,8 @@ class BandwidthSetResult:
             return NotImplemented
         return (self.tx_ids, self.total_fee, self.total_size) == (other.tx_ids, other.total_fee, other.total_size)
 
+
+_set_table, _set_ranks, _set_total_fee, _set_total_size = slot_setters(BandwidthSetResult)
 
 EMPTY_TEMPLATE = BandwidthSetResult(table=None, ranks=np.empty(0, dtype=np.intp), total_fee=0, total_size=0)
 
@@ -700,14 +719,15 @@ def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list
 
     Longest-processing-time heuristic: assign in descending fee order
     (ties by id, read from the table's ``id_order``) to the part with the
-    least fee, the lowest-numbered part on a fee tie: the top of a heap of
-    (fee, part number), one ``heapreplace`` per transaction.  The parts come
-    back in (fee, part number) order, so ``[0]`` is the lightest part,
-    the one every attack template takes.  Each part lists positions in
-    ``pool`` in the order they were assigned.  Every caller splits a set
-    that fits one block (a head block or a bandwidth set), so every part
-    fits one too; a view larger than ``block_size_limit`` raises
-    ``UnsplittableError``.
+    least fee, the lowest-numbered part on a fee tie.  At most two
+    comparisons of the running loads find it, with no heap: a part past
+    ``k`` starts at an infinite load, so it never takes one, and one loop
+    serves every ``k``.  The parts come back in (fee, part number) order,
+    so ``[0]`` is the lightest part, the one every attack template takes.
+    Each part lists positions in ``pool`` in the order they were
+    assigned.  Every caller splits a set that fits one block (a head
+    block or a bandwidth set), so every part fits one too; a view larger
+    than ``block_size_limit`` raises ``UnsplittableError``.
     """
     check_integer("k", k)
     if k not in (1, 2, 3):
@@ -722,13 +742,22 @@ def split_equal_fee(pool: MempoolView, k: int, params: ChainParams) -> list[list
     fees = table.fees[ranks]
     order = np.lexsort((table.id_order[ranks], -fees)).tolist()  # by fee descending, then id
     fees = fees.tolist()
-    parts: list[list[int]] = [[] for _ in range(k)]
-    loads = [(0, j) for j in range(k)]  # (fee, part number): a heap, lightest and then lowest-numbered on top
+    a, b, c = 0, 0 if k > 1 else math.inf, 0 if k > 2 else math.inf
+    part_a: list[int] = []
+    part_b: list[int] = []
+    part_c: list[int] = []
     for i in order:
-        load, j = loads[0]
-        parts[j].append(i)
-        heapreplace(loads, (load + fees[i], j))
-    return [parts[j] for _, j in sorted(loads)]
+        if a <= b and a <= c:
+            part_a.append(i)
+            a += fees[i]
+        elif b <= c:
+            part_b.append(i)
+            b += fees[i]
+        else:
+            part_c.append(i)
+            c += fees[i]
+    loads, parts = (a, b, c), (part_a, part_b, part_c)
+    return [parts[j] for j in sorted(range(k), key=loads.__getitem__)]  # stable: a fee tie keeps part order
 
 
 def claim_partial(pool: MempoolView, target_fee: int, params: ChainParams) -> BandwidthSetResult:

@@ -49,6 +49,12 @@ class PowerSplit:
     The boundary value ``undercutter == 0.5`` is accepted so the
     analytical formulas can be evaluated at their published limits;
     simulated populations stay strictly below one half.
+
+    A split also holds the limited and sufficient bounds of each depth,
+    worked out once, when it is made, by ``limited_bound_d1`` and the
+    other bound functions: the decision ladders read them on every call.
+    They are plain attributes, not fields, so equality, hashing, ``repr``
+    and ``dataclasses.asdict`` see only the three fractions.
     """
 
     undercutter: float
@@ -63,6 +69,8 @@ class PowerSplit:
             raise ValueError("undercutter power must lie in [0, 0.5]")
         if not (self.honest >= -1e-12 and self.rational >= -1e-12):
             raise ValueError("power fractions must be non-negative")
+        object.__setattr__(self, "_bounds_d1", (limited_bound_d1(self), sufficient_bound_d1(self)))
+        object.__setattr__(self, "_bounds_d2", (limited_bound_d2(self), sufficient_bound_d2(self)))
 
     @classmethod
     def of(cls, undercutter: float, honest: float) -> "PowerSplit":
@@ -169,13 +177,16 @@ def undercut_decision_d1(split: PowerSplit, gamma: float, negligible: float) -> 
     """Depth-1 decision ladder on gamma alone: (action, branch, tag).
 
     ``branch`` is the 1-based position in the ladder (0 for stay); runs
-    count attacks per ``tag``.
+    count attacks per ``tag``.  The bounds are ``limited_bound_d1`` and
+    ``sufficient_bound_d1`` of the split, read as the split holds them:
+    worked out once per split, not on each call.
     """
     if gamma <= negligible:
         return "undercut", 1, "negligible-mempool"
-    if gamma < limited_bound_d1(split):
+    limited, sufficient = split._bounds_d1
+    if gamma < limited:
         return "undercut", 2, "limited-mempool"
-    if gamma < sufficient_bound_d1(split):
+    if gamma < sufficient:
         return "undercut", 3, "sufficient-mempool"
     return "stay", 0, "stay"
 
@@ -184,13 +195,16 @@ def undercut_decision_d2(split: PowerSplit, gamma: float, negligible: float) -> 
     """Depth-2 decision ladder on gamma alone: (action, branch, tag).
 
     Branch 2 (lone set) is not a gamma condition: ``undercut_template``
-    relabels an attack at branch 3 or 4 when the pool holds one set.
+    relabels an attack at branch 3 or 4 when the pool holds one set.  The
+    bounds are ``limited_bound_d2`` and ``sufficient_bound_d2`` of the
+    split, worked out once per split, as for depth 1.
     """
     if gamma <= negligible:
         return "undercut", 1, "negligible-mempool"
-    if gamma < limited_bound_d2(split):
+    limited, sufficient = split._bounds_d2
+    if gamma < limited:
         return "undercut", 3, "limited-mempool"
-    if gamma < sufficient_bound_d2(split):
+    if gamma < sufficient:
         return "undercut", 4, "sufficient-mempool"
     return "stay", 0, "stay"
 

@@ -1,5 +1,6 @@
 import csv
 from contextlib import contextmanager
+from heapq import heapreplace
 from itertools import chain
 from unittest import mock
 
@@ -136,6 +137,27 @@ def walk_first_fit(weights, others, ranks, budget, floor):
 def _column_from(column, ranks, start):
     # read only once the scan gets past the head
     yield from column[ranks[start:]].tolist()
+
+
+def heap_lpt_split(view, k):
+    """Reference ``mempool.split_equal_fee``: its earlier heap LPT over the positions of ``view``.
+
+    Positions in descending fee order, ties by the table's ``id_order``,
+    each to the top of a heap of (fee, part number): the lightest part,
+    the lowest-numbered on a fee tie, one ``heapreplace`` per position.
+    The parts come back in (fee, part number) order.  No size check.
+    """
+    table, ranks = view.table, view.ranks
+    fees = table.fees[ranks]
+    order = np.lexsort((table.id_order[ranks], -fees)).tolist()
+    fees = fees.tolist()
+    parts = [[] for _ in range(k)]
+    loads = [(0, j) for j in range(k)]
+    for i in order:
+        load, j = loads[0]
+        parts[j].append(i)
+        heapreplace(loads, (load + fees[i], j))
+    return [parts[j] for _, j in sorted(loads)]
 
 
 def shift_objective(lead, fork_power, depth, claimable_main, claimable_fork, owned_main, owned_fork, movable):

@@ -799,6 +799,28 @@ def test_profiles_and_policy_parsing():
         run([], profiles((("a", 0.5, "honest"), ("a", 0.5, "honest"))), PARAMS)
 
 
+def test_blocks_and_templates_stay_frozen_slotted_dataclasses():
+    table = RankTable([tx("a", 1, 5), tx("b", 2, 3)])
+    ranks = np.arange(2, dtype=np.intp)
+    block = Block("m", 8, 3, 1.0, 1, ranks, table)
+    template = BandwidthSetResult(table, ranks, 8, 3)
+    for held, name in ((block, "owner"), (block, "table"), (template, "total_fee"), (template, "ranks")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(held, name, None)
+        assert not hasattr(held, "__dict__")
+    # a block's value leaves out its ranks and its table
+    bare = Block(owner="m", fee_total=8, size_total=3, creation_time=1.0, height=1, ranks=NO_RANKS)
+    assert block == bare and hash(block) == hash(bare) and bare.table is None
+    assert block != dataclasses.replace(bare, fee_total=9)
+    assert repr(block) == "Block(owner='m', fee_total=8, size_total=3, creation_time=1.0, height=1)"
+    moved = dataclasses.replace(block, height=2)
+    assert type(moved) is Block and moved.height == 2 and moved.ranks is ranks and moved.table is table
+    assert moved.tx_ids == block.tx_ids == ("a", "b")
+    again = dataclasses.replace(template, total_size=4)
+    assert type(again) is BandwidthSetResult and again.ranks is ranks and again.table is table
+    assert again != template == BandwidthSetResult(RankTable([tx("a", 1, 5), tx("b", 2, 3)]), ranks, 8, 3)
+
+
 def linear_scan_owner(workers, powers, rng):
     """The owner draw as a scan over the sorted workers, kept as the reference."""
     ids = sorted(workers)
@@ -829,8 +851,8 @@ def test_memoized_owner_draw_matches_the_linear_scan(weights, moves, seed):
     for step, move in enumerate(moves):
         mover = miners[move % len(miners)].id
         src, dst = (sim.main, sim.fork) if mover in sim.main.workers else (sim.fork, sim.main)
-        src.workers.discard(mover)
-        dst.workers.add(mover)
+        src.workers -= {mover}  # worker sets are frozen: a move rebinds them
+        dst.workers |= {mover}
         for chain in sim.chains:
             power = math.fsum(sim.powers[w] for w in chain.workers)
             assert sim.owners(chain).power == power

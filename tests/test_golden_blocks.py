@@ -188,8 +188,43 @@ def test_deep_backlog_exact_chains_keep_their_blocks_with_fewer_packs():
         assert packs < 2 * blocks
 
 
+# D=2 runs on the standard whale trace (seed 11, 250 intervals, the
+# preset's chain parameters) whose blocks depend on the order in which
+# rational miners decide, strongest first: with that order reversed,
+# these 8 of the 80 runs at seeds 0-39 and honest 0 and 0.3 publish
+# other blocks, and the other 72 publish the same ones.
+ORDER_GOLDEN = {
+    "h0.0/1": "e36e0e90903b0607",
+    "h0.0/11": "ebe811f1be95805f",
+    "h0.0/24": "0b19fc6f6732ec75",
+    "h0.0/38": "cb785b2f5eb1edbd",
+    "h0.3/17": "2ec96177dcdcdc1e",
+    "h0.3/21": "772968b59cfc52a4",
+    "h0.3/23": "fe7abb894fe43546",
+    "h0.3/28": "53d3d987fc05572a",
+}
+
+
+def order_runs():
+    """(key, digest) of each run of ``ORDER_GOLDEN``."""
+    dist, params = preset("bitcoin16")
+    table = RankTable(whale_trace(11, 600, 250 * 600))
+    for key in ORDER_GOLDEN:
+        honest, seed = key.split("/")
+        miners = profiles(dist.with_honest_fraction(float(honest[1:])).entries)
+        sim = Simulation(table, miners, params, depth=2, seed=int(seed))
+        sim.run()
+        yield key, chain_digest(sim.main.blocks)
+
+
+def test_rational_miners_decide_strongest_first():
+    assert dict(order_runs()) == ORDER_GOLDEN
+
+
 if __name__ == "__main__":
     for key, digest, _ in golden_runs():
         print(f'    "{key}": "{digest}",')
     for depth, digest, packs, blocks in backlog_runs():
         print(f'    {depth}: ("{digest}", {packs}),  # {blocks} blocks')
+    for key, digest in order_runs():
+        print(f'    "{key}": "{digest}",')

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from undercut import mempool
@@ -32,6 +32,7 @@ from conftest import (
     assert_carries_its_ranks,
     assert_same_columns,
     full_scan_pack,
+    heap_lpt_split,
     oracle_best_fee,
     pool_of,
     random_pool,
@@ -301,6 +302,21 @@ def test_split_equal_fee_heap_matches_the_index_loop(fee_steps, k, scale):
     fees = view.column("fees")
     order = sorted(range(len(txs)), key=lambda i: (-fees[i], view.pending[i].id))
     assert split_equal_fee(view, k, params) == index_loop_split(fees, order, k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_cases(), st.one_of(st.none(), st.integers(0, 3)))
+@example(([tx("t1", 1, 7)], 1, None), None)  # a single transaction
+@example(([tx("t1", 1, 7)], 3, None), 2)
+@example(([tx(i, 1, 0) for i in SPLIT_IDS], 3, None), None)  # zero fees: every load ties
+@example(([tx(i, 1 + len(i) % 3, 5) for i in SPLIT_IDS], 2, None), 1)  # fee ties broken by id order
+def test_split_equal_fee_matches_the_heap_lpt(case, offset):
+    # the same parts, in the same order, as the split's earlier heap; the
+    # limit fits every set, as every caller's set fits one block
+    txs, k, _ = case
+    view = pool_of(*txs) if offset is None else ranked_view(pool_of(*txs), offset)
+    params = ChainParams(block_size_limit=max(1, sum(t.size for t in txs)), block_interval=600.0)
+    assert split_equal_fee(view, k, params) == heap_lpt_split(view, k)
 
 
 def test_a_rank_table_is_its_trace_in_arrival_order():
