@@ -8,6 +8,10 @@ template follows the owner's strategy, and every miner then re-evaluates
 which chain to work on.  A race ends once one side leads by the give-up
 depth, and earnings settle from the blocks of the main chain.
 
+One event is ``Simulation.step()``, and ``Simulation.run()`` is the loop
+over it, so a caller that checks after each event drives the same events
+as a plain run.  ``step()`` holds the event cap, which binds every caller.
+
 Runs are deterministic per seed, also across processes: no result
 depends on ``PYTHONHASHSEED``.  Runs share one immutable
 ``mempool.RankTable``, the trace as columns numbered in selection order:
@@ -82,6 +86,8 @@ STAGNATION_LIMIT = 8
 # arrive once per interval across the live chains while the trace plays
 # (a Poisson count, so four times its mean is out of reach), and after it
 # nearly every block confirms a transaction; no valid run comes close.
+# One event is ``Simulation.step()``, which holds the cap, and ``run()`` is
+# the loop over it, so the cap binds every caller.
 EVENT_CAP_MARGIN = 4
 EVENT_CAP_FLOOR = 1000
 
@@ -367,7 +373,11 @@ def sample_next_block_time(
 
 
 class Simulation:
-    """One seeded run: ``main``, and ``fork`` while a race is live; a winning fork becomes ``main``."""
+    """One seeded run: ``main``, and ``fork`` while a race is live; a winning fork becomes ``main``.
+
+    ``step()`` runs one event, ``run()`` is the loop over it, and
+    ``step()`` holds the event cap, so the cap binds every caller.
+    """
 
     def __init__(
         self,
@@ -411,6 +421,7 @@ class Simulation:
         self.max_events = (
             EVENT_CAP_MARGIN * (math.ceil(span / params.block_interval) + len(table)) + EVENT_CAP_FLOOR
         )
+        self.events = 0  # events stepped so far
         no_ranks = np.empty(0, dtype=np.intp)
         genesis = Block(owner="", fee_total=0, size_total=0, creation_time=t0, height=0, ranks=no_ranks)
         self.main = Chain(blocks=[genesis], workers={m.id for m in miners}, table=table)
@@ -424,24 +435,32 @@ class Simulation:
 
     # -- event loop --------------------------------------------------------
 
+    def step(self) -> Block | None:
+        """Run one event and return its block, or ``None`` once drained; the cap is checked first."""
+        if self.events >= self.max_events:
+            raise StalledSimulationError(f"run needed {self.max_events} events or more; it is stuck")
+        if self._drained():
+            return None
+        chain = next_chain_to_extend(self.main, self.fork)
+        now = chain.next_time
+        miner_id = select_next_block_miner(self.owners(chain), self.rng)
+        block = self.publish_block(miner_id, chain, now)
+        self.update_chains(chain, block)
+        # Arrivals land before miners re-decide: a decision made at
+        # the event time sees everything that arrived before it.
+        # Block templates still lag one window, as published blocks
+        # are cut from the pool of the previous event.
+        self.update_mempool(now)
+        self.update_miners(chain, block)
+        self._resample(now)
+        self.events += 1
+        return block
+
     def run(self) -> RunResult:
-        # no valid run needs max_events events (see EVENT_CAP_MARGIN)
-        for _ in range(self.max_events):
-            if self._drained():
-                return self._settle()
-            chain = next_chain_to_extend(self.main, self.fork)
-            now = chain.next_time
-            miner_id = select_next_block_miner(self.owners(chain), self.rng)
-            block = self.publish_block(miner_id, chain, now)
-            self.update_chains(chain, block)
-            # Arrivals land before miners re-decide: a decision made at
-            # the event time sees everything that arrived before it.
-            # Block templates still lag one window, as published blocks
-            # are cut from the pool of the previous event.
-            self.update_mempool(now)
-            self.update_miners(chain, block)
-            self._resample(now)
-        raise StalledSimulationError(f"run needed {self.max_events} events or more; it is stuck")
+        """Step until the run is drained, then settle it; a stepped run finishes here too."""
+        while self.step() is not None:
+            pass
+        return self._settle()
 
     def _drained(self) -> bool:
         if self.next_arrival < len(self.table.times) or self.fork is not None:

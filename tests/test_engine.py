@@ -44,6 +44,7 @@ from undercut.strategy import craft_avoidance_block, undercut_template
 from undercut.trace import load_trace, preset, synthesize_trace, write_trace
 
 from conftest import pending_reads, pool_of, selection_key, template_of, tx, view_ids, whale_trace
+from test_golden_blocks import GOLDEN, TRACES, chain_digest
 
 PARAMS = ChainParams(block_size_limit=10_000, block_interval=600.0)
 NO_RANKS = np.empty(0, dtype=np.intp)
@@ -484,129 +485,84 @@ def test_block_times_do_not_depend_on_hash_seed():
     assert times[0] == times[1]
 
 
-def test_conservation_and_single_confirmation():
+def checked_run(sim, check):
+    """``sim.run()``, with ``check(sim)`` after the set-up and after every event."""
+    check(sim)
+    while sim.step() is not None:
+        check(sim)
+    return sim.run()
+
+
+def assert_partitioned(sim):
+    seen = set()
+    for chain in sim.chains:
+        assert not (chain.workers & seen), "miner on two chains"
+        seen |= chain.workers
+    assert seen == set(sim.miners), "miner lost from every chain"
+    # Conservation and no double confirmation: every transaction that
+    # has arrived is confirmed by one of a chain's blocks or pending on
+    # it, once.  The mask is read directly, so the view cache is untouched.
+    arrived = np.sort(sim.table.arrivals[: sim.next_arrival])
+    for chain in sim.chains:
+        held = np.concatenate([*(block.ranks for block in chain.blocks), np.flatnonzero(chain.pending)])
+        assert np.array_equal(np.sort(held), arrived), "a chain lost or repeated a transaction"
+    fork = sim.fork
+    if fork is not None:
+        assert fork is not sim.main
+        # A race ends once one side leads by the depth; only a fork
+        # created at this event, with no block of its own, trails by one.
+        lead = fork.tip.height - sim.main.tip.height
+        fresh = fork.tip.height == fork.base_height
+        assert -sim.depth < lead < sim.depth or (fresh and lead == -1), "race outlived its depth"
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_conservation_and_single_confirmation(depth):
     records = whale_trace(9, 600, 120_000, dust_rate=5.0, whale_rate=0.4)
     dist, _ = preset("bitcoin16")
     miners = profiles(dist.with_honest_fraction(0.3).entries)
-    for depth in (1, 2):
-        sim = Simulation(RankTable(records), miners, PARAMS, depth=depth, seed=17)
-        result = sim.run()
-        assert result.attacks > 0
-        assert result.fork_wins + result.fork_losses == result.attacks
-        terminal = sim.chains[0]
-        confirmed = [i for b in terminal.blocks for i in b.tx_ids]
-        assert len(confirmed) == len(set(confirmed))  # no double confirmation
-        assert set(confirmed) <= {t.id for t in records}
-        assert result.confirmed_fee <= result.total_trace_fee
-        assert sum(result.earnings.values()) == result.confirmed_fee
-
-
-class PartitionCheckedSimulation(Simulation):
-    def _resample(self, now):
-        seen = set()
-        for chain in self.chains:
-            assert not (chain.workers & seen), "miner on two chains"
-            seen |= chain.workers
-        assert seen == set(self.miners), "miner lost from every chain"
-        # Conservation and no double confirmation: every transaction that
-        # has arrived is confirmed by one of a chain's blocks or pending on
-        # it, once.  The mask is read directly, so the view cache is untouched.
-        arrived = np.sort(self.table.arrivals[: self.next_arrival])
-        for chain in self.chains:
-            held = np.concatenate([*(block.ranks for block in chain.blocks), np.flatnonzero(chain.pending)])
-            assert np.array_equal(np.sort(held), arrived), "a chain lost or repeated a transaction"
-        fork = self.fork
-        if fork is not None:
-            assert fork is not self.main
-            # A race ends once one side leads by the depth; only a fork
-            # created at this event, with no block of its own, trails by one.
-            lead = fork.tip.height - self.main.tip.height
-            fresh = fork.tip.height == fork.base_height
-            assert -self.depth < lead < self.depth or (fresh and lead == -1), "race outlived its depth"
-        super()._resample(now)
-
-
-def test_every_miner_works_exactly_one_chain():
-    records = whale_trace(13, 600, 90_000, dust_rate=5.0, whale_rate=0.4)
-    dist, _ = preset("bitcoin16")
-    miners = profiles(dist.with_honest_fraction(0.2).entries)
-    sim = PartitionCheckedSimulation(RankTable(records), miners, PARAMS, depth=2, seed=23)
-    result = sim.run()
-    assert result.attacks > 0
-
-
-class TotalsCheckedSimulation(Simulation):
-    """Checks every live chain's kept pool totals, and those of its pack, after every event.
-
-    ``cuts`` counts the checks of a pack that the pool did not fit, whose
-    totals come from ``_first_fit``."""
-
-    checks = cuts = 0
-
-    def _resample(self, now):
-        for chain in self.chains:
-            assert_keeps_its_totals(chain)
-            self.cuts += chain.pool_size > PARAMS.block_size_limit
-        self.checks += 1
-        super()._resample(now)
-
-
-@pytest.mark.parametrize("avoidance", ["off", "experimental", "exact", "strict"])
-@pytest.mark.parametrize("depth", [1, 2])
-def test_pool_totals_follow_the_mask_after_every_event(depth, avoidance):
-    records = whale_trace(13, 600, 60_000, dust_rate=5.0, whale_rate=0.4)
-    dist, _ = preset("bitcoin16")
-    miners = profiles(dist.with_honest_fraction(0.3).entries)
-    policy = parse_avoidance(avoidance)
-    sim = TotalsCheckedSimulation(RankTable(records), miners, PARAMS, depth=depth, avoidance=policy, seed=17)
-    result = sim.run()
-    if policy is None:
-        assert result.attacks > 0 and sim.fork_wins + sim.fork_losses > 0
-    assert result.confirmed_fee > 0 and sim.cuts > 0
-    assert sim.checks > result.blocks  # the set-up's, and one per event
-
-
-class RankCheckedSimulation(Simulation):
-    """Checks each published block's ranks and, after each publish, every
-    chain's pool against a set model: what arrived, less what the chain's
-    blocks confirmed.  Also compares ``_owned_after_fork``'s slice with a
-    filter over every block since genesis."""
-
-    owned_calls = 0
-
-    def publish_block(self, miner_id, chain, now):
-        block = super().publish_block(miner_id, chain, now)
-        txs = self.table.txs
-        assert [t.id for t in txs[block.ranks]] == list(block.tx_ids)
-        arrived = {txs[r].id for r in self.table.arrivals[: self.next_arrival]}
-        for c in self.chains:
-            confirmed = {i for b in c.blocks for i in b.tx_ids}
-            if c is chain:
-                confirmed |= set(block.tx_ids)
-            assert view_ids(c.view()) == arrived - confirmed
-        return block
-
-    def _owned_after_fork(self, miner_id, chain, base):
-        self.owned_calls += 1
-        owned = super()._owned_after_fork(miner_id, chain, base)
-        assert owned == sum(b.fee_total for b in chain.blocks if b.height > base and b.owner == miner_id)
-        return owned
+    # after every event, each miner works one chain, and each arrived
+    # transaction is pending or confirmed once on every live chain
+    result = checked_run(Simulation(RankTable(records), miners, PARAMS, depth=depth, seed=17), assert_partitioned)
+    assert result.attacks > 0 and result.fork_wins + result.fork_losses == result.attacks
+    assert sum(result.earnings.values()) == result.confirmed_fee <= result.total_trace_fee
 
 
 @pytest.mark.parametrize("avoidance", ["off", "experimental", "exact", "strict"])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_published_blocks_carry_their_ranks_and_pools_match_a_set_model(depth, avoidance):
+    # After each event, every live chain's pool is what arrived less what
+    # its blocks confirm, with the totals of its mask and of its pack, and
+    # its tip (each published block is one) reads its ids by its ranks.
+    # While a race is live, what each miner on a chain owns past the
+    # fork's base is a filter over all the chain's blocks.
     records = whale_trace(13, 600, 60_000, dust_rate=5.0, whale_rate=0.4)
     dist, _ = preset("bitcoin16")
     miners = profiles(dist.with_honest_fraction(0.3).entries)
     table, policy = RankTable(records), parse_avoidance(avoidance)
-    sim = RankCheckedSimulation(table, miners, PARAMS, depth=depth, avoidance=policy, seed=17)
-    result = sim.run()
-    assert result.confirmed_fee > 0
+    cuts, owned_any = 0, False  # cuts: checks of a pack the pool did not fit, whose totals come from _first_fit
+
+    def check(sim):
+        nonlocal cuts, owned_any
+        arrived = {table.txs[r].id for r in table.arrivals[: sim.next_arrival]}
+        for chain in sim.chains:
+            assert_keeps_its_totals(chain)
+            cuts += chain.pool_size > PARAMS.block_size_limit
+            assert [t.id for t in table.txs[chain.tip.ranks]] == list(chain.tip.tx_ids)
+            assert view_ids(chain.view()) == arrived - {i for b in chain.blocks for i in b.tx_ids}
+            if sim.fork is not None:
+                base = sim.fork.base_height
+                for mid in chain.workers:
+                    owned = sim._owned_after_fork(mid, chain, base)
+                    assert owned == sum(b.fee_total for b in chain.blocks if b.height > base and b.owner == mid)
+                    owned_any |= owned > 0
+
+    result = checked_run(Simulation(table, miners, PARAMS, depth=depth, avoidance=policy, seed=17), check)
+    assert result.confirmed_fee > 0 and cuts > 0
     if policy is None:
-        assert result.attacks > 0
+        assert result.attacks > 0 and result.fork_wins + result.fork_losses > 0
         if depth == 2:  # rational miners weigh what they own after the fork
-            assert sim.owned_calls > 0
+            assert owned_any
     assert result == Simulation(table, miners, PARAMS, depth=depth, avoidance=policy, seed=17).run()
 
 
@@ -733,18 +689,43 @@ def test_run_invariants_hold_on_random_traces(case):
     trace, miners, depth, avoidance, seed = case
     params = ChainParams(block_size_limit=6_000, block_interval=600.0)
     table = RankTable(trace)
-    sim = PartitionCheckedSimulation(
-        table, miners, params, depth=depth, avoidance=avoidance, seed=seed
-    )
-    result = sim.run()
+    sim = Simulation(table, miners, params, depth=depth, avoidance=avoidance, seed=seed)
+    result = checked_run(sim, assert_partitioned)  # each arrived transaction is confirmed at most once
     assert sum(result.earnings.values()) == result.confirmed_fee <= result.total_trace_fee
-    confirmed = [i for b in sim.chains[0].blocks for i in b.tx_ids]
-    assert len(confirmed) == len(set(confirmed))
-    assert set(confirmed) <= {t.id for t in trace}
-    assert result.fork_wins + result.fork_losses <= result.attacks
+    assert result.fork_wins + result.fork_losses == result.attacks
     assert run(trace, miners, params, depth=depth, avoidance=avoidance, seed=seed) == result
     # a run leaves the table it reads untouched, so a sweep cell's runs may share it
     assert Simulation(table, miners, params, depth=depth, avoidance=avoidance, seed=seed).run() == result
+
+
+@pytest.mark.parametrize("avoidance", ["off", "experimental", "exact", "strict"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_stepped_run_equals_a_plain_run_and_the_cap_binds_at_its_event_count(depth, avoidance):
+    dust, limit, _ = TRACES["sparse"]
+    table = RankTable(whale_trace(13, 600, 30_000, dust_rate=dust, whale_rate=0.4))
+    params = ChainParams(block_size_limit=limit, block_interval=600.0)
+    miners = profiles(preset("bitcoin16")[0].with_honest_fraction(0.3).entries)
+
+    def fresh(max_events=None):
+        sim = Simulation(table, miners, params, depth=depth, avoidance=parse_avoidance(avoidance), seed=0)
+        sim.max_events = max_events or sim.max_events
+        return sim
+
+    plain = fresh()
+    expected, digest, n = plain.run(), GOLDEN[f"sparse/d{depth}/h0.3/{avoidance}/0"], plain.events
+    for k in (0, n // 2, n):  # stepped k events, then finished by run()
+        sim = fresh()
+        for _ in range(k):
+            assert sim.step() is not None
+        assert sim.run() == expected and chain_digest(sim.main.blocks) == digest
+        # a drained run steps nothing more and draws nothing
+        state = sim.rng.bit_generator.state
+        assert sim.step() is None and sim.step() is None
+        assert sim.events == n and sim.rng.bit_generator.state == state
+    # the old loop's boundary: n events fit a cap of n + 1, not of n
+    with pytest.raises(StalledSimulationError, match=f"run needed {n} events or more"):
+        fresh(max_events=n).run()
+    assert fresh(max_events=n + 1).run() == expected
 
 
 def test_all_honest_population_mines_fair_shares():
@@ -877,12 +858,6 @@ def test_memoized_owner_draw_matches_the_linear_scan(weights, moves, seed):
 class EndlessRace(Simulation):
     """Blocks are appended but no race ever ends."""
 
-    events = 0
-
-    def publish_block(self, miner_id, chain, now):
-        self.events += 1
-        return super().publish_block(miner_id, chain, now)
-
     def update_chains(self, ext, block):
         ext.blocks.append(block)
 
@@ -890,11 +865,14 @@ class EndlessRace(Simulation):
 def test_a_race_that_never_ends_stops_at_the_event_cap():
     records = whale_trace(9, 600, 30_000, dust_rate=5.0, whale_rate=0.4)
     # no rational miners: their shift objective rejects a decided race
-    sim = EndlessRace(RankTable(records), two_miners(), PARAMS, seed=17)
-    with pytest.raises(StalledSimulationError, match=f"run needed {sim.max_events} events or more"):
-        sim.run()
-    assert sim.fork is not None and sim.attacks == 1
-    assert sim.events == sim.max_events
+    for bare in (False, True):  # a caller that never calls run() is capped too
+        sim = EndlessRace(RankTable(records), two_miners(), PARAMS, seed=17)
+        with pytest.raises(StalledSimulationError, match=f"run needed {sim.max_events} events or more"):
+            while bare and sim.step():
+                pass
+            sim.run()
+        assert sim.fork is not None and sim.attacks == 1
+        assert sim.events == sim.max_events
     # the trace's 50 block intervals and its transactions, with the margin
     assert sim.max_events == 4 * (50 + len(records)) + 1000
 
