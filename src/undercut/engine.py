@@ -8,9 +8,7 @@ template follows the owner's strategy, and every miner then re-evaluates
 which chain to work on.  A race ends once one side leads by the give-up
 depth, and earnings settle from the blocks of the main chain.
 
-One event is ``Simulation.step()``, and ``Simulation.run()`` is the loop
-over it, so a caller that checks after each event drives the same events
-as a plain run.  ``step()`` holds the event cap, which binds every caller.
+Each event is one ``Simulation.step()``; ``run()`` loops over it.
 
 Runs are deterministic per seed, also across processes: no result
 depends on ``PYTHONHASHSEED``.  Runs share one immutable
@@ -86,8 +84,7 @@ STAGNATION_LIMIT = 8
 # arrive once per interval across the live chains while the trace plays
 # (a Poisson count, so four times its mean is out of reach), and after it
 # nearly every block confirms a transaction; no valid run comes close.
-# One event is ``Simulation.step()``, which holds the cap, and ``run()`` is
-# the loop over it, so the cap binds every caller.
+# ``Simulation.step()`` counts every event against the cap.
 EVENT_CAP_MARGIN = 4
 EVENT_CAP_FLOOR = 1000
 

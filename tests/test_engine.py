@@ -44,7 +44,7 @@ from undercut.strategy import craft_avoidance_block, undercut_template
 from undercut.trace import load_trace, preset, synthesize_trace, write_trace
 
 from conftest import pending_reads, pool_of, selection_key, template_of, tx, view_ids, whale_trace
-from test_golden_blocks import GOLDEN, TRACES, chain_digest
+from test_golden_blocks import GOLDEN, chain_digest, golden_sim
 
 PARAMS = ChainParams(block_size_limit=10_000, block_interval=600.0)
 NO_RANKS = np.empty(0, dtype=np.intp)
@@ -516,14 +516,18 @@ def assert_partitioned(sim):
         assert -sim.depth < lead < sim.depth or (fresh and lead == -1), "race outlived its depth"
 
 
-@pytest.mark.parametrize("depth", [1, 2])
-def test_conservation_and_single_confirmation(depth):
-    records = whale_trace(9, 600, 120_000, dust_rate=5.0, whale_rate=0.4)
+# (trace seed, span, honest fraction, sim seed, depth); at honest 0.2 more
+# rational miners move between the chains of a race
+@pytest.mark.parametrize("trace_seed, span, honest, seed, depth", [
+    (9, 120_000, 0.3, 17, 1), (9, 120_000, 0.3, 17, 2), (13, 90_000, 0.2, 23, 2),
+])
+def test_conservation_and_single_confirmation(trace_seed, span, honest, seed, depth):
+    records = whale_trace(trace_seed, 600, span, dust_rate=5.0, whale_rate=0.4)
     dist, _ = preset("bitcoin16")
-    miners = profiles(dist.with_honest_fraction(0.3).entries)
+    miners = profiles(dist.with_honest_fraction(honest).entries)
     # after every event, each miner works one chain, and each arrived
     # transaction is pending or confirmed once on every live chain
-    result = checked_run(Simulation(RankTable(records), miners, PARAMS, depth=depth, seed=17), assert_partitioned)
+    result = checked_run(Simulation(RankTable(records), miners, PARAMS, depth=depth, seed=seed), assert_partitioned)
     assert result.attacks > 0 and result.fork_wins + result.fork_losses == result.attacks
     assert sum(result.earnings.values()) == result.confirmed_fee <= result.total_trace_fee
 
@@ -534,16 +538,17 @@ def test_published_blocks_carry_their_ranks_and_pools_match_a_set_model(depth, a
     # After each event, every live chain's pool is what arrived less what
     # its blocks confirm, with the totals of its mask and of its pack, and
     # its tip (each published block is one) reads its ids by its ranks.
-    # While a race is live, what each miner on a chain owns past the
-    # fork's base is a filter over all the chain's blocks.
+    # While a race is live, what each miner owns past the fork's base on
+    # either chain is a filter over all that chain's blocks.
     records = whale_trace(13, 600, 60_000, dust_rate=5.0, whale_rate=0.4)
     dist, _ = preset("bitcoin16")
     miners = profiles(dist.with_honest_fraction(0.3).entries)
     table, policy = RankTable(records), parse_avoidance(avoidance)
-    cuts, owned_any = 0, False  # cuts: checks of a pack the pool did not fit, whose totals come from _first_fit
+    cuts = general_moves = 0  # cuts: checks of a pack the pool did not fit, whose totals come from _first_fit
+    last = (None, {})  # the live fork and each rational miner's chain after the last event
 
     def check(sim):
-        nonlocal cuts, owned_any
+        nonlocal cuts, general_moves, last
         arrived = {table.txs[r].id for r in table.arrivals[: sim.next_arrival]}
         for chain in sim.chains:
             assert_keeps_its_totals(chain)
@@ -552,17 +557,23 @@ def test_published_blocks_carry_their_ranks_and_pools_match_a_set_model(depth, a
             assert view_ids(chain.view()) == arrived - {i for b in chain.blocks for i in b.tx_ids}
             if sim.fork is not None:
                 base = sim.fork.base_height
-                for mid in chain.workers:
-                    owned = sim._owned_after_fork(mid, chain, base)
-                    assert owned == sum(b.fee_total for b in chain.blocks if b.height > base and b.owner == mid)
-                    owned_any |= owned > 0
+                for mid in sim.miners:
+                    owned = sum(b.fee_total for b in chain.blocks if b.height > base and b.owner == mid)
+                    assert sim._owned_after_fork(mid, chain, base) == owned
+        # a rational miner that moved within one race, out of the one-block
+        # tie, was moved by update_miners' general state, which weighs owned fees
+        fork, where = sim.fork, {m: c for c in sim.chains for m in c.workers if sim.miners[m].kind == "rational"}
+        tie = fork is not None and fork.tip.height == sim.main.tip.height == fork.base_height + 1
+        if fork is not None and fork is last[0] and not tie:
+            general_moves += sum(where[m] is not last[1][m] for m in where)
+        last = (fork, where)
 
     result = checked_run(Simulation(table, miners, PARAMS, depth=depth, avoidance=policy, seed=17), check)
     assert result.confirmed_fee > 0 and cuts > 0
     if policy is None:
         assert result.attacks > 0 and result.fork_wins + result.fork_losses > 0
         if depth == 2:  # rational miners weigh what they own after the fork
-            assert owned_any
+            assert general_moves > 0
     assert result == Simulation(table, miners, PARAMS, depth=depth, avoidance=policy, seed=17).run()
 
 
@@ -701,31 +712,24 @@ def test_run_invariants_hold_on_random_traces(case):
 @pytest.mark.parametrize("avoidance", ["off", "experimental", "exact", "strict"])
 @pytest.mark.parametrize("depth", [1, 2])
 def test_a_stepped_run_equals_a_plain_run_and_the_cap_binds_at_its_event_count(depth, avoidance):
-    dust, limit, _ = TRACES["sparse"]
-    table = RankTable(whale_trace(13, 600, 30_000, dust_rate=dust, whale_rate=0.4))
-    params = ChainParams(block_size_limit=limit, block_interval=600.0)
-    miners = profiles(preset("bitcoin16")[0].with_honest_fraction(0.3).entries)
-
-    def fresh(max_events=None):
-        sim = Simulation(table, miners, params, depth=depth, avoidance=parse_avoidance(avoidance), seed=0)
-        sim.max_events = max_events or sim.max_events
-        return sim
-
-    plain = fresh()
-    expected, digest, n = plain.run(), GOLDEN[f"sparse/d{depth}/h0.3/{avoidance}/0"], plain.events
-    for k in (0, n // 2, n):  # stepped k events, then finished by run()
-        sim = fresh()
+    key = f"sparse/d{depth}/h0.3/{avoidance}/0"
+    plain = golden_sim(key)
+    expected, n = plain.run(), plain.events
+    assert n >= expected.blocks > 0  # each main-chain block was an event
+    for k in (n // 2, n):  # stepped k events (n: all of them), then finished by run()
+        sim = golden_sim(key)
         for _ in range(k):
             assert sim.step() is not None
-        assert sim.run() == expected and chain_digest(sim.main.blocks) == digest
+        assert sim.run() == expected and chain_digest(sim.main.blocks) == GOLDEN[key]
         # a drained run steps nothing more and draws nothing
         state = sim.rng.bit_generator.state
-        assert sim.step() is None and sim.step() is None
-        assert sim.events == n and sim.rng.bit_generator.state == state
+        assert sim.step() is None and sim.events == n and sim.rng.bit_generator.state == state
     # the old loop's boundary: n events fit a cap of n + 1, not of n
+    capped, roomy = golden_sim(key), golden_sim(key)
+    capped.max_events, roomy.max_events = n, n + 1
     with pytest.raises(StalledSimulationError, match=f"run needed {n} events or more"):
-        fresh(max_events=n).run()
-    assert fresh(max_events=n + 1).run() == expected
+        capped.run()
+    assert roomy.run() == expected
 
 
 def test_all_honest_population_mines_fair_shares():

@@ -14,6 +14,7 @@ current code, run ``PYTHONPATH=src:tests python tests/test_golden_blocks.py``.
 
 import hashlib
 from collections import Counter
+from itertools import product
 from unittest import mock
 
 from undercut.engine import Simulation, parse_avoidance, profiles
@@ -38,23 +39,24 @@ def chain_digest(blocks) -> str:
     return h.hexdigest()[:16]
 
 
+def golden_sim(key) -> Simulation:
+    """A fresh simulation of the golden run ``name/d{depth}/h{honest}/{avoidance}/{seed}``."""
+    name, depth, honest, avoidance, seed = key.split("/")
+    dust, limit, _ = TRACES[name]
+    table = RankTable(whale_trace(13, 600, 30_000, dust_rate=dust, whale_rate=0.4))
+    params = ChainParams(block_size_limit=limit, block_interval=600.0)
+    miners = profiles(preset("bitcoin16")[0].with_honest_fraction(float(honest[1:])).entries)
+    return Simulation(table, miners, params, depth=int(depth[1:]), avoidance=parse_avoidance(avoidance), seed=int(seed))
+
+
 def golden_runs():
     """(key, digest, attack branches) of every run, in a fixed order."""
-    dist, _ = preset("bitcoin16")
-    for name, (dust, limit, seeds) in TRACES.items():
-        table = RankTable(whale_trace(13, 600, 30_000, dust_rate=dust, whale_rate=0.4))
-        params = ChainParams(block_size_limit=limit, block_interval=600.0)
-        for depth in (1, 2):
-            for honest in HONEST:
-                miners = profiles(dist.with_honest_fraction(honest).entries)
-                for avoidance in AVOIDANCE:
-                    for seed in seeds:
-                        sim = Simulation(
-                            table, miners, params, depth=depth, avoidance=parse_avoidance(avoidance), seed=seed
-                        )
-                        result = sim.run()
-                        key = f"{name}/d{depth}/h{honest}/{avoidance}/{seed}"
-                        yield key, chain_digest(sim.main.blocks), result.attack_branches
+    for name, (_, _, seeds) in TRACES.items():
+        for depth, honest, avoidance, seed in product((1, 2), HONEST, AVOIDANCE, seeds):
+            key = f"{name}/d{depth}/h{honest}/{avoidance}/{seed}"
+            sim = golden_sim(key)
+            result = sim.run()
+            yield key, chain_digest(sim.main.blocks), result.attack_branches
 
 
 GOLDEN = {
